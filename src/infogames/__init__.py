@@ -46,7 +46,6 @@ from .preferences import (
     Sense,
     WGame,
     apply_risk,
-    belief_mass,
     make_dirac,
     make_wgame,
 )
@@ -55,7 +54,6 @@ from .normal_form import (
     NormalFormMatrix,
     matrix_to_csv,
     normal_form_matrix,
-    normal_form_value,
     player_strategies,
     player_strategy_label,
 )

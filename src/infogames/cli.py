@@ -22,13 +22,15 @@ from .equilibria import (
     StackelbergMode,
     nash_equilibria,
     nash_stackelberg,
+    stackelberg_strategies,
     theta_mode,
 )
 from .errors import CapacityExceeded, GameError
 from .gamefile import export_custom, load_game
-from .model import check_playability, check_sequential, count_strategies
+from .model import check_playability, count_strategies
 from .normal_form import (
     Evaluator,
+    count_player_strategies,
     fmt_value,
     matrix_to_csv,
     normal_form_matrix,
@@ -88,16 +90,13 @@ def _count_section(game: WGame) -> dict:
     players = []
     profiles = 1
     for p in game.players.players:
-        n = 1
-        for a in game.agents_of(p):
-            n *= count_strategies(game.model, a)
+        n = count_player_strategies(game, p)
         players.append({"player": p, "strategies": n})
         profiles *= n
     return {"agents": agents, "players": players, "profiles": profiles}
 
 
-def _validation_section(game: WGame, playability: dict | None = None) -> dict:
-    order = check_sequential(game.model)
+def _validation_section(order: tuple | None, playability: dict | None = None) -> dict:
     if playability is None:
         if order is not None:
             playability = {"playable": True, "mode": "sequential", "profiles_checked": 0}
@@ -197,27 +196,21 @@ def run(command: str, game_path: str, options: dict, cap: int) -> tuple[dict, in
         eq = nash_equilibria(game, evaluator=evaluator, cap=cap)
         results = _equilibrium_results(game, eq)
         report["_diag"] = eq.diagnostics
-    elif command in ("stackelberg", "nash-stackelberg"):
+    elif command == "stackelberg":
         mode: StackelbergMode = options["mode_parsed"]
+        leader_set, report["_diag"] = stackelberg_strategies(
+            game, mode, evaluator=evaluator, cap=cap
+        )
+        results = {
+            "mode": mode.describe(),
+            "count": len(leader_set),
+            "leader_profiles": [_profile_doc(game, lp) for lp in leader_set],
+        }
+    elif command == "nash-stackelberg":
+        mode = options["mode_parsed"]
         eq = nash_stackelberg(game, mode, evaluator=evaluator, cap=cap)
         results = _equilibrium_results(game, eq)
         results["mode"] = mode.describe()
-        if command == "stackelberg":
-            # Deduplicate to the leader side, preserving order.
-            seen = []
-            for rec in eq.profiles:
-                leaders_doc = {
-                    p: player_strategy_label(game, ps)
-                    for p, ps in rec.by_player
-                    if p in game.leaders
-                }
-                if leaders_doc not in seen:
-                    seen.append(leaders_doc)
-            results = {
-                "mode": mode.describe(),
-                "count": len(seen),
-                "leader_profiles": seen,
-            }
         report["_diag"] = eq.diagnostics
     elif command == "export":
         results = {"document": export_custom(game)}
@@ -225,7 +218,7 @@ def run(command: str, game_path: str, options: dict, cap: int) -> tuple[dict, in
         raise ValueError(f"unknown command {command!r}")
 
     diag = report.pop("_diag", None)
-    report["validation"] = _validation_section(game, playability_doc)
+    report["validation"] = _validation_section(evaluator.sequential_order, playability_doc)
     report["counts"] = _count_section(game)
     report["results"] = results
     report["timing"] = {"normal_form_evaluations": evaluator.evaluations}

@@ -2,6 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
+
+def _format_count(n: int) -> str:
+    """Exact digits up to 10**100, else ``~10^N`` with N = floor(log10 n):
+    ``str`` refuses integers of more than 4300 digits."""
+    if n > 10**100:
+        return f"~10^{int(math.log10(n))}"
+    return str(n)
+
 
 class GameError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -14,7 +24,9 @@ class CapacityExceeded(GameError):
         self.needed = needed
         self.cap = cap
         self.what = what
-        super().__init__(f"{what} needs {needed} items, cap is {cap}")
+        super().__init__(
+            f"{what} needs {_format_count(needed)} items, cap is {_format_count(cap)}"
+        )
 
 
 class SelfInformationViolation(GameError):

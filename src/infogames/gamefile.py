@@ -36,7 +36,7 @@ from .preferences import (
     WGame,
     make_wgame,
 )
-from .spaces import FiniteFactor, Partition, cylinder_partition
+from .spaces import FiniteFactor, Partition, cylinder_partition, make_product_space
 
 SCHEMA_VERSION = 1
 
@@ -240,8 +240,6 @@ def _load_custom(section: dict, path: str) -> WGame:
 
     # The configuration space mirrors build_wmodel's layout: nature factors
     # in declaration order, then action factors in agent order.
-    from .spaces import make_product_space
-
     configuration = make_product_space(tuple(nature) + tuple(action_factors[a] for a in agents))
 
     info_specs = {}
@@ -389,31 +387,13 @@ def load_game(path: str) -> WGame:
     return load_game_document(doc)
 
 
-def _detect_cylinder(space, partition: Partition):
-    """Return the visible factor ids if the partition is a cylinder."""
-    influential = []
-    for axis in range(len(space.factors)):
-        stride = space._strides[axis]
-        size = space.factors[axis].size
-        seen = False
-        for idx in range(space.size):
-            coord = (idx // stride) % size
-            if coord == 0:
-                continue
-            if partition.atom_of[idx] != partition.atom_of[idx - coord * stride]:
-                seen = True
-                break
-        if seen:
-            influential.append(axis)
-    ids = [space.factors[i].id for i in influential]
-    if cylinder_partition(space, ids) == partition:
-        return ids
-    return None
-
-
 def export_custom(game: WGame) -> dict:
     """Render a game in the custom schema (inverse of :func:`_load_custom`
-    up to information-spec form)."""
+    up to information-spec form).
+
+    An agent's information is written as ``cylinder`` over the factors it
+    observes, in configuration order, when it equals that cylinder, and as
+    ``atoms`` otherwise."""
     model = game.model
     factors_doc = []
     for f in model.nature_factors:
@@ -428,8 +408,9 @@ def export_custom(game: WGame) -> dict:
 
     agents_doc = []
     for a in model.agents:
-        cyl = _detect_cylinder(model.configuration, model.info[a])
-        info = {"cylinder": cyl} if cyl is not None else {"atoms": list(model.info[a].atom_of)}
+        visible = [model.configuration.factors[i].id for i in model.observed[a]]
+        cylinder = cylinder_partition(model.configuration, visible) == model.info[a]
+        info = {"cylinder": visible} if cylinder else {"atoms": list(model.info[a].atom_of)}
         agents_doc.append(
             {
                 "player": a.player,

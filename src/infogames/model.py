@@ -1,9 +1,11 @@
 """The intrinsic game model: agents, Nature, information fields, strategies.
 
 A model couples a configuration space (Nature factors followed by one action
-factor per agent) with one information partition per agent.  Construction
-validates absence of self-information: no agent's partition may distinguish
-two configurations that differ only in his own action coordinate.
+factor per agent) with one information partition per agent.  Configurations
+are flat point indices throughout; because the action axes come last, each
+Nature state owns one contiguous block of indices.  An agent's information is
+summed up by the configuration axes it observes (``WModel.observed``), which
+construction records once: no agent may observe his own action axis.
 
 Strategies map information atoms to action indices, so measurability holds by
 construction.  Playability (the closed-loop equation ``u = strategy(nature, u)``
@@ -25,9 +27,9 @@ from .spaces import (
     Partition,
     Point,
     ProductSpace,
+    axis_witnesses,
     cylinder_partition,
     make_product_space,
-    refines,
 )
 
 DEFAULT_STRATEGY_CAP = 10**7
@@ -63,6 +65,8 @@ class WModel:
     configuration: ProductSpace
     nature_space: ProductSpace
     info: Mapping[AgentId, Partition]
+    # Configuration axes each agent's information depends on, ascending.
+    observed: Mapping[AgentId, tuple[int, ...]]
 
     def agent_axis(self, agent: AgentId) -> int:
         """Index of the agent's action coordinate in the configuration space."""
@@ -70,22 +74,6 @@ class WModel:
 
     def nature_points(self) -> Iterator[Point]:
         return self.nature_space.points()
-
-
-def _check_self_information(
-    configuration: ProductSpace, axis: int, partition: Partition
-):
-    """Return a witness pair if the partition sees the coordinate ``axis``."""
-    stride = configuration._strides[axis]
-    size = configuration.factors[axis].size
-    for idx in range(configuration.size):
-        coord = (idx // stride) % size
-        if coord == 0:
-            continue
-        base = idx - coord * stride
-        if partition.atom_of[idx] != partition.atom_of[base]:
-            return configuration.point_at(base), configuration.point_at(idx)
-    return None
 
 
 def build_wmodel(
@@ -123,6 +111,7 @@ def build_wmodel(
         raise ValueError("a model needs at least one nature factor")
 
     info: dict[AgentId, Partition] = {}
+    observed: dict[AgentId, tuple[int, ...]] = {}
     for a in agents:
         spec = info_specs.get(a)
         if spec is None:
@@ -132,24 +121,28 @@ def build_wmodel(
                 raise ValueError(
                     f"information partition for agent {a} is over a different space"
                 )
-            part = spec
+            info[a] = spec
+            observed[a] = tuple(axis for axis, _, _ in axis_witnesses(spec))
         else:
-            part = cylinder_partition(configuration, spec)
-        info[a] = part
+            visible = set(spec)
+            info[a] = cylinder_partition(configuration, visible)
+            axes = {configuration.factor_index(v) for v in visible}
+            observed[a] = tuple(sorted(i for i in axes if configuration.factors[i].size > 1))
 
-    model = WModel(
+    for axis, a in enumerate(agents, len(nature_factors)):
+        if axis in observed[a]:
+            base, idx = next((b, i) for ax, b, i in axis_witnesses(info[a]) if ax == axis)
+            witness = (configuration.point_at(base), configuration.point_at(idx))
+            raise SelfInformationViolation(a, witness)
+    return WModel(
         nature_factors=nature_factors,
         agents=agents,
         action_factors=dict(action_factors),
         configuration=configuration,
         nature_space=nature_space,
         info=info,
+        observed=observed,
     )
-    for a in agents:
-        witness = _check_self_information(configuration, model.agent_axis(a), info[a])
-        if witness is not None:
-            raise SelfInformationViolation(a, witness)
-    return model
 
 
 @dataclass(frozen=True)
@@ -219,49 +212,47 @@ def enumerate_strategies(
 
 def check_sequential(model: WModel) -> tuple[AgentId, ...] | None:
     """Greedy search for an agent ordering where each agent's information is
-    determined by Nature and by the actions of his predecessors.
+    determined by Nature and by the actions of his predecessors, that is
+    where every axis he observes is a Nature axis or a predecessor's.
 
     Eligibility is monotone in the placed set, so the greedy construction
     (earliest eligible agent in declaration order) finds an ordering whenever
     one exists.  Returns ``None`` otherwise.
     """
-    nature_ids = [f.id for f in model.nature_factors]
+    known = set(range(len(model.nature_factors)))
     placed: list[AgentId] = []
     remaining = list(model.agents)
-    known_cyl = cylinder_partition(model.configuration, nature_ids)
     while remaining:
-        chosen = None
-        for a in remaining:
-            if refines(known_cyl, model.info[a]):
-                chosen = a
-                break
+        chosen = next((a for a in remaining if known.issuperset(model.observed[a])), None)
         if chosen is None:
             return None
         placed.append(chosen)
         remaining.remove(chosen)
-        visible = nature_ids + [model.action_factors[b].id for b in placed]
-        known_cyl = cylinder_partition(model.configuration, visible)
+        known.add(model.agent_axis(chosen))
     return tuple(placed)
 
 
-def _fixed_points(
-    model: WModel, profile: StrategyProfile, nature_point: Point
-) -> list[Point]:
-    """All action tuples solving the closed-loop equation at one nature state."""
-    sizes = [model.action_factors[a].size for a in model.agents]
-    solutions = []
-    for actions in itertools.product(*(range(s) for s in sizes)):
-        config = nature_point + actions
-        idx = model.configuration.point_index(config)
-        ok = True
-        for pos, a in enumerate(model.agents):
-            atom = model.info[a].atom_of[idx]
-            if profile.strategies[pos].table[atom] != actions[pos]:
-                ok = False
-                break
-        if ok:
-            solutions.append(config)
-    return solutions
+def _agent_lookups(model: WModel, profile: StrategyProfile) -> dict[AgentId, tuple]:
+    """Per agent: atom table, strategy table, action stride, action count."""
+    strides = model.configuration._strides
+    first = len(model.nature_factors)
+    return {
+        a: (model.info[a].atom_of, s.table, strides[first + i], model.action_factors[a].size)
+        for i, (a, s) in enumerate(zip(model.agents, profile.strategies))
+    }
+
+
+def _fixed_points(model: WModel, profile: StrategyProfile) -> Iterator[list[int]]:
+    """Flat indices solving the closed-loop equation, one list per nature
+    state in nature order, each scanning that state's block in point order."""
+    checks = _agent_lookups(model, profile).values()
+    size = model.configuration.size
+    block = size // model.nature_space.size
+    for base in range(0, size, block):
+        solutions = range(base, base + block)
+        for atom_of, table, stride, count in checks:
+            solutions = [i for i in solutions if table[atom_of[i]] == i // stride % count]
+        yield solutions
 
 
 @dataclass(frozen=True)
@@ -335,15 +326,46 @@ def check_playability(
 
     failures = []
     checked = 0
+    point_at = model.configuration.point_at
     for profile in selected:
         checked += 1
-        for omega in model.nature_points():
-            sols = _fixed_points(model, profile, omega)
+        for omega, sols in zip(model.nature_points(), _fixed_points(model, profile)):
             if len(sols) != 1:
                 failures.append(
-                    PlayabilityFailure(omega, profile, len(sols), tuple(sols))
+                    PlayabilityFailure(omega, profile, len(sols), tuple(map(point_at, sols)))
                 )
     return PlayabilityReport(not failures, mode, checked, tuple(failures))
+
+
+def outcome_indices(
+    model: WModel, profile: StrategyProfile, order: tuple[AgentId, ...] | None
+) -> list[int]:
+    """Flat configuration index of the unique outcome at each nature state,
+    in nature enumeration order.
+
+    Along a sequential ``order`` (from :func:`check_sequential`), forward
+    substitution starts at the state's block base, where every action is 0,
+    and adds ``action * stride`` per agent in order.  With ``order=None`` each
+    block is scanned for fixed points; :class:`NotPlayable` is raised at the
+    first nature state with zero or several.
+    """
+    if order is None:
+        outcomes = []
+        for omega, sols in zip(model.nature_points(), _fixed_points(model, profile)):
+            if len(sols) != 1:
+                raise NotPlayable(omega, len(sols))
+            outcomes.append(sols[0])
+        return outcomes
+    lookups = _agent_lookups(model, profile)
+    steps = [lookups[a][:3] for a in order]
+    size = model.configuration.size
+    outcomes = []
+    for base in range(0, size, size // model.nature_space.size):
+        idx = base
+        for atom_of, table, stride in steps:
+            idx += table[atom_of[idx]] * stride
+        outcomes.append(idx)
+    return outcomes
 
 
 def solution_map(
@@ -352,33 +374,19 @@ def solution_map(
     brute_force: bool = False,
     order: tuple[AgentId, ...] | None = None,
 ) -> dict[Point, Point]:
-    """Map each nature state to the unique outcome under the profile.
+    """Map each nature state to the unique outcome under the profile: the
+    point view of :func:`outcome_indices`.
 
     Uses forward substitution along a sequential agent ordering when one
-    exists (each agent's information atom is already determined by Nature and
-    by the decisions taken so far); falls back to fixed-point enumeration and
-    raises :class:`NotPlayable` if some nature state has zero or several
-    solutions.  A precomputed ordering from :func:`check_sequential` may be
-    passed to skip recomputing it.
+    exists; falls back to fixed-point enumeration (always, with
+    ``brute_force``) and raises :class:`NotPlayable` if some nature state has
+    zero or several solutions.  A precomputed ordering from
+    :func:`check_sequential` may be passed to skip recomputing it.
     """
-    if not brute_force and order is None:
+    if brute_force:
+        order = None
+    elif order is None:
         order = check_sequential(model)
-    result: dict[Point, Point] = {}
-    if order is not None and not brute_force:
-        axes = {a: model.agent_axis(a) for a in model.agents}
-        pos = {a: i for i, a in enumerate(model.agents)}
-        config = model.configuration
-        for omega in model.nature_points():
-            coords = list(omega) + [0] * len(model.agents)
-            for a in order:
-                idx = config.point_index(coords)
-                atom = model.info[a].atom_of[idx]
-                coords[axes[a]] = profile.strategies[pos[a]].table[atom]
-            result[omega] = tuple(coords)
-        return result
-    for omega in model.nature_points():
-        sols = _fixed_points(model, profile, omega)
-        if len(sols) != 1:
-            raise NotPlayable(omega, len(sols))
-        result[omega] = sols[0]
-    return result
+    point_at = model.configuration.point_at
+    outcomes = outcome_indices(model, profile, order)
+    return {omega: point_at(i) for omega, i in zip(model.nature_points(), outcomes)}

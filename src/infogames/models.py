@@ -516,11 +516,3 @@ def build_thai_slmf_mt(params: ThaiParams, cap: int = DEFAULT_BUILD_CAP) -> WGam
     _check_build_capacity(game, cap)
     return game
 
-
-BUILTIN_MODELS = {
-    "prisoners_dilemma": build_prisoners_dilemma,
-    "tou_pricing": build_tou_game,
-    "thai_slsf_st": build_thai_slsf_st,
-    "thai_slsf_mt": build_thai_slsf_mt,
-    "thai_slmf_mt": build_thai_slmf_mt,
-}

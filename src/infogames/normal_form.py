@@ -1,9 +1,9 @@
 """Normal-form evaluation: a player's risk measure applied to her objective
 composed with the solution map, as a function of the strategy profile.
 
-The :class:`Evaluator` memoizes solution maps per profile and values per
-(player, profile) within a solve session; equilibrium search revisits profiles
-heavily.  Evaluation is pure, so the memo behaves as a last-write-wins cache.
+The :class:`Evaluator` memoizes flat outcome indices per profile and values
+per (player, profile) within a solve session; equilibrium search revisits
+profiles heavily.  Evaluation is pure, so the memo is a last-write-wins cache.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from .model import (
     check_sequential,
     count_strategies,
     enumerate_strategies,
-    solution_map,
+    outcome_indices,
+    solution_map,  # noqa: F401  (bench/ looks it up as normal_form.solution_map)
 )
 from .preferences import Sense, WGame, apply_risk
 
@@ -116,12 +117,7 @@ class Evaluator:
         cached = self._outcomes.get(profile)
         if cached is not None:
             return cached
-        if self.sequential_order is not None:
-            table = solution_map(self.game.model, profile, order=self.sequential_order)
-        else:
-            table = solution_map(self.game.model, profile, brute_force=True)
-        config = self.game.model.configuration
-        indices = [config.point_index(outcome) for outcome in table.values()]
+        indices = outcome_indices(self.game.model, profile, self.sequential_order)
         self._outcomes[profile] = indices
         return indices
 
@@ -137,14 +133,6 @@ class Evaluator:
         self._values[key] = v
         self.evaluations += 1
         return v
-
-
-def normal_form_value(
-    game: WGame, player: str, profile: StrategyProfile, evaluator: Evaluator | None = None
-) -> float:
-    if evaluator is None:
-        evaluator = Evaluator(game)
-    return evaluator.value(player, profile)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import IndeterminateValue
@@ -79,11 +79,16 @@ def _check_mass_vector(vec: Sequence[float], what: str):
 
 @dataclass(frozen=True)
 class Belief:
-    """Probability mass over Nature, joint or product-of-factors."""
+    """Probability mass over Nature, joint or product-of-factors.
+
+    ``masses`` is the per-state mass vector in Nature enumeration order: the
+    joint vector, or each state's per-factor product taken in factor order.
+    """
 
     space: ProductSpace
     joint: tuple[float, ...] | None = None
     factors: tuple[tuple[float, ...], ...] | None = None
+    masses: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if (self.joint is None) == (self.factors is None):
@@ -100,6 +105,13 @@ class Belief:
                 if len(vec) != f.size:
                     raise ValueError(f"belief vector for factor {f.id!r} has wrong length")
                 _check_mass_vector(vec, f"belief vector for factor {f.id!r}")
+        masses = self.joint
+        if masses is None:
+            masses = tuple(
+                math.prod((vec[c] for c, vec in zip(omega, self.factors)), start=1.0)
+                for omega in self.space.points()
+            )
+        object.__setattr__(self, "masses", masses)
 
     @staticmethod
     def product(space: ProductSpace, vectors: Sequence[Sequence[float]]) -> "Belief":
@@ -115,13 +127,7 @@ class Belief:
         return Belief(space, joint=(1.0 / n,) * n)
 
     def mass(self, omega: Point) -> float:
-        if self.joint is not None:
-            return self.joint[self.space.point_index(omega)]
-        assert self.factors is not None
-        m = 1.0
-        for coord, vec in zip(omega, self.factors):
-            m *= vec[coord]
-        return m
+        return self.masses[self.space.point_index(omega)]
 
 
 def make_dirac(factor: FiniteFactor, element: int | str) -> tuple[float, ...]:
@@ -131,10 +137,6 @@ def make_dirac(factor: FiniteFactor, element: int | str) -> tuple[float, ...]:
     if not 0 <= element < factor.size:
         raise ValueError(f"element {element} out of range for factor {factor.id!r}")
     return tuple(1.0 if i == element else 0.0 for i in range(factor.size))
-
-
-def belief_mass(belief: Belief, omega: Point) -> float:
-    return belief.mass(omega)
 
 
 class RiskKind(enum.Enum):
@@ -231,11 +233,7 @@ def apply_risk(risk: RiskMeasure, values: Sequence[float], sense: Sense) -> floa
     if risk.belief is None:
         pairs = [(float(v), 1.0) for v in values]
     else:
-        pairs = []
-        for idx, omega in enumerate(risk.belief.space.points()):
-            m = risk.belief.mass(omega)
-            if m > 0:
-                pairs.append((float(values[idx]), m))
+        pairs = [(float(v), m) for v, m in zip(values, risk.belief.masses) if m > 0]
     if risk.kind is RiskKind.WORST_CASE:
         return sense.worst(v for v, _ in pairs)
     if risk.kind is RiskKind.EXPECTATION:

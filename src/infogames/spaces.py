@@ -75,10 +75,6 @@ class ProductSpace:
             n *= f.size
         return n
 
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(f.size for f in self.factors)
-
     def factor_index(self, factor_id: str) -> int:
         for i, f in enumerate(self.factors):
             if f.id == factor_id:
@@ -179,6 +175,33 @@ def cylinder_partition(space: ProductSpace, visible: Iterable[str]) -> Partition
     axes = sorted(space.factor_index(v) for v in visible_ids)
     labels = [tuple(pt[i] for i in axes) for pt in space.points()]
     return Partition.from_labels(space, labels)
+
+
+def axis_witnesses(partition: Partition) -> Iterator[tuple[int, int, int]]:
+    """The axes the partition observes, each with its first witness pair.
+
+    Yields ``(axis, base, index)`` in axis order for every axis along which
+    two points differing only on that axis lie in different atoms.  ``base``
+    and ``index`` are the flat indices of the first such pair in point order;
+    ``base`` has coordinate 0 on the axis.
+    """
+    space, atom_of = partition.space, partition.atom_of
+    for axis, (f, stride) in enumerate(zip(space.factors, space._strides)):
+        if f.size == 1:
+            continue
+        block = stride * f.size
+        for outer in range(0, space.size, block):
+            # The block's coordinate slices all agree iff each equals the next.
+            if atom_of[outer + stride : outer + block] != atom_of[outer : outer + block - stride]:
+                first = atom_of[outer : outer + stride]
+                start = next(
+                    s
+                    for s in range(outer + stride, outer + block, stride)
+                    if atom_of[s : s + stride] != first
+                )
+                j = next(j for j in range(stride) if atom_of[start + j] != first[j])
+                yield axis, outer + j, start + j
+                break
 
 
 def refines(fine: Partition, coarse: Partition) -> bool:

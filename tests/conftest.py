@@ -15,6 +15,7 @@ from infogames import (
     Belief,
     FiniteFactor,
     Objective,
+    Partition,
     PlayerData,
     PlayerPartition,
     RiskMeasure,
@@ -24,6 +25,7 @@ from infogames import (
     WGame,
     WModel,
     build_wmodel,
+    make_product_space,
     make_wgame,
 )
 
@@ -66,6 +68,47 @@ def random_sequential_model(rng: random.Random) -> WModel:
         visible += [actions[b].id for b in agents[:i] if rng.random() < 0.5]
         info[a] = tuple(visible)
     return build_wmodel(nature, agents, actions, info)
+
+
+def random_information_parts(rng: random.Random, sequential: bool):
+    """Factors, agents and information specs for :func:`build_wmodel`.
+
+    At most 3 agents with 1-3 actions and at most 4 Nature points.  Agents are
+    declared in shuffled order.  Each spec is a cylinder over random factors
+    other than the agent's own action, or an explicit partition labelling
+    each point by a random function of a random subset of those axes (usually
+    not a cylinder).  With ``sequential``, an agent only sees the actions of
+    agents before him in a hidden order; otherwise agents may observe each
+    other.  Returns ``(nature, agents, actions, specs, configuration)``.
+    """
+    if rng.random() < 0.5:
+        nature = [small_factor("n0", rng.randint(1, 4))]
+    else:
+        nature = [small_factor("n0", rng.randint(1, 2)), small_factor("n1", 2, "nature-type")]
+    hidden = [AgentId("p", t) for t in range(1, rng.randint(1, 3) + 1)]
+    actions = {a: small_factor(f"u{a.stage}", rng.randint(1, 3), "action") for a in hidden}
+    agents = rng.sample(hidden, len(hidden))
+    configuration = make_product_space(nature + [actions[a] for a in agents])
+    specs = {}
+    for i, a in enumerate(hidden):
+        others = hidden[:i] if sequential else [b for b in hidden if b != a]
+        ids = [f.id for f in nature if rng.random() < 0.5]
+        ids += [actions[b].id for b in others if rng.random() < (0.5 if sequential else 0.8)]
+        if rng.random() < 0.5:
+            specs[a] = tuple(ids)
+        else:
+            specs[a] = random_partition(rng, configuration, map(configuration.factor_index, ids))
+    return nature, agents, actions, specs, configuration
+
+
+def random_partition(rng: random.Random, space, axes) -> Partition:
+    """Label each point by a random function of its coordinates on ``axes``."""
+    axes = sorted(axes)
+    labels: dict = {}
+    keys = [tuple(pt[i] for i in axes) for pt in space.points()]
+    for key in keys:
+        labels.setdefault(key, rng.randrange(3))
+    return Partition.from_labels(space, [labels[k] for k in keys])
 
 
 def random_profile(model: WModel, rng: random.Random) -> StrategyProfile:

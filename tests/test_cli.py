@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, determinism, report structure."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -108,6 +109,27 @@ class TestExitCodes:
         )
         assert res.returncode == 3
         assert "cap" in res.stderr
+
+    def test_astronomical_count_exit_3(self, tmp_path):
+        params = {
+            "baselines": [10],
+            "prices": [1],
+            "reward": 0.5,
+            "targets": [0, 2, 4],
+            "consumptions": [6, 8, 10],
+            "horizon": 3,
+            "followers": ["a", "b"],
+            "leader_coeffs": {"values": [[1, 0.01]]},
+            "follower_coeffs": {"values": [[1, 0.01], [1.2, 0.02]]},
+            "exogenous": [{"values": [1.0]}],
+            "info_mode": "full-history",
+        }
+        doc = {"version": 1, "builtin": {"model": "thai_slmf_mt", "params": params}}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        res = run_cli("strategies", "--game", str(path))
+        assert res.returncode == 3, res.stderr
+        assert re.search(r"needs ~10\^\d+ items, cap is 1000000", res.stderr)
 
     def test_playability_sample_mode(self, tmp_path):
         path = write_mutual_observation(tmp_path)

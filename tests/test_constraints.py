@@ -11,6 +11,7 @@ from infogames import (
     PESSIMISTIC,
     AgentId,
     Belief,
+    Evaluator,
     Objective,
     PlayerData,
     PlayerPartition,
@@ -23,7 +24,6 @@ from infogames import (
     make_wgame,
     nash_equilibria,
     nash_stackelberg,
-    normal_form_value,
     player_strategies,
     stackelberg_strategies,
 )
@@ -129,7 +129,7 @@ class TestForbiddenResponses:
         ls = player_strategies(game, "L")[0]
         fs = player_strategies(game, "F")[0]  # picks response 0 everywhere
         profile = assemble_profile(game, {"L": ls, "F": fs})
-        assert normal_form_value(game, "F", profile) == INF
+        assert Evaluator(game).value("F", profile) == INF
 
 
 class TestGameFileRiskForms:
@@ -164,7 +164,7 @@ class TestGameFileRiskForms:
         ls = player_strategies(game, "solo")[0]  # constant x
         profile = assemble_profile(game, {"solo": ls})
         # Outcomes per nature state: values at (w, x) = 1, 2, 5.
-        assert normal_form_value(game, "solo", profile) == pytest.approx(
+        assert Evaluator(game).value("solo", profile) == pytest.approx(
             0.5 * 1 + 0.25 * 2 + 0.25 * 5
         )
 
@@ -177,7 +177,7 @@ class TestGameFileRiskForms:
         profile = assemble_profile(game, {"solo": ls})
         # Cost table along x: (1, 2, 5) with masses (0.25, 0.5, 0.25); the
         # worst half is 0.25 of 5 plus 0.25 of 2.
-        assert normal_form_value(game, "solo", profile) == pytest.approx(
+        assert Evaluator(game).value("solo", profile) == pytest.approx(
             (0.25 * 5 + 0.25 * 2) / 0.5
         )
 
@@ -188,7 +188,7 @@ class TestGameFileRiskForms:
         ls = player_strategies(game, "solo")[1]  # constant y
         profile = assemble_profile(game, {"solo": ls})
         # Values along y: (4, 3, 0) -> worst case 4.
-        assert normal_form_value(game, "solo", profile) == 4.0
+        assert Evaluator(game).value("solo", profile) == 4.0
 
     def test_round_trip_preserves_joint_and_cvar(self):
         doc = self._doc({"kind": "cvar", "alpha": 0.5}, {"joint": [0.25, 0.5, 0.25]})

@@ -28,7 +28,6 @@ from infogames import (
     make_wgame,
     nash_equilibria,
     nash_stackelberg,
-    normal_form_value,
     player_strategies,
     stackelberg_strategies,
     theta_mode,

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from infogames import (
     AgentId,
@@ -23,11 +25,13 @@ from infogames import (
     refines,
     solution_map,
 )
-from infogames.spaces import Partition
+from infogames.spaces import Partition, common_refinement
 from conftest import (
     copy_strategy,
     flip_strategy,
     mutual_observation_model,
+    random_information_parts,
+    random_partition,
     random_profile,
     random_sequential_model,
     small_factor,
@@ -143,6 +147,13 @@ class TestStrategies:
         model = build_wmodel([w], [a], {a: ua}, {a: ("w",)})
         with pytest.raises(CapacityExceeded):
             list(enumerate_strategies(model, a, cap=100))
+
+    def test_astronomical_count_renders_as_power_of_ten(self):
+        exc = CapacityExceeded(3**10000, 10**6, "strategy profiles")
+        assert str(exc) == "strategy profiles needs ~10^4771 items, cap is 1000000"
+        assert exc.needed == 3**10000
+        exact = CapacityExceeded(10**100, 5)
+        assert str(exact) == f"enumeration needs 1{'0' * 100} items, cap is 5"
 
     def test_strategies_are_measurable_by_construction(self, rng):
         model = random_sequential_model(random.Random(7))
@@ -328,3 +339,111 @@ class TestSelfInformationCoarsening:
                     model.action_factors,
                     {**model.info, agent: coarser},
                 )
+
+
+def brute_observed(partition):
+    """Axes along which some two points differing only there lie in
+    different atoms, by comparing every point with all its axis neighbours."""
+    space = partition.space
+    axes = set()
+    for idx, pt in enumerate(space.points()):
+        for axis, f in enumerate(space.factors):
+            for c in range(f.size):
+                other = space.point_index(pt[:axis] + (c,) + pt[axis + 1 :])
+                if partition.atom_of[other] != partition.atom_of[idx]:
+                    axes.add(axis)
+    return tuple(sorted(axes))
+
+
+def valid_orderings(model):
+    """Every agent permutation in which each agent's information is
+    measurable with respect to Nature and his predecessors' actions."""
+    nature_ids = [f.id for f in model.nature_factors]
+    valid = []
+    for perm in itertools.permutations(model.agents):
+        visible = list(nature_ids)
+        for a in perm:
+            if not refines(cylinder_partition(model.configuration, visible), model.info[a]):
+                break
+            visible.append(model.action_factors[a].id)
+        else:
+            valid.append(perm)
+    return valid
+
+
+random_models = st.builds(
+    lambda rng, sequential: build_wmodel(*random_information_parts(rng, sequential)[:4]),
+    st.randoms(use_true_random=False),
+    st.booleans(),
+)
+
+
+class TestRandomInformationStructures:
+    """Explicit and cylinder partitions, shuffled declaration order, and
+    mutually observing agents, against brute-force definitions."""
+
+    @given(random_models)
+    @settings(max_examples=80, deadline=None)
+    def test_observed_axes_match_brute_force(self, model):
+        for a in model.agents:
+            assert model.observed[a] == brute_observed(model.info[a])
+
+    @given(random_models)
+    @settings(max_examples=80, deadline=None)
+    def test_check_sequential_is_first_valid_ordering(self, model):
+        valid = valid_orderings(model)
+        order = check_sequential(model)
+        if not valid:
+            assert order is None
+        else:
+            # Greedy in declaration order yields the lexicographically first.
+            assert order == min(valid, key=lambda p: [model.agents.index(a) for a in p])
+
+    @given(st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_own_axis_dependence_raises_with_first_witness(self, rng, sequential):
+        nature, agents, actions, specs, config = random_information_parts(rng, sequential)
+        a = rng.choice(agents)
+        assume(actions[a].size > 1)
+        axis = len(nature) + agents.index(a)
+        others = [i for i in range(len(config.factors)) if rng.random() < 0.5]
+        part = common_refinement(
+            random_partition(rng, config, others),
+            cylinder_partition(config, [actions[a].id]),
+        )
+        with pytest.raises(SelfInformationViolation) as exc:
+            build_wmodel(nature, agents, actions, {**specs, a: part})
+        assert exc.value.agent == a
+        p, q = exc.value.witness
+        assert [i for i in range(len(p)) if p[i] != q[i]] == [axis]
+        assert part.atom_of[config.point_index(p)] != part.atom_of[config.point_index(q)]
+        first = next(
+            (pt[:axis] + (0,) + pt[axis + 1 :], pt)
+            for pt in config.points()
+            if pt[axis] != 0
+            and part.atom_of[config.point_index(pt)]
+            != part.atom_of[config.point_index(pt[:axis] + (0,) + pt[axis + 1 :])]
+        )
+        assert (p, q) == first
+
+    @given(random_models, st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_playability_and_solution_maps_match_oracle(self, model, rng):
+        profiles = [random_profile(model, rng) for _ in range(3)]
+        expected_failures = []
+        for profile in profiles:
+            oracle = oracle_solution_table(model, profile)
+            bad = [(omega, sols) for omega, sols in oracle.items() if len(sols) != 1]
+            expected_failures += [(omega, profile, len(s), tuple(s)) for omega, s in bad]
+            for brute_force in (True, False):
+                if bad:
+                    with pytest.raises(NotPlayable) as exc:
+                        solution_map(model, profile, brute_force=brute_force)
+                    assert (exc.value.nature_point, exc.value.count) == (bad[0][0], len(bad[0][1]))
+                else:
+                    table = solution_map(model, profile, brute_force=brute_force)
+                    assert table == {omega: sols[0] for omega, sols in oracle.items()}
+        report = check_playability(model, profiles)
+        assert [
+            (f.nature_point, f.profile, f.solution_count, f.solutions) for f in report.failures
+        ] == expected_failures

@@ -18,7 +18,6 @@ from infogames import (
     make_wgame,
     matrix_to_csv,
     normal_form_matrix,
-    normal_form_value,
     player_strategies,
 )
 from infogames.normal_form import assemble_profile, fmt_value
@@ -45,8 +44,8 @@ class TestValues:
         rows = player_strategies(game, "row")
         cols = player_strategies(game, "col")
         profile = assemble_profile(game, {"row": rows[1], "col": cols[1]})
-        assert normal_form_value(game, "row", profile) == 5.0
-        assert normal_form_value(game, "col", profile) == 5.0
+        assert Evaluator(game).value("row", profile) == 5.0
+        assert Evaluator(game).value("col", profile) == 5.0
 
     def test_dirac_beliefs_give_plugin_values(self):
         # With every belief factor a Dirac, the normal-form value is the raw
@@ -98,7 +97,7 @@ class TestValues:
             changed, g2 = perturbed(player)
             if changed == 0:
                 continue
-            assert normal_form_value(g2, player, profile) == base
+            assert Evaluator(g2).value(player, profile) == base
 
     def test_memo_counts_unique_evaluations(self):
         game = build_prisoners_dilemma()

@@ -17,7 +17,6 @@ from infogames import (
     RiskMeasure,
     Sense,
     apply_risk,
-    belief_mass,
     build_wmodel,
     make_dirac,
     make_wgame,
@@ -56,20 +55,20 @@ class TestBeliefMass:
         space = nature_space(2, 3)
         b = Belief.product(space, [(0.5, 0.5), (1 / 3, 1 / 3, 1 / 3)])
         for omega in space.points():
-            assert belief_mass(b, omega) == pytest.approx(1 / 6, abs=1e-12)
+            assert b.mass(omega) == pytest.approx(1 / 6, abs=1e-12)
 
     def test_product_with_dirac_is_zero_off_slice(self):
         space = nature_space(2, 2)
         b = Belief.product(space, [(1.0, 0.0), (0.3, 0.7)])
-        assert belief_mass(b, (1, 0)) == 0.0
-        assert belief_mass(b, (1, 1)) == 0.0
-        assert belief_mass(b, (0, 1)) == pytest.approx(0.7)
+        assert b.mass((1, 0)) == 0.0
+        assert b.mass((1, 1)) == 0.0
+        assert b.mass((0, 1)) == pytest.approx(0.7)
 
     def test_joint_reads_back(self):
         space = nature_space(2)
         b = Belief.joint_over(space, (0.25, 0.75))
-        assert belief_mass(b, (0,)) == 0.25
-        assert belief_mass(b, (1,)) == 0.75
+        assert b.mass((0,)) == 0.25
+        assert b.mass((1,)) == 0.75
 
     def test_masses_sum_to_one(self):
         rng = random.Random(1)
@@ -79,8 +78,27 @@ class TestBeliefMass:
         joint = Belief.joint_over(space, [r / s for r in raw])
         prod = Belief.product(space, [(0.2, 0.3, 0.5), (0.1, 0.2, 0.3, 0.4)])
         for b in (joint, prod):
-            total = math.fsum(belief_mass(b, w) for w in space.points())
+            total = math.fsum(b.mass(w) for w in space.points())
             assert abs(total - 1.0) < 1e-9
+
+    @given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_masses_vector_is_joint_or_factor_product(self, sizes, rng):
+        space = nature_space(*sizes)
+        vectors = []
+        for n in sizes:
+            raw = [rng.randint(1, 9) for _ in range(n)]
+            vectors.append([r / sum(raw) for r in raw])
+        prod = Belief.product(space, vectors)
+        expected = []
+        for omega in space.points():
+            m = 1.0
+            for coord, vec in zip(omega, prod.factors):
+                m *= vec[coord]
+            expected.append(m)
+        assert prod.masses == tuple(expected)
+        joint = Belief.joint_over(space, expected)
+        assert joint.masses == joint.joint
 
     def test_invalid_vectors_rejected(self):
         space = nature_space(2)
