@@ -125,8 +125,9 @@ def _equilibrium_results(game: WGame, report) -> dict:
     return {"count": len(out), "equilibria": out}
 
 
-def _diag_section(cap: int, diag=None, capacity_exceeded: bool = False) -> dict:
-    doc = {"cap": cap, "capacity_exceeded": capacity_exceeded}
+def _diag_section(cap: int, diag=None) -> dict:
+    # A report exists only when no cap was hit (exit 3 otherwise).
+    doc = {"cap": cap, "capacity_exceeded": False}
     if diag is not None:
         doc["profiles_enumerated"] = diag.profiles_enumerated
         doc["ties"] = diag.ties

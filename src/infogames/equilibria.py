@@ -2,10 +2,10 @@
 
 Everything here is exhaustive enumeration with hard caps and deterministic
 ordering: ties are all included, in enumeration-index order, and every
-reported profile is re-verified against its defining condition before
-emission.  Extended-real values participate in the argmin/argmax directly; a
-best-response set whose every member sits at the adverse infinity is returned
-in full with a diagnostic flag.
+reported Nash profile is re-verified, on an evaluator that shares no memo with
+the search, before emission.  Extended-real values participate in the
+argmin/argmax directly; a best-response set whose every member sits at the
+adverse infinity is returned in full with a diagnostic flag.
 
 Optimistic, pessimistic and theta leader anticipation are interpreted with
 respect to the leader's objective sense: optimistic picks the follower best
@@ -27,6 +27,7 @@ from .normal_form import (
     Evaluator,
     PlayerStrategy,
     assemble_profile,
+    count_player_strategies,
     player_strategies,
 )
 from .preferences import Sense, WGame, _adverse_tail_mean, _expectation
@@ -125,7 +126,10 @@ class EquilibriumReport:
 
 
 def _context_key(game: WGame, player: str, assignment: Mapping[str, PlayerStrategy]):
-    return tuple((q, assignment[q]) for q in game.players.players if q != player)
+    # Leader-level assignments carry no follower entries.
+    return tuple(
+        (q, assignment[q]) for q in game.players.players if q != player and q in assignment
+    )
 
 
 def best_responses(
@@ -142,32 +146,22 @@ def best_responses(
         raise ValueError(
             f"context must fix exactly the other players {sorted(expected)}"
         )
-    if evaluator is None:
-        evaluator = Evaluator(game)
-    sense = game.data[player].objective.sense
-    best_value: float | None = None
-    best: list[PlayerStrategy] = []
-    for cand in player_strategies(game, player, cap):
-        profile = assemble_profile(game, {**others, player: cand})
-        v = evaluator.value(player, profile)
-        if best_value is None or sense.better(v, best_value):
-            best_value = v
-            best = [cand]
-        elif v == best_value:
-            best.append(cand)
-    assert best_value is not None
+    session = _Session(game, evaluator, cap)
+    best = session.best_value(player, others)
     return BestResponseSet(
         player,
-        tuple((q, others[q]) for q in game.players.players if q != player),
-        tuple(best),
-        best_value,
-        all_adverse=(best_value == sense.adverse),
+        _context_key(game, player, others),
+        tuple(
+            cand
+            for cand in session.space(player)
+            if session.value(player, {**others, player: cand}) == best
+        ),
+        best,
+        all_adverse=(best == game.data[player].objective.sense.adverse),
     )
 
 
 def _profile_space_size(game: WGame, players: Sequence[str], cap: int) -> int:
-    from .normal_form import count_player_strategies
-
     total = 1
     for p in players:
         total *= count_player_strategies(game, p)
@@ -177,14 +171,28 @@ def _profile_space_size(game: WGame, players: Sequence[str], cap: int) -> int:
 
 
 class _Session:
-    """Shared caches for one equilibrium computation."""
+    """Shared caches for one equilibrium computation.
 
-    def __init__(self, game: WGame, evaluator: Evaluator | None, cap: int):
+    Every solver is :meth:`nash` on some group of players.  With a Stackelberg
+    ``mode``, a leader is judged by her anticipated value over the followers'
+    joint best responses to the leaders' profile; followers, and every player
+    of a session without a mode, by the normal-form value.
+    """
+
+    def __init__(
+        self,
+        game: WGame,
+        evaluator: Evaluator | None,
+        cap: int,
+        mode: StackelbergMode | None = None,
+    ):
         self.game = game
         self.evaluator = evaluator if evaluator is not None else Evaluator(game)
         self.cap = cap
+        self.mode = mode
         self._spaces: dict[str, list[PlayerStrategy]] = {}
         self._best: dict = {}
+        self._anticipated: dict = {}
         self._followers_nash: dict = {}
 
     def space(self, player: str) -> list[PlayerStrategy]:
@@ -196,54 +204,74 @@ class _Session:
         profile = assemble_profile(self.game, assignment)
         return self.evaluator.value(player, profile)
 
-    def best_value(self, player: str, assignment: Mapping[str, PlayerStrategy]) -> float:
-        """Optimal value the player can reach against the fixed others."""
+    def judged(self, player: str, assignment: Mapping[str, PlayerStrategy]) -> float | None:
+        """The value the player is judged by; ``None`` for a leader whose
+        followers have no joint best response."""
+        if self.mode is None or player not in self.game.leaders:
+            return self.value(player, assignment)
+        leaders = {ld: assignment[ld] for ld in self.game.leaders}
+        key = (player, tuple(leaders.values()))
+        if key not in self._anticipated:
+            responses = self.followers_nash(leaders)
+            values = [self.value(player, {**leaders, **dict(fp)}) for fp in responses]
+            sense = self.game.data[player].objective.sense
+            self._anticipated[key] = _anticipate(values, sense, self.mode) if values else None
+        return self._anticipated[key]
+
+    def best_value(
+        self, player: str, assignment: Mapping[str, PlayerStrategy]
+    ) -> float | None:
+        """Best judged value the player can reach against the fixed others;
+        deviations without a judged value are skipped."""
         key = (player, _context_key(self.game, player, assignment))
-        if key in self._best:
-            return self._best[key]
-        sense = self.game.data[player].objective.sense
-        best: float | None = None
-        for cand in self.space(player):
-            v = self.value(player, {**assignment, player: cand})
-            if best is None or sense.better(v, best):
-                best = v
-        assert best is not None
-        self._best[key] = best
-        return best
+        if key not in self._best:
+            sense = self.game.data[player].objective.sense
+            best: float | None = None
+            for cand in self.space(player):
+                v = self.judged(player, {**assignment, player: cand})
+                if v is not None and (best is None or sense.better(v, best)):
+                    best = v
+            self._best[key] = best
+        return self._best[key]
+
+    def nash(
+        self, players: Sequence[str], fixed: Mapping[str, PlayerStrategy]
+    ) -> tuple[tuple[GroupProfile, ...], int, int, bool]:
+        """Joint profiles of the group, in enumeration order, against the
+        ``fixed`` others, where every member's judged value equals her best
+        over unilateral deviations.
+
+        Returns the profiles, the number enumerated, the number without a
+        judged value, and whether some best value was the adverse infinity.
+        Members are checked in order and the first failure ends a profile's
+        check, which fixes both the set of evaluations and that flag.
+        """
+        total = _profile_space_size(self.game, players, self.cap)
+        found: list[GroupProfile] = []
+        infeasible = 0
+        all_adverse = False
+        for combo in itertools.product(*(self.space(p) for p in players)):
+            assignment = dict(fixed)
+            assignment.update(zip(players, combo))
+            for p in players:
+                v = self.judged(p, assignment)
+                if v is None:
+                    infeasible += 1
+                    break
+                best = self.best_value(p, assignment)
+                if best == self.game.data[p].objective.sense.adverse:
+                    all_adverse = True
+                if v != best:
+                    break
+            else:
+                found.append(tuple(zip(players, combo)))
+        return tuple(found), total, infeasible, all_adverse
 
     def followers_nash(self, leaders: Mapping[str, PlayerStrategy]) -> tuple[GroupProfile, ...]:
-        key = tuple((ld, leaders[ld]) for ld in self.game.leaders)
-        if key in self._followers_nash:
-            return self._followers_nash[key]
-        followers = self.game.followers
-        _profile_space_size(self.game, followers, self.cap)
-        spaces = [self.space(f) for f in followers]
-        result: list[GroupProfile] = []
-        for combo in itertools.product(*spaces):
-            assignment = dict(leaders)
-            assignment.update(zip(followers, combo))
-            if all(
-                self.value(f, assignment) == self.best_value(f, assignment)
-                for f in followers
-            ):
-                result.append(tuple(zip(followers, combo)))
-        out = tuple(result)
-        self._followers_nash[key] = out
-        return out
-
-    def leader_value(
-        self, leader: str, leaders: Mapping[str, PlayerStrategy], mode: StackelbergMode
-    ) -> float:
-        responses = self.followers_nash(leaders)
-        if not responses:
-            raise EmptyFollowerResponse(dict(leaders))
-        sense = self.game.data[leader].objective.sense
-        values = []
-        for fp in responses:
-            assignment = dict(leaders)
-            assignment.update(fp)
-            values.append(self.value(leader, assignment))
-        return _anticipate(values, sense, mode)
+        key = tuple(leaders[ld] for ld in self.game.leaders)
+        if key not in self._followers_nash:
+            self._followers_nash[key] = self.nash(self.game.followers, leaders)[0]
+        return self._followers_nash[key]
 
 
 def _theta_combine(theta: float, optimistic: float, pessimistic: float) -> float:
@@ -276,6 +304,16 @@ def _anticipate(values: list[float], sense: Sense, mode: StackelbergMode) -> flo
     return _adverse_tail_mean(pairs, mode.risk[1], sense)
 
 
+def _record(session: _Session, assignment: Mapping[str, PlayerStrategy]) -> ProfileRecord:
+    """A full profile with every player's realized normal-form value."""
+    players = session.game.players.players
+    return ProfileRecord(
+        tuple((p, assignment[p]) for p in players),
+        assemble_profile(session.game, assignment),
+        tuple((p, session.value(p, assignment)) for p in players),
+    )
+
+
 def nash_equilibria(
     game: WGame,
     evaluator: Evaluator | None = None,
@@ -284,31 +322,13 @@ def nash_equilibria(
     """All profiles where each player's strategy lies in her best-response
     set, in enumeration order."""
     session = _Session(game, evaluator, cap)
-    players = game.players.players
-    total = _profile_space_size(game, players, cap)
-    spaces = [session.space(p) for p in players]
-    records: list[ProfileRecord] = []
-    all_adverse = False
-    for combo in itertools.product(*spaces):
-        assignment = dict(zip(players, combo))
-        is_eq = True
-        for p in players:
-            v = session.value(p, assignment)
-            best = session.best_value(p, assignment)
-            if best == game.data[p].objective.sense.adverse:
-                all_adverse = True
-            if v != best:
-                is_eq = False
-                break
-        if is_eq and _verify_no_improving_deviation(session, assignment):
-            profile = assemble_profile(game, assignment)
-            records.append(
-                ProfileRecord(
-                    tuple(zip(players, combo)),
-                    profile,
-                    tuple((p, session.value(p, assignment)) for p in players),
-                )
-            )
+    found, total, _, all_adverse = session.nash(game.players.players, {})
+    fresh = Evaluator(game)
+    records = []
+    for group in found:
+        assignment = dict(group)
+        _verify_no_improving_deviation(session, fresh, assignment)
+        records.append(_record(session, assignment))
     diag = Diagnostics(
         profiles_enumerated=total,
         ties=max(0, len(records) - 1),
@@ -318,17 +338,22 @@ def nash_equilibria(
 
 
 def _verify_no_improving_deviation(
-    session: _Session, assignment: Mapping[str, PlayerStrategy]
-) -> bool:
-    """Independent re-check: no unilateral deviation strictly improves."""
+    session: _Session, evaluator: Evaluator, assignment: Mapping[str, PlayerStrategy]
+) -> None:
+    """Independent re-check on an evaluator that shares no memo with the
+    search: no unilateral deviation strictly improves.  A failure is a fault
+    of the solver, not a property of the game, so it raises."""
     game = session.game
     for p in game.players.players:
         sense = game.data[p].objective.sense
-        v = session.value(p, assignment)
+        v = evaluator.value(p, assemble_profile(game, assignment))
         for cand in session.space(p):
-            if sense.better(session.value(p, {**assignment, p: cand}), v):
-                return False
-    return True
+            alt = evaluator.value(p, assemble_profile(game, {**assignment, p: cand}))
+            if sense.better(alt, v):
+                raise RuntimeError(
+                    f"reported Nash profile fails re-verification: player {p!r} "
+                    "has a strictly improving deviation"
+                )
 
 
 def followers_nash(
@@ -358,8 +383,10 @@ def leader_value(
     _require_roles(game)
     if leader not in game.leaders:
         raise ValueError(f"{leader!r} is not a declared leader")
-    session = _Session(game, evaluator, cap)
-    return session.leader_value(leader, leaders_profile, mode)
+    v = _Session(game, evaluator, cap, mode).judged(leader, leaders_profile)
+    if v is None:
+        raise EmptyFollowerResponse(dict(leaders_profile))
+    return v
 
 
 def _require_roles(game: WGame):
@@ -367,73 +394,16 @@ def _require_roles(game: WGame):
         raise ValueError("game declares no leaders")
 
 
-def _stackelberg_in_session(
-    session: _Session, mode: StackelbergMode
-) -> tuple[tuple[GroupProfile, ...], Diagnostics]:
-    game = session.game
-    leaders = game.leaders
-    _profile_space_size(game, leaders, session.cap)
-    spaces = [session.space(ld) for ld in leaders]
-    enumerated = 0
-    infeasible = 0
-
-    if len(leaders) == 1:
-        ld = leaders[0]
-        sense = game.data[ld].objective.sense
-        evaluated: list[tuple[PlayerStrategy, float]] = []
-        for cand in spaces[0]:
-            enumerated += 1
-            try:
-                v = session.leader_value(ld, {ld: cand}, mode)
-            except EmptyFollowerResponse:
-                infeasible += 1
-                continue
-            evaluated.append((cand, v))
-        if not evaluated:
-            raise EmptyFollowerResponse({})
-        best = sense.best(v for _, v in evaluated)
-        chosen = tuple(((ld, cand),) for cand, v in evaluated if v == best)
-        diag = Diagnostics(
-            profiles_enumerated=enumerated,
-            ties=max(0, len(chosen) - 1),
-            infeasible_leader_profiles=infeasible,
-        )
-        return chosen, diag
-
-    result: list[GroupProfile] = []
-    for combo in itertools.product(*spaces):
-        enumerated += 1
-        current = dict(zip(leaders, combo))
-        if not session.followers_nash(current):
-            infeasible += 1
-            continue
-        is_eq = True
-        for ld in leaders:
-            sense = game.data[ld].objective.sense
-            best: float | None = None
-            mine: float | None = None
-            for cand in session.space(ld):
-                try:
-                    v = session.leader_value(ld, {**current, ld: cand}, mode)
-                except EmptyFollowerResponse:
-                    continue
-                if best is None or sense.better(v, best):
-                    best = v
-                if cand == current[ld]:
-                    mine = v
-            if mine is None or mine != best:
-                is_eq = False
-                break
-        if is_eq:
-            result.append(tuple(zip(leaders, combo)))
-    if not result and infeasible == enumerated and enumerated > 0:
+def _stackelberg_in_session(session: _Session) -> tuple[tuple[GroupProfile, ...], Diagnostics]:
+    leader_set, enumerated, infeasible, _ = session.nash(session.game.leaders, {})
+    if infeasible == enumerated:
         raise EmptyFollowerResponse({})
     diag = Diagnostics(
         profiles_enumerated=enumerated,
-        ties=max(0, len(result) - 1),
+        ties=max(0, len(leader_set) - 1),
         infeasible_leader_profiles=infeasible,
     )
-    return tuple(result), diag
+    return leader_set, diag
 
 
 def stackelberg_strategies(
@@ -443,8 +413,8 @@ def stackelberg_strategies(
     cap: int = DEFAULT_PROFILE_CAP,
 ) -> tuple[tuple[GroupProfile, ...], Diagnostics]:
     """Leader profiles where each leader's strategy is optimal for her
-    anticipated value given the other leaders fixed (arg-best of
-    :func:`leader_value` for a single leader, Nash among leaders otherwise).
+    anticipated value (:func:`leader_value`) given the other leaders fixed:
+    Nash among the leaders, which for a single leader is the arg-best.
 
     Leader profiles whose followers have no joint best response are excluded
     from the arg-best and counted in the diagnostics rather than silently
@@ -452,8 +422,7 @@ def stackelberg_strategies(
     is raised.
     """
     _require_roles(game)
-    session = _Session(game, evaluator, cap)
-    return _stackelberg_in_session(session, mode)
+    return _stackelberg_in_session(_Session(game, evaluator, cap, mode))
 
 
 def nash_stackelberg(
@@ -465,21 +434,11 @@ def nash_stackelberg(
     """All pairs (Stackelberg leaders' profile, followers' joint best
     response), with per-player values."""
     _require_roles(game)
-    session = _Session(game, evaluator, cap)
-    leader_set, diag = _stackelberg_in_session(session, mode)
-    records: list[ProfileRecord] = []
-    players = game.players.players
-    for leaders_profile in leader_set:
-        leaders_map = dict(leaders_profile)
-        for fp in session.followers_nash(leaders_map):
-            assignment = dict(leaders_map)
-            assignment.update(fp)
-            profile = assemble_profile(game, assignment)
-            records.append(
-                ProfileRecord(
-                    tuple((p, assignment[p]) for p in players),
-                    profile,
-                    tuple((p, session.value(p, assignment)) for p in players),
-                )
-            )
-    return EquilibriumReport("nash-stackelberg", tuple(records), diag, mode=mode)
+    session = _Session(game, evaluator, cap, mode)
+    leader_set, diag = _stackelberg_in_session(session)
+    records = tuple(
+        _record(session, {**dict(leaders), **dict(fp)})
+        for leaders in leader_set
+        for fp in session.followers_nash(dict(leaders))
+    )
+    return EquilibriumReport("nash-stackelberg", records, diag, mode=mode)

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from infogames import (
     OPTIMISTIC,
@@ -167,6 +169,25 @@ class TestNash:
         report = nash_equilibria(game)
         assert len(report.profiles) == 1
         assert report.profiles[0].by_player[0][1][0].table == (1,)
+
+    def test_all_adverse_diagnostic(self):
+        doomed = one_shot_game(
+            {(0, 0): INF, (0, 1): INF, (1, 0): INF, (1, 1): INF},
+            {(0, 0): 0, (0, 1): 1, (1, 0): 0, (1, 1): 1},
+        )
+        assert nash_equilibria(doomed).diagnostics.all_adverse
+        assert not nash_equilibria(build_prisoners_dilemma()).diagnostics.all_adverse
+
+    def test_reverification_does_not_trust_the_search_memo(self):
+        # A corrupted memo makes (C, C) look like an equilibrium to the
+        # search; the re-check on a fresh evaluator must catch it.
+        game = build_prisoners_dilemma()
+        (c_row, d_row), (c_col, d_col) = (player_strategies(game, p) for p in ("row", "col"))
+        ev = Evaluator(game)
+        ev._values[("row", assemble_profile(game, {"row": d_row, "col": c_col}))] = 100.0
+        ev._values[("col", assemble_profile(game, {"row": c_row, "col": d_col}))] = 100.0
+        with pytest.raises(RuntimeError, match="re-verification"):
+            nash_equilibria(game, evaluator=ev)
 
     def test_unilateral_deviations_never_improve(self):
         for seed in range(15):
@@ -525,27 +546,133 @@ class TestMultiLeader:
         assert diag.profiles_enumerated == 4
 
 
+def two_leader_two_follower_game(objectives):
+    """Leaders L1, L2 post binary actions p1, p2; followers F1, F2 see both
+    posts and pick binary actions x1, x2; Nature is a singleton.
+    ``objectives`` maps each player to (sense, fn of the configuration point
+    (w, p1, p2, x1, x2))."""
+    w = small_factor("w", 1)
+    l1, l2 = AgentId("L1"), AgentId("L2")
+    f1, f2 = AgentId("F1"), AgentId("F2")
+    acts = {
+        l1: small_factor("p1", 2, "action"),
+        l2: small_factor("p2", 2, "action"),
+        f1: small_factor("x1", 2, "action"),
+        f2: small_factor("x2", 2, "action"),
+    }
+    model = build_wmodel(
+        [w],
+        [l1, l2, f1, f2],
+        acts,
+        {l1: (), l2: (), f1: ("p1", "p2"), f2: ("p1", "p2")},
+    )
+    belief = Belief.uniform(model.nature_space)
+    players = PlayerPartition(
+        ("L1", "L2", "F1", "F2"), {l1: "L1", l2: "L2", f1: "F1", f2: "F2"}
+    )
+    data = {
+        p: PlayerData(
+            Objective.from_function(model.configuration, p, sense, fn),
+            RiskMeasure.expectation(belief),
+        )
+        for p, (sense, fn) in objectives.items()
+    }
+    return make_wgame(model, players, data, leaders=("L1", "L2"))
+
+
+class DirectOracle:
+    """Stackelberg among several leaders over several followers, straight
+    from the definitions, on indices into each player's strategy list.
+
+    A group profile is kept when no member does strictly better alone.
+    Followers compare normal-form values against the fixed leaders; leaders
+    compare values anticipated over the followers' joint best responses and
+    skip deviations that have none.  Values come from ``ev``; leaders must be
+    declared first.
+    """
+
+    def __init__(self, game, ev):
+        self.game = game
+        self.players = game.players.players
+        self.n_leaders = len(game.leaders)
+        assert self.players[: self.n_leaders] == game.leaders
+        self.spaces = [player_strategies(game, p) for p in self.players]
+        self.table = {}
+        for idx in itertools.product(*(range(len(s)) for s in self.spaces)):
+            assignment = {p: s[i] for p, s, i in zip(self.players, self.spaces, idx)}
+            profile = assemble_profile(game, assignment)
+            self.table[idx] = [ev.value(p, profile) for p in self.players]
+        leads = itertools.product(*(range(len(s)) for s in self.spaces[: self.n_leaders]))
+        follows = list(
+            itertools.product(*(range(len(s)) for s in self.spaces[self.n_leaders :]))
+        )
+        followers = range(self.n_leaders, len(self.players))
+        self.responses = {
+            lead: [
+                fol
+                for fol in follows
+                if self._stable(followers, lead + fol, lambda k, idx: self.table[idx][k])
+            ]
+            for lead in leads
+        }
+
+    def _stable(self, group, idx, judge):
+        for k in group:
+            mine = judge(k, idx)
+            for d in range(len(self.spaces[k])):
+                alt = judge(k, idx[:k] + (d,) + idx[k + 1 :])
+                if alt is not None and self._better(k, alt, mine):
+                    return False
+        return True
+
+    def _better(self, k, a, b):
+        cost = self.game.data[self.players[k]].objective.sense is Sense.COST
+        return a < b if cost else a > b
+
+    def group(self, idx, first=0):
+        """Index tuple -> (player, strategy) pairs, starting at player ``first``."""
+        return tuple(
+            (self.players[first + k], self.spaces[first + k][i]) for k, i in enumerate(idx)
+        )
+
+    def stackelberg(self, mode):
+        """(leader set, leader profiles enumerated, infeasible leader profiles)."""
+
+        def anticipated(k, lead):
+            values = [self.table[lead + fol][k] for fol in self.responses[lead]]
+            if not values:
+                return None
+            cost = self.game.data[self.players[k]].objective.sense is Sense.COST
+            opt, pess = (min(values), max(values)) if cost else (max(values), min(values))
+            if mode.kind == "optimistic":
+                return opt
+            if mode.kind == "pessimistic":
+                return pess
+            return mode.theta * opt + (1 - mode.theta) * pess
+
+        leaders = range(self.n_leaders)
+        chosen = [
+            self.group(lead)
+            for lead, fols in self.responses.items()
+            if fols and self._stable(leaders, lead, anticipated)
+        ]
+        infeasible = sum(1 for fols in self.responses.values() if not fols)
+        return tuple(chosen), len(self.responses), infeasible
+
+
+def _table_objective(values):
+    """An objective reading ``values`` at 8 p1 + 4 p2 + 2 x1 + x2."""
+    return lambda pt: float(values[8 * pt[1] + 4 * pt[2] + 2 * pt[3] + pt[4]])
+
+
+_BINARY_TABLE = st.lists(st.integers(-3, 3), min_size=16, max_size=16)
+
+
 class TestMultiLeaderMultiFollower:
     def _game(self):
         # Two leaders post binary "prices"; two followers react after seeing
         # both posts.  Followers pay their own price plus a congestion term
         # when they pick the same side; leaders earn their price when chosen.
-        w = small_factor("w", 1)
-        l1, l2 = AgentId("L1"), AgentId("L2")
-        f1, f2 = AgentId("F1"), AgentId("F2")
-        acts = {
-            l1: small_factor("p1", 2, "action"),
-            l2: small_factor("p2", 2, "action"),
-            f1: small_factor("x1", 2, "action"),
-            f2: small_factor("x2", 2, "action"),
-        }
-        model = build_wmodel(
-            [w],
-            [l1, l2, f1, f2],
-            acts,
-            {l1: (), l2: (), f1: ("p1", "p2"), f2: ("p1", "p2")},
-        )
-        belief = Belief.uniform(model.nature_space)
         price = {0: 1.0, 1: 2.0}
 
         # Follower i picks a leader (0 or 1); pays that leader's posted
@@ -566,87 +693,68 @@ class TestMultiLeaderMultiFollower:
 
             return pay
 
-        players = PlayerPartition(
-            ("L1", "L2", "F1", "F2"), {l1: "L1", l2: "L2", f1: "F1", f2: "F2"}
+        return two_leader_two_follower_game(
+            {
+                "L1": (Sense.PAYOFF, leader_payoff(0)),
+                "L2": (Sense.PAYOFF, leader_payoff(1)),
+                "F1": (Sense.COST, follower_cost(3, 4)),
+                "F2": (Sense.COST, follower_cost(4, 3)),
+            }
         )
-        data = {
-            "L1": PlayerData(
-                Objective.from_function(model.configuration, "L1", Sense.PAYOFF, leader_payoff(0)),
-                RiskMeasure.expectation(belief),
-            ),
-            "L2": PlayerData(
-                Objective.from_function(model.configuration, "L2", Sense.PAYOFF, leader_payoff(1)),
-                RiskMeasure.expectation(belief),
-            ),
-            "F1": PlayerData(
-                Objective.from_function(model.configuration, "F1", Sense.COST, follower_cost(3, 4)),
-                RiskMeasure.expectation(belief),
-            ),
-            "F2": PlayerData(
-                Objective.from_function(model.configuration, "F2", Sense.COST, follower_cost(4, 3)),
-                RiskMeasure.expectation(belief),
-            ),
-        }
-        return make_wgame(model, players, data, leaders=("L1", "L2"))
 
     def test_matches_direct_definition_oracle(self):
         game = self._game()
         ev = Evaluator(game)
-        spaces = {p: player_strategies(game, p) for p in game.players.players}
-
-        def value(player, assignment):
-            return ev.value(player, assemble_profile(game, assignment))
-
-        def oracle_followers_nash(leaders):
-            out = []
-            for s1 in spaces["F1"]:
-                for s2 in spaces["F2"]:
-                    assignment = {**leaders, "F1": s1, "F2": s2}
-                    best1 = min(
-                        value("F1", {**assignment, "F1": d}) for d in spaces["F1"]
-                    )
-                    best2 = min(
-                        value("F2", {**assignment, "F2": d}) for d in spaces["F2"]
-                    )
-                    if (
-                        value("F1", assignment) == best1
-                        and value("F2", assignment) == best2
-                    ):
-                        out.append((("F1", s1), ("F2", s2)))
-            return tuple(out)
-
-        def oracle_leader_value(leader, leaders):
-            responses = oracle_followers_nash(leaders)
-            assert responses
-            return max(
-                value(leader, {**leaders, **dict(fp)}) for fp in responses
-            )
-
-        oracle_set = []
-        for c1 in spaces["L1"]:
-            for c2 in spaces["L2"]:
-                current = {"L1": c1, "L2": c2}
-                ok = True
-                for ld, others in (("L1", "L2"), ("L2", "L1")):
-                    mine = oracle_leader_value(ld, current)
-                    best = max(
-                        oracle_leader_value(ld, {**current, ld: d})
-                        for d in spaces[ld]
-                    )
-                    if mine != best:
-                        ok = False
-                        break
-                if ok:
-                    oracle_set.append((("L1", c1), ("L2", c2)))
-
-        for ls in spaces["L1"]:
-            for ls2 in spaces["L2"]:
-                got = followers_nash(game, {"L1": ls, "L2": ls2}, evaluator=ev)
-                assert got == oracle_followers_nash({"L1": ls, "L2": ls2})
+        oracle = DirectOracle(game, ev)
+        for lead, fols in oracle.responses.items():
+            got = followers_nash(game, dict(oracle.group(lead)), evaluator=ev)
+            assert got == tuple(oracle.group(fol, first=2) for fol in fols)
 
         got_set, _ = stackelberg_strategies(game, OPTIMISTIC, evaluator=ev)
-        assert got_set == tuple(oracle_set)
+        assert got_set == oracle.stackelberg(OPTIMISTIC)[0]
         assert got_set  # solvable instance
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        tables=st.tuples(_BINARY_TABLE, _BINARY_TABLE, _BINARY_TABLE, _BINARY_TABLE),
+        leader_senses=st.tuples(st.sampled_from(Sense), st.sampled_from(Sense)),
+    )
+    # Matching pennies between the followers: no leader profile is feasible.
+    @example(
+        tables=([0] * 16, [0] * 16, [0, 1, 1, 0] * 4, [1, 0, 0, 1] * 4),
+        leader_senses=(Sense.PAYOFF, Sense.PAYOFF),
+    )
+    # The same only when L1 posts 0: half the leader profiles are infeasible.
+    @example(
+        tables=(
+            list(range(16)),
+            [0] * 16,
+            [0, 1, 1, 0] * 2 + [0] * 8,
+            [1, 0, 0, 1] * 2 + [0] * 8,
+        ),
+        leader_senses=(Sense.PAYOFF, Sense.COST),
+    )
+    def test_random_tables_match_direct_oracle(self, tables, leader_senses):
+        senses = (*leader_senses, Sense.COST, Sense.COST)
+        game = two_leader_two_follower_game(
+            {
+                p: (sense, _table_objective(values))
+                for p, sense, values in zip(("L1", "L2", "F1", "F2"), senses, tables)
+            }
+        )
+        ev = Evaluator(game)
+        oracle = DirectOracle(game, ev)
+        for mode in (OPTIMISTIC, PESSIMISTIC, theta_mode(0.5)):
+            leader_set, enumerated, infeasible = oracle.stackelberg(mode)
+            if infeasible == enumerated:
+                with pytest.raises(EmptyFollowerResponse):
+                    stackelberg_strategies(game, mode, evaluator=ev)
+                continue
+            got, diag = stackelberg_strategies(game, mode, evaluator=ev)
+            assert got == leader_set, mode
+            assert diag.profiles_enumerated == enumerated
+            assert diag.ties == max(0, len(leader_set) - 1)
+            assert diag.infeasible_leader_profiles == infeasible
 
 
 class TestInvariance:
