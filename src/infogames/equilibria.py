@@ -364,9 +364,7 @@ def followers_nash(
 ) -> tuple[GroupProfile, ...]:
     """All follower joint profiles where each follower best-responds to the
     other followers and the fixed leaders."""
-    _require_roles(game)
-    if set(leaders_profile) != set(game.leaders):
-        raise ValueError("leaders_profile must fix exactly the declared leaders")
+    _require_leaders_profile(game, leaders_profile)
     session = _Session(game, evaluator, cap)
     return session.followers_nash(leaders_profile)
 
@@ -380,13 +378,19 @@ def leader_value(
     cap: int = DEFAULT_PROFILE_CAP,
 ) -> float:
     """The leader's anticipated value at a leaders' profile under the mode."""
-    _require_roles(game)
+    _require_leaders_profile(game, leaders_profile)
     if leader not in game.leaders:
         raise ValueError(f"{leader!r} is not a declared leader")
     v = _Session(game, evaluator, cap, mode).judged(leader, leaders_profile)
     if v is None:
         raise EmptyFollowerResponse(dict(leaders_profile))
     return v
+
+
+def _require_leaders_profile(game: WGame, leaders_profile: Mapping[str, PlayerStrategy]):
+    _require_roles(game)
+    if set(leaders_profile) != set(game.leaders):
+        raise ValueError("leaders_profile must fix exactly the declared leaders")
 
 
 def _require_roles(game: WGame):

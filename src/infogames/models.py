@@ -11,10 +11,16 @@ All continuous quantities are discretized onto user-supplied grids.  Effective
 reduction is min(target, baseline - consumption), clamped at zero by default
 so over-consumption earns no reward rather than a fine; the unclamped literal
 formula stays available behind ``clamp_reward=False``.
+
+The demand-response objectives are sums of per-stage, per-follower terms.
+They are tabulated per stage: one small table over (exogenous factor, type,
+stage actions) per term, summed onto the configuration space by stride
+arithmetic (``Objective.from_terms``), after the build cap has been checked.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -290,7 +296,7 @@ def _phi(coeffs: tuple[float, float], scale: float, x: float) -> float:
     return scale * (a1 * x - a2 * x * x)
 
 
-def _build_thai(params: ThaiParams, include_exo: bool, staged: bool) -> WGame:
+def _build_thai(params: ThaiParams, include_exo: bool, staged: bool, cap: int) -> WGame:
     T = params.horizon
     followers = params.followers
     stages = list(range(1, T + 1))
@@ -362,32 +368,8 @@ def _build_thai(params: ThaiParams, include_exo: bool, staged: bool) -> WGame:
 
     model = build_wmodel(nature, agents, action_factors, info_specs)
 
-    # Coordinate layout of a configuration point.
-    n_exo = T if include_exo else 0
-    leader_type_axis = n_exo
-    follower_type_axis = {f: n_exo + 1 + i for i, f in enumerate(followers)}
-    n_nature = n_exo + 1 + len(followers)
-    leader_action_axis = {t: n_nature + (t - 1) for t in stages}
-    follower_action_axis = {
-        (f, t): n_nature + T + i * T + (t - 1)
-        for i, f in enumerate(followers)
-        for t in stages
-    }
-
-    def scale_at(pt, t: int) -> float:
-        if not include_exo:
-            return 1.0
-        return params.exogenous_at(t).values[pt[t - 1]]
-
-    def stage_quantities(pt, t: int):
-        u = params.targets[pt[leader_action_axis[t]]]
-        xs = [params.consumptions[pt[follower_action_axis[(f, t)]]] for f in followers]
-        return u, xs
-
-    def reward_shares(pt, t: int) -> list[float]:
-        """Per-follower reward base at stage t (units of effective reduction)."""
-        B = params.baseline_at(t)
-        u, xs = stage_quantities(pt, t)
+    def reward_shares(B: float, u: float, xs) -> list[float]:
+        """Per-follower reward base at one stage (units of effective reduction)."""
         if params.aggregation == "literal":
             return [_effective(u, B - x, params.clamp_reward) for x in xs]
         reds = [B - x for x in xs]
@@ -401,51 +383,22 @@ def _build_thai(params: ThaiParams, include_exo: bool, staged: bool) -> WGame:
             return [0.0 for _ in reds]
         return [eff * w / wsum for w in weights]
 
-    def leader_cost(pt) -> float:
-        coeffs = params.leader_coeffs.values[pt[leader_type_axis]]
-        total = 0.0
-        for t in stages:
-            p = params.price_at(t)
-            scale = scale_at(pt, t)
-            _, xs = stage_quantities(pt, t)
-            shares = reward_shares(pt, t)
-            for x, share in zip(xs, shares):
-                total += p * x - params.reward * share - _phi(coeffs, scale, x)
-        return total
-
-    def follower_payoff(f: str):
-        def payoff(pt) -> float:
-            coeffs = params.follower_coeffs.values[pt[follower_type_axis[f]]]
-            i = followers.index(f)
-            total = 0.0
-            for t in stages:
-                p = params.price_at(t)
-                scale = scale_at(pt, t)
-                _, xs = stage_quantities(pt, t)
-                share = reward_shares(pt, t)[i]
-                x = xs[i]
-                total += params.reward * share + _phi(coeffs, scale, x) - p * x
-            return total
-
-        return payoff
-
     exo_mass = [params.exogenous_at(t).mass_vector() for t in stages] if include_exo else []
-    leader_belief = Belief.product(
-        model.nature_space,
-        exo_mass
-        + [params.leader_coeffs.dirac()]
-        + [params.follower_coeffs.mass_vector() for _ in followers],
-    )
-
-    def follower_belief(f: str) -> Belief:
-        vectors = list(exo_mass) + [params.leader_coeffs.mass_vector()]
-        for g in followers:
-            vectors.append(
-                params.follower_coeffs.dirac()
-                if g == f
-                else params.follower_coeffs.mass_vector()
-            )
-        return Belief.product(model.nature_space, vectors)
+    beliefs = {
+        "leader": Belief.product(
+            model.nature_space,
+            exo_mass
+            + [params.leader_coeffs.dirac()]
+            + [params.follower_coeffs.mass_vector() for _ in followers],
+        )
+    }
+    for f in followers:
+        vectors = exo_mass + [params.leader_coeffs.mass_vector()]
+        vectors += [
+            params.follower_coeffs.dirac() if g == f else params.follower_coeffs.mass_vector()
+            for g in followers
+        ]
+        beliefs[f] = Belief.product(model.nature_space, vectors)
 
     player_ids = ("leader",) + followers
     assignment = {a: "leader" for a in leader_agents}
@@ -453,25 +406,49 @@ def _build_thai(params: ThaiParams, include_exo: bool, staged: bool) -> WGame:
         for a in follower_agents[f]:
             assignment[a] = f
     players = PlayerPartition(player_ids, assignment)
+    _check_build_capacity(model, cap)
+
+    # Per-stage term tables over (exo_t, type, target_t, every x_t), built in
+    # the order the objectives sum them: stage, then follower.
+    cfg = model.configuration
+    r = params.reward
+    stage_combos = list(itertools.product(params.targets, *([params.consumptions] * len(followers))))
+    terms: dict[str, list] = {pl: [] for pl in player_ids}
+    for t in stages:
+        p, B = params.price_at(t), params.baseline_at(t)
+        exo_axes, scales = ((t - 1,), params.exogenous_at(t).values) if include_exo else ((), (1.0,))
+        stage_axes = (model.agent_axis(leader_agents[t - 1]),) + tuple(
+            model.agent_axis(follower_agents[f][t - 1]) for f in followers
+        )
+        shares = [reward_shares(B, c[0], c[1:]) for c in stage_combos]
+        for i, f in enumerate(followers):
+            terms["leader"].append((
+                exo_axes + (cfg.factor_index("leader_type"),) + stage_axes,
+                [p * c[1 + i] - r * sh[i] - _phi(coeffs, scale, c[1 + i])
+                 for scale in scales for coeffs in params.leader_coeffs.values
+                 for c, sh in zip(stage_combos, shares)],
+            ))
+            terms[f].append((
+                exo_axes + (cfg.factor_index(f"{f}_type"),) + stage_axes,
+                [r * sh[i] + _phi(coeffs, scale, c[1 + i]) - p * c[1 + i]
+                 for scale in scales for coeffs in params.follower_coeffs.values
+                 for c, sh in zip(stage_combos, shares)],
+            ))
 
     data = {
-        "leader": PlayerData(
-            Objective.from_function(model.configuration, "leader", Sense.COST, leader_cost),
-            RiskMeasure.expectation(leader_belief),
+        pl: PlayerData(
+            Objective.from_terms(cfg, pl, Sense.COST if pl == "leader" else Sense.PAYOFF, terms[pl]),
+            RiskMeasure.expectation(beliefs[pl]),
         )
+        for pl in player_ids
     }
-    for f in followers:
-        data[f] = PlayerData(
-            Objective.from_function(model.configuration, f, Sense.PAYOFF, follower_payoff(f)),
-            RiskMeasure.expectation(follower_belief(f)),
-        )
     return make_wgame(model, players, data, leaders=("leader",))
 
 
-def _check_build_capacity(game: WGame, cap: int):
+def _check_build_capacity(model: WModel, cap: int):
     total = 1
-    for a in game.model.agents:
-        total *= count_strategies(game.model, a)
+    for a in model.agents:
+        total *= count_strategies(model, a)
     if total > cap:
         raise CapacityExceeded(total, cap, "strategy profiles of the built game")
 
@@ -494,25 +471,19 @@ def build_thai_slsf_st(params: ThaiParams, cap: int = DEFAULT_BUILD_CAP) -> WGam
             "(own type; follower also sees the target); use the multi-stage "
             "builder for other info modes"
         )
-    game = _build_thai(params, include_exo=False, staged=False)
-    _check_build_capacity(game, cap)
-    return game
+    return _build_thai(params, include_exo=False, staged=False, cap=cap)
 
 
 def build_thai_slsf_mt(params: ThaiParams, cap: int = DEFAULT_BUILD_CAP) -> WGame:
     """Single follower over a horizon; objectives additive in time."""
     if len(params.followers) != 1:
         raise ValueError("single-follower builder requires exactly one follower")
-    game = _build_thai(params, include_exo=True, staged=True)
-    _check_build_capacity(game, cap)
-    return game
+    return _build_thai(params, include_exo=True, staged=True, cap=cap)
 
 
 def build_thai_slmf_mt(params: ThaiParams, cap: int = DEFAULT_BUILD_CAP) -> WGame:
     """Multiple followers over a horizon; the leader's per-stage target is
     met against the followers' total reduction ("aggregate") or per follower
     ("literal")."""
-    game = _build_thai(params, include_exo=True, staged=True)
-    _check_build_capacity(game, cap)
-    return game
+    return _build_thai(params, include_exo=True, staged=True, cap=cap)
 

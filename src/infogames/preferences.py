@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -67,6 +68,22 @@ class Objective:
     @staticmethod
     def from_function(space: ProductSpace, player: str, sense: Sense, fn) -> "Objective":
         return Objective(player, sense, tuple(float(fn(pt)) for pt in space.points()))
+
+    @staticmethod
+    def from_terms(space: ProductSpace, player: str, sense: Sense, terms) -> "Objective":
+        """Tabulate ``0.0 + term_1 + term_2 + ...`` at every point, in term
+        order.  A term is ``(axes, table)`` with ``table`` indexed row-major
+        by the point's coordinates on ``axes``."""
+        values: list = [0.0] * space.size
+        index: dict = {}
+        for axes, table in terms:
+            axes = tuple(axes)
+            if len(table) != math.prod(space.factors[a].size for a in axes):
+                raise ValueError("term table length does not match its axes")
+            if axes not in index:
+                index[axes] = space.axis_index(axes)
+            values = list(map(operator.add, values, map(table.__getitem__, index[axes])))
+        return Objective(player, sense, tuple(values))
 
 
 def _check_mass_vector(vec: Sequence[float], what: str):

@@ -11,6 +11,7 @@ scans over points.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -106,6 +107,26 @@ class ProductSpace:
             index %= stride
         return tuple(coords)
 
+    def axis_index(self, axes: Sequence[int]) -> list[int]:
+        """For every flat point, the row-major index of its coordinates on
+        ``axes`` (distinct factor positions in any order, the last fastest)."""
+        if len(set(axes)) != len(axes):
+            raise ValueError("axes must be distinct")
+        weight, acc = {}, 1
+        for axis in reversed(axes):
+            weight[axis] = acc
+            acc *= self.factors[axis].size
+        # Expand a head and a tail of about sqrt(size) entries each, then
+        # combine them in one full-size pass.
+        head, tail, size = [0], [0], self.size
+        for axis, f in enumerate(self.factors):
+            steps = [c * weight.get(axis, 0) for c in range(f.size)]
+            if len(head) ** 2 < size:
+                head = [i + s for i in head for s in steps]
+            else:
+                tail = [i + s for i in tail for s in steps]
+        return [h + t for h in head for t in tail]
+
     def point_labels(self, point: Sequence[int]) -> tuple[str, ...]:
         return tuple(f.elements[c] for f, c in zip(self.factors, point))
 
@@ -171,10 +192,11 @@ def singleton_partition(space: ProductSpace) -> Partition:
 def cylinder_partition(space: ProductSpace, visible: Iterable[str]) -> Partition:
     """Partition where two points share an atom iff they agree on every
     visible factor.  Hidden factors contribute the trivial field."""
-    visible_ids = set(visible)
-    axes = sorted(space.factor_index(v) for v in visible_ids)
-    labels = [tuple(pt[i] for i in axes) for pt in space.points()]
-    return Partition.from_labels(space, labels)
+    axes = sorted({space.factor_index(v) for v in visible})
+    # First-occurrence labels in row-major order are the mixed-radix indices
+    # of the visible coordinates.
+    count = math.prod(space.factors[i].size for i in axes)
+    return Partition(space, tuple(space.axis_index(axes)), count)
 
 
 def axis_witnesses(partition: Partition) -> Iterator[tuple[int, int, int]]:

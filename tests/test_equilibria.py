@@ -340,6 +340,17 @@ class TestLeaderValue:
         }
         assert values["optimistic"] == values["pessimistic"] == values["theta"] == 7.0
 
+    def test_missing_leader_rejected(self):
+        game = leader_follower_costs([[3.0, 7.0]], [[1.0, 0.0]])
+        with pytest.raises(ValueError, match="fix exactly the declared leaders"):
+            leader_value(game, "L", {}, OPTIMISTIC)
+
+    def test_non_leader_entry_rejected(self):
+        game = leader_follower_costs([[3.0, 7.0]], [[1.0, 0.0]])
+        profile = {"L": player_strategies(game, "L")[0], "F": player_strategies(game, "F")[0]}
+        with pytest.raises(ValueError, match="fix exactly the declared leaders"):
+            leader_value(game, "L", profile, OPTIMISTIC)
+
     def test_theta_endpoints_are_definitional(self):
         assert theta_mode(1.0) == OPTIMISTIC
         assert theta_mode(0.0) == PESSIMISTIC

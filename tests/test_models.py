@@ -5,11 +5,15 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from infogames import (
     OPTIMISTIC,
     CapacityExceeded,
     Evaluator,
+    Objective,
+    Sense,
     best_responses,
     build_prisoners_dilemma,
     build_thai_slmf_mt,
@@ -332,6 +336,29 @@ class TestThaiMultiStage:
                 thai_params(horizon=3, info_mode="full-history"), cap=1000
             )
 
+    @pytest.mark.parametrize(
+        "builder, params",
+        [
+            (build_thai_slsf_st, thai_params()),
+            (build_thai_slsf_mt, thai_params(horizon=3, info_mode="full-history")),
+            (build_thai_slmf_mt, thai_params(horizon=2, followers=("f1", "f2"))),
+        ],
+    )
+    def test_capacity_checked_before_tabulation(self, builder, params, monkeypatch):
+        model = builder(params, cap=math.inf).model
+        needed = math.prod(count_strategies(model, a) for a in model.agents)
+
+        def no_tabulation(*args):
+            raise AssertionError("an over-cap game tabulated an objective")
+
+        monkeypatch.setattr(Objective, "from_terms", staticmethod(no_tabulation))
+        with pytest.raises(CapacityExceeded) as info:
+            builder(params, cap=needed - 1)
+        assert info.value.needed == needed
+        assert str(info.value) == str(
+            CapacityExceeded(needed, needed - 1, "strategy profiles of the built game")
+        )
+
 
 class TestThaiMultiFollower:
     def test_single_follower_collapses_to_slsf_mt_both_variants(self):
@@ -434,3 +461,172 @@ class TestThaiMultiFollower:
         # Factors: exo, leader type, f1 type, f2 type.
         assert b1.factors[2] == (1.0, 0.0)  # own type is a Dirac at true_index
         assert b1.factors[3] == (0.25, 0.75)  # assessment of the other
+
+
+def closure_objectives(params: ThaiParams, include_exo: bool, space) -> dict[str, tuple]:
+    """The Thai objectives tabulated by one closure call per configuration
+    point, kept as the oracle for the builders' per-stage term tables."""
+    T = params.horizon
+    followers = params.followers
+    stages = list(range(1, T + 1))
+    n_exo = T if include_exo else 0
+    leader_type_axis = n_exo
+    follower_type_axis = {f: n_exo + 1 + i for i, f in enumerate(followers)}
+    n_nature = n_exo + 1 + len(followers)
+    leader_action_axis = {t: n_nature + (t - 1) for t in stages}
+    follower_action_axis = {
+        (f, t): n_nature + T + i * T + (t - 1) for i, f in enumerate(followers) for t in stages
+    }
+
+    def effective(target, reduction):
+        eff = min(target, reduction)
+        return max(0.0, eff) if params.clamp_reward else eff
+
+    def phi(coeffs, scale, x):
+        a1, a2 = coeffs
+        return scale * (a1 * x - a2 * x * x)
+
+    def scale_at(pt, t):
+        return params.exogenous_at(t).values[pt[t - 1]] if include_exo else 1.0
+
+    def stage_quantities(pt, t):
+        u = params.targets[pt[leader_action_axis[t]]]
+        return u, [params.consumptions[pt[follower_action_axis[(f, t)]]] for f in followers]
+
+    def reward_shares(pt, t):
+        B = params.baseline_at(t)
+        u, xs = stage_quantities(pt, t)
+        if params.aggregation == "literal":
+            return [effective(u, B - x) for x in xs]
+        reds = [B - x for x in xs]
+        if len(reds) == 1:
+            return [effective(u, reds[0])]
+        eff = effective(u, sum(reds))
+        weights = [max(0.0, r) for r in reds] if params.clamp_reward else reds
+        wsum = sum(weights)
+        if wsum == 0:
+            return [0.0 for _ in reds]
+        return [eff * w / wsum for w in weights]
+
+    def leader_cost(pt):
+        coeffs = params.leader_coeffs.values[pt[leader_type_axis]]
+        total = 0.0
+        for t in stages:
+            p, scale = params.price_at(t), scale_at(pt, t)
+            _, xs = stage_quantities(pt, t)
+            for x, share in zip(xs, reward_shares(pt, t)):
+                total += p * x - params.reward * share - phi(coeffs, scale, x)
+        return total
+
+    def follower_payoff(i, f):
+        def payoff(pt):
+            coeffs = params.follower_coeffs.values[pt[follower_type_axis[f]]]
+            total = 0.0
+            for t in stages:
+                p, scale = params.price_at(t), scale_at(pt, t)
+                x = stage_quantities(pt, t)[1][i]
+                share = reward_shares(pt, t)[i]
+                total += params.reward * share + phi(coeffs, scale, x) - p * x
+            return total
+
+        return payoff
+
+    out = {"leader": Objective.from_function(space, "leader", Sense.COST, leader_cost).values}
+    for i, f in enumerate(followers):
+        out[f] = Objective.from_function(space, f, Sense.PAYOFF, follower_payoff(i, f)).values
+    return out
+
+
+@st.composite
+def thai_cases(draw):
+    """A builder with random ThaiParams of at most 2000 configuration points.
+
+    Grids hold Python ints or fractions of them; baselines and prices are per
+    stage or shared; ``exogenous`` is omitted, shared or per stage."""
+    kind = draw(st.sampled_from(["slsf_st", "slsf_mt", "slmf_mt"]))
+    if kind == "slsf_st":
+        horizon, n, info_mode, exo_len = 1, 1, "current-stage", None
+    else:
+        horizon = draw(st.integers(1, 3))
+        n = 1 if kind == "slsf_mt" else draw(st.integers(1, 3))
+        info_mode = draw(st.sampled_from(["open-loop", "current-stage", "full-history"]))
+        exo_len = draw(st.sampled_from([None, 1, horizon]))
+    divisor = draw(st.sampled_from([1, 4.0, 10.0, 3.0]))
+    room = [2000]
+
+    def size(repeats):
+        k = draw(st.integers(1, max(s for s in (1, 2, 3) if s**repeats <= room[0])))
+        room[0] //= k**repeats
+        return k
+
+    def numbers(k, hi=15):
+        ints = draw(st.lists(st.integers(0, hi), min_size=k, max_size=k, unique=True))
+        return tuple(v if divisor == 1 else v / divisor for v in ints)
+
+    def pairs(k):
+        raw = draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 3)),
+                            min_size=k, max_size=k, unique=True))
+        return GridSpec(tuple((a if divisor == 1 else a / divisor, b / 20) for a, b in raw))
+
+    def per_stage(hi):
+        return numbers(draw(st.sampled_from(sorted({1, horizon}))), hi)
+
+    consumptions = numbers(size(horizon * n))
+    targets = numbers(size(horizon))
+    follower_coeffs = pairs(size(n))
+    leader_coeffs = pairs(size(1))
+    if exo_len is None:
+        exogenous = None
+    elif exo_len == 1:
+        exogenous = (GridSpec(numbers(size(horizon), 4)),)
+    else:
+        exogenous = tuple(GridSpec(numbers(size(1), 4)) for _ in range(horizon))
+    params = ThaiParams(
+        baselines=per_stage(15),
+        prices=per_stage(6),
+        reward=numbers(1, 5)[0],
+        targets=targets,
+        consumptions=consumptions,
+        horizon=horizon,
+        followers=tuple(f"c{i}" for i in range(n)),
+        leader_coeffs=leader_coeffs,
+        follower_coeffs=follower_coeffs,
+        exogenous=exogenous,
+        info_mode=info_mode,
+        clamp_reward=draw(st.booleans()),
+        aggregation=draw(st.sampled_from(["aggregate", "literal"])),
+    )
+    builder = {"slsf_st": build_thai_slsf_st, "slsf_mt": build_thai_slsf_mt, "slmf_mt": build_thai_slmf_mt}
+    return builder[kind], params, kind != "slsf_st"
+
+
+@given(thai_cases())
+@example((
+    build_thai_slmf_mt,
+    thai_params(
+        horizon=2, followers=("f1", "f2"), baselines=(10.0, 9.0), prices=(1.1, 0.7),
+        targets=(0.0, 2.5), consumptions=(6.3, 8.1),
+        follower_coeffs=GridSpec(((2.0, 0.1), (1.7, 0.3))),
+        exogenous=(GridSpec((0.9, 1.2)), GridSpec((1.1, 1.3))),
+        info_mode="full-history",
+    ),
+    True,
+))
+@example((
+    build_thai_slmf_mt,
+    thai_params(
+        horizon=3, followers=("a", "b", "c"), baselines=(10, 9, 11), prices=(1, 2, 1), reward=2,
+        targets=(3,), consumptions=(6, 12), exogenous=(GridSpec((1, 2)),),
+        clamp_reward=False, aggregation="literal", info_mode="open-loop",
+    ),
+    True,
+))
+@settings(max_examples=100, deadline=None)
+def test_term_tables_match_per_point_closures(case):
+    builder, params, include_exo = case
+    game = builder(params, cap=math.inf)
+    oracle = closure_objectives(params, include_exo, game.model.configuration)
+    assert set(oracle) == set(game.data)
+    for player, values in oracle.items():
+        got = game.data[player].objective.values
+        assert [v.hex() for v in got] == [v.hex() for v in values], player

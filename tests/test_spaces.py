@@ -1,15 +1,18 @@
 """Finite product spaces and partition primitives."""
 
 import itertools
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infogames import (
     FiniteFactor,
+    Objective,
     Partition,
+    Sense,
     common_refinement,
     cylinder_partition,
     is_measurable,
@@ -87,6 +90,93 @@ class TestCylinder:
         space = space_of(2)
         with pytest.raises(ValueError, match="unknown factor"):
             cylinder_partition(space, ["nope"])
+
+
+def row_major(pt, axes, sizes):
+    idx = 0
+    for a in axes:
+        idx = idx * sizes[a] + pt[a]
+    return idx
+
+
+factor_sizes = st.lists(st.integers(1, 3), min_size=1, max_size=6)
+
+
+class TestStrideBuilt:
+    """``axis_index``, the stride-built cylinder and ``Objective.from_terms``
+    against per-point oracles."""
+
+    @given(factor_sizes, st.lists(st.integers(0, 5), max_size=7))
+    @example(sizes=[1, 2, 1], visible=[])
+    @example(sizes=[2, 1, 3], visible=[0, 1, 2])
+    @example(sizes=[3, 2], visible=[1, 1, 0, 1])
+    @example(sizes=[1], visible=[0])
+    @settings(max_examples=80, deadline=None)
+    def test_cylinder_matches_first_occurrence_labels(self, sizes, visible):
+        space = space_of(*sizes)
+        ids = [f"f{v % len(sizes)}" for v in visible]
+        axes = sorted({v % len(sizes) for v in visible})
+        oracle = Partition.from_labels(space, [tuple(pt[i] for i in axes) for pt in space.points()])
+        part = cylinder_partition(space, ids)
+        assert part == oracle
+        assert part.atom_count == oracle.atom_count
+
+    @given(factor_sizes.flatmap(lambda sizes: st.tuples(
+        st.just(sizes), st.permutations(range(len(sizes))), st.integers(0, len(sizes)))))
+    @settings(max_examples=80, deadline=None)
+    def test_axis_index_is_row_major_over_axes(self, spec):
+        sizes, order, k = spec
+        space = space_of(*sizes)
+        axes = list(order[:k])
+        assert space.axis_index(axes) == [row_major(pt, axes, sizes) for pt in space.points()]
+
+    def test_axis_index_rejects_repeated_axes(self):
+        with pytest.raises(ValueError, match="distinct"):
+            space_of(2, 2).axis_index([1, 1])
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_from_terms_sums_terms_in_order(self, data):
+        sizes = data.draw(factor_sizes)
+        space = space_of(*sizes)
+        value = st.one_of(st.integers(-20, 20), st.floats(-1e6, 1e6, allow_nan=False))
+        terms = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            axes = data.draw(st.permutations(range(len(sizes))))[: data.draw(st.integers(0, len(sizes)))]
+            n = math.prod(sizes[a] for a in axes)
+            terms.append((axes, data.draw(st.lists(value, min_size=n, max_size=n))))
+        oracle = []
+        for pt in space.points():
+            total = 0.0
+            for axes, table in terms:
+                total += table[row_major(pt, axes, sizes)]
+            oracle.append(total)
+        got = Objective.from_terms(space, "p", Sense.COST, terms).values
+        assert [v.hex() for v in got] == [v.hex() for v in oracle]
+
+    def test_from_terms_single_term_over_all_axes(self):
+        space = space_of(2, 3)
+        table = [-0.0, 1.5, -2.0, 3, 0.1, 7.25]
+        got = Objective.from_terms(space, "p", Sense.PAYOFF, [((0, 1), table)]).values
+        assert [v.hex() for v in got] == [(0.0 + v).hex() for v in table]
+        swapped = Objective.from_terms(space, "p", Sense.PAYOFF, [((1, 0), table)]).values
+        assert swapped == tuple(float(table[pt[1] * 2 + pt[0]]) for pt in space.points())
+
+    def test_from_terms_keeps_term_order(self):
+        space = space_of(2)
+        small, big, minus_big = ((0,), [1.0, 0.5]), ((), [1e16]), ((), [-1e16])
+        forward = Objective.from_terms(space, "p", Sense.COST, [small, big, minus_big])
+        backward = Objective.from_terms(space, "p", Sense.COST, [minus_big, big, small])
+        assert forward.values == (0.0, 0.0)
+        assert backward.values == (1.0, 0.5)
+
+    def test_from_terms_without_terms_is_zero(self):
+        got = Objective.from_terms(space_of(2, 1, 3), "p", Sense.COST, []).values
+        assert [v.hex() for v in got] == [(0.0).hex()] * 6
+
+    def test_from_terms_rejects_missized_table(self):
+        with pytest.raises(ValueError, match="term table length"):
+            Objective.from_terms(space_of(2, 3), "p", Sense.COST, [((1,), [0.0, 1.0])])
 
 
 class TestRefines:
