@@ -32,8 +32,10 @@ from .model import (
     build_wmodel,
     check_playability,
     check_sequential,
+    count_profiles,
     count_strategies,
     enumerate_strategies,
+    joint_strategies,
     make_profile,
     solution_map,
 )

@@ -25,9 +25,9 @@ from .equilibria import (
     stackelberg_strategies,
     theta_mode,
 )
-from .errors import CapacityExceeded, GameError
+from .errors import CapacityExceeded, GameError, render_count
 from .gamefile import export_custom, load_game
-from .model import check_playability, count_strategies
+from .model import DEFAULT_CAP, check_playability, count_profiles, count_strategies
 from .normal_form import (
     Evaluator,
     count_player_strategies,
@@ -42,16 +42,14 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CAPACITY = 3
 
-DEFAULT_CAP = 10**6
-
 
 def _parse_playability_mode(raw: str):
     if raw == "all":
         return "all"
     if raw.startswith("sample="):
         body = raw[len("sample="):]
-        parts = dict(p.split("=", 1) for p in ("n=" + body).split(","))
         try:
+            parts = dict(p.split("=", 1) for p in ("n=" + body).split(","))
             return (int(parts["n"]), int(parts.get("seed", "0")))
         except (KeyError, ValueError):
             raise argparse.ArgumentTypeError(
@@ -84,15 +82,14 @@ def _count_section(game: WGame) -> dict:
                 "player": game.players.assignment[a],
                 "information_atoms": game.model.info[a].atom_count,
                 "actions": game.model.action_factors[a].size,
-                "strategies": count_strategies(game.model, a),
+                "strategies": render_count(count_strategies(game.model, a)),
             }
         )
-    players = []
-    profiles = 1
-    for p in game.players.players:
-        n = count_player_strategies(game, p)
-        players.append({"player": p, "strategies": n})
-        profiles *= n
+    players = [
+        {"player": p, "strategies": render_count(count_player_strategies(game, p))}
+        for p in game.players.players
+    ]
+    profiles = render_count(count_profiles(game.model, game.model.agents))
     return {"agents": agents, "players": players, "profiles": profiles}
 
 
@@ -138,7 +135,7 @@ def _diag_section(cap: int, diag=None) -> dict:
 
 def run(command: str, game_path: str, options: dict, cap: int) -> tuple[dict, int]:
     """Execute one command and return (report, exit_code)."""
-    game = load_game(game_path)
+    game = load_game(game_path, cap)
     evaluator = Evaluator(game)
     report: dict = {
         "command": command,

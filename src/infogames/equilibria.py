@@ -20,16 +20,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import CapacityExceeded, EmptyFollowerResponse, IndeterminateValue
-from .model import StrategyProfile
-from .normal_form import (
-    DEFAULT_PROFILE_CAP,
-    Evaluator,
-    PlayerStrategy,
-    assemble_profile,
-    count_player_strategies,
-    player_strategies,
-)
+from .errors import EmptyFollowerResponse, IndeterminateValue
+from .model import DEFAULT_CAP, StrategyProfile, count_profiles
+from .normal_form import Evaluator, PlayerStrategy, assemble_profile, player_strategies
 from .preferences import Sense, WGame, _adverse_tail_mean, _expectation
 
 # A joint assignment for a group of players, in declaration order.
@@ -137,7 +130,7 @@ def best_responses(
     player: str,
     others: Mapping[str, PlayerStrategy],
     evaluator: Evaluator | None = None,
-    cap: int = DEFAULT_PROFILE_CAP,
+    cap: int = DEFAULT_CAP,
 ) -> BestResponseSet:
     """Exhaustive argmin (cost) / argmax (payoff) of the player's normal-form
     value against a fixed context, ties included in enumeration order."""
@@ -159,15 +152,6 @@ def best_responses(
         best,
         all_adverse=(best == game.data[player].objective.sense.adverse),
     )
-
-
-def _profile_space_size(game: WGame, players: Sequence[str], cap: int) -> int:
-    total = 1
-    for p in players:
-        total *= count_player_strategies(game, p)
-    if total > cap:
-        raise CapacityExceeded(total, cap, f"profiles of players {list(players)}")
-    return total
 
 
 class _Session:
@@ -246,7 +230,12 @@ class _Session:
         Members are checked in order and the first failure ends a profile's
         check, which fixes both the set of evaluations and that flag.
         """
-        total = _profile_space_size(self.game, players, self.cap)
+        total = count_profiles(
+            self.game.model,
+            [a for p in players for a in self.game.agents_of(p)],
+            self.cap,
+            f"profiles of players {list(players)}",
+        )
         found: list[GroupProfile] = []
         infeasible = 0
         all_adverse = False
@@ -317,7 +306,7 @@ def _record(session: _Session, assignment: Mapping[str, PlayerStrategy]) -> Prof
 def nash_equilibria(
     game: WGame,
     evaluator: Evaluator | None = None,
-    cap: int = DEFAULT_PROFILE_CAP,
+    cap: int = DEFAULT_CAP,
 ) -> EquilibriumReport:
     """All profiles where each player's strategy lies in her best-response
     set, in enumeration order."""
@@ -360,7 +349,7 @@ def followers_nash(
     game: WGame,
     leaders_profile: Mapping[str, PlayerStrategy],
     evaluator: Evaluator | None = None,
-    cap: int = DEFAULT_PROFILE_CAP,
+    cap: int = DEFAULT_CAP,
 ) -> tuple[GroupProfile, ...]:
     """All follower joint profiles where each follower best-responds to the
     other followers and the fixed leaders."""
@@ -375,7 +364,7 @@ def leader_value(
     leaders_profile: Mapping[str, PlayerStrategy],
     mode: StackelbergMode,
     evaluator: Evaluator | None = None,
-    cap: int = DEFAULT_PROFILE_CAP,
+    cap: int = DEFAULT_CAP,
 ) -> float:
     """The leader's anticipated value at a leaders' profile under the mode."""
     _require_leaders_profile(game, leaders_profile)
@@ -414,7 +403,7 @@ def stackelberg_strategies(
     game: WGame,
     mode: StackelbergMode,
     evaluator: Evaluator | None = None,
-    cap: int = DEFAULT_PROFILE_CAP,
+    cap: int = DEFAULT_CAP,
 ) -> tuple[tuple[GroupProfile, ...], Diagnostics]:
     """Leader profiles where each leader's strategy is optimal for her
     anticipated value (:func:`leader_value`) given the other leaders fixed:
@@ -433,7 +422,7 @@ def nash_stackelberg(
     game: WGame,
     mode: StackelbergMode,
     evaluator: Evaluator | None = None,
-    cap: int = DEFAULT_PROFILE_CAP,
+    cap: int = DEFAULT_CAP,
 ) -> EquilibriumReport:
     """All pairs (Stackelberg leaders' profile, followers' joint best
     response), with per-player values."""

@@ -5,12 +5,13 @@ from __future__ import annotations
 import math
 
 
-def _format_count(n: int) -> str:
-    """Exact digits up to 10**100, else ``~10^N`` with N = floor(log10 n):
-    ``str`` refuses integers of more than 4300 digits."""
+def render_count(n: int) -> int | str:
+    """How reports and messages show a count: exact up to 10**100, else the
+    string ``~10^N`` with N = floor(log10 n), since ``str`` refuses integers
+    of more than 4300 digits."""
     if n > 10**100:
         return f"~10^{int(math.log10(n))}"
-    return str(n)
+    return n
 
 
 class GameError(Exception):
@@ -25,7 +26,7 @@ class CapacityExceeded(GameError):
         self.cap = cap
         self.what = what
         super().__init__(
-            f"{what} needs {_format_count(needed)} items, cap is {_format_count(cap)}"
+            f"{what} needs {render_count(needed)} items, cap is {render_count(cap)}"
         )
 
 

@@ -15,7 +15,7 @@ import math
 from typing import Any
 
 from .errors import ParseError, SchemaError
-from .model import AgentId, build_wmodel
+from .model import DEFAULT_CAP, AgentId, build_wmodel
 from .models import (
     GridSpec,
     ThaiParams,
@@ -121,7 +121,7 @@ def _grid_spec(raw, path: str, pairs: bool = False) -> GridSpec:
         raise SchemaError(path, str(exc)) from exc
 
 
-def _load_builtin(section: dict, path: str) -> WGame:
+def _load_builtin(section: dict, path: str, cap: int) -> WGame:
     name = _get(section, "model", path, str)
     params = _get(section, "params", path, dict, required=False, default={})
     p = f"{path}.params"
@@ -186,7 +186,7 @@ def _load_builtin(section: dict, path: str) -> WGame:
                 "thai_slsf_mt": build_thai_slsf_mt,
                 "thai_slmf_mt": build_thai_slmf_mt,
             }[name]
-            return builder(thai)
+            return builder(thai, cap)
     except ValueError as exc:
         raise SchemaError(p, str(exc)) from exc
     raise SchemaError(f"{path}.model", f"unknown builtin model {name!r}")
@@ -359,7 +359,10 @@ def _load_custom(section: dict, path: str) -> WGame:
         raise SchemaError(path, str(exc)) from exc
 
 
-def load_game_document(doc: Any, path: str = "$") -> WGame:
+def load_game_document(doc: Any, path: str = "$", cap: int = DEFAULT_CAP) -> WGame:
+    """Validate a parsed game document; ``cap`` bounds the strategy profiles
+    of the ``thai_*`` builtin games, checked before their objectives are
+    tabulated."""
     _expect(isinstance(doc, dict), path, "top level must be an object")
     version = _get(doc, "version", path, int)
     _expect(version == SCHEMA_VERSION, f"{path}.version", f"unsupported version {version}")
@@ -371,12 +374,13 @@ def load_game_document(doc: Any, path: str = "$") -> WGame:
         "exactly one of 'builtin' or 'custom' is required",
     )
     if has_builtin:
-        return _load_builtin(_get(doc, "builtin", path, dict), f"{path}.builtin")
+        return _load_builtin(_get(doc, "builtin", path, dict), f"{path}.builtin", cap)
     return _load_custom(_get(doc, "custom", path, dict), f"{path}.custom")
 
 
-def load_game(path: str) -> WGame:
-    """Parse and validate a game definition file."""
+def load_game(path: str, cap: int = DEFAULT_CAP) -> WGame:
+    """Parse and validate a game definition file (``cap`` as in
+    :func:`load_game_document`)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -384,7 +388,7 @@ def load_game(path: str) -> WGame:
         raise ParseError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
-    return load_game_document(doc)
+    return load_game_document(doc, cap=cap)
 
 
 def export_custom(game: WGame) -> dict:

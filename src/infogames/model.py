@@ -17,8 +17,9 @@ the sequential fast path.
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import CapacityExceeded, NotPlayable, SelfInformationViolation
@@ -32,7 +33,8 @@ from .spaces import (
     make_product_space,
 )
 
-DEFAULT_STRATEGY_CAP = 10**7
+# Enumeration cap of every solver, builder and CLI command.
+DEFAULT_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -159,12 +161,6 @@ class StrategyProfile:
 
     strategies: tuple[Strategy, ...]
 
-    def strategy_for(self, agent: AgentId) -> Strategy:
-        for s in self.strategies:
-            if s.agent == agent:
-                return s
-        raise ValueError(f"no strategy for agent {agent}")
-
 
 def validate_strategy(model: WModel, strategy: Strategy):
     part = model.info[strategy.agent]
@@ -197,13 +193,35 @@ def count_strategies(model: WModel, agent: AgentId) -> int:
     return model.action_factors[agent].size ** model.info[agent].atom_count
 
 
+def count_profiles(
+    model: WModel, agents: Iterable[AgentId], cap: float = math.inf, what: str = ""
+) -> int:
+    """Number of joint strategies of the agents, the product of their
+    :func:`count_strategies`; raises :class:`CapacityExceeded` (describing
+    ``what``) when it exceeds ``cap``."""
+    total = 1
+    for a in agents:
+        total *= count_strategies(model, a)
+    if total > cap:
+        raise CapacityExceeded(total, cap, what)
+    return total
+
+
+def joint_strategies(
+    model: WModel, agents: Sequence[AgentId], cap: float, what: str
+) -> Iterator[tuple[Strategy, ...]]:
+    """Every joint strategy of the agents, one strategy per agent in the
+    given order, lexicographic with the last agent fastest; capped by
+    :func:`count_profiles` before any is built."""
+    count_profiles(model, agents, cap, what)
+    return itertools.product(*(enumerate_strategies(model, a, cap) for a in agents))
+
+
 def enumerate_strategies(
-    model: WModel, agent: AgentId, cap: int = DEFAULT_STRATEGY_CAP
+    model: WModel, agent: AgentId, cap: int = DEFAULT_CAP
 ) -> Iterator[Strategy]:
     """All strategies of the agent in lexicographic table order."""
-    n = count_strategies(model, agent)
-    if n > cap:
-        raise CapacityExceeded(n, cap, f"strategies of agent {agent}")
+    count_profiles(model, (agent,), cap, f"strategies of agent {agent}")
     k = model.action_factors[agent].size
     m = model.info[agent].atom_count
     for table in itertools.product(range(k), repeat=m):
@@ -281,37 +299,31 @@ def _random_profile(model: WModel, rng: random.Random) -> StrategyProfile:
     return StrategyProfile(tuple(strategies))
 
 
-def _all_profiles(model: WModel, cap: int) -> Iterator[StrategyProfile]:
-    total = 1
-    for a in model.agents:
-        total *= count_strategies(model, a)
-    if total > cap:
-        raise CapacityExceeded(total, cap, "strategy profiles")
-    per_agent = [list(enumerate_strategies(model, a, cap)) for a in model.agents]
-    for combo in itertools.product(*per_agent):
-        yield StrategyProfile(tuple(combo))
-
-
 def check_playability(
     model: WModel,
     profiles: str | tuple[int, int] | Sequence[StrategyProfile] = "all",
-    cap: int = 10**6,
+    cap: int = DEFAULT_CAP,
 ) -> PlayabilityReport:
     """Count fixed points of the closed-loop equation over selected profiles.
 
-    ``profiles`` is ``"all"``, a ``(n, seed)`` pair for random sampling, or an
-    explicit list.  In ``"all"`` mode a sequential information structure
-    short-circuits to playable (sequential implies playable) with zero
-    profiles checked and the ordering recorded as justification.
+    ``profiles`` is ``"all"``, a ``(n, seed)`` pair for random sampling
+    (``n >= 1``), or an explicit list.  In ``"all"`` mode a sequential
+    information structure short-circuits to playable (sequential implies
+    playable) with zero profiles checked and the ordering recorded as
+    justification.
     """
     if profiles == "all":
         order = check_sequential(model)
         if order is not None:
             return PlayabilityReport(True, "sequential", 0, (), order)
-        selected: Iterable[StrategyProfile] = _all_profiles(model, cap)
+        selected: Iterable[StrategyProfile] = map(
+            StrategyProfile, joint_strategies(model, model.agents, cap, "strategy profiles")
+        )
         mode = "all"
     elif isinstance(profiles, tuple) and len(profiles) == 2 and isinstance(profiles[0], int):
         n, seed = profiles
+        if n < 1:
+            raise ValueError(f"sample size must be at least 1, got {n}")
         rng = random.Random(seed)
         selected = [_random_profile(model, rng) for _ in range(n)]
         mode = f"sample(n={n}, seed={seed})"

@@ -24,8 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import CapacityExceeded
-from .model import AgentId, WModel, build_wmodel, count_strategies
+from .model import DEFAULT_CAP, AgentId, build_wmodel, count_profiles
 from .normal_form import fmt_value
 from .preferences import (
     Belief,
@@ -35,12 +34,9 @@ from .preferences import (
     RiskMeasure,
     Sense,
     WGame,
-    make_dirac,
     make_wgame,
 )
 from .spaces import FiniteFactor
-
-DEFAULT_BUILD_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -406,7 +402,7 @@ def _build_thai(params: ThaiParams, include_exo: bool, staged: bool, cap: int) -
         for a in follower_agents[f]:
             assignment[a] = f
     players = PlayerPartition(player_ids, assignment)
-    _check_build_capacity(model, cap)
+    count_profiles(model, model.agents, cap, "strategy profiles of the built game")
 
     # Per-stage term tables over (exo_t, type, target_t, every x_t), built in
     # the order the objectives sum them: stage, then follower.
@@ -445,15 +441,7 @@ def _build_thai(params: ThaiParams, include_exo: bool, staged: bool, cap: int) -
     return make_wgame(model, players, data, leaders=("leader",))
 
 
-def _check_build_capacity(model: WModel, cap: int):
-    total = 1
-    for a in model.agents:
-        total *= count_strategies(model, a)
-    if total > cap:
-        raise CapacityExceeded(total, cap, "strategy profiles of the built game")
-
-
-def build_thai_slsf_st(params: ThaiParams, cap: int = DEFAULT_BUILD_CAP) -> WGame:
+def build_thai_slsf_st(params: ThaiParams, cap: int = DEFAULT_CAP) -> WGame:
     """Single follower, single stage, no exogenous factor.
 
     The utility minimizes net sales minus paid reward minus production cost;
@@ -474,14 +462,14 @@ def build_thai_slsf_st(params: ThaiParams, cap: int = DEFAULT_BUILD_CAP) -> WGam
     return _build_thai(params, include_exo=False, staged=False, cap=cap)
 
 
-def build_thai_slsf_mt(params: ThaiParams, cap: int = DEFAULT_BUILD_CAP) -> WGame:
+def build_thai_slsf_mt(params: ThaiParams, cap: int = DEFAULT_CAP) -> WGame:
     """Single follower over a horizon; objectives additive in time."""
     if len(params.followers) != 1:
         raise ValueError("single-follower builder requires exactly one follower")
     return _build_thai(params, include_exo=True, staged=True, cap=cap)
 
 
-def build_thai_slmf_mt(params: ThaiParams, cap: int = DEFAULT_BUILD_CAP) -> WGame:
+def build_thai_slmf_mt(params: ThaiParams, cap: int = DEFAULT_CAP) -> WGame:
     """Multiple followers over a horizon; the leader's per-stage target is
     met against the followers' total reduction ("aggregate") or per follower
     ("literal")."""

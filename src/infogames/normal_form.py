@@ -10,26 +10,23 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
-from .errors import CapacityExceeded, NotTwoPlayers
+from .errors import NotTwoPlayers
 from .model import (
+    DEFAULT_CAP,
     AgentId,
     Strategy,
     StrategyProfile,
-    WModel,
     check_sequential,
-    count_strategies,
-    enumerate_strategies,
+    count_profiles,
+    joint_strategies,
     outcome_indices,
-    solution_map,  # noqa: F401  (bench/ looks it up as normal_form.solution_map)
+    solution_map,  # noqa: F401  (bench/ and its self-tests look it up here)
 )
-from .preferences import Sense, WGame, apply_risk
-
-DEFAULT_PROFILE_CAP = 10**6
+from .preferences import WGame, apply_risk
 
 # A player's strategy is a tuple of per-agent strategies, in model agent order.
 PlayerStrategy = tuple[Strategy, ...]
@@ -64,24 +61,16 @@ def player_strategy_label(game: WGame, ps: PlayerStrategy) -> str:
 
 
 def count_player_strategies(game: WGame, player: str) -> int:
-    n = 1
-    for a in game.agents_of(player):
-        n *= count_strategies(game.model, a)
-    return n
+    return count_profiles(game.model, game.agents_of(player))
 
 
 def player_strategies(
-    game: WGame, player: str, cap: int = DEFAULT_PROFILE_CAP
+    game: WGame, player: str, cap: int = DEFAULT_CAP
 ) -> list[PlayerStrategy]:
     """All strategies of a player (product over her agents), lexicographic in
     agent declaration order."""
-    n = count_player_strategies(game, player)
-    if n > cap:
-        raise CapacityExceeded(n, cap, f"strategies of player {player!r}")
-    per_agent = [
-        list(enumerate_strategies(game.model, a, cap)) for a in game.agents_of(player)
-    ]
-    return [tuple(combo) for combo in itertools.product(*per_agent)]
+    agents = game.agents_of(player)
+    return list(joint_strategies(game.model, agents, cap, f"strategies of player {player!r}"))
 
 
 def assemble_profile(
@@ -148,7 +137,7 @@ class NormalFormMatrix:
 
 def normal_form_matrix(
     game: WGame,
-    cap: int = DEFAULT_PROFILE_CAP,
+    cap: int = DEFAULT_CAP,
     evaluator: Evaluator | None = None,
 ) -> NormalFormMatrix:
     """Full two-player value matrix in deterministic enumeration order."""
@@ -157,8 +146,7 @@ def normal_form_matrix(
     row_player, col_player = game.players.players
     rows = player_strategies(game, row_player, cap)
     cols = player_strategies(game, col_player, cap)
-    if len(rows) * len(cols) > cap:
-        raise CapacityExceeded(len(rows) * len(cols), cap, "matrix cells")
+    count_profiles(game.model, game.model.agents, cap, "matrix cells")
     if evaluator is None:
         evaluator = Evaluator(game)
     values = []

@@ -54,16 +54,18 @@ class Objective:
     values: tuple[float, ...]
 
     def __post_init__(self):
+        # Whole-table scans, the favorable infinity first.  A NaN makes the
+        # sum NaN, but so can an overflow meeting the adverse infinity, hence
+        # the second scan.
         favorable = -self.sense.adverse
-        for v in self.values:
-            if math.isnan(v):
-                raise ValueError("objective values must not be NaN")
-            if v == favorable:
-                raise ValueError(
-                    f"a {self.sense.value} table must not contain {favorable} "
-                    "(the favorable infinity); only the adverse infinity marks "
-                    "impossible configurations"
-                )
+        if favorable in self.values:
+            raise ValueError(
+                f"a {self.sense.value} table must not contain {favorable} "
+                "(the favorable infinity); only the adverse infinity marks "
+                "impossible configurations"
+            )
+        if math.isnan(sum(self.values)) and any(map(math.isnan, self.values)):
+            raise ValueError("objective values must not be NaN")
 
     @staticmethod
     def from_function(space: ProductSpace, player: str, sense: Sense, fn) -> "Objective":

@@ -131,6 +131,73 @@ class TestExitCodes:
         assert res.returncode == 3, res.stderr
         assert re.search(r"needs ~10\^\d+ items, cap is 1000000", res.stderr)
 
+    def test_cap_flag_raises_the_thai_build_cap(self, tmp_path):
+        params = {
+            "baselines": [20],
+            "prices": [1],
+            "reward": 0.5,
+            "targets": list(range(5)),
+            "consumptions": list(range(5, 21)),
+            "leader_coeffs": {"values": [[0.3, 0]]},
+            "follower_coeffs": {"values": [[2, 0.1]]},
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"version": 1, "builtin": {"model": "thai_slsf_st", "params": params}}))
+        res = run_cli("strategies", "--game", str(path), "--cap", "10000000")
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["counts"]["profiles"] == 5242880
+
+    def test_cap_flag_lowers_the_thai_build_cap(self):
+        res = run_cli("strategies", "--game", str(GAMES_DIR / "thai_dr_single.json"), "--cap", "10")
+        assert res.returncode == 3
+        assert res.stderr.endswith("cap is 10\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_astronomical_counts_render_in_reports(self, tmp_path, fmt):
+        # One binary agent seeing a 15000-state Nature: 2**15000 strategies.
+        n = 15000
+        doc = {
+            "version": 1,
+            "custom": {
+                "factors": [
+                    {"id": "w", "kind": "nature-exogenous", "elements": [str(i) for i in range(n)]},
+                    {"id": "u", "kind": "action", "elements": ["0", "1"]},
+                ],
+                "agents": [{"player": "p", "action": "u", "info": {"cylinder": ["w"]}}],
+                "players": [
+                    {"id": "p", "objective": {"sense": "cost", "values": [0] * (2 * n)},
+                     "risk": {"kind": "worst-case"}}
+                ],
+            },
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "strategies"):
+            res = run_cli(command, "--game", str(path), "--format", fmt)
+            assert res.returncode == 0, res.stderr
+            assert "~10^4515" in res.stdout
+        if fmt == "json":
+            counts = json.loads(res.stdout)["counts"]
+            assert counts["profiles"] == counts["players"][0]["strategies"] == "~10^4515"
+        res = run_cli("nash", "--game", str(path), "--format", fmt)
+        assert res.returncode == 3
+        assert "needs ~10^4515 items" in res.stderr
+
+    @pytest.mark.parametrize(
+        "mode,message",
+        [
+            ("sample=3,7", "use all or sample=N,seed=S"),
+            ("sample=-5,seed=1", "sample size must be at least 1, got -5"),
+            ("sample=0", "sample size must be at least 1, got 0"),
+        ],
+    )
+    def test_bad_sample_mode_exit_2(self, tmp_path, mode, message):
+        path = write_mutual_observation(tmp_path)
+        res = run_cli("playability", "--game", path, "--mode", mode)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and message in res.stderr
+
     def test_playability_sample_mode(self, tmp_path):
         path = write_mutual_observation(tmp_path)
         res = run_cli("playability", "--game", path, "--mode", "sample=3,seed=7")

@@ -17,10 +17,12 @@ from infogames import (
     build_wmodel,
     check_playability,
     check_sequential,
+    count_profiles,
     count_strategies,
     cylinder_partition,
     enumerate_strategies,
     is_measurable,
+    joint_strategies,
     make_profile,
     refines,
     solution_map,
@@ -148,6 +150,34 @@ class TestStrategies:
         with pytest.raises(CapacityExceeded):
             list(enumerate_strategies(model, a, cap=100))
 
+    def test_default_cap_is_one_million(self):
+        w = small_factor("w", 20)
+        a = AgentId("a")
+        model = build_wmodel([w], [a], {a: small_factor("ua", 2, "action")}, {a: ("w",)})
+        with pytest.raises(CapacityExceeded) as exc:
+            next(enumerate_strategies(model, a))
+        assert str(exc.value) == "strategies of agent a needs 1048576 items, cap is 1000000"
+
+    def test_joint_strategies_are_the_capped_product(self):
+        w = small_factor("w", 2)
+        a, b, c = AgentId("a"), AgentId("b"), AgentId("c")
+        model = build_wmodel(
+            [w],
+            [a, b, c],
+            {a: small_factor("ua", 2, "action"), b: small_factor("ub", 3, "action"),
+             c: small_factor("uc", 2, "action")},
+            {a: ("w",), b: ("ua",), c: ()},
+        )
+        agents = (c, a, b)
+        assert count_profiles(model, agents) == 2 * 4 * 9
+        expected = list(itertools.product(*(enumerate_strategies(model, x) for x in agents)))
+        assert list(joint_strategies(model, agents, 72, "joint")) == expected
+        assert count_profiles(model, ()) == 1
+        assert list(joint_strategies(model, (), 1, "joint")) == [()]
+        with pytest.raises(CapacityExceeded) as exc:
+            joint_strategies(model, agents, 71, "joint")
+        assert (exc.value.needed, str(exc.value)) == (72, "joint needs 72 items, cap is 71")
+
     def test_astronomical_count_renders_as_power_of_ten(self):
         exc = CapacityExceeded(3**10000, 10**6, "strategy profiles")
         assert str(exc) == "strategy profiles needs ~10^4771 items, cap is 1000000"
@@ -249,6 +279,11 @@ class TestPlayability:
         assert report.mode == "all"
         assert report.profiles_checked == 16  # 4 strategies each
 
+    def test_sample_needs_at_least_one_profile(self):
+        for n in (0, -5):
+            with pytest.raises(ValueError, match="sample size must be at least 1"):
+                check_playability(mutual_observation_model(), (n, 1))
+
     def test_sample_mode_is_deterministic(self):
         model = mutual_observation_model()
         r1 = check_playability(model, (5, 42))
@@ -268,9 +303,9 @@ class TestPlayability:
                 total *= count_strategies(model, a)
             if total > 2000:
                 continue
-            from infogames.model import _all_profiles
-
-            for profile in _all_profiles(model, 10**6):
+            for profile in map(
+                StrategyProfile, joint_strategies(model, model.agents, 10**6, "strategy profiles")
+            ):
                 for omega, sols in oracle_solution_table(model, profile).items():
                     assert len(sols) == 1
 

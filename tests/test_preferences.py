@@ -252,6 +252,16 @@ class TestObjective:
         with pytest.raises(ValueError):
             Objective("p", Sense.COST, (float("nan"),))
 
+    def test_overflowing_sum_is_not_nan(self):
+        # -1e308 + -1e308 + inf sums to NaN without any NaN in the table.
+        Objective("p", Sense.COST, (-1e308, -1e308, INF))
+        with pytest.raises(ValueError, match="must not be NaN"):
+            Objective("p", Sense.COST, (-1e308, -1e308, INF, float("nan")))
+
+    def test_favorable_infinity_reported_before_nan(self):
+        with pytest.raises(ValueError, match="the favorable infinity"):
+            Objective("p", Sense.COST, (float("nan"), -INF))
+
 
 class TestMakeWGame:
     def _model(self):
