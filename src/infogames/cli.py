@@ -7,7 +7,8 @@ byte-stable for identical inputs, flags, and seeds: extended-real values are
 rendered through one canonical formatter and the timing section counts work
 units rather than wall-clock time.
 
-Exit codes: 0 success, 2 validation failure, 3 capacity exceeded.
+Exit codes: 0 success, 2 validation failure, 3 capacity exceeded, 4 a file
+could not be read or written.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .preferences import WGame
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CAPACITY = 3
+EXIT_IO = 4
 
 
 def _parse_playability_mode(raw: str):
@@ -50,6 +52,12 @@ def _parse_playability_mode(raw: str):
         body = raw[len("sample="):]
         try:
             parts = dict(p.split("=", 1) for p in ("n=" + body).split(","))
+            unknown = [k for k in parts if k not in ("n", "seed")]
+            if unknown:
+                raise argparse.ArgumentTypeError(
+                    f"bad playability mode {raw!r}: unknown key {unknown[0]!r}; "
+                    "use all or sample=N,seed=S"
+                )
             return (int(parts["n"]), int(parts.get("seed", "0")))
         except (KeyError, ValueError):
             raise argparse.ArgumentTypeError(
@@ -356,13 +364,16 @@ def main(argv=None) -> int:
 
     try:
         report, code = run(args.command, args.game, options, args.cap)
+        _emit(report, args.format, args.out)
     except CapacityExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except (GameError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    _emit(report, args.format, args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     return code
 
 

@@ -140,15 +140,13 @@ def best_responses(
             f"context must fix exactly the other players {sorted(expected)}"
         )
     session = _Session(game, evaluator, cap)
-    best = session.best_value(player, others)
+    space = session.space(player)
+    values = session.scores(player, player, others, space)
+    best = session.best_of(player, values)
     return BestResponseSet(
         player,
         _context_key(game, player, others),
-        tuple(
-            cand
-            for cand in session.space(player)
-            if session.value(player, {**others, player: cand}) == best
-        ),
+        tuple(cand for cand, v in zip(space, values) if v == best),
         best,
         all_adverse=(best == game.data[player].objective.sense.adverse),
     )
@@ -161,6 +159,11 @@ class _Session:
     ``mode``, a leader is judged by her anticipated value over the followers'
     joint best responses to the leaders' profile; followers, and every player
     of a session without a mode, by the normal-form value.
+
+    In a sequential model, normal-form values are scored from the evaluator's
+    context tables.  A player deviates through her last agent; the session
+    looks a context up by that player, the other players' strategies and her
+    other agents' strategies, so no profile is assembled per candidate.
     """
 
     def __init__(
@@ -175,6 +178,7 @@ class _Session:
         self.cap = cap
         self.mode = mode
         self._spaces: dict[str, list[PlayerStrategy]] = {}
+        self._contexts: dict = {}
         self._best: dict = {}
         self._anticipated: dict = {}
         self._followers_nash: dict = {}
@@ -184,9 +188,42 @@ class _Session:
             self._spaces[player] = player_strategies(self.game, player, self.cap)
         return self._spaces[player]
 
-    def value(self, player: str, assignment: Mapping[str, PlayerStrategy]) -> float:
-        profile = assemble_profile(self.game, assignment)
-        return self.evaluator.value(player, profile)
+    def scores(
+        self,
+        player: str,
+        deviator: str,
+        fixed: Mapping[str, PlayerStrategy],
+        candidates: Sequence[PlayerStrategy],
+    ) -> list[float]:
+        """Normal-form values of ``player`` when ``deviator`` plays each of
+        ``candidates`` against the other players' strategies in ``fixed``."""
+        game, evaluator = self.game, self.evaluator
+        if evaluator.sequential_order is None:
+            return [
+                evaluator.value(player, assemble_profile(game, {**fixed, deviator: c}))
+                for c in candidates
+            ]
+        others = _context_key(game, deviator, fixed)
+        out = []
+        rest = ctx = None
+        for c in candidates:
+            if c[:-1] != rest:
+                rest = c[:-1]
+                key = (deviator, others, rest)
+                ctx = self._contexts.get(key)
+                if ctx is None:
+                    profile = assemble_profile(game, {**fixed, deviator: c})
+                    ctx = self._contexts[key] = evaluator.context(c[-1].agent, profile)
+            out.append(evaluator.value(player, ctx, c[-1]))
+        return out
+
+    def value(
+        self, player: str, assignment: Mapping[str, PlayerStrategy], deviator: str | None = None
+    ) -> float:
+        """The player's normal-form value at the full ``assignment``, scored
+        as a deviation of ``deviator`` (default: the player herself)."""
+        deviator = player if deviator is None else deviator
+        return self.scores(player, deviator, assignment, [assignment[deviator]])[0]
 
     def judged(self, player: str, assignment: Mapping[str, PlayerStrategy]) -> float | None:
         """The value the player is judged by; ``None`` for a leader whose
@@ -197,10 +234,39 @@ class _Session:
         key = (player, tuple(leaders.values()))
         if key not in self._anticipated:
             responses = self.followers_nash(leaders)
-            values = [self.value(player, {**leaders, **dict(fp)}) for fp in responses]
+            if not self.game.followers:
+                values = [self.value(player, leaders)]
+            else:
+                # Responses come in enumeration order, the last follower
+                # fastest, so each run sharing the other followers' strategies
+                # is scored from one context.
+                last = self.game.followers[-1]
+                values = []
+                for head, group in itertools.groupby(responses, key=lambda fp: fp[:-1]):
+                    fixed = {**leaders, **dict(head)}
+                    values += self.scores(player, last, fixed, [fp[-1][1] for fp in group])
             sense = self.game.data[player].objective.sense
             self._anticipated[key] = _anticipate(values, sense, self.mode) if values else None
         return self._anticipated[key]
+
+    def judged_all(
+        self, player: str, fixed: Mapping[str, PlayerStrategy]
+    ) -> list[float | None]:
+        """Judged value of each of the player's strategies, in enumeration
+        order, against the other players' strategies in ``fixed``."""
+        space = self.space(player)
+        if self.mode is None or player not in self.game.leaders:
+            return self.scores(player, player, fixed, space)
+        return [self.judged(player, {**fixed, player: cand}) for cand in space]
+
+    def best_of(self, player: str, values: Sequence[float | None]) -> float | None:
+        """The first best of the values that are not ``None``."""
+        sense = self.game.data[player].objective.sense
+        best: float | None = None
+        for v in values:
+            if v is not None and (best is None or sense.better(v, best)):
+                best = v
+        return best
 
     def best_value(
         self, player: str, assignment: Mapping[str, PlayerStrategy]
@@ -209,13 +275,7 @@ class _Session:
         deviations without a judged value are skipped."""
         key = (player, _context_key(self.game, player, assignment))
         if key not in self._best:
-            sense = self.game.data[player].objective.sense
-            best: float | None = None
-            for cand in self.space(player):
-                v = self.judged(player, {**assignment, player: cand})
-                if v is not None and (best is None or sense.better(v, best)):
-                    best = v
-            self._best[key] = best
+            self._best[key] = self.best_of(player, self.judged_all(player, assignment))
         return self._best[key]
 
     def nash(
@@ -228,7 +288,9 @@ class _Session:
         Returns the profiles, the number enumerated, the number without a
         judged value, and whether some best value was the adverse infinity.
         Members are checked in order and the first failure ends a profile's
-        check, which fixes both the set of evaluations and that flag.
+        check, which fixes both the set of evaluations and that flag.  A
+        one-player group has a single context, so its judged values and their
+        best are computed once.
         """
         total = count_profiles(
             self.game.model,
@@ -236,6 +298,17 @@ class _Session:
             self.cap,
             f"profiles of players {list(players)}",
         )
+        if len(players) == 1:
+            (p,) = players
+            values = self.judged_all(p, fixed)
+            best = self.best_of(p, values)
+            found = tuple(
+                ((p, cand),)
+                for cand, v in zip(self.space(p), values)
+                if v is not None and v == best
+            )
+            all_adverse = best is not None and best == self.game.data[p].objective.sense.adverse
+            return found, total, sum(v is None for v in values), all_adverse
         found: list[GroupProfile] = []
         infeasible = 0
         all_adverse = False
@@ -294,12 +367,18 @@ def _anticipate(values: list[float], sense: Sense, mode: StackelbergMode) -> flo
 
 
 def _record(session: _Session, assignment: Mapping[str, PlayerStrategy]) -> ProfileRecord:
-    """A full profile with every player's realized normal-form value."""
-    players = session.game.players.players
+    """A full profile with every player's realized normal-form value.
+
+    Values are scored as deviations of the last follower, whose contexts the
+    search has built: every member of a Nash profile was checked, and
+    anticipated leader values score the followers' responses that way."""
+    game = session.game
+    players = game.players.players
+    deviator = (game.followers or players)[-1]
     return ProfileRecord(
         tuple((p, assignment[p]) for p in players),
-        assemble_profile(session.game, assignment),
-        tuple((p, session.value(p, assignment)) for p in players),
+        assemble_profile(game, assignment),
+        tuple((p, session.value(p, assignment, deviator)) for p in players),
     )
 
 

@@ -380,6 +380,42 @@ def outcome_indices(
     return outcomes
 
 
+def deviation_table(
+    model: WModel, agent: AgentId, profile: StrategyProfile, order: tuple[AgentId, ...]
+) -> tuple[list[int], list[Sequence[int]]]:
+    """The outcomes of every action of ``agent`` while the other agents play
+    ``profile`` (his own entry is ignored), along a sequential ``order``.
+
+    Returns, per nature state in nature order, the agent's information atom
+    and the sequence whose entry ``a`` is the flat outcome index when he plays
+    action ``a`` there: the :func:`outcome_indices` forward substitution up to
+    the agent, then once per action for the agents after him.
+    """
+    lookups = _agent_lookups(model, profile)
+    pos = order.index(agent)
+    before = [lookups[a][:3] for a in order[:pos]]
+    after = [lookups[a][:3] for a in order[pos + 1:]]
+    own_atom_of, _, own_stride, count = lookups[agent]
+    size = model.configuration.size
+    atoms: list[int] = []
+    outcomes: list[Sequence[int]] = []
+    for base in range(0, size, size // model.nature_space.size):
+        idx = base
+        for atom_of, table, stride in before:
+            idx += table[atom_of[idx]] * stride
+        atoms.append(own_atom_of[idx])
+        row: Sequence[int] = range(idx, idx + count * own_stride, own_stride)
+        if after:
+            substituted = []
+            for i in row:
+                for atom_of, table, stride in after:
+                    i += table[atom_of[i]] * stride
+                substituted.append(i)
+            row = substituted
+        outcomes.append(row)
+    return atoms, outcomes
+
+
 def solution_map(
     model: WModel,
     profile: StrategyProfile,

@@ -1,9 +1,21 @@
 """Normal-form evaluation: a player's risk measure applied to her objective
 composed with the solution map, as a function of the strategy profile.
 
-The :class:`Evaluator` memoizes flat outcome indices per profile and values
-per (player, profile) within a solve session; equilibrium search revisits
-profiles heavily.  Evaluation is pure, so the memo is a last-write-wins cache.
+An :class:`Evaluator` scores a full profile through the solution map
+(:func:`~infogames.model.outcome_indices`), memoized per (player, profile).
+Equilibrium search instead scores unilateral deviations.  In a sequential
+model, fixing every agent but one (the deviator) fixes, at each Nature state,
+the deviator's information atom and the outcome each of his actions leads to.
+A :class:`Context` holds that table, built once per (deviating agent,
+strategies of every other agent) by |Nature| x |actions| forward
+substitutions.  A deviation's value is then the same ``apply_risk`` call on
+the same composed list as the profile path, so both paths agree bit for bit.
+It is memoized per player under the deviator's actions at the atoms of the
+player's positive-mass states (every state when her risk has no belief): the
+other states are dropped by ``apply_risk``, so deviations that agree there
+share the value.  Evaluation is pure, so every memo is a last-write-wins
+cache.  ``Evaluator.evaluations`` counts the risk evaluations actually
+computed, on either path.
 """
 
 from __future__ import annotations
@@ -11,8 +23,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Callable, Mapping, Sequence
 
 from .errors import NotTwoPlayers
 from .model import (
@@ -22,11 +35,12 @@ from .model import (
     StrategyProfile,
     check_sequential,
     count_profiles,
+    deviation_table,
     joint_strategies,
     outcome_indices,
     solution_map,  # noqa: F401  (bench/ and its self-tests look it up here)
 )
-from .preferences import WGame, apply_risk
+from .preferences import RiskMeasure, WGame, apply_risk
 
 # A player's strategy is a tuple of per-agent strategies, in model agent order.
 PlayerStrategy = tuple[Strategy, ...]
@@ -90,14 +104,52 @@ def assemble_profile(
     return StrategyProfile(tuple(strategies))
 
 
+@dataclass(eq=False, slots=True)
+class Context:
+    """The deviating ``agent`` against fixed strategies of every other agent,
+    in a sequential model.
+
+    ``profile`` holds those strategies (its entry for ``agent`` is whichever
+    built the context).  ``atoms[w]`` is the agent's information atom at
+    Nature state ``w`` and ``outcomes[w][a]`` the flat outcome index when he
+    plays action ``a`` there.  ``memo`` maps a player to her memo key (a
+    getter over strategy tables) and the values memoized under it.
+    """
+
+    agent: AgentId
+    profile: StrategyProfile
+    atoms: list[int]
+    outcomes: list[Sequence[int]]
+    memo: dict[str, tuple[Callable, dict]] = field(default_factory=dict)
+
+    def memo_key(self, risk: RiskMeasure) -> Callable:
+        """Getter of a strategy table's actions at the atoms of the
+        positive-mass states of ``risk`` (every state without a belief)."""
+        masses = risk.belief.masses if risk.belief is not None else None
+        atoms = sorted(
+            {a for w, a in enumerate(self.atoms) if masses is None or masses[w] > 0}
+        )
+        return itemgetter(*atoms)
+
+
 class Evaluator:
-    """Memoizing normal-form evaluator bound to one game."""
+    """Memoizing normal-form evaluator bound to one game.
+
+    :meth:`value` scores a full :class:`StrategyProfile` through
+    :meth:`outcome_indices`, memoized per (player, profile), or a deviation
+    from a :class:`Context`, memoized in the context per player under the
+    deviator's actions at the atoms of her positive-mass states (all states
+    when her risk has no belief).  :meth:`context` builds each context once
+    per (deviating agent, strategies of every other agent).  ``evaluations``
+    counts the ``apply_risk`` calls actually made, not memo hits.
+    """
 
     def __init__(self, game: WGame):
         self.game = game
         self.sequential_order = check_sequential(game.model)
         self._outcomes: dict[StrategyProfile, list[int]] = {}
         self._values: dict[tuple[str, StrategyProfile], float] = {}
+        self._contexts: dict[tuple[AgentId, tuple[Strategy, ...]], Context] = {}
         self.evaluations = 0
 
     def outcome_indices(self, profile: StrategyProfile) -> list[int]:
@@ -110,16 +162,50 @@ class Evaluator:
         self._outcomes[profile] = indices
         return indices
 
-    def value(self, player: str, profile: StrategyProfile) -> float:
-        key = (player, profile)
-        cached = self._values.get(key)
-        if cached is not None:
-            return cached
+    def context(self, agent: AgentId, profile: StrategyProfile) -> Context:
+        """The context of ``agent`` against the other strategies of
+        ``profile`` (his own entry is ignored); sequential models only."""
+        order = self.sequential_order
+        if order is None:
+            raise ValueError("context tables need a sequential model")
+        key = (agent, tuple(s for s in profile.strategies if s.agent != agent))
+        ctx = self._contexts.get(key)
+        if ctx is None:
+            atoms, outcomes = deviation_table(self.game.model, agent, profile, order)
+            ctx = self._contexts[key] = Context(agent, profile, atoms, outcomes)
+        return ctx
+
+    def value(
+        self,
+        player: str,
+        profile: StrategyProfile | Context,
+        deviation: Strategy | None = None,
+    ) -> float:
+        """The player's normal-form value at a full ``profile``, or, given a
+        ``deviation``, at the profile where the :class:`Context`'s deviating
+        agent plays it."""
         data = self.game.data[player]
-        indices = self.outcome_indices(profile)
-        composed = [data.objective.values[i] for i in indices]
+        if deviation is None:
+            key = (player, profile)
+            memo = self._values
+            cached = memo.get(key)
+            if cached is not None:
+                return cached
+            values = data.objective.values
+            composed = [values[i] for i in self.outcome_indices(profile)]
+        else:
+            entry = profile.memo.get(player)
+            if entry is None:
+                entry = profile.memo[player] = (profile.memo_key(data.risk), {})
+            getter, memo = entry
+            key = getter(deviation.table)
+            cached = memo.get(key)
+            if cached is not None:
+                return cached
+            table, values = deviation.table, data.objective.values
+            composed = [values[row[table[a]]] for row, a in zip(profile.outcomes, profile.atoms)]
         v = apply_risk(data.risk, composed, data.objective.sense)
-        self._values[key] = v
+        memo[key] = v
         self.evaluations += 1
         return v
 

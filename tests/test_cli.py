@@ -189,6 +189,7 @@ class TestExitCodes:
             ("sample=3,7", "use all or sample=N,seed=S"),
             ("sample=-5,seed=1", "sample size must be at least 1, got -5"),
             ("sample=0", "sample size must be at least 1, got 0"),
+            ("sample=3,sede=9", "unknown key 'sede'"),
         ],
     )
     def test_bad_sample_mode_exit_2(self, tmp_path, mode, message):
@@ -197,6 +198,22 @@ class TestExitCodes:
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.startswith("error: ") and message in res.stderr
+
+    @pytest.mark.parametrize(
+        "args,target",
+        [
+            (("validate", "--out"), "x.json"),
+            (("normal-form", "--csv"), "x.csv"),
+        ],
+    )
+    def test_unwritable_output_exit_4(self, tmp_path, args, target):
+        missing = tmp_path / "missing" / target
+        res = run_cli(*args, str(missing), "--game", str(GAMES_DIR / "prisoners_dilemma.json"))
+        assert res.returncode == 4
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert str(missing) in res.stderr
+        assert not missing.parent.exists()
 
     def test_playability_sample_mode(self, tmp_path):
         path = write_mutual_observation(tmp_path)

@@ -179,13 +179,22 @@ class TestNash:
         assert not nash_equilibria(build_prisoners_dilemma()).diagnostics.all_adverse
 
     def test_reverification_does_not_trust_the_search_memo(self):
-        # A corrupted memo makes (C, C) look like an equilibrium to the
-        # search; the re-check on a fresh evaluator must catch it.
+        # A corrupted context memo makes (C, C) look like an equilibrium to
+        # the search; the re-check on the plain profile path of a fresh
+        # evaluator must catch it.
         game = build_prisoners_dilemma()
         (c_row, d_row), (c_col, d_col) = (player_strategies(game, p) for p in ("row", "col"))
         ev = Evaluator(game)
-        ev._values[("row", assemble_profile(game, {"row": d_row, "col": c_col}))] = 100.0
-        ev._values[("col", assemble_profile(game, {"row": c_row, "col": d_col}))] = 100.0
+
+        def corrupt(player, assignment):
+            (deviation,) = assignment[player]
+            ctx = ev.context(deviation.agent, assemble_profile(game, assignment))
+            ev.value(player, ctx, deviation)
+            getter, memo = ctx.memo[player]
+            memo[getter(deviation.table)] = 100.0
+
+        corrupt("row", {"row": d_row, "col": c_col})
+        corrupt("col", {"row": c_row, "col": d_col})
         with pytest.raises(RuntimeError, match="re-verification"):
             nash_equilibria(game, evaluator=ev)
 
