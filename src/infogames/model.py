@@ -12,6 +12,15 @@ construction.  Playability (the closed-loop equation ``u = strategy(nature, u)``
 having exactly one solution) is checked either by fixed-point enumeration or,
 when an agent ordering compatible with the information structure exists, by
 the sequential fast path.
+
+Fixed-point enumeration of every joint profile treats a profile as one
+strategy digit per (agent, information atom), agents in model order and atoms
+in table order, so an odometer over the digits (last fastest) visits profiles
+in :func:`joint_strategies` order.  Each digit's action has a bitmask over
+flat configuration indices keeping the points consistent with it; a profile's
+fixed points are the AND of its digits' masks, taken from a stack of prefix
+ANDs.  One-action agents add no digit, so the masks number at most the capped
+profile count.
 """
 
 from __future__ import annotations
@@ -250,20 +259,27 @@ def check_sequential(model: WModel) -> tuple[AgentId, ...] | None:
     return tuple(placed)
 
 
-def _agent_lookups(model: WModel, profile: StrategyProfile) -> dict[AgentId, tuple]:
-    """Per agent: atom table, strategy table, action stride, action count."""
+def _agent_columns(model: WModel) -> dict[AgentId, tuple[Sequence[int], int, int]]:
+    """Per agent in model order: atom table, action stride, action count."""
     strides = model.configuration._strides
     first = len(model.nature_factors)
     return {
-        a: (model.info[a].atom_of, s.table, strides[first + i], model.action_factors[a].size)
-        for i, (a, s) in enumerate(zip(model.agents, profile.strategies))
+        a: (model.info[a].atom_of, strides[first + i], model.action_factors[a].size)
+        for i, a in enumerate(model.agents)
     }
 
 
-def _fixed_points(model: WModel, profile: StrategyProfile) -> Iterator[list[int]]:
+def _fixed_points(
+    model: WModel, columns: dict[AgentId, tuple], profile: StrategyProfile
+) -> Iterator[list[int]]:
     """Flat indices solving the closed-loop equation, one list per nature
-    state in nature order, each scanning that state's block in point order."""
-    checks = _agent_lookups(model, profile).values()
+    state in nature order, each scanning that state's block in point order.
+    ``columns`` is :func:`_agent_columns` of the model; the profile's
+    strategies pair with it by position."""
+    checks = [
+        (atom_of, s.table, stride, count)
+        for (atom_of, stride, count), s in zip(columns.values(), profile.strategies)
+    ]
     size = model.configuration.size
     block = size // model.nature_space.size
     for base in range(0, size, block):
@@ -271,6 +287,31 @@ def _fixed_points(model: WModel, profile: StrategyProfile) -> Iterator[list[int]
         for atom_of, table, stride, count in checks:
             solutions = [i for i in solutions if table[atom_of[i]] == i // stride % count]
         yield solutions
+
+
+def _bits(flags: Iterable[bool]) -> int:
+    """The integer whose bit ``i`` is set iff the ``i``-th flag is true."""
+    return int("".join("1" if f else "0" for f in flags)[::-1], 2)
+
+
+def _digit_masks(model: WModel, columns: dict[AgentId, tuple]) -> list[list[int]]:
+    """Consistency bitmasks over flat configuration indices, one list per
+    strategy digit: agents in model order, atoms in table order within each,
+    skipping agents with one action.  Entry ``j`` of digit ``(a, atom)`` has
+    every bit set except those of the atom's points whose ``a``-coordinate is
+    not ``j``."""
+    size = model.configuration.size
+    full = (1 << size) - 1
+    digits = []
+    for a, (atom_of, stride, count) in columns.items():
+        if count == 1:
+            continue
+        coords = [i // stride % count for i in range(size)]
+        on_action = [_bits(c == j for c in coords) for j in range(count)]
+        for atom in range(model.info[a].atom_count):
+            outside = full ^ _bits(t == atom for t in atom_of)
+            digits.append([outside | on for on in on_action])
+    return digits
 
 
 @dataclass(frozen=True)
@@ -299,6 +340,79 @@ def _random_profile(model: WModel, rng: random.Random) -> StrategyProfile:
     return StrategyProfile(tuple(strategies))
 
 
+def _scan_all_profiles(model: WModel, cap: int) -> tuple[int, list[PlayabilityFailure]]:
+    """The joint profile count and the playability failures of every joint
+    profile, in :func:`joint_strategies` order (see :func:`check_playability`).
+    """
+    checked = count_profiles(model, model.agents, cap, "strategy profiles")
+    columns = _agent_columns(model)
+    # Without a sequential order some agent observes another's action axis,
+    # which has two actions or more, so there is at least one digit.
+    digits = _digit_masks(model, columns)
+    size = model.configuration.size
+    full = (1 << size) - 1
+    # Each agent's strategy: a constant one for one-action agents, otherwise
+    # the slice of the digit choices holding its table.
+    parts: list[tuple[AgentId, Strategy | slice]] = []
+    lo = 0
+    for a, (_, _, count) in columns.items():
+        m = model.info[a].atom_count
+        if count == 1:
+            parts.append((a, Strategy(a, (0,) * m)))
+        else:
+            parts.append((a, slice(lo, lo + m)))
+            lo += m
+    block = size // model.nature_space.size
+    low = (1 << block) - 1
+    blocks = [low << base for base in range(0, size, block)]
+    states = list(zip(blocks, model.nature_points()))
+    point_at = model.configuration.point_at
+    failures: list[PlayabilityFailure] = []
+
+    def record(choice: list[int], solved: int):
+        profile = StrategyProfile(
+            tuple(p if isinstance(p, Strategy) else Strategy(a, tuple(choice[p])) for a, p in parts)
+        )
+        for block_mask, omega in states:
+            b = solved & block_mask
+            if b and not b & (b - 1):
+                continue
+            solutions = []
+            while b:
+                bit = b & -b
+                solutions.append(point_at(bit.bit_length() - 1))
+                b ^= bit
+            failures.append(PlayabilityFailure(omega, profile, len(solutions), tuple(solutions)))
+
+    # Odometer over the digits, last fastest; prefix[d] is the AND of the
+    # masks chosen for the digits before d, so each profile costs one AND.
+    n = len(digits)
+    choice = [0] * n
+    prefix = [full]
+    for masks in digits[:-1]:
+        prefix.append(prefix[-1] & masks[0])
+    last = digits[-1]
+    while True:
+        head = prefix[-1]
+        for j, mask in enumerate(last):
+            solved = head & mask
+            for block_mask in blocks:
+                b = solved & block_mask
+                if not b or b & (b - 1):
+                    choice[-1] = j
+                    record(choice, solved)
+                    break
+        d = n - 2
+        while d >= 0 and choice[d] == len(digits[d]) - 1:
+            choice[d] = 0
+            d -= 1
+        if d < 0:
+            return checked, failures
+        choice[d] += 1
+        for e in range(d, n - 1):
+            prefix[e + 1] = prefix[e] & digits[e][choice[e]]
+
+
 def check_playability(
     model: WModel,
     profiles: str | tuple[int, int] | Sequence[StrategyProfile] = "all",
@@ -307,20 +421,31 @@ def check_playability(
     """Count fixed points of the closed-loop equation over selected profiles.
 
     ``profiles`` is ``"all"``, a ``(n, seed)`` pair for random sampling
-    (``n >= 1``), or an explicit list.  In ``"all"`` mode a sequential
+    (``n >= 1``), or an explicit list of profiles, each holding one strategy
+    per agent in model agent order.  In ``"all"`` mode a sequential
     information structure short-circuits to playable (sequential implies
     playable) with zero profiles checked and the ordering recorded as
     justification.
+
+    Otherwise ``"all"`` checks the profile count against ``cap``, then walks
+    every joint profile in :func:`joint_strategies` order as an odometer over
+    strategy digits, one per (agent, atom) in model agent order and table
+    order.  Digit ``(a, atom)`` playing action ``j`` has a bitmask over flat
+    configuration indices that clears the atom's points whose
+    ``a``-coordinate is not ``j``; a profile's fixed points are the AND of
+    its digits' masks, kept as a stack of prefix ANDs.  A Nature state is
+    playable iff its block of that AND has exactly one bit.  Agents with one
+    action contribute no digit, so the masks number the sum of the action
+    counts of the remaining digits, which is at most the capped profile
+    count.  Sampled and explicit profiles are scanned one by one.
     """
     if profiles == "all":
         order = check_sequential(model)
         if order is not None:
             return PlayabilityReport(True, "sequential", 0, (), order)
-        selected: Iterable[StrategyProfile] = map(
-            StrategyProfile, joint_strategies(model, model.agents, cap, "strategy profiles")
-        )
-        mode = "all"
-    elif isinstance(profiles, tuple) and len(profiles) == 2 and isinstance(profiles[0], int):
+        checked, failures = _scan_all_profiles(model, cap)
+        return PlayabilityReport(not failures, "all", checked, tuple(failures))
+    if isinstance(profiles, tuple) and len(profiles) == 2 and isinstance(profiles[0], int):
         n, seed = profiles
         if n < 1:
             raise ValueError(f"sample size must be at least 1, got {n}")
@@ -332,21 +457,34 @@ def check_playability(
         for p in selected:
             if not isinstance(p, StrategyProfile):
                 raise ValueError("explicit profiles must be StrategyProfile values")
+            if [s.agent for s in p.strategies] != list(model.agents):
+                raise ValueError(
+                    "profile must contain exactly one strategy per agent, in model order"
+                )
             for s in p.strategies:
                 validate_strategy(model, s)
         mode = "explicit"
 
     failures = []
-    checked = 0
+    columns = _agent_columns(model)
+    nature = list(model.nature_points())
     point_at = model.configuration.point_at
     for profile in selected:
-        checked += 1
-        for omega, sols in zip(model.nature_points(), _fixed_points(model, profile)):
+        for omega, sols in zip(nature, _fixed_points(model, columns, profile)):
             if len(sols) != 1:
                 failures.append(
                     PlayabilityFailure(omega, profile, len(sols), tuple(map(point_at, sols)))
                 )
-    return PlayabilityReport(not failures, mode, checked, tuple(failures))
+    return PlayabilityReport(not failures, mode, len(selected), tuple(failures))
+
+
+def _substitution_steps(
+    model: WModel, profile: StrategyProfile, order: tuple[AgentId, ...]
+) -> list[tuple[Sequence[int], Sequence[int], int]]:
+    """Per agent along ``order``: atom table, strategy table, action stride."""
+    columns = _agent_columns(model)
+    tables = dict(zip(model.agents, (s.table for s in profile.strategies)))
+    return [(columns[a][0], tables[a], columns[a][1]) for a in order]
 
 
 def outcome_indices(
@@ -363,13 +501,13 @@ def outcome_indices(
     """
     if order is None:
         outcomes = []
-        for omega, sols in zip(model.nature_points(), _fixed_points(model, profile)):
+        columns = _agent_columns(model)
+        for omega, sols in zip(model.nature_points(), _fixed_points(model, columns, profile)):
             if len(sols) != 1:
                 raise NotPlayable(omega, len(sols))
             outcomes.append(sols[0])
         return outcomes
-    lookups = _agent_lookups(model, profile)
-    steps = [lookups[a][:3] for a in order]
+    steps = _substitution_steps(model, profile, order)
     size = model.configuration.size
     outcomes = []
     for base in range(0, size, size // model.nature_space.size):
@@ -391,11 +529,11 @@ def deviation_table(
     action ``a`` there: the :func:`outcome_indices` forward substitution up to
     the agent, then once per action for the agents after him.
     """
-    lookups = _agent_lookups(model, profile)
+    steps = _substitution_steps(model, profile, order)
     pos = order.index(agent)
-    before = [lookups[a][:3] for a in order[:pos]]
-    after = [lookups[a][:3] for a in order[pos + 1:]]
-    own_atom_of, _, own_stride, count = lookups[agent]
+    before, after = steps[:pos], steps[pos + 1:]
+    own_atom_of, _, own_stride = steps[pos]
+    count = model.action_factors[agent].size
     size = model.configuration.size
     atoms: list[int] = []
     outcomes: list[Sequence[int]] = []

@@ -57,9 +57,10 @@ class ProductSpace:
     """Ordered product of finite factors with row-major point enumeration."""
 
     factors: tuple[FiniteFactor, ...]
-    # Strides for index arithmetic; derived from factors, excluded from
-    # equality so two spaces are equal iff their factors are.
+    # Strides for index arithmetic and the point count; derived from factors,
+    # excluded from equality so two spaces are equal iff their factors are.
     _strides: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    size: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         strides = []
@@ -68,13 +69,7 @@ class ProductSpace:
             strides.append(acc)
             acc *= f.size
         object.__setattr__(self, "_strides", tuple(reversed(strides)))
-
-    @property
-    def size(self) -> int:
-        n = 1
-        for f in self.factors:
-            n *= f.size
-        return n
+        object.__setattr__(self, "size", acc)
 
     def factor_index(self, factor_id: str) -> int:
         for i, f in enumerate(self.factors):

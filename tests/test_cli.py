@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from infogames import StrategyProfile, check_playability, joint_strategies, load_game
+
 GAMES_DIR = Path(__file__).resolve().parent.parent / "games"
 
 
@@ -269,6 +271,20 @@ class TestCommands:
         by_agent = {a["agent"]: a["strategies"] for a in report["results"]["agents"]}
         assert by_agent == {"leader": 2, "follower": 9}
         assert report["results"]["profiles"] == 18
+
+    def test_cyclic_game_enumerates_every_profile(self):
+        path = str(GAMES_DIR / "cyclic_three_agents.json")
+        strategies = json.loads(run_cli("strategies", "--game", path).stdout)["results"]
+        res = run_cli("playability", "--mode", "all", "--game", path)
+        assert res.returncode == 2
+        results = json.loads(res.stdout)["results"]
+        assert results["mode"] == "all" and results["playable"] is False
+        counts = [a["strategies"] for a in strategies["agents"]]
+        assert len(counts) == 3 and results["profiles_checked"] == counts[0] * counts[1] * counts[2]
+        model = load_game(path).model
+        profiles = map(StrategyProfile, joint_strategies(model, model.agents, 10**6, ""))
+        scanned = check_playability(model, list(profiles))
+        assert len(results["failures"]) == len(scanned.failures) > 0
 
     def test_normal_form_csv_flag(self, tmp_path):
         csv_path = tmp_path / "matrix.csv"

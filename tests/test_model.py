@@ -1,5 +1,6 @@
 """Model construction, strategies, sequential check, playability, solution map."""
 
+import dataclasses
 import itertools
 import random
 
@@ -279,6 +280,17 @@ class TestPlayability:
         assert report.mode == "all"
         assert report.profiles_checked == 16  # 4 strategies each
 
+    def test_explicit_profiles_need_one_strategy_per_agent_in_model_order(self):
+        model = mutual_observation_model()
+        a, b = model.agents
+        for strategies in (
+            (copy_strategy(model, a),),
+            (flip_strategy(model, b), copy_strategy(model, a)),
+            (copy_strategy(model, a), copy_strategy(model, a)),
+        ):
+            with pytest.raises(ValueError, match="one strategy per agent, in model order"):
+                check_playability(model, [StrategyProfile(strategies)])
+
     def test_sample_needs_at_least_one_profile(self):
         for n in (0, -5):
             with pytest.raises(ValueError, match="sample size must be at least 1"):
@@ -482,3 +494,85 @@ class TestRandomInformationStructures:
         assert [
             (f.nature_point, f.profile, f.solution_count, f.solutions) for f in report.failures
         ] == expected_failures
+
+
+def random_nonsequential_model(rng: random.Random, max_profiles: int = 512):
+    """The first model from :func:`random_information_parts` without a
+    sequential order and with at most ``max_profiles`` joint profiles."""
+    while True:
+        model = build_wmodel(*random_information_parts(rng, sequential=False)[:4])
+        if check_sequential(model) is None and count_profiles(model, model.agents) <= max_profiles:
+            return model
+
+
+def assert_all_mode_matches_oracle(model):
+    """``check_playability(model, "all")`` against the oracle over every
+    profile in joint_strategies order, and against the explicit scan."""
+    profiles = list(
+        map(StrategyProfile, joint_strategies(model, model.agents, 10**6, "strategy profiles"))
+    )
+    expected = [
+        (omega, profile, len(sols), tuple(sols))
+        for profile in profiles
+        for omega, sols in oracle_solution_table(model, profile).items()
+        if len(sols) != 1
+    ]
+    report = check_playability(model, "all")
+    got = [(f.nature_point, f.profile, f.solution_count, f.solutions) for f in report.failures]
+    assert got == expected
+    assert (report.mode, report.profiles_checked, report.playable) == (
+        "all", len(profiles), not expected
+    )
+    explicit = check_playability(model, profiles)
+    assert explicit.mode == "explicit"
+    assert dataclasses.replace(explicit, mode="all") == report
+
+
+class TestAllProfilesFastPath:
+    """The digit-mask enumeration of ``check_playability(model, "all")``."""
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle_on_random_nonsequential_models(self, rng):
+        assert_all_mode_matches_oracle(random_nonsequential_model(rng))
+
+    def test_one_action_agents_and_one_nature_state(self):
+        w = small_factor("w", 1)
+        v = small_factor("v", 2)
+        a, b, c, d = (AgentId(x) for x in "abcd")
+        actions = {
+            a: small_factor("ua", 2, "action"),
+            b: small_factor("ub", 3, "action"),
+            c: small_factor("uc", 1, "action"),
+            d: small_factor("ud", 1, "action"),
+        }
+        # a and b observe each other; c and d have one action, and a also
+        # looks at c's (constant) action.
+        info = {a: ("ub", "uc"), b: ("ua",), c: ("ua",), d: ("ub",)}
+        for nature in ([w], [v]):
+            for agents in ((a, b, c, d), (c, a, d, b)):
+                model = build_wmodel(nature, agents, actions, info)
+                assert check_sequential(model) is None
+                assert_all_mode_matches_oracle(model)
+
+    def test_cap_is_checked_before_any_mask_is_built(self, monkeypatch):
+        w = small_factor("w", 2)
+        a, b = AgentId("a"), AgentId("b")
+        model = build_wmodel(
+            [w],
+            [a, b],
+            {a: small_factor("ua", 3, "action"), b: small_factor("ub", 3, "action")},
+            {a: ("w", "ub"), b: ("w", "ua")},
+        )
+        with pytest.raises(CapacityExceeded) as expected:
+            count_profiles(model, model.agents, 1000, "strategy profiles")
+
+        def no_masks(*args):
+            raise AssertionError("masks built before the cap check")
+
+        monkeypatch.setattr("infogames.model._digit_masks", no_masks)
+        with pytest.raises(CapacityExceeded) as exc:
+            check_playability(model, "all", cap=1000)
+        assert exc.value.needed == expected.value.needed == 3**12
+        assert str(exc.value) == str(expected.value)
+        assert str(exc.value) == "strategy profiles needs 531441 items, cap is 1000"
