@@ -9,18 +9,32 @@ units rather than wall-clock time.
 
 Exit codes: 0 success, 2 validation failure, 3 capacity exceeded, 4 a file
 could not be read or written.
+
+A JSON report (and the ``export`` document) is exactly ``json.dumps(report,
+indent=2)`` plus a newline, written by :func:`_dumps`.  ``json.dumps`` runs
+its pure-Python encoder whenever ``indent`` is set, and on large failure or
+equilibrium lists that cost more than solving the game.  ``_dumps`` walks
+dicts and lists in Python and hands each flat container, one whose items are
+all str, int, float, bool or None (strategy tables, witness points, label
+lists), to the C encoder in one call, with the item separator carrying the
+line break and indentation of its depth.  A flat container that occurs more
+than once in a report, such as a strategy table shared by many failures, is
+encoded once per depth.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .equilibria import (
     OPTIMISTIC,
     PESSIMISTIC,
     StackelbergMode,
+    leader_risk_mode,
     nash_equilibria,
     nash_stackelberg,
     stackelberg_strategies,
@@ -66,6 +80,12 @@ def _parse_playability_mode(raw: str):
     raise argparse.ArgumentTypeError(f"bad playability mode {raw!r}; use all or sample=N,seed=S")
 
 
+STACKELBERG_MODES = (
+    "optimistic, pessimistic, theta=T, or "
+    "leader-risk=expectation-uniform|worst-case|cvar:ALPHA"
+)
+
+
 def _parse_stackelberg_mode(raw: str) -> StackelbergMode:
     if raw == "optimistic":
         return OPTIMISTIC
@@ -76,9 +96,16 @@ def _parse_stackelberg_mode(raw: str) -> StackelbergMode:
             return theta_mode(float(raw[len("theta="):]))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
-    raise argparse.ArgumentTypeError(
-        f"bad mode {raw!r}; use optimistic, pessimistic, or theta=T"
-    )
+    if raw.startswith("leader-risk="):
+        risk = raw[len("leader-risk="):]
+        try:
+            if risk.startswith("cvar:"):
+                risk = ("cvar", float(risk[len("cvar:"):]))
+            # The mode rejects an unknown functional and alpha outside (0, 1].
+            return leader_risk_mode(risk)
+        except ValueError:
+            pass  # malformed: the usage message below
+    raise argparse.ArgumentTypeError(f"bad mode {raw!r}; use {STACKELBERG_MODES}")
 
 
 def _count_section(game: WGame) -> dict:
@@ -114,19 +141,18 @@ def _validation_section(order: tuple | None, playability: dict | None = None) ->
     }
 
 
-def _profile_doc(game: WGame, by_player) -> dict:
-    return {p: player_strategy_label(game, ps) for p, ps in by_player}
+def _profile_doc(label, by_player) -> dict:
+    return {p: label(ps) for p, ps in by_player}
 
 
-def _equilibrium_results(game: WGame, report) -> dict:
-    out = []
-    for rec in report.profiles:
-        out.append(
-            {
-                "profile": _profile_doc(game, rec.by_player),
-                "values": {p: fmt_value(v) for p, v in rec.values},
-            }
-        )
+def _equilibrium_results(label, report) -> dict:
+    out = [
+        {
+            "profile": _profile_doc(label, rec.by_player),
+            "values": {p: fmt_value(v) for p, v in rec.values},
+        }
+        for rec in report.profiles
+    ]
     return {"count": len(out), "equilibria": out}
 
 
@@ -152,6 +178,8 @@ def run(command: str, game_path: str, options: dict, cap: int) -> tuple[dict, in
     }
     exit_code = EXIT_OK
     playability_doc = None
+    # Tied profiles share most player strategies; each is labelled once.
+    label = functools.cache(lambda ps: player_strategy_label(game, ps))
     results: dict = {}
 
     if command == "validate":
@@ -165,20 +193,24 @@ def run(command: str, game_path: str, options: dict, cap: int) -> tuple[dict, in
             "mode": pr.mode,
             "profiles_checked": pr.profiles_checked,
         }
-        failures = []
-        for f in pr.failures:
-            failures.append(
-                {
-                    "nature": list(game.model.nature_space.point_labels(f.nature_point)),
-                    "profile": {
-                        str(s.agent): list(s.table) for s in f.profile.strategies
-                    },
-                    "solutions": f.solution_count,
-                    "witnesses": [
-                        list(game.model.configuration.point_labels(sol)) for sol in f.solutions
-                    ],
-                }
-            )
+        # Failures repeat profiles, strategies and points: each distinct one
+        # is rendered once and shared, so _dumps encodes each shared table
+        # and point once.
+        nature = functools.cache(lambda w: list(game.model.nature_space.point_labels(w)))
+        point = functools.cache(lambda x: list(game.model.configuration.point_labels(x)))
+        table = functools.cache(lambda s: list(s.table))
+        profile = functools.cache(
+            lambda prof: {str(s.agent): table(s) for s in prof.strategies}
+        )
+        failures = [
+            {
+                "nature": nature(f.nature_point),
+                "profile": profile(f.profile),
+                "solutions": f.solution_count,
+                "witnesses": [point(sol) for sol in f.solutions],
+            }
+            for f in pr.failures
+        ]
         results = dict(playability_doc)
         results["failures"] = failures
         if not pr.playable:
@@ -200,7 +232,7 @@ def run(command: str, game_path: str, options: dict, cap: int) -> tuple[dict, in
                 fh.write(matrix_to_csv(matrix))
     elif command == "nash":
         eq = nash_equilibria(game, evaluator=evaluator, cap=cap)
-        results = _equilibrium_results(game, eq)
+        results = _equilibrium_results(label, eq)
         report["_diag"] = eq.diagnostics
     elif command == "stackelberg":
         mode: StackelbergMode = options["mode_parsed"]
@@ -210,12 +242,12 @@ def run(command: str, game_path: str, options: dict, cap: int) -> tuple[dict, in
         results = {
             "mode": mode.describe(),
             "count": len(leader_set),
-            "leader_profiles": [_profile_doc(game, lp) for lp in leader_set],
+            "leader_profiles": [_profile_doc(label, lp) for lp in leader_set],
         }
     elif command == "nash-stackelberg":
         mode = options["mode_parsed"]
         eq = nash_stackelberg(game, mode, evaluator=evaluator, cap=cap)
-        results = _equilibrium_results(game, eq)
+        results = _equilibrium_results(label, eq)
         results["mode"] = mode.describe()
         report["_diag"] = eq.diagnostics
     elif command == "export":
@@ -286,7 +318,7 @@ def render_text(report: dict) -> str:
     elif "valid" in results:
         lines.append("valid: true")
     elif "document" in results:
-        lines.append(json.dumps(results["document"], indent=2))
+        lines.append(_dumps(results["document"]))
     timing = report["timing"]
     lines.append(f"normal-form evaluations: {timing['normal_form_evaluations']}")
     diag = report["diagnostics"]
@@ -296,15 +328,90 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+_CONTAINERS = (list, tuple, dict)
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _level(depth: int):
+    """The encoder of flat containers at ``depth``, and the line breaks
+    before such a container's closing bracket and before each of its items.
+
+    ``c_make_encoder`` ignores its indent argument, so the item separator
+    carries the break and indentation of the depth."""
+    close = "\n" + "  " * depth
+    item = close + "  "
+    flat = c_make_encoder(
+        None, json.JSONEncoder().default, encode_basestring_ascii, None,
+        ": ", "," + item, False, False, True,
+    )
+    return flat, close, item
+
+
+def _scalar(value) -> str:
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return "".join(_level(0)[0](value, 0))
+
+
+def _key(key) -> str:
+    """A dict key, coerced to a string as ``json.dumps`` does."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return encode_basestring_ascii(_scalar(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte (see the module
+    docstring)."""
+    if isinstance(obj, _CONTAINERS):
+        return _encode(obj, 0, {})
+    return _scalar(obj)
+
+
+def _encode(o, depth: int, memo: dict[int, tuple[int, str]]) -> str:
+    """The container ``o`` at ``depth``.  ``memo`` maps the id of each flat
+    container encoded so far in this report to its depth and text; each
+    lives as long as the report, so no id is reused."""
+    is_dict = isinstance(o, dict)
+    if not o:
+        return "{}" if is_dict else "[]"
+    hit = memo.get(id(o))
+    if hit is not None and hit[0] == depth:
+        return hit[1]
+    flat, close, item = _level(depth)
+    if _SCALAR_TYPES.issuperset(map(type, o.values() if is_dict else o)):
+        # The C encoder writes "[a,<item>b]": open the first line and close
+        # the last one.  Items of other types, scalar subclasses included,
+        # take the walk below, which gives the same bytes.
+        text = "".join(flat(o, 0))
+        text = text[0] + item + text[1:-1] + close + text[-1]
+        memo[id(o)] = depth, text
+        return text
+    sub = depth + 1
+    if is_dict:
+        parts = [
+            _key(k) + ": " + (_encode(v, sub, memo) if isinstance(v, _CONTAINERS) else _scalar(v))
+            for k, v in o.items()
+        ]
+        return "{" + item + ("," + item).join(parts) + close + "}"
+    parts = [_encode(v, sub, memo) if isinstance(v, _CONTAINERS) else _scalar(v) for v in o]
+    return "[" + item + ("," + item).join(parts) + close + "]"
+
+
 def _emit(report: dict, fmt: str, out: str | None):
     options = report.get("options", {})
     report["options"] = {k: v for k, v in options.items() if not k.endswith("_parsed")}
     if report["command"] == "export":
         # The useful artifact is the game document itself, directly loadable
         # with --game.
-        text = json.dumps(report["results"]["document"], indent=2) + "\n"
+        text = _dumps(report["results"]["document"]) + "\n"
     elif fmt == "json":
-        text = json.dumps(report, indent=2) + "\n"
+        text = _dumps(report) + "\n"
     else:
         text = render_text(report)
     if out:
@@ -336,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("stackelberg", "nash-stackelberg"):
         p = sub.add_parser(name, parents=[common])
         p.add_argument(
-            "--mode", default="optimistic", help="optimistic, pessimistic, or theta=T"
+            "--mode", default="optimistic", help=STACKELBERG_MODES
         )
     sub.add_parser("export", parents=[common])
     return parser

@@ -70,7 +70,9 @@ class StackelbergMode:
         if self.kind == "theta":
             return f"theta={format(self.theta, '.12g')}"
         if self.kind == "leader-risk":
-            return f"leader-risk({self.risk})"
+            if isinstance(self.risk, tuple):
+                return f"leader-risk=cvar:{format(self.risk[1], '.12g')}"
+            return f"leader-risk={self.risk}"
         return self.kind
 
 

@@ -57,6 +57,18 @@ class AgentId:
     player: str
     stage: int | None = None
 
+    # Agents and strategies key the solvers' caches, so each hashes its
+    # fields once.  The cached hash is tied to this process's string hashing;
+    # pickling rebuilds from the fields, so it never crosses a process.
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.player, self.stage)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (AgentId, (self.player, self.stage))
+
     def __str__(self) -> str:
         if self.stage is None:
             return self.player
@@ -158,10 +170,21 @@ def build_wmodel(
 
 @dataclass(frozen=True)
 class Strategy:
-    """Per-agent map from information atom id to action element index."""
+    """Per-agent map from information atom id to action element index.
+
+    Hashed once, like :class:`AgentId`."""
 
     agent: AgentId
     table: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.agent, self.table)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Strategy, (self.agent, self.table))
 
 
 @dataclass(frozen=True)

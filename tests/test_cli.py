@@ -8,7 +8,18 @@ from pathlib import Path
 
 import pytest
 
-from infogames import StrategyProfile, check_playability, joint_strategies, load_game
+from infogames import (
+    StrategyProfile,
+    check_playability,
+    joint_strategies,
+    leader_risk_mode,
+    load_game,
+    nash_stackelberg,
+    player_strategy_label,
+    stackelberg_strategies,
+)
+from infogames.cli import main
+from infogames.normal_form import fmt_value
 
 GAMES_DIR = Path(__file__).resolve().parent.parent / "games"
 
@@ -353,3 +364,68 @@ class TestCommands:
         )
         assert res.returncode == 2
         assert "mode" in res.stderr
+
+
+LEADER_RISKS = [
+    ("leader-risk=expectation-uniform", "expectation-uniform"),
+    ("leader-risk=worst-case", "worst-case"),
+    ("leader-risk=cvar:0.5", ("cvar", 0.5)),
+]
+
+
+class TestLeaderRiskModes:
+    """``--mode leader-risk=...`` runs the library's leader-risk modes."""
+
+    def cli_report(self, capsys, command, flag):
+        code = main([command, "--game", str(GAMES_DIR / "tou_pricing.json"), "--mode", flag])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["options"]["mode"] == report["results"]["mode"] == flag
+        return report
+
+    @pytest.mark.parametrize("flag,risk", LEADER_RISKS)
+    def test_stackelberg_matches_library(self, capsys, flag, risk):
+        report = self.cli_report(capsys, "stackelberg", flag)
+        game = load_game(str(GAMES_DIR / "tou_pricing.json"))
+        mode = leader_risk_mode(risk)
+        assert mode.describe() == flag
+        leader_set, diag = stackelberg_strategies(game, mode)
+        expected = [{p: player_strategy_label(game, ps) for p, ps in lp} for lp in leader_set]
+        assert report["results"]["leader_profiles"] == expected
+        assert report["diagnostics"]["profiles_enumerated"] == diag.profiles_enumerated
+
+    @pytest.mark.parametrize("flag,risk", LEADER_RISKS)
+    def test_nash_stackelberg_matches_library(self, capsys, flag, risk):
+        report = self.cli_report(capsys, "nash-stackelberg", flag)
+        game = load_game(str(GAMES_DIR / "tou_pricing.json"))
+        eq = nash_stackelberg(game, leader_risk_mode(risk))
+        expected = [
+            {
+                "profile": {p: player_strategy_label(game, ps) for p, ps in rec.by_player},
+                "values": {p: fmt_value(v) for p, v in rec.values},
+            }
+            for rec in eq.profiles
+        ]
+        assert report["results"]["equilibria"] == expected
+        assert report["results"]["count"] == len(expected) > 0
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "leader-risk=expectation",
+            "leader-risk=worst-case:1",
+            "leader-risk=cvar:0",
+            "leader-risk=cvar:half",
+            "leader-risk=cvar:1.5",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["stackelberg", "nash-stackelberg"])
+    def test_malformed_leader_risk_exit_2(self, capsys, command, flag):
+        code = main([command, "--game", str(GAMES_DIR / "tou_pricing.json"), "--mode", flag])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: bad mode {flag!r}; use optimistic, pessimistic, theta=T, or "
+            "leader-risk=expectation-uniform|worst-case|cvar:ALPHA\n"
+        )

@@ -1,13 +1,20 @@
 """Model construction, strategies, sequential check, playability, solution map."""
 
+import copy
 import dataclasses
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import infogames
 from infogames import (
     AgentId,
     CapacityExceeded,
@@ -576,3 +583,42 @@ class TestAllProfilesFastPath:
         assert exc.value.needed == expected.value.needed == 3**12
         assert str(exc.value) == str(expected.value)
         assert str(exc.value) == "strategy profiles needs 531441 items, cap is 1000"
+
+
+class TestHashing:
+    """Agents and strategies hash once; equality, repr and copies stay
+    field-based, and the cached hash never crosses a process."""
+
+    def test_fields_decide_equality_repr_and_hash(self):
+        s = Strategy(AgentId("p", 1), (0, 1))
+        t = dataclasses.replace(s, table=(1, 0))
+        assert t == Strategy(AgentId("p", 1), (1, 0)) != s
+        assert hash(t) == hash(Strategy(AgentId("p", 1), (1, 0)))
+        assert hash(s) == hash((AgentId("p", 1), (0, 1)))
+        assert hash(AgentId("p", 1)) == hash(("p", 1))
+        assert repr(s) == "Strategy(agent=AgentId(player='p', stage=1), table=(0, 1))"
+        for c in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert c == s and hash(c) == hash(s)
+
+    def test_strategy_pickled_under_another_hash_seed_is_a_dict_key(self):
+        code = (
+            "import pickle, sys\n"
+            "from infogames import AgentId, Strategy\n"
+            "s = Strategy(AgentId('player', 2), (0, 1, 1))\n"
+            "print(hash('player'))\n"
+            "print(pickle.dumps(s).hex())\n"
+        )
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = str(Path(infogames.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout.split()
+        # The string hashes differ between the processes, so a hash cached in
+        # the pickle would miss here.
+        assert int(out[0]) != hash("player")
+        theirs = pickle.loads(bytes.fromhex(out[1]))
+        ours = Strategy(AgentId("player", 2), (0, 1, 1))
+        assert {ours: "found"}[theirs] == "found"
+        assert {ours.agent: "found"}[theirs.agent] == "found"
+        assert hash(theirs) == hash(ours)
