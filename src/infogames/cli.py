@@ -65,13 +65,17 @@ def _parse_playability_mode(raw: str):
     if raw.startswith("sample="):
         body = raw[len("sample="):]
         try:
-            parts = dict(p.split("=", 1) for p in ("n=" + body).split(","))
+            pairs = [p.split("=", 1) for p in ("n=" + body).split(",")]
+            parts = dict(pairs)
+            keys = [k for k, _ in pairs]
             unknown = [k for k in parts if k not in ("n", "seed")]
-            if unknown:
-                raise argparse.ArgumentTypeError(
-                    f"bad playability mode {raw!r}: unknown key {unknown[0]!r}; "
-                    "use all or sample=N,seed=S"
-                )
+            repeated = [k for i, k in enumerate(keys) if k in keys[:i]]
+            for problem, found in (("unknown", unknown), ("repeated", repeated)):
+                if found:
+                    raise argparse.ArgumentTypeError(
+                        f"bad playability mode {raw!r}: {problem} key {found[0]!r}; "
+                        "use all or sample=N,seed=S"
+                    )
             return (int(parts["n"]), int(parts.get("seed", "0")))
         except (KeyError, ValueError):
             raise argparse.ArgumentTypeError(
@@ -167,8 +171,9 @@ def _diag_section(cap: int, diag=None) -> dict:
     return doc
 
 
-def run(command: str, game_path: str, options: dict, cap: int) -> tuple[dict, int]:
-    """Execute one command and return (report, exit_code)."""
+def run(command: str, game_path: str, options: dict, cap: int, mode=None) -> tuple[dict, int]:
+    """Execute one command and return (report, exit_code); ``mode`` is the
+    parsed ``--mode`` of playability and the Stackelberg commands."""
     game = load_game(game_path, cap)
     evaluator = Evaluator(game)
     report: dict = {
@@ -181,13 +186,14 @@ def run(command: str, game_path: str, options: dict, cap: int) -> tuple[dict, in
     # Tied profiles share most player strategies; each is labelled once.
     label = functools.cache(lambda ps: player_strategy_label(game, ps))
     results: dict = {}
+    diag = None
 
     if command == "validate":
         results = {"valid": True}
     elif command == "strategies":
         results = _count_section(game)
     elif command == "playability":
-        pr = check_playability(game.model, options["mode_parsed"], cap=cap)
+        pr = check_playability(game.model, mode, cap=cap)
         playability_doc = {
             "playable": pr.playable,
             "mode": pr.mode,
@@ -233,29 +239,24 @@ def run(command: str, game_path: str, options: dict, cap: int) -> tuple[dict, in
     elif command == "nash":
         eq = nash_equilibria(game, evaluator=evaluator, cap=cap)
         results = _equilibrium_results(label, eq)
-        report["_diag"] = eq.diagnostics
+        diag = eq.diagnostics
     elif command == "stackelberg":
-        mode: StackelbergMode = options["mode_parsed"]
-        leader_set, report["_diag"] = stackelberg_strategies(
-            game, mode, evaluator=evaluator, cap=cap
-        )
+        leader_set, diag = stackelberg_strategies(game, mode, evaluator=evaluator, cap=cap)
         results = {
             "mode": mode.describe(),
             "count": len(leader_set),
             "leader_profiles": [_profile_doc(label, lp) for lp in leader_set],
         }
     elif command == "nash-stackelberg":
-        mode = options["mode_parsed"]
         eq = nash_stackelberg(game, mode, evaluator=evaluator, cap=cap)
         results = _equilibrium_results(label, eq)
         results["mode"] = mode.describe()
-        report["_diag"] = eq.diagnostics
+        diag = eq.diagnostics
     elif command == "export":
         results = {"document": export_custom(game)}
     else:  # pragma: no cover - argparse restricts the choices
         raise ValueError(f"unknown command {command!r}")
 
-    diag = report.pop("_diag", None)
     report["validation"] = _validation_section(evaluator.sequential_order, playability_doc)
     report["counts"] = _count_section(game)
     report["results"] = results
@@ -268,9 +269,7 @@ def render_text(report: dict) -> str:
     """Human-readable rendering derived from the structured report."""
     lines = [f"command: {report['command']}", f"game: {report['game']}"]
     if report["options"]:
-        opts = " ".join(f"{k}={v}" for k, v in report["options"].items() if not k.endswith("_parsed"))
-        if opts:
-            lines.append(f"options: {opts}")
+        lines.append("options: " + " ".join(f"{k}={v}" for k, v in report["options"].items()))
     val = report["validation"]
     seq = val["sequential_order"]
     lines.append("self-information: " + val["self_information"])
@@ -404,8 +403,6 @@ def _encode(o, depth: int, memo: dict[int, tuple[int, str]]) -> str:
 
 
 def _emit(report: dict, fmt: str, out: str | None):
-    options = report.get("options", {})
-    report["options"] = {k: v for k, v in options.items() if not k.endswith("_parsed")}
     if report["command"] == "export":
         # The useful artifact is the game document itself, directly loadable
         # with --game.
@@ -421,7 +418,9 @@ def _emit(report: dict, fmt: str, out: str | None):
         sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--game", required=True, help="path to a game definition file")
     common.add_argument("--out", help="write the report to this path instead of stdout")
@@ -437,14 +436,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("strategies", parents=[common])
     p = sub.add_parser("playability", parents=[common])
     p.add_argument("--mode", default="all", help="all or sample=N,seed=S")
+    p.set_defaults(parse_mode=_parse_playability_mode)
     p = sub.add_parser("normal-form", parents=[common])
     p.add_argument("--csv", help="also write the matrix as CSV to this path")
     sub.add_parser("nash", parents=[common])
     for name in ("stackelberg", "nash-stackelberg"):
         p = sub.add_parser(name, parents=[common])
-        p.add_argument(
-            "--mode", default="optimistic", help=STACKELBERG_MODES
-        )
+        p.add_argument("--mode", default="optimistic", help=STACKELBERG_MODES)
+        p.set_defaults(parse_mode=_parse_stackelberg_mode)
     sub.add_parser("export", parents=[common])
     return parser
 
@@ -452,25 +451,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     options: dict = {}
-    if args.command == "playability":
+    mode = None
+    if "parse_mode" in args:
         try:
-            options["mode_parsed"] = _parse_playability_mode(args.mode)
+            mode = args.parse_mode(args.mode)
         except argparse.ArgumentTypeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
-        options["mode"] = args.mode
-    elif args.command in ("stackelberg", "nash-stackelberg"):
-        try:
-            options["mode_parsed"] = _parse_stackelberg_mode(args.mode)
-        except argparse.ArgumentTypeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        options["mode"] = options["mode_parsed"].describe()
+        options["mode"] = mode.describe() if isinstance(mode, StackelbergMode) else args.mode
     elif args.command == "normal-form" and args.csv:
         options["csv"] = args.csv
 
     try:
-        report, code = run(args.command, args.game, options, args.cap)
+        report, code = run(args.command, args.game, options, args.cap, mode)
         _emit(report, args.format, args.out)
     except CapacityExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

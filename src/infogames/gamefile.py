@@ -10,6 +10,7 @@ Schema errors carry a path into the document (``custom.players[0].belief``).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from typing import Any
@@ -91,8 +92,16 @@ def _number_list(raw, path: str) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _reject_unknown(raw: dict, cls, path: str, what: str):
+    """Reject a key of ``raw`` that names no field of the dataclass ``cls``."""
+    known = {f.name for f in dataclasses.fields(cls)}
+    for key in raw:
+        _expect(key in known, f"{path}.{key}", f"unknown {what}")
+
+
 def _grid_spec(raw, path: str, pairs: bool = False) -> GridSpec:
     _expect(isinstance(raw, dict), path, "expected an object")
+    _reject_unknown(raw, GridSpec, path, "grid key")
     values_raw = _get(raw, "values", path, list)
     _expect(bool(values_raw), f"{path}.values", "grid must be non-empty")
     values: list = []
@@ -130,6 +139,7 @@ def _load_builtin(section: dict, path: str, cap: int) -> WGame:
             _expect(not params, p, "prisoners_dilemma takes no parameters")
             return build_prisoners_dilemma()
         if name == "tou_pricing":
+            _reject_unknown(params, TouParams, p, "parameter")
             return build_tou_game(
                 TouParams(
                     demand=_grid_spec(_get(params, "demand", p, dict), f"{p}.demand"),
@@ -147,9 +157,11 @@ def _load_builtin(section: dict, path: str, cap: int) -> WGame:
                 )
             )
         if name in ("thai_slsf_st", "thai_slsf_mt", "thai_slmf_mt"):
-            followers = params.get("followers", ["follower"])
+            _reject_unknown(params, ThaiParams, p, "parameter")
+            followers = params.get("followers")
             _expect(
-                isinstance(followers, list) and all(isinstance(f, str) for f in followers),
+                "followers" not in params
+                or isinstance(followers, list) and all(isinstance(f, str) for f in followers),
                 f"{p}.followers",
                 "expected a list of follower names",
             )
@@ -160,7 +172,7 @@ def _load_builtin(section: dict, path: str, cap: int) -> WGame:
                 exogenous = tuple(
                     _grid_spec(g, f"{p}.exogenous[{i}]") for i, g in enumerate(exo_raw)
                 )
-            thai = ThaiParams(
+            fields = dict(
                 baselines=_number_list(_get(params, "baselines", p, list), f"{p}.baselines"),
                 prices=_number_list(_get(params, "prices", p, list), f"{p}.prices"),
                 reward=float(_get(params, "reward", p, (int, float))),
@@ -168,8 +180,8 @@ def _load_builtin(section: dict, path: str, cap: int) -> WGame:
                 consumptions=_number_list(
                     _get(params, "consumptions", p, list), f"{p}.consumptions"
                 ),
-                horizon=_get(params, "horizon", p, int, required=False, default=1),
-                followers=tuple(followers),
+                horizon=_get(params, "horizon", p, int, required=False),
+                followers=None if followers is None else tuple(followers),
                 leader_coeffs=_grid_spec(
                     _get(params, "leader_coeffs", p, dict), f"{p}.leader_coeffs", pairs=True
                 ),
@@ -177,10 +189,13 @@ def _load_builtin(section: dict, path: str, cap: int) -> WGame:
                     _get(params, "follower_coeffs", p, dict), f"{p}.follower_coeffs", pairs=True
                 ),
                 exogenous=exogenous,
-                info_mode=_get(params, "info_mode", p, str, required=False, default="current-stage"),
-                clamp_reward=_get(params, "clamp_reward", p, bool, required=False, default=True),
-                aggregation=_get(params, "aggregation", p, str, required=False, default="aggregate"),
+                info_mode=_get(params, "info_mode", p, str, required=False),
+                clamp_reward=_get(params, "clamp_reward", p, bool, required=False),
+                aggregation=_get(params, "aggregation", p, str, required=False),
             )
+            # An omitted (or null) optional key is not passed, so the
+            # ThaiParams defaults are the only ones.
+            thai = ThaiParams(**{k: v for k, v in fields.items() if v is not None})
             builder = {
                 "thai_slsf_st": build_thai_slsf_st,
                 "thai_slsf_mt": build_thai_slsf_mt,
@@ -399,16 +414,10 @@ def export_custom(game: WGame) -> dict:
     observes, in configuration order, when it equals that cylinder, and as
     ``atoms`` otherwise."""
     model = game.model
-    factors_doc = []
-    for f in model.nature_factors:
-        factors_doc.append(
-            {"id": f.id, "label": f.label, "kind": f.kind, "elements": list(f.elements)}
-        )
-    for a in model.agents:
-        f = model.action_factors[a]
-        factors_doc.append(
-            {"id": f.id, "label": f.label, "kind": f.kind, "elements": list(f.elements)}
-        )
+    factors_doc = [
+        {"id": f.id, "label": f.label, "kind": f.kind, "elements": list(f.elements)}
+        for f in model.configuration.factors
+    ]
 
     agents_doc = []
     for a in model.agents:

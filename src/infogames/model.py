@@ -354,6 +354,14 @@ class PlayabilityReport:
     sequential_order: tuple[AgentId, ...] | None = None
 
 
+def _failure(
+    omega: Point, profile: StrategyProfile, solutions: list[int], point_at
+) -> PlayabilityFailure:
+    """The failure of ``profile`` at nature state ``omega``, whose flat
+    solutions are not exactly one."""
+    return PlayabilityFailure(omega, profile, len(solutions), tuple(map(point_at, solutions)))
+
+
 def _random_profile(model: WModel, rng: random.Random) -> StrategyProfile:
     strategies = []
     for a in model.agents:
@@ -403,9 +411,9 @@ def _scan_all_profiles(model: WModel, cap: int) -> tuple[int, list[PlayabilityFa
             solutions = []
             while b:
                 bit = b & -b
-                solutions.append(point_at(bit.bit_length() - 1))
+                solutions.append(bit.bit_length() - 1)
                 b ^= bit
-            failures.append(PlayabilityFailure(omega, profile, len(solutions), tuple(solutions)))
+            failures.append(_failure(omega, profile, solutions, point_at))
 
     # Odometer over the digits, last fastest; prefix[d] is the AND of the
     # masks chosen for the digits before d, so each profile costs one AND.
@@ -444,8 +452,8 @@ def check_playability(
     """Count fixed points of the closed-loop equation over selected profiles.
 
     ``profiles`` is ``"all"``, a ``(n, seed)`` pair for random sampling
-    (``n >= 1``), or an explicit list of profiles, each holding one strategy
-    per agent in model agent order.  In ``"all"`` mode a sequential
+    (``1 <= n <= cap``), or an explicit list of profiles, each holding one
+    strategy per agent in model agent order.  In ``"all"`` mode a sequential
     information structure short-circuits to playable (sequential implies
     playable) with zero profiles checked and the ordering recorded as
     justification.
@@ -472,6 +480,8 @@ def check_playability(
         n, seed = profiles
         if n < 1:
             raise ValueError(f"sample size must be at least 1, got {n}")
+        if n > cap:
+            raise CapacityExceeded(n, cap, "sampled profiles")
         rng = random.Random(seed)
         selected = [_random_profile(model, rng) for _ in range(n)]
         mode = f"sample(n={n}, seed={seed})"
@@ -495,19 +505,8 @@ def check_playability(
     for profile in selected:
         for omega, sols in zip(nature, _fixed_points(model, columns, profile)):
             if len(sols) != 1:
-                failures.append(
-                    PlayabilityFailure(omega, profile, len(sols), tuple(map(point_at, sols)))
-                )
+                failures.append(_failure(omega, profile, sols, point_at))
     return PlayabilityReport(not failures, mode, len(selected), tuple(failures))
-
-
-def _substitution_steps(
-    model: WModel, profile: StrategyProfile, order: tuple[AgentId, ...]
-) -> list[tuple[Sequence[int], Sequence[int], int]]:
-    """Per agent along ``order``: atom table, strategy table, action stride."""
-    columns = _agent_columns(model)
-    tables = dict(zip(model.agents, (s.table for s in profile.strategies)))
-    return [(columns[a][0], tables[a], columns[a][1]) for a in order]
 
 
 def outcome_indices(
@@ -516,11 +515,12 @@ def outcome_indices(
     """Flat configuration index of the unique outcome at each nature state,
     in nature enumeration order.
 
-    Along a sequential ``order`` (from :func:`check_sequential`), forward
-    substitution starts at the state's block base, where every action is 0,
-    and adds ``action * stride`` per agent in order.  With ``order=None`` each
-    block is scanned for fixed points; :class:`NotPlayable` is raised at the
-    first nature state with zero or several.
+    Along a sequential ``order`` (from :func:`check_sequential`), the last
+    agent in the order moves after everyone else, so the outcome is the entry
+    of his own action in his :func:`deviation_table` row.  With
+    ``order=None`` each block is scanned for fixed points;
+    :class:`NotPlayable` is raised at the first nature state with zero or
+    several.
     """
     if order is None:
         outcomes = []
@@ -530,15 +530,10 @@ def outcome_indices(
                 raise NotPlayable(omega, len(sols))
             outcomes.append(sols[0])
         return outcomes
-    steps = _substitution_steps(model, profile, order)
-    size = model.configuration.size
-    outcomes = []
-    for base in range(0, size, size // model.nature_space.size):
-        idx = base
-        for atom_of, table, stride in steps:
-            idx += table[atom_of[idx]] * stride
-        outcomes.append(idx)
-    return outcomes
+    last = order[-1]
+    table = profile.strategies[model.agents.index(last)].table
+    atoms, rows = deviation_table(model, last, profile, order)
+    return [row[table[atom]] for atom, row in zip(atoms, rows)]
 
 
 def deviation_table(
@@ -549,10 +544,13 @@ def deviation_table(
 
     Returns, per nature state in nature order, the agent's information atom
     and the sequence whose entry ``a`` is the flat outcome index when he plays
-    action ``a`` there: the :func:`outcome_indices` forward substitution up to
-    the agent, then once per action for the agents after him.
+    action ``a`` there.  Forward substitution starts at the state's block
+    base (every action 0) and adds ``action * stride`` per agent along the
+    order: up to the agent, then once per action for the agents after him.
     """
-    steps = _substitution_steps(model, profile, order)
+    columns = _agent_columns(model)
+    tables = dict(zip(model.agents, (s.table for s in profile.strategies)))
+    steps = [(columns[a][0], tables[a], columns[a][1]) for a in order]
     pos = order.index(agent)
     before, after = steps[:pos], steps[pos + 1:]
     own_atom_of, _, own_stride = steps[pos]
@@ -578,10 +576,7 @@ def deviation_table(
 
 
 def solution_map(
-    model: WModel,
-    profile: StrategyProfile,
-    brute_force: bool = False,
-    order: tuple[AgentId, ...] | None = None,
+    model: WModel, profile: StrategyProfile, brute_force: bool = False
 ) -> dict[Point, Point]:
     """Map each nature state to the unique outcome under the profile: the
     point view of :func:`outcome_indices`.
@@ -589,13 +584,9 @@ def solution_map(
     Uses forward substitution along a sequential agent ordering when one
     exists; falls back to fixed-point enumeration (always, with
     ``brute_force``) and raises :class:`NotPlayable` if some nature state has
-    zero or several solutions.  A precomputed ordering from
-    :func:`check_sequential` may be passed to skip recomputing it.
+    zero or several solutions.
     """
-    if brute_force:
-        order = None
-    elif order is None:
-        order = check_sequential(model)
+    order = None if brute_force else check_sequential(model)
     point_at = model.configuration.point_at
     outcomes = outcome_indices(model, profile, order)
     return {omega: point_at(i) for omega, i in zip(model.nature_points(), outcomes)}

@@ -217,11 +217,11 @@ class ThaiParams:
     consumer utility is ``c1*x - c2*x**2`` from ``follower_coeffs``; both are
     scaled by the stage's exogenous factor (seasonality), 1 when omitted.
 
-    ``info_mode`` selects the information structure: "open-loop" (trivial
-    fields, constant strategies), "current-stage" (own type; follower also
-    sees the current target), or "full-history" (own type plus all exogenous
-    factors and decisions of earlier stages; follower also sees the current
-    target).
+    ``info_mode`` selects the information structure.  Under "open-loop"
+    every field is trivial (constant strategies).  Under "current-stage" an
+    agent sees his own ``{player}_type``, and a follower also the current
+    stage's target; "full-history" adds the exogenous factors of earlier
+    stages and every decision of an earlier stage.
 
     ``aggregation`` only matters with several followers: "aggregate" takes
     min(target, total reduction) per stage, each follower paid her
@@ -335,32 +335,21 @@ def _build_thai(params: ThaiParams, include_exo: bool, staged: bool, cap: int) -
             action_factors[a] = _grid_factor(fid, "consumption", "action", params.consumptions)
 
     exo_ids = [f"exo_{t}" for t in stages] if include_exo else []
-    info_specs = {}
-    for a in leader_agents:
-        t = stage_of(a)
+
+    def visible(a: AgentId) -> list[str]:
+        """The factors agent ``a`` observes under ``params.info_mode``."""
         if params.info_mode == "open-loop":
-            visible: list[str] = []
-        elif params.info_mode == "current-stage":
-            visible = ["leader_type"]
-        else:  # full-history
-            visible = exo_ids[: t - 1] + ["leader_type"]
-            visible += [action_factors[b].id for b in leader_agents if stage_of(b) < t]
-            for g in followers:
-                visible += [action_factors[b].id for b in follower_agents[g] if stage_of(b) < t]
-        info_specs[a] = visible
-    for f in followers:
-        for a in follower_agents[f]:
-            t = stage_of(a)
-            if params.info_mode == "open-loop":
-                visible = []
-            elif params.info_mode == "current-stage":
-                visible = [f"{f}_type", action_factors[leader_agents[t - 1]].id]
-            else:
-                visible = exo_ids[: t - 1] + [f"{f}_type"]
-                visible += [action_factors[b].id for b in leader_agents if stage_of(b) <= t]
-                for g in followers:
-                    visible += [action_factors[b].id for b in follower_agents[g] if stage_of(b) < t]
-            info_specs[a] = visible
+            return []
+        t = stage_of(a)
+        seen = [f"{a.player}_type"]
+        if a.player != "leader":
+            seen.append(action_factors[leader_agents[t - 1]].id)
+        if params.info_mode == "full-history":
+            seen += exo_ids[: t - 1]
+            seen += [action_factors[b].id for b in agents if stage_of(b) < t]
+        return seen
+
+    info_specs = {a: visible(a) for a in agents}
 
     model = build_wmodel(nature, agents, action_factors, info_specs)
 

@@ -198,12 +198,13 @@ class RiskMeasure:
         return RiskMeasure(RiskKind.CVAR, belief, alpha)
 
 
-def _expectation(pairs: list[tuple[float, float]]) -> float:
-    """Weighted mean of (value, mass) pairs with the infinity conventions."""
+def _expectation(pairs: list[tuple[float, float]], where: str = "carry positive mass") -> float:
+    """Weighted mean of (value, mass) pairs with the infinity conventions;
+    ``where`` ends the message raised when both infinities occur."""
     has_pos = any(v == math.inf for v, _ in pairs)
     has_neg = any(v == -math.inf for v, _ in pairs)
     if has_pos and has_neg:
-        raise IndeterminateValue("both +inf and -inf carry positive mass")
+        raise IndeterminateValue(f"both +inf and -inf {where}")
     if has_pos:
         return math.inf
     if has_neg:
@@ -226,16 +227,7 @@ def _adverse_tail_mean(
         take = min(m, remaining)
         taken.append((v, take))
         remaining -= take
-    has_pos = any(v == math.inf for v, _ in taken)
-    has_neg = any(v == -math.inf for v, _ in taken)
-    if has_pos and has_neg:
-        raise IndeterminateValue("both +inf and -inf lie in the adverse tail")
-    if has_pos:
-        return math.inf
-    if has_neg:
-        return -math.inf
-    consumed = math.fsum(m for _, m in taken)
-    return math.fsum(v * m for v, m in taken) / consumed
+    return _expectation(taken, "lie in the adverse tail")
 
 
 def apply_risk(risk: RiskMeasure, values: Sequence[float], sense: Sense) -> float:

@@ -203,6 +203,8 @@ class TestExitCodes:
             ("sample=-5,seed=1", "sample size must be at least 1, got -5"),
             ("sample=0", "sample size must be at least 1, got 0"),
             ("sample=3,sede=9", "unknown key 'sede'"),
+            ("sample=5,n=7", "repeated key 'n'"),
+            ("sample=5,seed=1,seed=2", "repeated key 'seed'"),
         ],
     )
     def test_bad_sample_mode_exit_2(self, tmp_path, mode, message):
@@ -227,6 +229,17 @@ class TestExitCodes:
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
         assert str(missing) in res.stderr
         assert not missing.parent.exists()
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_sample_size_above_cap_exit_3(self, tmp_path, n):
+        path = write_mutual_observation(tmp_path)
+        res = run_cli("playability", "--game", path, "--cap", "10", "--mode", f"sample={n}")
+        if n > 10:
+            assert res.returncode == 3 and res.stdout == ""
+            assert res.stderr == "error: sampled profiles needs 11 items, cap is 10\n"
+        else:
+            assert res.returncode in (0, 2), res.stderr
+            assert json.loads(res.stdout)["results"]["profiles_checked"] == 10
 
     def test_playability_sample_mode(self, tmp_path):
         path = write_mutual_observation(tmp_path)
@@ -429,3 +442,32 @@ class TestLeaderRiskModes:
             f"error: bad mode {flag!r}; use optimistic, pessimistic, theta=T, or "
             "leader-risk=expectation-uniform|worst-case|cvar:ALPHA\n"
         )
+
+
+class TestInProcessRuns:
+    """``main`` builds its parser once; later calls in the same process must
+    behave like a fresh ``python -m infogames.cli`` process."""
+
+    def test_repeated_main_calls_match_fresh_processes(self, tmp_path, capsys):
+        cyclic = str(GAMES_DIR / "cyclic_three_agents.json")
+        tou = str(GAMES_DIR / "tou_pricing.json")
+        # (arguments, whether the report goes to --out)
+        runs = [
+            (["playability", "--game", cyclic, "--mode", "sample=3,seed=7"], True),
+            (["nash-stackelberg", "--game", tou, "--mode", "theta=0.5"], False),
+            (["playability", "--game", cyclic, "--format", "text"], True),
+            (["playability", "--game", cyclic, "--mode", "sample=3,seed=1,seed=2"], True),
+            (["nash-stackelberg", "--game", tou, "--mode", "theta=0.5"], True),
+        ]
+        codes = []
+        for i, (args, to_file) in enumerate(runs):
+            here, fresh = tmp_path / f"in-process-{i}", tmp_path / f"fresh-{i}"
+            code = main([*args, "--out", str(here)] if to_file else args)
+            out, err = capsys.readouterr()
+            res = run_cli(*args, "--out", str(fresh)) if to_file else run_cli(*args)
+            assert (code, out, err) == (res.returncode, res.stdout, res.stderr), args
+            assert here.exists() == fresh.exists()
+            if here.exists():
+                assert here.read_bytes() == fresh.read_bytes()
+            codes.append(code)
+        assert codes == [0, 0, 2, 2, 0]

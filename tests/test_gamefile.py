@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,9 @@ from infogames import (
     normal_form_matrix,
 )
 from infogames.models import GridSpec, ThaiParams, TouParams
+
+
+GAMES_DIR = Path(__file__).resolve().parent.parent / "games"
 
 
 def pd_doc():
@@ -109,6 +113,35 @@ class TestLoad:
         doc["version"] = 99
         with pytest.raises(SchemaError, match="version"):
             load_game_document(doc)
+
+    @pytest.mark.parametrize(
+        "game,where,message",
+        [
+            ("thai_dr_single.json", ["horizn"], "$.builtin.params.horizn: unknown parameter"),
+            ("tou_pricing.json", ["shift"], "$.builtin.params.shift: unknown parameter"),
+            (
+                "tou_pricing.json",
+                ["demand", "mass"],
+                "$.builtin.params.demand.mass: unknown grid key",
+            ),
+            (
+                "thai_dr_single.json",
+                ["leader_coeffs", "true-index"],
+                "$.builtin.params.leader_coeffs.true-index: unknown grid key",
+            ),
+        ],
+    )
+    def test_unknown_builtin_keys_rejected(self, game, where, message):
+        with open(GAMES_DIR / game, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        load_game_document(doc)
+        node = doc["builtin"]["params"]
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = 3
+        with pytest.raises(SchemaError) as exc:
+            load_game_document(doc)
+        assert str(exc.value) == message
 
     def test_unknown_model_rejected(self):
         with pytest.raises(SchemaError, match="unknown builtin model"):

@@ -303,6 +303,17 @@ class TestPlayability:
             with pytest.raises(ValueError, match="sample size must be at least 1"):
                 check_playability(mutual_observation_model(), (n, 1))
 
+    def test_sample_size_is_capped_before_drawing(self, monkeypatch):
+        def draw(model, rng):
+            raise AssertionError("a profile was drawn")
+
+        monkeypatch.setattr(infogames.model, "_random_profile", draw)
+        model = mutual_observation_model()
+        for n, cap in ((10**18, 10**6), (11, 10)):
+            with pytest.raises(CapacityExceeded, match="sampled profiles needs") as info:
+                check_playability(model, (n, 1), cap=cap)
+            assert (info.value.needed, info.value.cap) == (n, cap)
+
     def test_sample_mode_is_deterministic(self):
         model = mutual_observation_model()
         r1 = check_playability(model, (5, 42))

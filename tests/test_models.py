@@ -23,6 +23,7 @@ from infogames import (
     check_playability,
     check_sequential,
     count_strategies,
+    cylinder_partition,
     followers_nash,
     matrix_to_csv,
     nash_stackelberg,
@@ -358,6 +359,70 @@ class TestThaiMultiStage:
         assert str(info.value) == str(
             CapacityExceeded(needed, needed - 1, "strategy profiles of the built game")
         )
+
+
+def documented_visible(game, params: ThaiParams, agent) -> set[str]:
+    """The factors ``agent`` observes as the ThaiParams docstring states it:
+    none under open-loop; otherwise his own type, for a follower also the
+    current stage's target, and under full-history also the exogenous
+    factors of earlier stages and the decision of every agent of an earlier
+    stage."""
+    if params.info_mode == "open-loop":
+        return set()
+    stage = agent.stage or 1
+    full = params.info_mode == "full-history"
+    seen = {f"{agent.player}_type"}
+    for f in game.model.nature_factors:
+        if full and f.kind == "nature-exogenous" and int(f.id.removeprefix("exo_")) < stage:
+            seen.add(f.id)
+    for other in game.model.agents:
+        other_stage = other.stage or 1
+        current_target = other.player == "leader" and other_stage == stage
+        if (agent.player != "leader" and current_target) or (full and other_stage < stage):
+            seen.add(game.model.action_factors[other].id)
+    return seen
+
+
+THAI_INFO_CASES = [(build_thai_slsf_st, "current-stage", 1, 1, "omitted")] + [
+    (builder, info_mode, horizon, followers, exogenous)
+    for builder, followers in ((build_thai_slsf_mt, 1), (build_thai_slmf_mt, 1), (build_thai_slmf_mt, 2))
+    for info_mode in ("open-loop", "current-stage", "full-history")
+    for horizon in (1, 2, 3)
+    for exogenous in ("omitted", "length 1", "length horizon")
+]
+
+
+class TestThaiInformation:
+    @pytest.mark.parametrize(
+        "builder,info_mode,horizon,followers,exogenous",
+        THAI_INFO_CASES,
+        ids=[f"{c[0].__name__}-{c[1]}-T{c[2]}-F{c[3]}-exo {c[4]}" for c in THAI_INFO_CASES],
+    )
+    def test_partitions_are_the_documented_cylinders(
+        self, builder, info_mode, horizon, followers, exogenous
+    ):
+        # Two-element grids everywhere, so that every factor an agent could
+        # observe splits his information.
+        exo = {
+            "omitted": None,
+            "length 1": (GridSpec((1.0, 1.5)),),
+            "length horizon": tuple(GridSpec((1.0, 2.0 + t)) for t in range(horizon)),
+        }[exogenous]
+        params = thai_params(
+            horizon=horizon,
+            followers=tuple(f"f{i}" for i in range(1, followers + 1)),
+            targets=(0.0, 4.0),
+            consumptions=(6.0, 8.0),
+            leader_coeffs=GridSpec(((0.3, 0.0), (0.5, 0.0))),
+            follower_coeffs=GridSpec(((2.0, 0.1), (1.0, 0.2))),
+            exogenous=exo,
+            info_mode=info_mode,
+        )
+        game = builder(params, cap=math.inf)
+        space = game.model.configuration
+        for agent in game.model.agents:
+            visible = documented_visible(game, params, agent)
+            assert game.model.info[agent] == cylinder_partition(space, visible), agent
 
 
 class TestThaiMultiFollower:

@@ -173,6 +173,20 @@ class TestApplyRisk:
         with pytest.raises(IndeterminateValue):
             apply_risk(RiskMeasure.expectation(b), [INF, -INF], Sense.COST)
 
+    @pytest.mark.parametrize(
+        "measure,message",
+        [
+            (RiskMeasure.expectation, "both +inf and -inf carry positive mass"),
+            (lambda b: RiskMeasure.cvar(1.0, b), "both +inf and -inf lie in the adverse tail"),
+        ],
+        ids=["expectation", "cvar"],
+    )
+    def test_indeterminate_value_messages(self, measure, message):
+        risk = measure(Belief.uniform(nature_space(3)))
+        with pytest.raises(IndeterminateValue) as info:
+            apply_risk(risk, [INF, 1.0, -INF], Sense.COST)
+        assert str(info.value) == message
+
     def test_alpha_validation(self):
         space = nature_space(2)
         b = Belief.uniform(space)

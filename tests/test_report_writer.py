@@ -103,11 +103,10 @@ def test_cli_reports_are_json_dumps_indent_2(tmp_path, capsys, command, game, mo
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
     # The in-memory report, tuples and shared sub-documents included, encodes
     # the same way.
-    options = {}
+    options, parsed = {}, None
     if command == "playability":
-        options = {"mode": mode, "mode_parsed": cli._parse_playability_mode(mode)}
+        options, parsed = {"mode": mode}, cli._parse_playability_mode(mode)
     elif mode:
-        options = {"mode_parsed": cli._parse_stackelberg_mode(mode)}
-    report, _ = cli.run(command, path, options, cli.DEFAULT_CAP)
-    report["options"] = {k: v for k, v in options.items() if not k.endswith("_parsed")}
+        parsed = cli._parse_stackelberg_mode(mode)
+    report, _ = cli.run(command, path, options, cli.DEFAULT_CAP, parsed)
     assert _dumps(report) == json.dumps(report, indent=2)
