@@ -1,11 +1,17 @@
 """Best responses, Nash equilibria, and leader-follower (Stackelberg) search.
 
-Everything here is exhaustive enumeration with hard caps and deterministic
-ordering: ties are all included, in enumeration-index order, and every
-reported Nash profile is re-verified, on an evaluator that shares no memo with
-the search, before emission.  Extended-real values participate in the
-argmin/argmax directly; a best-response set whose every member sits at the
-adverse infinity is returned in full with a diagnostic flag.
+Everything here is exact with hard caps and deterministic ordering: ties are
+all included, in enumeration-index order, and every reported Nash profile is
+re-verified, on an evaluator that shares no memo with the search, against
+every unilateral deviation before emission.  Extended-real values participate
+in the argmin/argmax directly; a best-response set whose every member sits at
+the adverse infinity is returned in full with a diagnostic flag.
+
+The search enumerates strategies, except for a one-agent player judged by her
+normal-form value in a sequential model: her value in a context reads her
+actions only at her memo-key atoms, so her best-response set is built by
+scoring each key once (see :class:`_Session`), with the same values, members,
+order, evaluations and caps as enumeration.
 
 Optimistic, pessimistic and theta leader anticipation are interpreted with
 respect to the leader's objective sense: optimistic picks the follower best
@@ -18,11 +24,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import EmptyFollowerResponse, IndeterminateValue
-from .model import DEFAULT_CAP, StrategyProfile, count_profiles
-from .normal_form import Evaluator, PlayerStrategy, assemble_profile, player_strategies
+from .model import DEFAULT_CAP, Strategy, StrategyProfile, count_profiles
+from .normal_form import (
+    Context,
+    Evaluator,
+    PlayerStrategy,
+    assemble_profile,
+    count_player_strategies,
+    player_strategies,
+)
 from .preferences import Sense, WGame, _adverse_tail_mean, _expectation
 
 # A joint assignment for a group of players, in declaration order.
@@ -141,17 +155,92 @@ def best_responses(
         raise ValueError(
             f"context must fix exactly the other players {sorted(expected)}"
         )
-    session = _Session(game, evaluator, cap)
-    space = session.space(player)
-    values = session.scores(player, player, others, space)
-    best = session.best_of(player, values)
+    count_player_strategies(game, player, cap)
+    members, best, _ = _Session(game, evaluator, cap).best_set(player, others)
     return BestResponseSet(
         player,
         _context_key(game, player, others),
-        tuple(cand for cand, v in zip(space, values) if v == best),
+        members,
         best,
         all_adverse=(best == game.data[player].objective.sense.adverse),
     )
+
+
+def _spread(size: int, positions: Sequence[int], actions: Sequence[int]) -> tuple[int, ...]:
+    """The table of ``size`` atoms playing ``actions`` at ``positions`` and
+    action 0 elsewhere."""
+    table = [0] * size
+    for pos, a in zip(positions, actions):
+        table[pos] = a
+    return tuple(table)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class _Responses:
+    """A one-agent player's best-response set in one context, built from her
+    memo key (:meth:`~infogames.normal_form.Context.key_atoms`).
+
+    Her value reads her actions only at the key ``atoms``, so each key is
+    scored once, on the lexicographically smallest table carrying it (zeros
+    elsewhere), which is the table enumeration meets first.  ``keys`` are the
+    keys scoring ``value``, in lexicographic order.  A table of ``size``
+    atoms and ``count`` actions is a member iff its actions at ``atoms`` form
+    one of ``keys``; every action is allowed at the other atoms.
+    """
+
+    ctx: Context
+    size: int
+    count: int
+    atoms: tuple[int, ...]
+    keys: list[tuple[int, ...]]
+    value: float
+
+    def tables(self, positions: Sequence[int]) -> list[tuple[int, ...]]:
+        """The members' actions at ``positions`` (ascending, containing the
+        key atoms), each once, in lexicographic order."""
+        trie: dict = {}
+        for key in self.keys:
+            node = trie
+            for a in key:
+                node = node.setdefault(a, {})
+        # Keys are inserted in lexicographic order, so every node lists its
+        # children in ascending order.
+        in_key = set(self.atoms)
+        actions = range(self.count)
+        level: list = [((), trie)]
+        for pos in positions:
+            if pos in in_key:
+                level = [(t + (a,), sub) for t, node in level for a, sub in node.items()]
+            else:
+                level = [(t + (a,), node) for t, node in level for a in actions]
+        return [t for t, _ in level]
+
+    def strategies(self) -> tuple[PlayerStrategy, ...]:
+        """Every member, in enumeration order."""
+        agent = self.ctx.agent
+        return tuple((Strategy(agent, t),) for t in self.tables(range(self.size)))
+
+    def leader_values(self, evaluator: Evaluator, leader: str, multiset: bool) -> list[float]:
+        """The leader's values at the members, scored from the context once
+        per distinct leader memo key in member order: every member's value
+        in member order with ``multiset``, else each distinct key's once.
+
+        The first member carrying a leader key has zeros off the key atoms of
+        both players, so walking the members' actions at those atoms meets
+        the keys in member order, each at the table enumeration scores."""
+        ctx = self.ctx
+        lead = ctx.key_atoms(evaluator.game.data[leader].risk)
+        positions = range(self.size) if multiset else sorted({*self.atoms, *lead})
+        key_of = itemgetter(*(positions.index(a) for a in lead))
+        scored: dict = {}
+        out = []
+        for t in self.tables(positions):
+            key = key_of(t)
+            if key not in scored:
+                table = _spread(self.size, positions, t)
+                scored[key] = evaluator.value(leader, ctx, Strategy(ctx.agent, table))
+            out.append(scored[key])
+        return out if multiset else list(scored.values())
 
 
 class _Session:
@@ -166,6 +255,15 @@ class _Session:
     context tables.  A player deviates through her last agent; the session
     looks a context up by that player, the other players' strategies and her
     other agents' strategies, so no profile is assembled per candidate.
+
+    A one-agent player judged by the normal-form value in a sequential model
+    is *keyed*: her best value and best-response set in a context come from
+    :class:`_Responses`, which scores each of her memo keys once instead of
+    each of her strategies, and lists members only when a caller needs them.
+    A leader's anticipation over a single keyed follower's set scores that
+    context once per distinct leader memo key.  Everything else (leaders
+    judged by anticipation, multi-agent players, non-sequential models, and
+    the joint profiles of several players) enumerates strategies.
     """
 
     def __init__(
@@ -179,8 +277,16 @@ class _Session:
         self.evaluator = evaluator if evaluator is not None else Evaluator(game)
         self.cap = cap
         self.mode = mode
+        self._keyed = frozenset(
+            p
+            for p in game.players.players
+            if self.evaluator.sequential_order is not None
+            and len(game.agents_of(p)) == 1
+            and (mode is None or p not in game.leaders)
+        )
         self._spaces: dict[str, list[PlayerStrategy]] = {}
         self._contexts: dict = {}
+        self._responses: dict = {}
         self._best: dict = {}
         self._anticipated: dict = {}
         self._followers_nash: dict = {}
@@ -189,6 +295,26 @@ class _Session:
         if player not in self._spaces:
             self._spaces[player] = player_strategies(self.game, player, self.cap)
         return self._spaces[player]
+
+    def count(self, players: Sequence[str]) -> int:
+        """The group's joint profile count, checked against the cap."""
+        return count_profiles(
+            self.game.model,
+            [a for p in players for a in self.game.agents_of(p)],
+            self.cap,
+            f"profiles of players {list(players)}",
+        )
+
+    def _context(self, deviator: str, others, fixed, candidate: PlayerStrategy) -> Context:
+        """The context of ``deviator``'s last agent when her other agents play
+        ``candidate``'s and the other players (``others``, the context key of
+        ``fixed``) theirs."""
+        key = (deviator, others, candidate[:-1])
+        ctx = self._contexts.get(key)
+        if ctx is None:
+            profile = assemble_profile(self.game, {**fixed, deviator: candidate})
+            ctx = self._contexts[key] = self.evaluator.context(candidate[-1].agent, profile)
+        return ctx
 
     def scores(
         self,
@@ -211,13 +337,35 @@ class _Session:
         for c in candidates:
             if c[:-1] != rest:
                 rest = c[:-1]
-                key = (deviator, others, rest)
-                ctx = self._contexts.get(key)
-                if ctx is None:
-                    profile = assemble_profile(game, {**fixed, deviator: c})
-                    ctx = self._contexts[key] = evaluator.context(c[-1].agent, profile)
+                ctx = self._context(deviator, others, fixed, c)
             out.append(evaluator.value(player, ctx, c[-1]))
         return out
+
+    def responses(self, player: str, fixed: Mapping[str, PlayerStrategy]) -> _Responses:
+        """A keyed player's best-response set against the other players'
+        strategies in ``fixed``; her keys are scored in lexicographic order,
+        which is the order enumeration meets them in."""
+        others = _context_key(self.game, player, fixed)
+        rs = self._responses.get((player, others))
+        if rs is None:
+            (agent,) = self.game.agents_of(player)
+            size = self.game.model.info[agent].atom_count
+            count = self.game.model.action_factors[agent].size
+            zeros = Strategy(agent, (0,) * size)
+            ctx = self._context(player, others, fixed, (zeros,))
+            atoms = ctx.key_atoms(self.game.data[player].risk)
+            keys = list(itertools.product(range(count), repeat=len(atoms)))
+            values = []
+            for key in keys:
+                # keys[0] is all zeros, the table the context was built with.
+                rep = Strategy(agent, _spread(size, atoms, key)) if any(key) else zeros
+                values.append(self.evaluator.value(player, ctx, rep))
+            best = self.best_of(player, values)
+            rs = _Responses(
+                ctx, size, count, atoms, [k for k, v in zip(keys, values) if v == best], best
+            )
+            self._responses[(player, others)] = rs
+        return rs
 
     def value(
         self, player: str, assignment: Mapping[str, PlayerStrategy], deviator: str | None = None
@@ -235,15 +383,22 @@ class _Session:
         leaders = {ld: assignment[ld] for ld in self.game.leaders}
         key = (player, tuple(leaders.values()))
         if key not in self._anticipated:
-            responses = self.followers_nash(leaders)
-            if not self.game.followers:
+            followers = self.game.followers
+            if len(followers) == 1 and followers[0] in self._keyed:
+                self.count(followers)
+                rs = self.responses(followers[0], leaders)
+                multiset = self.mode.kind == "leader-risk"
+                values = rs.leader_values(self.evaluator, player, multiset)
+            elif not followers:
+                self.followers_nash(leaders)
                 values = [self.value(player, leaders)]
             else:
                 # Responses come in enumeration order, the last follower
                 # fastest, so each run sharing the other followers' strategies
                 # is scored from one context.
-                last = self.game.followers[-1]
+                last = followers[-1]
                 values = []
+                responses = self.followers_nash(leaders)
                 for head, group in itertools.groupby(responses, key=lambda fp: fp[:-1]):
                     fixed = {**leaders, **dict(head)}
                     values += self.scores(player, last, fixed, [fp[-1][1] for fp in group])
@@ -275,10 +430,28 @@ class _Session:
     ) -> float | None:
         """Best judged value the player can reach against the fixed others;
         deviations without a judged value are skipped."""
+        if player in self._keyed:
+            return self.responses(player, assignment).value
         key = (player, _context_key(self.game, player, assignment))
         if key not in self._best:
             self._best[key] = self.best_of(player, self.judged_all(player, assignment))
         return self._best[key]
+
+    def best_set(
+        self, player: str, fixed: Mapping[str, PlayerStrategy]
+    ) -> tuple[tuple[PlayerStrategy, ...], float | None, int]:
+        """The player's strategies whose judged value is her best against the
+        others in ``fixed``, in enumeration order; that best; and the number
+        of her strategies without a judged value."""
+        if player in self._keyed:
+            rs = self.responses(player, fixed)
+            return rs.strategies(), rs.value, 0
+        values = self.judged_all(player, fixed)
+        best = self.best_of(player, values)
+        members = tuple(
+            cand for cand, v in zip(self.space(player), values) if v is not None and v == best
+        )
+        return members, best, sum(v is None for v in values)
 
     def nash(
         self, players: Sequence[str], fixed: Mapping[str, PlayerStrategy]
@@ -291,26 +464,15 @@ class _Session:
         judged value, and whether some best value was the adverse infinity.
         Members are checked in order and the first failure ends a profile's
         check, which fixes both the set of evaluations and that flag.  A
-        one-player group has a single context, so its judged values and their
-        best are computed once.
+        one-player group has a single context, so it is her best-response
+        set (:meth:`best_set`).
         """
-        total = count_profiles(
-            self.game.model,
-            [a for p in players for a in self.game.agents_of(p)],
-            self.cap,
-            f"profiles of players {list(players)}",
-        )
+        total = self.count(players)
         if len(players) == 1:
             (p,) = players
-            values = self.judged_all(p, fixed)
-            best = self.best_of(p, values)
-            found = tuple(
-                ((p, cand),)
-                for cand, v in zip(self.space(p), values)
-                if v is not None and v == best
-            )
+            members, best, infeasible = self.best_set(p, fixed)
             all_adverse = best is not None and best == self.game.data[p].objective.sense.adverse
-            return found, total, sum(v is None for v in values), all_adverse
+            return tuple(((p, cand),) for cand in members), total, infeasible, all_adverse
         found: list[GroupProfile] = []
         infeasible = 0
         all_adverse = False

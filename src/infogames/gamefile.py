@@ -82,44 +82,44 @@ def render_extended(v: float):
     return v
 
 
+def _number(v, path: str) -> float:
+    """An int or float that is not a bool, as a float."""
+    _expect(isinstance(v, (int, float)) and not isinstance(v, bool), path, "expected a number")
+    return float(v)
+
+
 def _number_list(raw, path: str) -> tuple[float, ...]:
     _expect(isinstance(raw, list) and raw, path, "expected a non-empty list of numbers")
-    out = []
-    for i, v in enumerate(raw):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaError(f"{path}[{i}]", "expected a number")
-        out.append(float(v))
-    return tuple(out)
+    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(raw))
 
 
-def _reject_unknown(raw: dict, cls, path: str, what: str):
-    """Reject a key of ``raw`` that names no field of the dataclass ``cls``."""
-    known = {f.name for f in dataclasses.fields(cls)}
+def _reject_unknown(raw: dict, known, path: str, what: str = "key"):
+    """Reject a key of ``raw`` that is not in ``known``."""
     for key in raw:
         _expect(key in known, f"{path}.{key}", f"unknown {what}")
 
 
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
 def _grid_spec(raw, path: str, pairs: bool = False) -> GridSpec:
     _expect(isinstance(raw, dict), path, "expected an object")
-    _reject_unknown(raw, GridSpec, path, "grid key")
+    _reject_unknown(raw, _field_names(GridSpec), path, "grid key")
     values_raw = _get(raw, "values", path, list)
     _expect(bool(values_raw), f"{path}.values", "grid must be non-empty")
     values: list = []
     for i, v in enumerate(values_raw):
+        vp = f"{path}.values[{i}]"
         if pairs:
             _expect(
                 isinstance(v, list) and len(v) == 2,
-                f"{path}.values[{i}]",
+                vp,
                 "expected a [linear, quadratic] coefficient pair",
             )
-            values.append((float(v[0]), float(v[1])))
+            values.append(tuple(_number(c, f"{vp}[{j}]") for j, c in enumerate(v)))
         else:
-            _expect(
-                isinstance(v, (int, float)) and not isinstance(v, bool),
-                f"{path}.values[{i}]",
-                "expected a number",
-            )
-            values.append(float(v))
+            values.append(_number(v, vp))
     masses = raw.get("masses")
     if masses is not None:
         masses = _number_list(masses, f"{path}.masses")
@@ -139,7 +139,7 @@ def _load_builtin(section: dict, path: str, cap: int) -> WGame:
             _expect(not params, p, "prisoners_dilemma takes no parameters")
             return build_prisoners_dilemma()
         if name == "tou_pricing":
-            _reject_unknown(params, TouParams, p, "parameter")
+            _reject_unknown(params, _field_names(TouParams), p, "parameter")
             return build_tou_game(
                 TouParams(
                     demand=_grid_spec(_get(params, "demand", p, dict), f"{p}.demand"),
@@ -157,7 +157,7 @@ def _load_builtin(section: dict, path: str, cap: int) -> WGame:
                 )
             )
         if name in ("thai_slsf_st", "thai_slsf_mt", "thai_slmf_mt"):
-            _reject_unknown(params, ThaiParams, p, "parameter")
+            _reject_unknown(params, _field_names(ThaiParams), p, "parameter")
             followers = params.get("followers")
             _expect(
                 "followers" not in params
@@ -208,12 +208,14 @@ def _load_builtin(section: dict, path: str, cap: int) -> WGame:
 
 
 def _load_custom(section: dict, path: str) -> WGame:
+    _reject_unknown(section, ("factors", "agents", "players"), path)
     factors_raw = _get(section, "factors", path, list)
     factors: dict[str, FiniteFactor] = {}
     nature = []
     for i, raw in enumerate(factors_raw):
         fp = f"{path}.factors[{i}]"
         _expect(isinstance(raw, dict), fp, "expected an object")
+        _reject_unknown(raw, ("id", "label", "kind", "elements"), fp)
         fid = _get(raw, "id", fp, str)
         label = _get(raw, "label", fp, str, required=False, default=fid)
         kind = _get(raw, "kind", fp, str)
@@ -242,6 +244,7 @@ def _load_custom(section: dict, path: str) -> WGame:
     for i, raw in enumerate(agents_raw):
         ap = f"{path}.agents[{i}]"
         _expect(isinstance(raw, dict), ap, "expected an object")
+        _reject_unknown(raw, ("player", "stage", "action", "info"), ap)
         player = _get(raw, "player", ap, str)
         stage = _get(raw, "stage", ap, int, required=False, default=None)
         action_id = _get(raw, "action", ap, str)
@@ -260,6 +263,7 @@ def _load_custom(section: dict, path: str) -> WGame:
     info_specs = {}
     for agent, (raw, ap) in info_raw.items():
         ip = f"{ap}.info"
+        _reject_unknown(raw, ("cylinder", "atoms"), ip)
         if "cylinder" in raw:
             visible = raw["cylinder"]
             _expect(
@@ -297,6 +301,7 @@ def _load_custom(section: dict, path: str) -> WGame:
     for i, raw in enumerate(players_raw):
         pp = f"{path}.players[{i}]"
         _expect(isinstance(raw, dict), pp, "expected an object")
+        _reject_unknown(raw, ("id", "role", "objective", "belief", "risk"), pp)
         pid = _get(raw, "id", pp, str)
         _expect(pid not in player_ids, f"{pp}.id", f"duplicate player {pid!r}")
         player_ids.append(pid)
@@ -307,6 +312,7 @@ def _load_custom(section: dict, path: str) -> WGame:
             raise SchemaError(f"{pp}.role", f"role must be 'leader' or 'follower', got {role!r}")
 
         obj_raw = _get(raw, "objective", pp, dict)
+        _reject_unknown(obj_raw, ("sense", "values"), f"{pp}.objective")
         sense_raw = _get(obj_raw, "sense", f"{pp}.objective", str)
         try:
             sense = Sense(sense_raw)
@@ -331,6 +337,7 @@ def _load_custom(section: dict, path: str) -> WGame:
         belief_raw = _get(raw, "belief", pp, dict, required=False, default=None)
         if belief_raw is not None:
             bp = f"{pp}.belief"
+            _reject_unknown(belief_raw, ("product", "joint"), bp)
             try:
                 if "product" in belief_raw:
                     vectors = belief_raw["product"]
@@ -350,6 +357,7 @@ def _load_custom(section: dict, path: str) -> WGame:
 
         risk_raw = _get(raw, "risk", pp, dict, required=False, default={"kind": "expectation"})
         rp = f"{pp}.risk"
+        _reject_unknown(risk_raw, ("kind", "alpha"), rp)
         kind = _get(risk_raw, "kind", rp, str)
         try:
             if kind == "expectation":

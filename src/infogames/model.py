@@ -25,6 +25,7 @@ profile count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -97,6 +98,17 @@ class WModel:
 
     def nature_points(self) -> Iterator[Point]:
         return self.nature_space.points()
+
+    @functools.cached_property
+    def columns(self) -> dict[AgentId, tuple[Sequence[int], int, int]]:
+        """Per agent in model order: atom table, action stride, action count.
+        Computed on first use and kept, since the model is immutable."""
+        strides = self.configuration._strides
+        first = len(self.nature_factors)
+        return {
+            a: (self.info[a].atom_of, strides[first + i], self.action_factors[a].size)
+            for i, a in enumerate(self.agents)
+        }
 
 
 def build_wmodel(
@@ -282,26 +294,13 @@ def check_sequential(model: WModel) -> tuple[AgentId, ...] | None:
     return tuple(placed)
 
 
-def _agent_columns(model: WModel) -> dict[AgentId, tuple[Sequence[int], int, int]]:
-    """Per agent in model order: atom table, action stride, action count."""
-    strides = model.configuration._strides
-    first = len(model.nature_factors)
-    return {
-        a: (model.info[a].atom_of, strides[first + i], model.action_factors[a].size)
-        for i, a in enumerate(model.agents)
-    }
-
-
-def _fixed_points(
-    model: WModel, columns: dict[AgentId, tuple], profile: StrategyProfile
-) -> Iterator[list[int]]:
+def _fixed_points(model: WModel, profile: StrategyProfile) -> Iterator[list[int]]:
     """Flat indices solving the closed-loop equation, one list per nature
     state in nature order, each scanning that state's block in point order.
-    ``columns`` is :func:`_agent_columns` of the model; the profile's
-    strategies pair with it by position."""
+    The profile's strategies pair with :attr:`WModel.columns` by position."""
     checks = [
         (atom_of, s.table, stride, count)
-        for (atom_of, stride, count), s in zip(columns.values(), profile.strategies)
+        for (atom_of, stride, count), s in zip(model.columns.values(), profile.strategies)
     ]
     size = model.configuration.size
     block = size // model.nature_space.size
@@ -317,7 +316,7 @@ def _bits(flags: Iterable[bool]) -> int:
     return int("".join("1" if f else "0" for f in flags)[::-1], 2)
 
 
-def _digit_masks(model: WModel, columns: dict[AgentId, tuple]) -> list[list[int]]:
+def _digit_masks(model: WModel) -> list[list[int]]:
     """Consistency bitmasks over flat configuration indices, one list per
     strategy digit: agents in model order, atoms in table order within each,
     skipping agents with one action.  Entry ``j`` of digit ``(a, atom)`` has
@@ -326,7 +325,7 @@ def _digit_masks(model: WModel, columns: dict[AgentId, tuple]) -> list[list[int]
     size = model.configuration.size
     full = (1 << size) - 1
     digits = []
-    for a, (atom_of, stride, count) in columns.items():
+    for a, (atom_of, stride, count) in model.columns.items():
         if count == 1:
             continue
         coords = [i // stride % count for i in range(size)]
@@ -376,17 +375,16 @@ def _scan_all_profiles(model: WModel, cap: int) -> tuple[int, list[PlayabilityFa
     profile, in :func:`joint_strategies` order (see :func:`check_playability`).
     """
     checked = count_profiles(model, model.agents, cap, "strategy profiles")
-    columns = _agent_columns(model)
     # Without a sequential order some agent observes another's action axis,
     # which has two actions or more, so there is at least one digit.
-    digits = _digit_masks(model, columns)
+    digits = _digit_masks(model)
     size = model.configuration.size
     full = (1 << size) - 1
     # Each agent's strategy: a constant one for one-action agents, otherwise
     # the slice of the digit choices holding its table.
     parts: list[tuple[AgentId, Strategy | slice]] = []
     lo = 0
-    for a, (_, _, count) in columns.items():
+    for a, (_, _, count) in model.columns.items():
         m = model.info[a].atom_count
         if count == 1:
             parts.append((a, Strategy(a, (0,) * m)))
@@ -499,11 +497,10 @@ def check_playability(
         mode = "explicit"
 
     failures = []
-    columns = _agent_columns(model)
     nature = list(model.nature_points())
     point_at = model.configuration.point_at
     for profile in selected:
-        for omega, sols in zip(nature, _fixed_points(model, columns, profile)):
+        for omega, sols in zip(nature, _fixed_points(model, profile)):
             if len(sols) != 1:
                 failures.append(_failure(omega, profile, sols, point_at))
     return PlayabilityReport(not failures, mode, len(selected), tuple(failures))
@@ -524,8 +521,7 @@ def outcome_indices(
     """
     if order is None:
         outcomes = []
-        columns = _agent_columns(model)
-        for omega, sols in zip(model.nature_points(), _fixed_points(model, columns, profile)):
+        for omega, sols in zip(model.nature_points(), _fixed_points(model, profile)):
             if len(sols) != 1:
                 raise NotPlayable(omega, len(sols))
             outcomes.append(sols[0])
@@ -548,7 +544,7 @@ def deviation_table(
     base (every action 0) and adds ``action * stride`` per agent along the
     order: up to the agent, then once per action for the agents after him.
     """
-    columns = _agent_columns(model)
+    columns = model.columns
     tables = dict(zip(model.agents, (s.table for s in profile.strategies)))
     steps = [(columns[a][0], tables[a], columns[a][1]) for a in order]
     pos = order.index(agent)

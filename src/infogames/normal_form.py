@@ -74,8 +74,10 @@ def player_strategy_label(game: WGame, ps: PlayerStrategy) -> str:
     return " ".join(strategy_label(game, s) for s in ps)
 
 
-def count_player_strategies(game: WGame, player: str) -> int:
-    return count_profiles(game.model, game.agents_of(player))
+def count_player_strategies(game: WGame, player: str, cap: float = math.inf) -> int:
+    """The player's strategy count, checked against ``cap`` as
+    :func:`player_strategies` checks it."""
+    return count_profiles(game.model, game.agents_of(player), cap, f"strategies of player {player!r}")
 
 
 def player_strategies(
@@ -122,14 +124,17 @@ class Context:
     outcomes: list[Sequence[int]]
     memo: dict[str, tuple[Callable, dict]] = field(default_factory=dict)
 
-    def memo_key(self, risk: RiskMeasure) -> Callable:
-        """Getter of a strategy table's actions at the atoms of the
-        positive-mass states of ``risk`` (every state without a belief)."""
+    def key_atoms(self, risk: RiskMeasure) -> tuple[int, ...]:
+        """The atoms of the positive-mass states of ``risk`` (every state
+        without a belief), ascending."""
         masses = risk.belief.masses if risk.belief is not None else None
-        atoms = sorted(
-            {a for w, a in enumerate(self.atoms) if masses is None or masses[w] > 0}
+        return tuple(
+            sorted({a for w, a in enumerate(self.atoms) if masses is None or masses[w] > 0})
         )
-        return itemgetter(*atoms)
+
+    def memo_key(self, risk: RiskMeasure) -> Callable:
+        """Getter of a strategy table's actions at :meth:`key_atoms`."""
+        return itemgetter(*self.key_atoms(risk))
 
 
 class Evaluator:

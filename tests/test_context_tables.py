@@ -3,7 +3,9 @@
 ``PlainEvaluator`` scores every value, deviations included, by the full
 profile's outcome indices and one ``apply_risk`` call, with no memo.  The
 library's evaluator must give the same floats (``==`` and ``repr``), and every
-solver must return the same results with either evaluator.
+solver must return the same results with either evaluator.  Best-response
+sets built from memo keys must equal a brute-force enumeration of every
+strategy through that path.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ from __future__ import annotations
 import math
 import random
 
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +23,9 @@ from infogames import (
     OPTIMISTIC,
     PESSIMISTIC,
     Belief,
+    BestResponseSet,
+    CapacityExceeded,
+    EquilibriumReport,
     Evaluator,
     GameError,
     Objective,
@@ -25,19 +33,27 @@ from infogames import (
     PlayerPartition,
     RiskMeasure,
     Sense,
+    Strategy,
     StrategyProfile,
+    best_responses,
     build_wmodel,
     count_profiles,
     enumerate_strategies,
     followers_nash,
     leader_risk_mode,
+    leader_value,
+    load_game,
     make_wgame,
     nash_equilibria,
     nash_stackelberg,
+    player_strategies,
     stackelberg_strategies,
     theta_mode,
 )
+from infogames import equilibria
+from infogames.equilibria import Diagnostics, ProfileRecord, _anticipate
 from infogames.model import joint_strategies, outcome_indices
+from infogames.normal_form import assemble_profile
 from infogames.preferences import apply_risk
 from conftest import (
     random_information_parts,
@@ -47,6 +63,7 @@ from conftest import (
     random_sequential_model,
 )
 
+GAMES_DIR = Path(__file__).resolve().parent.parent / "games"
 PROFILE_LIMIT = 2000
 MODES = (
     OPTIMISTIC,
@@ -229,3 +246,259 @@ def test_generator_covers_the_cases():
         "only leaders",
     }
 
+
+
+# --- Keyed best-response sets against brute force ----------------------------
+#
+# A one-agent player judged by her normal-form value has her best-response
+# set built from her memo keys, and a leader's anticipation over one such
+# follower scores each distinct leader key once.  The oracle below enumerates
+# every strategy instead, scoring each with a ``score(player, assignment,
+# deviator)`` function: :func:`plain_scorer` scores full profiles through
+# ``PlainEvaluator`` (results must be equal), :func:`context_scorer` scores
+# from ``Evaluator`` context tables, as enumeration did (the evaluation count
+# must be equal).
+
+
+def plain_scorer(game):
+    plain = PlainEvaluator(game)
+    return lambda p, assignment, deviator: plain.value(p, assemble_profile(game, assignment))
+
+
+def context_scorer(game):
+    ev = Evaluator(game)
+
+    def score(p, assignment, deviator):
+        own = assignment[deviator][-1]
+        ctx = ev.context(own.agent, assemble_profile(game, assignment))
+        return ev.value(p, ctx, own)
+
+    return ev, score
+
+
+def _first_best(sense, values):
+    best = None
+    for v in values:
+        if v is not None and (best is None or sense.better(v, best)):
+            best = v
+    return best
+
+
+def oracle_best_responses(game, score, player, others):
+    sense = game.data[player].objective.sense
+    space = player_strategies(game, player)
+    values = [score(player, {**others, player: c}, player) for c in space]
+    best = _first_best(sense, values)
+    context = tuple((q, others[q]) for q in game.players.players if q != player)
+    members = tuple(c for c, v in zip(space, values) if v == best)
+    return BestResponseSet(player, context, members, best, all_adverse=(best == sense.adverse))
+
+
+def oracle_leader_value(game, score, leaders, mode):
+    (leader,), (follower,) = game.leaders, game.followers
+    members = oracle_best_responses(game, score, follower, leaders).strategies
+    values = [score(leader, {**leaders, follower: c}, follower) for c in members]
+    return _anticipate(values, game.data[leader].objective.sense, mode)
+
+
+def oracle_stackelberg(game, score, mode):
+    (leader,) = game.leaders
+    space = player_strategies(game, leader)
+    values = [oracle_leader_value(game, score, {leader: c}, mode) for c in space]
+    best = _first_best(game.data[leader].objective.sense, values)
+    leader_set = tuple(((leader, c),) for c, v in zip(space, values) if v == best)
+    diag = Diagnostics(profiles_enumerated=len(space), ties=len(leader_set) - 1)
+    return leader_set, diag
+
+
+def oracle_nash_stackelberg(game, score, mode):
+    leader_set, diag = oracle_stackelberg(game, score, mode)
+    (follower,) = game.followers
+    records = []
+    for leaders in leader_set:
+        for c in oracle_best_responses(game, score, follower, dict(leaders)).strategies:
+            assignment = {**dict(leaders), follower: c}
+            records.append(
+                ProfileRecord(
+                    tuple((p, assignment[p]) for p in game.players.players),
+                    assemble_profile(game, assignment),
+                    tuple((p, score(p, assignment, follower)) for p in game.players.players),
+                )
+            )
+    return EquilibriumReport("nash-stackelberg", tuple(records), diag, mode=mode)
+
+
+def random_leader_follower_game(rng: random.Random):
+    """A random game of :func:`random_game` with two players, the first
+    declared leader and the second follower (either may own several
+    agents)."""
+    while True:
+        game = random_game(rng)
+        if len(game.players.players) == 2:
+            break
+    leader = game.players.players[0]
+    return make_wgame(game.model, game.players, game.data, leaders=(leader,))
+
+
+def _key_atoms(game, player, others):
+    """The player's memo-key atoms and atom count in the context of ``others``."""
+    (agent,) = game.agents_of(player)
+    ev = Evaluator(game)
+    zeros = (next(enumerate_strategies(game.model, agent)),)
+    ctx = ev.context(agent, assemble_profile(game, {**others, player: zeros}))
+    return ctx.key_atoms(game.data[player].risk), game.model.info[agent].atom_count
+
+
+def _compare(game, solve, oracle):
+    """Library and oracle agree on result and repr (or on the raised error),
+    and the library makes exactly the evaluations enumeration makes."""
+    ev = Evaluator(game)
+    kernel = _outcome(lambda: solve(ev))
+    _assert_same(kernel, _outcome(lambda: oracle(plain_scorer(game))))
+    enumerated, context_score = context_scorer(game)
+    _assert_same(kernel, _outcome(lambda: oracle(context_score)))
+    assert ev.evaluations == enumerated.evaluations
+    return kernel
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_best_responses_match_brute_force(seed):
+    rng = random.Random(seed)
+    game = random_game(rng)
+    by_agent = {s.agent: s for s in random_profile(game.model, rng).strategies}
+    for player in game.players.players:
+        others = {
+            q: tuple(by_agent[a] for a in game.agents_of(q))
+            for q in game.players.players
+            if q != player
+        }
+        _compare(
+            game,
+            lambda ev: best_responses(game, player, others, evaluator=ev),
+            lambda score: oracle_best_responses(game, score, player, others),
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_leader_follower_solvers_match_brute_force(seed):
+    rng = random.Random(seed)
+    game = random_leader_follower_game(rng)
+    (leader,), (follower,) = game.leaders, game.followers
+    for c in player_strategies(game, leader):
+        leaders = {leader: c}
+        _compare(
+            game,
+            lambda ev: followers_nash(game, leaders, evaluator=ev),
+            lambda score: tuple(
+                ((follower, f),)
+                for f in oracle_best_responses(game, score, follower, leaders).strategies
+            ),
+        )
+        for mode in MODES:
+            _compare(
+                game,
+                lambda ev: leader_value(game, leader, leaders, mode, evaluator=ev),
+                lambda score: oracle_leader_value(game, score, leaders, mode),
+            )
+    for mode in MODES:
+        _compare(
+            game,
+            lambda ev: stackelberg_strategies(game, mode, evaluator=ev),
+            lambda score: oracle_stackelberg(game, score, mode),
+        )
+        _compare(
+            game,
+            lambda ev: nash_stackelberg(game, mode, evaluator=ev),
+            lambda score: oracle_nash_stackelberg(game, score, mode),
+        )
+
+
+def test_leader_follower_generator_covers_the_cases():
+    """The leader-follower games reach every case the keyed path
+    distinguishes, and ties among the follower's responses."""
+    seen = set()
+    for seed in range(300):
+        game = random_leader_follower_game(random.Random(seed))
+        (leader,), (follower,) = game.leaders, game.followers
+        if len(game.agents_of(follower)) > 1:
+            seen.add("multi-agent follower")
+            continue
+        risk = game.data[follower].risk
+        if risk.belief is None:
+            seen.add("worst case without belief")
+        elif 0.0 in risk.belief.masses:
+            seen.add("zero-mass state")
+        if risk.alpha is not None:
+            seen.add("cvar")
+        if game.data[follower].objective.sense.adverse in game.data[follower].objective.values:
+            seen.add("adverse infinity")
+        leaders = {leader: player_strategies(game, leader)[0]}
+        atoms, size = _key_atoms(game, follower, leaders)
+        if len(atoms) < size:
+            seen.add("atoms outside the key")
+        if len(followers_nash(game, leaders)) > 1:
+            seen.add("tied responses")
+    assert seen == {
+        "multi-agent follower",
+        "worst case without belief",
+        "zero-mass state",
+        "cvar",
+        "adverse infinity",
+        "atoms outside the key",
+        "tied responses",
+    }
+
+
+def test_stackelberg_builds_follower_strategies_only_to_score_keys(monkeypatch):
+    """``stackelberg`` on the shipped pricing game never enumerates the
+    follower's strategies: every follower strategy it builds is the one
+    representative scored for a memo key, and none outside the response
+    sets is listed."""
+    game = load_game(str(GAMES_DIR / "tou_pricing.json"))
+    (follower,) = game.followers
+    (agent,) = game.agents_of(follower)
+    built, enumerated = [], []
+
+    def strategy(a, table):
+        s = Strategy(a, table)
+        if a == agent:
+            built.append(s)
+        return s
+
+    def strategies(g, player, cap):
+        enumerated.append(player)
+        return player_strategies(g, player, cap)
+
+    monkeypatch.setattr(equilibria, "Strategy", strategy)
+    monkeypatch.setattr(equilibria, "player_strategies", strategies)
+    for mode in MODES:
+        built.clear()
+        ev = Evaluator(game)
+        assert stackelberg_strategies(game, mode, evaluator=ev)[0]
+        # Each follower strategy built is scored once, as an evaluation.
+        assert len(built) == ev.evaluations
+        built.clear()
+        ev = Evaluator(game)
+        report = nash_stackelberg(game, mode, evaluator=ev)
+        # ... and nash-stackelberg lists each reported response once more.
+        assert len(built) == ev.evaluations + len(report.profiles)
+    assert follower not in enumerated
+
+
+def test_keyed_paths_keep_the_cap_messages():
+    """Capped before anything is scored, with the enumeration's messages."""
+    game = load_game(str(GAMES_DIR / "tou_pricing.json"))
+    (leader,), (follower,) = game.leaders, game.followers
+    n = count_profiles(game.model, game.agents_of(follower))
+    leaders = {leader: player_strategies(game, leader)[0]}
+    cases = [
+        (lambda: best_responses(game, follower, leaders, cap=n - 1), "strategies of player 'follower'"),
+        (lambda: followers_nash(game, leaders, cap=n - 1), "profiles of players ['follower']"),
+        (lambda: leader_value(game, leader, leaders, OPTIMISTIC, cap=n - 1), "profiles of players ['follower']"),
+    ]
+    for solve, what in cases:
+        with pytest.raises(CapacityExceeded) as exc:
+            solve()
+        assert str(exc.value) == str(CapacityExceeded(n, n - 1, what))

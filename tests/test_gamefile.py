@@ -143,6 +143,51 @@ class TestLoad:
             load_game_document(doc)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "pair,message",
+        [
+            ([0.3, None], "$.builtin.params.leader_coeffs.values[0][1]: expected a number"),
+            (["a", 0], "$.builtin.params.leader_coeffs.values[0][0]: expected a number"),
+            ([True, 0], "$.builtin.params.leader_coeffs.values[0][0]: expected a number"),
+        ],
+    )
+    def test_grid_pair_coefficients_checked(self, pair, message):
+        with open(GAMES_DIR / "thai_dr_single.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["builtin"]["params"]["leader_coeffs"]["values"] = [pair]
+        with pytest.raises(SchemaError) as exc:
+            load_game_document(doc)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "where",
+        [
+            [],
+            ["factors", 1],
+            ["agents", 0],
+            ["agents", 0, "info"],
+            ["players", 0],
+            ["players", 0, "objective"],
+            ["players", 0, "belief"],
+            ["players", 0, "risk"],
+        ],
+    )
+    def test_unknown_custom_keys_rejected(self, where):
+        doc = custom_doc()
+        node = doc["custom"]
+        for step in where:
+            node = node[step]
+        node["belif"] = 1
+        path = "$.custom" + "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in where)
+        with pytest.raises(SchemaError) as exc:
+            load_game_document(doc)
+        assert str(exc.value) == f"{path}.belif: unknown key"
+
+    def test_shipped_and_exported_documents_have_known_keys(self):
+        for path in sorted(GAMES_DIR.glob("*.json")):
+            game = load_game(str(path))
+            load_game_document(json.loads(json.dumps(export_custom(game))))
+
     def test_unknown_model_rejected(self):
         with pytest.raises(SchemaError, match="unknown builtin model"):
             load_game_document({"version": 1, "builtin": {"model": "chess"}})
