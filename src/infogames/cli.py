@@ -97,9 +97,14 @@ def _parse_stackelberg_mode(raw: str) -> StackelbergMode:
         return PESSIMISTIC
     if raw.startswith("theta="):
         try:
-            return theta_mode(float(raw[len("theta="):]))
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+            theta = float(raw[len("theta="):])
+        except ValueError:
+            pass  # malformed: the usage message below
+        else:
+            try:
+                return theta_mode(theta)
+            except ValueError as exc:  # outside [0, 1], NaN included
+                raise argparse.ArgumentTypeError(str(exc)) from None
     if raw.startswith("leader-risk="):
         risk = raw[len("leader-risk="):]
         try:
@@ -418,13 +423,24 @@ def _emit(report: dict, fmt: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _cap(raw: str) -> int:
+    """``--cap``: a non-negative integer, else argparse's usage error."""
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = None
+    if cap is None or cap < 0:
+        raise argparse.ArgumentTypeError(f"cap must be a non-negative integer, got {raw!r}")
+    return cap
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--game", required=True, help="path to a game definition file")
     common.add_argument("--out", help="write the report to this path instead of stdout")
-    common.add_argument("--cap", type=int, default=DEFAULT_CAP, help="enumeration cap")
+    common.add_argument("--cap", type=_cap, default=DEFAULT_CAP, help="enumeration cap (>= 0)")
     common.add_argument("--format", choices=("json", "text"), default="json")
 
     parser = argparse.ArgumentParser(

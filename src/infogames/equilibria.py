@@ -261,7 +261,9 @@ class _Session:
     :class:`_Responses`, which scores each of her memo keys once instead of
     each of her strategies, and lists members only when a caller needs them.
     A leader's anticipation over a single keyed follower's set scores that
-    context once per distinct leader memo key.  Everything else (leaders
+    context once per distinct leader memo key, and ``nash_stackelberg``
+    reads that follower's records from the same context
+    (:func:`_keyed_records`).  Everything else (leaders
     judged by anticipation, multi-agent players, non-sequential models, and
     the joint profiles of several players) enumerates strategies.
     """
@@ -283,6 +285,12 @@ class _Session:
             if self.evaluator.sequential_order is not None
             and len(game.agents_of(p)) == 1
             and (mode is None or p not in game.leaders)
+        )
+        followers = game.followers
+        # A single keyed follower: leader anticipation and Nash-Stackelberg
+        # records read her response sets.
+        self._keyed_follower = (
+            followers[0] if len(followers) == 1 and followers[0] in self._keyed else None
         )
         self._spaces: dict[str, list[PlayerStrategy]] = {}
         self._contexts: dict = {}
@@ -384,9 +392,9 @@ class _Session:
         key = (player, tuple(leaders.values()))
         if key not in self._anticipated:
             followers = self.game.followers
-            if len(followers) == 1 and followers[0] in self._keyed:
+            if self._keyed_follower is not None:
                 self.count(followers)
-                rs = self.responses(followers[0], leaders)
+                rs = self.responses(self._keyed_follower, leaders)
                 multiset = self.mode.kind == "leader-risk"
                 values = rs.leader_values(self.evaluator, player, multiset)
             elif not followers:
@@ -535,7 +543,9 @@ def _record(session: _Session, assignment: Mapping[str, PlayerStrategy]) -> Prof
 
     Values are scored as deviations of the last follower, whose contexts the
     search has built: every member of a Nash profile was checked, and
-    anticipated leader values score the followers' responses that way."""
+    anticipated leader values score the followers' responses that way.  The
+    Nash-Stackelberg records of a single keyed follower are read from her
+    response sets' contexts instead (:func:`_keyed_records`)."""
     game = session.game
     players = game.players.players
     deviator = (game.followers or players)[-1]
@@ -661,6 +671,43 @@ def stackelberg_strategies(
     return _stackelberg_in_session(_Session(game, evaluator, cap, mode))
 
 
+def _keyed_records(
+    session: _Session, leader_set: Sequence[GroupProfile]
+) -> tuple[ProfileRecord, ...]:
+    """The records of a single keyed follower, read from her response sets.
+
+    Each Stackelberg leaders' profile is paired with every member of the
+    follower's set against it.  The member is spliced into the set's context
+    profile at her agent's position, and each player's value is the
+    context's memo entry for the member, which the search has scored.  That
+    is the member's own entry, not the set's best: tied keys compare equal
+    but may differ in the sign of zero."""
+    game, evaluator = session.game, session.evaluator
+    players = game.players.players
+    follower = session._keyed_follower
+    (agent,) = game.agents_of(follower)
+    at = game.model.agents.index(agent)
+    slot = players.index(follower)
+    records = []
+    for leaders in leader_set:
+        fixed = dict(leaders)
+        rs = session.responses(follower, fixed)
+        ctx = rs.ctx
+        head, tail = ctx.profile.strategies[:at], ctx.profile.strategies[at + 1:]
+        before = tuple((p, fixed[p]) for p in players[:slot])
+        after = tuple((p, fixed[p]) for p in players[slot + 1:])
+        for member in rs.strategies():
+            (s,) = member
+            records.append(
+                ProfileRecord(
+                    before + ((follower, member),) + after,
+                    StrategyProfile(head + member + tail),
+                    tuple((p, evaluator.value(p, ctx, s)) for p in players),
+                )
+            )
+    return tuple(records)
+
+
 def nash_stackelberg(
     game: WGame,
     mode: StackelbergMode,
@@ -672,9 +719,12 @@ def nash_stackelberg(
     _require_roles(game)
     session = _Session(game, evaluator, cap, mode)
     leader_set, diag = _stackelberg_in_session(session)
-    records = tuple(
-        _record(session, {**dict(leaders), **dict(fp)})
-        for leaders in leader_set
-        for fp in session.followers_nash(dict(leaders))
-    )
+    if session._keyed_follower is not None:
+        records = _keyed_records(session, leader_set)
+    else:
+        records = tuple(
+            _record(session, {**dict(leaders), **dict(fp)})
+            for leaders in leader_set
+            for fp in session.followers_nash(dict(leaders))
+        )
     return EquilibriumReport("nash-stackelberg", records, diag, mode=mode)

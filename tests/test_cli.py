@@ -214,6 +214,20 @@ class TestExitCodes:
         assert res.stdout == ""
         assert res.stderr.startswith("error: ") and message in res.stderr
 
+    @pytest.mark.parametrize("command", ["validate", "strategies"])
+    @pytest.mark.parametrize("cap", ["-5", "-1", "five"])
+    def test_bad_cap_is_a_usage_error(self, command, cap):
+        res = run_cli(command, "--game", str(GAMES_DIR / "prisoners_dilemma.json"), "--cap", cap)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr.startswith("usage: infogames")
+        assert f"error: argument --cap: cap must be a non-negative integer, got {cap!r}" in res.stderr
+
+    @pytest.mark.parametrize("command", ["validate", "strategies"])
+    def test_zero_cap_is_accepted(self, command):
+        res = run_cli(command, "--game", str(GAMES_DIR / "prisoners_dilemma.json"), "--cap", "0")
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["diagnostics"]["cap"] == 0
+
     @pytest.mark.parametrize(
         "args,target",
         [
@@ -442,6 +456,25 @@ class TestLeaderRiskModes:
             f"error: bad mode {flag!r}; use optimistic, pessimistic, theta=T, or "
             "leader-risk=expectation-uniform|worst-case|cvar:ALPHA\n"
         )
+
+    @pytest.mark.parametrize("flag", ["theta=0.5,x", "theta=", "theta=half", "theta=0.5=0.5"])
+    @pytest.mark.parametrize("command", ["stackelberg", "nash-stackelberg"])
+    def test_malformed_theta_exit_2(self, capsys, command, flag):
+        code = main([command, "--game", str(GAMES_DIR / "tou_pricing.json"), "--mode", flag])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: bad mode {flag!r}; use optimistic, pessimistic, theta=T, or "
+            "leader-risk=expectation-uniform|worst-case|cvar:ALPHA\n"
+        )
+
+    @pytest.mark.parametrize("flag", ["theta=-0.1", "theta=1.5", "theta=nan", "theta=inf"])
+    @pytest.mark.parametrize("command", ["stackelberg", "nash-stackelberg"])
+    def test_theta_outside_unit_interval_exit_2(self, capsys, command, flag):
+        code = main([command, "--game", str(GAMES_DIR / "tou_pricing.json"), "--mode", flag])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: theta must lie in [0, 1]\n")
 
 
 class TestInProcessRuns:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from infogames import (
     OPTIMISTIC,
     PESSIMISTIC,
+    AgentId,
     Belief,
     BestResponseSet,
     CapacityExceeded,
@@ -61,6 +62,7 @@ from conftest import (
     random_mass_vector,
     random_profile,
     random_sequential_model,
+    small_factor,
 )
 
 GAMES_DIR = Path(__file__).resolve().parent.parent / "games"
@@ -502,3 +504,109 @@ def test_keyed_paths_keep_the_cap_messages():
         with pytest.raises(CapacityExceeded) as exc:
             solve()
         assert str(exc.value) == str(CapacityExceeded(n, n - 1, what))
+
+
+# --- Nash-Stackelberg records of a single keyed follower ----------------------
+#
+# Records are read from the follower's response set against each Stackelberg
+# leaders' profile: its context's profile with the member spliced in, and the
+# context's memo entry per player, with no profile assembled or value scored.
+
+
+def test_keyed_records_assemble_no_profile_and_score_nothing(monkeypatch):
+    game = load_game(str(GAMES_DIR / "tou_pricing.json"))
+    assembled, searched = [], []
+    search = equilibria._stackelberg_in_session
+
+    def counting_assemble(g, by_player):
+        assembled.append(by_player)
+        return assemble_profile(g, by_player)
+
+    def counting_search(session):
+        result = search(session)
+        searched.append(session.evaluator.evaluations)
+        return result
+
+    monkeypatch.setattr(equilibria, "assemble_profile", counting_assemble)
+    monkeypatch.setattr(equilibria, "_stackelberg_in_session", counting_search)
+    for mode in MODES:
+        assembled.clear()
+        ev = Evaluator(game)
+        report = nash_stackelberg(game, mode, evaluator=ev)
+        leader_profiles = report.diagnostics.profiles_enumerated
+        assert len(report.profiles) > leader_profiles
+        # One context per leader profile during the search, none per record.
+        assert len(assembled) <= leader_profiles
+        assert searched.pop() == ev.evaluations
+
+
+def random_keyed_follower_game(rng: random.Random):
+    """A random game of :func:`random_game` with leaders and exactly one
+    follower, who owns one agent."""
+    while True:
+        game = random_game(rng)
+        followers = game.followers
+        if game.leaders and len(followers) == 1 and len(game.agents_of(followers[0])) == 1:
+            return game
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_keyed_records_match_rescored_records(seed):
+    """With any number of leaders, the records read from the response sets
+    equal those rescored from full assignments, and reading them scores
+    nothing."""
+    game = random_keyed_follower_game(random.Random(seed))
+    (follower,) = game.followers
+    for mode in MODES:
+        session = equilibria._Session(game, None, equilibria.DEFAULT_CAP, mode)
+        assert session._keyed_follower == follower
+        try:
+            leader_set, _ = equilibria._stackelberg_in_session(session)
+        except GameError:
+            continue
+        searched = session.evaluator.evaluations
+        records = equilibria._keyed_records(session, leader_set)
+        assert session.evaluator.evaluations == searched
+        rescored = tuple(
+            equilibria._record(session, {**dict(leaders), **dict(fp)})
+            for leaders in leader_set
+            for fp in session.followers_nash(dict(leaders))
+        )
+        _assert_same(records, rescored)
+
+
+def signed_zero_game():
+    """The leader picks one of two actions, which the follower observes; the
+    follower's worst-case cost is 0.0 after her first action and -0.0 after
+    her second, so her keys tie and every response is a best response."""
+    leader, follower = AgentId("L"), AgentId("F")
+    ul, uf = small_factor("ul", 2, "action"), small_factor("uf", 2, "action")
+    model = build_wmodel(
+        [small_factor("n0", 1)],
+        [leader, follower],
+        {leader: ul, follower: uf},
+        {leader: (), follower: ("ul",)},
+    )
+    # Objective tables over the points (n0, ul, uf), in row-major order.
+    worst = RiskMeasure.worst_case()
+    data = {
+        "L": PlayerData(Objective("L", Sense.PAYOFF, (1.0, 2.0, 3.0, 4.0)), worst),
+        "F": PlayerData(Objective("F", Sense.COST, (0.0, -0.0, 0.0, -0.0)), worst),
+    }
+    players = PlayerPartition(("L", "F"), {leader: "L", follower: "F"})
+    return make_wgame(model, players, data, leaders=("L",))
+
+
+def test_keyed_records_keep_each_members_signed_zero():
+    game = signed_zero_game()
+    for mode in MODES:
+        report = _compare(
+            game,
+            lambda ev: nash_stackelberg(game, mode, evaluator=ev),
+            lambda score: oracle_nash_stackelberg(game, score, mode),
+        )[1]
+        follower_values = [repr(dict(rec.values)["F"]) for rec in report.profiles]
+        # The leader plays her second action, so the follower's key atom is
+        # her second: either action at the first, then either at the key.
+        assert follower_values == ["0.0", "-0.0", "0.0", "-0.0"]
