@@ -11,7 +11,8 @@ The search enumerates strategies, except for a one-agent player judged by her
 normal-form value in a sequential model: her value in a context reads her
 actions only at her memo-key atoms, so her best-response set is built by
 scoring each key once (see :class:`_Session`), with the same values, members,
-order, evaluations and caps as enumeration.
+order, evaluations and caps as enumeration.  Every reported profile's values
+are read from the contexts of the last follower (see :meth:`_Session.records`).
 
 Optimistic, pessimistic and theta leader anticipation are interpreted with
 respect to the leader's objective sense: optimistic picks the follower best
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Mapping, Sequence
@@ -156,13 +158,13 @@ def best_responses(
             f"context must fix exactly the other players {sorted(expected)}"
         )
     count_player_strategies(game, player, cap)
-    members, best, _ = _Session(game, evaluator, cap).best_set(player, others)
+    rs = _Session(game, evaluator, cap).responses(player, others)
     return BestResponseSet(
         player,
         _context_key(game, player, others),
-        members,
-        best,
-        all_adverse=(best == game.data[player].objective.sense.adverse),
+        rs.strategies(),
+        rs.value,
+        all_adverse=(rs.value == game.data[player].objective.sense.adverse),
     )
 
 
@@ -175,25 +177,32 @@ def _spread(size: int, positions: Sequence[int], actions: Sequence[int]) -> tupl
     return tuple(table)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class _Responses:
-    """A one-agent player's best-response set in one context, built from her
-    memo key (:meth:`~infogames.normal_form.Context.key_atoms`).
+    """A player's best-response set in one context: her strategies whose
+    judged value is the best, ``value`` (``None`` when none has one), in
+    enumeration order.  ``infeasible`` counts her strategies without a judged
+    value.
 
+    A keyed player's set is built from her memo key
+    (:meth:`~infogames.normal_form.Context.key_atoms`) in her context ``ctx``.
     Her value reads her actions only at the key ``atoms``, so each key is
     scored once, on the lexicographically smallest table carrying it (zeros
     elsewhere), which is the table enumeration meets first.  ``keys`` are the
     keys scoring ``value``, in lexicographic order.  A table of ``size``
     atoms and ``count`` actions is a member iff its actions at ``atoms`` form
-    one of ``keys``; every action is allowed at the other atoms.
+    one of ``keys``; every action is allowed at the other atoms.  Any other
+    player's set lists its ``members``.
     """
 
-    ctx: Context
-    size: int
-    count: int
-    atoms: tuple[int, ...]
-    keys: list[tuple[int, ...]]
-    value: float
+    value: float | None
+    infeasible: int = 0
+    members: tuple[PlayerStrategy, ...] | None = None
+    ctx: Context | None = None
+    size: int = 0
+    count: int = 0
+    atoms: tuple[int, ...] = ()
+    keys: Sequence[tuple[int, ...]] = ()
 
     def tables(self, positions: Sequence[int]) -> list[tuple[int, ...]]:
         """The members' actions at ``positions`` (ascending, containing the
@@ -217,6 +226,8 @@ class _Responses:
 
     def strategies(self) -> tuple[PlayerStrategy, ...]:
         """Every member, in enumeration order."""
+        if self.members is not None:
+            return self.members
         agent = self.ctx.agent
         return tuple((Strategy(agent, t),) for t in self.tables(range(self.size)))
 
@@ -254,18 +265,21 @@ class _Session:
     In a sequential model, normal-form values are scored from the evaluator's
     context tables.  A player deviates through her last agent; the session
     looks a context up by that player, the other players' strategies and her
-    other agents' strategies, so no profile is assembled per candidate.
+    other agents' strategies, so no profile is assembled per candidate
+    (:meth:`_walk`, which :meth:`scores` and :meth:`records` share).
 
-    A one-agent player judged by the normal-form value in a sequential model
-    is *keyed*: her best value and best-response set in a context come from
-    :class:`_Responses`, which scores each of her memo keys once instead of
-    each of her strategies, and lists members only when a caller needs them.
-    A leader's anticipation over a single keyed follower's set scores that
-    context once per distinct leader memo key, and ``nash_stackelberg``
-    reads that follower's records from the same context
-    (:func:`_keyed_records`).  Everything else (leaders
-    judged by anticipation, multi-agent players, non-sequential models, and
-    the joint profiles of several players) enumerates strategies.
+    :meth:`responses` returns a player's best-response set in a context.  A
+    one-agent player judged by the normal-form value in a sequential model is
+    *keyed*: her set scores each of her memo keys once instead of each of her
+    strategies, and lists members only when a caller needs them.  A leader's
+    anticipation over a single keyed follower's set scores that context once
+    per distinct leader memo key.  Everything else (leaders judged by
+    anticipation, multi-agent players, non-sequential models, and the joint
+    profiles of several players) enumerates strategies.
+
+    :meth:`records` reads every player's value from the contexts of one
+    ``deviator``, the last follower (the last player when there are none),
+    whose contexts the search has built.
     """
 
     def __init__(
@@ -287,15 +301,14 @@ class _Session:
             and (mode is None or p not in game.leaders)
         )
         followers = game.followers
-        # A single keyed follower: leader anticipation and Nash-Stackelberg
-        # records read her response sets.
+        # A single keyed follower: leader anticipation reads her response sets.
         self._keyed_follower = (
             followers[0] if len(followers) == 1 and followers[0] in self._keyed else None
         )
+        self.deviator = (followers or game.players.players)[-1]
         self._spaces: dict[str, list[PlayerStrategy]] = {}
         self._contexts: dict = {}
         self._responses: dict = {}
-        self._best: dict = {}
         self._anticipated: dict = {}
         self._followers_nash: dict = {}
 
@@ -324,6 +337,26 @@ class _Session:
             ctx = self._contexts[key] = self.evaluator.context(candidate[-1].agent, profile)
         return ctx
 
+    def _walk(
+        self, deviator: str, fixed: Mapping[str, PlayerStrategy], candidates
+    ) -> list[tuple[StrategyProfile | Context, Strategy | None]]:
+        """Where each of ``deviator``'s ``candidates`` is scored against the
+        other players' strategies in ``fixed``: her last agent's context and
+        strategy, or, in a non-sequential model, the assembled profile and
+        ``None``.  Candidates sharing her other agents' strategies share a
+        context."""
+        if self.evaluator.sequential_order is None:
+            return [(assemble_profile(self.game, {**fixed, deviator: c}), None) for c in candidates]
+        others = _context_key(self.game, deviator, fixed)
+        out = []
+        rest = ctx = None
+        for c in candidates:
+            if c[:-1] != rest:
+                rest = c[:-1]
+                ctx = self._context(deviator, others, fixed, c)
+            out.append((ctx, c[-1]))
+        return out
+
     def scores(
         self,
         player: str,
@@ -333,55 +366,62 @@ class _Session:
     ) -> list[float]:
         """Normal-form values of ``player`` when ``deviator`` plays each of
         ``candidates`` against the other players' strategies in ``fixed``."""
-        game, evaluator = self.game, self.evaluator
-        if evaluator.sequential_order is None:
-            return [
-                evaluator.value(player, assemble_profile(game, {**fixed, deviator: c}))
-                for c in candidates
-            ]
-        others = _context_key(game, deviator, fixed)
+        value = self.evaluator.value
+        return [value(player, where, s) for where, s in self._walk(deviator, fixed, candidates)]
+
+    def records(
+        self,
+        deviator: str,
+        fixed: Mapping[str, PlayerStrategy],
+        candidates: Sequence[PlayerStrategy],
+    ) -> list[ProfileRecord]:
+        """The full profiles where ``deviator`` plays each of ``candidates``
+        against the other players' strategies in ``fixed``, with every
+        player's normal-form value.
+
+        In a sequential model, the candidate's last-agent strategy is spliced
+        into her context's profile, and each player's value is the context's
+        memo entry for it: the member's own entry, not a set's best, since
+        tied keys compare equal but may differ in the sign of zero."""
+        game, value = self.game, self.evaluator.value
+        players = game.players.players
+        slot = players.index(deviator)
+        before = tuple((p, fixed[p]) for p in players[:slot])
+        after = tuple((p, fixed[p]) for p in players[slot + 1:])
+        at = game.model.agents.index(game.agents_of(deviator)[-1])
         out = []
-        rest = ctx = None
-        for c in candidates:
-            if c[:-1] != rest:
-                rest = c[:-1]
-                ctx = self._context(deviator, others, fixed, c)
-            out.append(evaluator.value(player, ctx, c[-1]))
+        last = None
+        for c, (where, s) in zip(candidates, self._walk(deviator, fixed, candidates)):
+            if s is not None and where is not last:
+                last, strategies = where, where.profile.strategies
+                head, tail = strategies[:at], strategies[at + 1:]
+            out.append(
+                ProfileRecord(
+                    before + ((deviator, c),) + after,
+                    where if s is None else StrategyProfile(head + (s,) + tail),
+                    tuple((p, value(p, where, s)) for p in players),
+                )
+            )
         return out
 
-    def responses(self, player: str, fixed: Mapping[str, PlayerStrategy]) -> _Responses:
-        """A keyed player's best-response set against the other players'
-        strategies in ``fixed``; her keys are scored in lexicographic order,
-        which is the order enumeration meets them in."""
-        others = _context_key(self.game, player, fixed)
-        rs = self._responses.get((player, others))
-        if rs is None:
-            (agent,) = self.game.agents_of(player)
-            size = self.game.model.info[agent].atom_count
-            count = self.game.model.action_factors[agent].size
-            zeros = Strategy(agent, (0,) * size)
-            ctx = self._context(player, others, fixed, (zeros,))
-            atoms = ctx.key_atoms(self.game.data[player].risk)
-            keys = list(itertools.product(range(count), repeat=len(atoms)))
-            values = []
-            for key in keys:
-                # keys[0] is all zeros, the table the context was built with.
-                rep = Strategy(agent, _spread(size, atoms, key)) if any(key) else zeros
-                values.append(self.evaluator.value(player, ctx, rep))
-            best = self.best_of(player, values)
-            rs = _Responses(
-                ctx, size, count, atoms, [k for k, v in zip(keys, values) if v == best], best
-            )
-            self._responses[(player, others)] = rs
-        return rs
+    def value(self, player: str, assignment: Mapping[str, PlayerStrategy]) -> float:
+        """The player's normal-form value at the full ``assignment``."""
+        return self.scores(player, player, assignment, [assignment[player]])[0]
 
-    def value(
-        self, player: str, assignment: Mapping[str, PlayerStrategy], deviator: str | None = None
-    ) -> float:
-        """The player's normal-form value at the full ``assignment``, scored
-        as a deviation of ``deviator`` (default: the player herself)."""
-        deviator = player if deviator is None else deviator
-        return self.scores(player, deviator, assignment, [assignment[deviator]])[0]
+    def runs(self, leaders: Mapping[str, PlayerStrategy]) -> list[tuple[dict, list]]:
+        """The full profiles over the followers' joint best responses to
+        ``leaders``, in enumeration order, as runs sharing every strategy but
+        the ``deviator``'s: each run is those strategies and her candidates.
+        Responses vary the last follower fastest, so each run is scored from
+        one context."""
+        if not self.game.followers:
+            return [(leaders, [leaders[self.deviator]])]
+        return [
+            ({**leaders, **dict(head)}, [fp[-1][1] for fp in group])
+            for head, group in itertools.groupby(
+                self.followers_nash(leaders), key=itemgetter(slice(-1))
+            )
+        ]
 
     def judged(self, player: str, assignment: Mapping[str, PlayerStrategy]) -> float | None:
         """The value the player is judged by; ``None`` for a leader whose
@@ -391,25 +431,18 @@ class _Session:
         leaders = {ld: assignment[ld] for ld in self.game.leaders}
         key = (player, tuple(leaders.values()))
         if key not in self._anticipated:
-            followers = self.game.followers
             if self._keyed_follower is not None:
-                self.count(followers)
+                self.count(self.game.followers)
                 rs = self.responses(self._keyed_follower, leaders)
                 multiset = self.mode.kind == "leader-risk"
                 values = rs.leader_values(self.evaluator, player, multiset)
-            elif not followers:
+            elif not self.game.followers:
                 self.followers_nash(leaders)
                 values = [self.value(player, leaders)]
             else:
-                # Responses come in enumeration order, the last follower
-                # fastest, so each run sharing the other followers' strategies
-                # is scored from one context.
-                last = followers[-1]
                 values = []
-                responses = self.followers_nash(leaders)
-                for head, group in itertools.groupby(responses, key=lambda fp: fp[:-1]):
-                    fixed = {**leaders, **dict(head)}
-                    values += self.scores(player, last, fixed, [fp[-1][1] for fp in group])
+                for fixed, candidates in self.runs(leaders):
+                    values += self.scores(player, self.deviator, fixed, candidates)
             sense = self.game.data[player].objective.sense
             self._anticipated[key] = _anticipate(values, sense, self.mode) if values else None
         return self._anticipated[key]
@@ -433,33 +466,40 @@ class _Session:
                 best = v
         return best
 
-    def best_value(
-        self, player: str, assignment: Mapping[str, PlayerStrategy]
-    ) -> float | None:
-        """Best judged value the player can reach against the fixed others;
-        deviations without a judged value are skipped."""
-        if player in self._keyed:
-            return self.responses(player, assignment).value
-        key = (player, _context_key(self.game, player, assignment))
-        if key not in self._best:
-            self._best[key] = self.best_of(player, self.judged_all(player, assignment))
-        return self._best[key]
-
-    def best_set(
-        self, player: str, fixed: Mapping[str, PlayerStrategy]
-    ) -> tuple[tuple[PlayerStrategy, ...], float | None, int]:
-        """The player's strategies whose judged value is her best against the
-        others in ``fixed``, in enumeration order; that best; and the number
-        of her strategies without a judged value."""
-        if player in self._keyed:
-            rs = self.responses(player, fixed)
-            return rs.strategies(), rs.value, 0
-        values = self.judged_all(player, fixed)
-        best = self.best_of(player, values)
-        members = tuple(
-            cand for cand, v in zip(self.space(player), values) if v is not None and v == best
-        )
-        return members, best, sum(v is None for v in values)
+    def responses(self, player: str, fixed: Mapping[str, PlayerStrategy]) -> _Responses:
+        """The player's best-response set against the other players'
+        strategies in ``fixed``, built once per context.  A keyed player's
+        keys are scored in lexicographic order, which is the order
+        enumeration meets them in."""
+        others = _context_key(self.game, player, fixed)
+        rs = self._responses.get((player, others))
+        if rs is not None:
+            return rs
+        if player not in self._keyed:
+            values = self.judged_all(player, fixed)
+            best = self.best_of(player, values)
+            # A strategy without a judged value (None) never equals a float.
+            hits = map(operator.eq, values, itertools.repeat(best)) if best is not None else ()
+            members = tuple(itertools.compress(self.space(player), hits))
+            rs = _Responses(best, values.count(None), members)
+        else:
+            (agent,) = self.game.agents_of(player)
+            size = self.game.model.info[agent].atom_count
+            count = self.game.model.action_factors[agent].size
+            zeros = Strategy(agent, (0,) * size)
+            ctx = self._context(player, others, fixed, (zeros,))
+            atoms = ctx.key_atoms(self.game.data[player].risk)
+            keys = list(itertools.product(range(count), repeat=len(atoms)))
+            values = []
+            for key in keys:
+                # keys[0] is all zeros, the table the context was built with.
+                rep = Strategy(agent, _spread(size, atoms, key)) if any(key) else zeros
+                values.append(self.evaluator.value(player, ctx, rep))
+            best = self.best_of(player, values)
+            keys = [k for k, v in zip(keys, values) if v == best]
+            rs = _Responses(best, ctx=ctx, size=size, count=count, atoms=atoms, keys=keys)
+        self._responses[(player, others)] = rs
+        return rs
 
     def nash(
         self, players: Sequence[str], fixed: Mapping[str, PlayerStrategy]
@@ -473,14 +513,14 @@ class _Session:
         Members are checked in order and the first failure ends a profile's
         check, which fixes both the set of evaluations and that flag.  A
         one-player group has a single context, so it is her best-response
-        set (:meth:`best_set`).
+        set (:meth:`responses`).
         """
         total = self.count(players)
         if len(players) == 1:
             (p,) = players
-            members, best, infeasible = self.best_set(p, fixed)
-            all_adverse = best is not None and best == self.game.data[p].objective.sense.adverse
-            return tuple(((p, cand),) for cand in members), total, infeasible, all_adverse
+            rs = self.responses(p, fixed)
+            all_adverse = rs.value == self.game.data[p].objective.sense.adverse
+            return tuple([((p, c),) for c in rs.strategies()]), total, rs.infeasible, all_adverse
         found: list[GroupProfile] = []
         infeasible = 0
         all_adverse = False
@@ -492,7 +532,7 @@ class _Session:
                 if v is None:
                     infeasible += 1
                     break
-                best = self.best_value(p, assignment)
+                best = self.responses(p, assignment).value
                 if best == self.game.data[p].objective.sense.adverse:
                     all_adverse = True
                 if v != best:
@@ -538,24 +578,6 @@ def _anticipate(values: list[float], sense: Sense, mode: StackelbergMode) -> flo
     return _adverse_tail_mean(pairs, mode.risk[1], sense)
 
 
-def _record(session: _Session, assignment: Mapping[str, PlayerStrategy]) -> ProfileRecord:
-    """A full profile with every player's realized normal-form value.
-
-    Values are scored as deviations of the last follower, whose contexts the
-    search has built: every member of a Nash profile was checked, and
-    anticipated leader values score the followers' responses that way.  The
-    Nash-Stackelberg records of a single keyed follower are read from her
-    response sets' contexts instead (:func:`_keyed_records`)."""
-    game = session.game
-    players = game.players.players
-    deviator = (game.followers or players)[-1]
-    return ProfileRecord(
-        tuple((p, assignment[p]) for p in players),
-        assemble_profile(game, assignment),
-        tuple((p, session.value(p, assignment, deviator)) for p in players),
-    )
-
-
 def nash_equilibria(
     game: WGame,
     evaluator: Evaluator | None = None,
@@ -566,11 +588,12 @@ def nash_equilibria(
     session = _Session(game, evaluator, cap)
     found, total, _, all_adverse = session.nash(game.players.players, {})
     fresh = Evaluator(game)
+    deviator = session.deviator
     records = []
     for group in found:
         assignment = dict(group)
         _verify_no_improving_deviation(session, fresh, assignment)
-        records.append(_record(session, assignment))
+        records += session.records(deviator, assignment, [assignment[deviator]])
     diag = Diagnostics(
         profiles_enumerated=total,
         ties=max(0, len(records) - 1),
@@ -671,43 +694,6 @@ def stackelberg_strategies(
     return _stackelberg_in_session(_Session(game, evaluator, cap, mode))
 
 
-def _keyed_records(
-    session: _Session, leader_set: Sequence[GroupProfile]
-) -> tuple[ProfileRecord, ...]:
-    """The records of a single keyed follower, read from her response sets.
-
-    Each Stackelberg leaders' profile is paired with every member of the
-    follower's set against it.  The member is spliced into the set's context
-    profile at her agent's position, and each player's value is the
-    context's memo entry for the member, which the search has scored.  That
-    is the member's own entry, not the set's best: tied keys compare equal
-    but may differ in the sign of zero."""
-    game, evaluator = session.game, session.evaluator
-    players = game.players.players
-    follower = session._keyed_follower
-    (agent,) = game.agents_of(follower)
-    at = game.model.agents.index(agent)
-    slot = players.index(follower)
-    records = []
-    for leaders in leader_set:
-        fixed = dict(leaders)
-        rs = session.responses(follower, fixed)
-        ctx = rs.ctx
-        head, tail = ctx.profile.strategies[:at], ctx.profile.strategies[at + 1:]
-        before = tuple((p, fixed[p]) for p in players[:slot])
-        after = tuple((p, fixed[p]) for p in players[slot + 1:])
-        for member in rs.strategies():
-            (s,) = member
-            records.append(
-                ProfileRecord(
-                    before + ((follower, member),) + after,
-                    StrategyProfile(head + member + tail),
-                    tuple((p, evaluator.value(p, ctx, s)) for p in players),
-                )
-            )
-    return tuple(records)
-
-
 def nash_stackelberg(
     game: WGame,
     mode: StackelbergMode,
@@ -719,12 +705,10 @@ def nash_stackelberg(
     _require_roles(game)
     session = _Session(game, evaluator, cap, mode)
     leader_set, diag = _stackelberg_in_session(session)
-    if session._keyed_follower is not None:
-        records = _keyed_records(session, leader_set)
-    else:
-        records = tuple(
-            _record(session, {**dict(leaders), **dict(fp)})
-            for leaders in leader_set
-            for fp in session.followers_nash(dict(leaders))
-        )
-    return EquilibriumReport("nash-stackelberg", records, diag, mode=mode)
+    records = [
+        record
+        for leaders in leader_set
+        for fixed, candidates in session.runs(dict(leaders))
+        for record in session.records(session.deviator, fixed, candidates)
+    ]
+    return EquilibriumReport("nash-stackelberg", tuple(records), diag, mode=mode)

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, determinism, report structure."""
 
+import hashlib
 import json
 import re
 import subprocess
@@ -504,3 +505,82 @@ class TestInProcessRuns:
                 assert here.read_bytes() == fresh.read_bytes()
             codes.append(code)
         assert codes == [0, 0, 2, 2, 0]
+
+
+# The sha256 of each JSON ``--out`` report of the CI "Report byte identity"
+# loop on the shipped games, run from the repository root with a relative
+# ``--game`` path (``None``: the run writes no report).  Unlike the
+# ``bench/refs`` digests, these cover ``timing`` and ``diagnostics``, so a
+# change to evaluation counts or tie diagnostics fails here.  Re-record them
+# only for an intended report change.
+REPORT_SHA256 = [
+    ("cyclic_three_agents.json", "validate", 0, '4da99965f9addf9bda5a1ad661854ad6ac763e1d562fe0e0c82c6ba2fb17982f'),
+    ("cyclic_three_agents.json", "strategies", 0, '7c3472bd9f8f6f22dadfbb084e15769c0d5f82791f8859b58e7dd7b739fe167d'),
+    ("cyclic_three_agents.json", "playability --mode all", 2, '237257068af15d24d7f618e22c3762b623dae7c566fc9b13112ebde181135bb2'),
+    ("cyclic_three_agents.json", "playability --mode sample=5,seed=1", 2, 'bfefa032819082d8e5d53f25977df9ee81277d01e20b12c3ca2ce2dba2e5fefa'),
+    ("cyclic_three_agents.json", "nash", 2, None),
+    ("cyclic_three_agents.json", "stackelberg --mode theta=0.5", 2, None),
+    ("cyclic_three_agents.json", "stackelberg --mode pessimistic", 2, None),
+    ("cyclic_three_agents.json", "nash-stackelberg --mode optimistic", 2, None),
+    ("cyclic_three_agents.json", "nash-stackelberg --mode pessimistic", 2, None),
+    ("cyclic_three_agents.json", "nash-stackelberg --mode theta=0.5", 2, None),
+    ("cyclic_three_agents.json", "nash-stackelberg --mode leader-risk=cvar:0.5", 2, None),
+    ("cyclic_three_agents.json", "nash-stackelberg --mode leader-risk=expectation-uniform", 2, None),
+    ("cyclic_three_agents.json", "nash-stackelberg --mode leader-risk=worst-case", 2, None),
+    ("cyclic_three_agents.json", "normal-form", 2, None),
+    ("cyclic_three_agents.json", "export", 0, '1de2e275bc2e4407f7becb4cd31e10c96e4f782008c1fa3a650ca9bb994ce9b8'),
+    ("prisoners_dilemma.json", "validate", 0, 'db28d7869b97dd92e02ea771731262c8d4dd8dcfe7d6aeba31da7b5fddcf17de'),
+    ("prisoners_dilemma.json", "strategies", 0, 'd381e60bb7c484c2b84d3ad94fafb600077d3e5c0e82c7134e16aaec2f75e942'),
+    ("prisoners_dilemma.json", "playability --mode all", 0, '85d6226610f1674095d9f35cac4262fc3b63629b19bca028cfc246f885c6ebbb'),
+    ("prisoners_dilemma.json", "playability --mode sample=5,seed=1", 0, '4b5181c940c9dac916752603f5649c85a643599beadfb5bca70a31d1a3081a39'),
+    ("prisoners_dilemma.json", "nash", 0, '76e58fb596c153479724c30d3c36e9591d5430275779be208229dd98dcd1c0ac'),
+    ("prisoners_dilemma.json", "stackelberg --mode theta=0.5", 2, None),
+    ("prisoners_dilemma.json", "stackelberg --mode pessimistic", 2, None),
+    ("prisoners_dilemma.json", "nash-stackelberg --mode optimistic", 2, None),
+    ("prisoners_dilemma.json", "nash-stackelberg --mode pessimistic", 2, None),
+    ("prisoners_dilemma.json", "nash-stackelberg --mode theta=0.5", 2, None),
+    ("prisoners_dilemma.json", "nash-stackelberg --mode leader-risk=cvar:0.5", 2, None),
+    ("prisoners_dilemma.json", "nash-stackelberg --mode leader-risk=expectation-uniform", 2, None),
+    ("prisoners_dilemma.json", "nash-stackelberg --mode leader-risk=worst-case", 2, None),
+    ("prisoners_dilemma.json", "normal-form", 0, '9b1a10b920708b2823c90836e5e52f2a16cacaf13c65aa93ebd4af33c3c6c26d'),
+    ("prisoners_dilemma.json", "export", 0, '145830d3c6496c70c1f8389fb1283d18b3d913cc0142685155430f5bfc23d0e5'),
+    ("thai_dr_single.json", "validate", 0, 'd57f380948375fbbc57340666811014aff6c7789f6e13c0c790e4a1fcac0e192'),
+    ("thai_dr_single.json", "strategies", 0, '459faff3be9d8b2960c99aaf28f225e1d4a42f81b2ad1b1a6c50e1b458813ac9'),
+    ("thai_dr_single.json", "playability --mode all", 0, '25979a2ea72515f1492618da13bb663d214e4d38bcd6f0dd8a0eced3533e9687'),
+    ("thai_dr_single.json", "playability --mode sample=5,seed=1", 0, '464d6acf38bf9b2d12965e6194043a747bcc51b01296bbc9ceafc01f5937c557'),
+    ("thai_dr_single.json", "nash", 0, '85d4db2db4782f4f6537b18360a44646bc80014ddfa7ca61b7fa1a059d66cd84'),
+    ("thai_dr_single.json", "stackelberg --mode theta=0.5", 0, '6e66ac9bf8a05f8b1457f49f37b4946f356a9230de5a9de80c6c742bf5c1ec9d'),
+    ("thai_dr_single.json", "stackelberg --mode pessimistic", 0, '069199b7ce74c4b260cad5c59c4e53a0fbed4900f3943e76636b4292333ac604'),
+    ("thai_dr_single.json", "nash-stackelberg --mode optimistic", 0, 'f7bf0483d815317a4a1a39171138e9b67346fd9d3df0d6cf359c079b48c39ba8'),
+    ("thai_dr_single.json", "nash-stackelberg --mode pessimistic", 0, '52c97b541194d3b70704d3cfd6208c3fae8463a73d0e4e2781bb353fbbfffb86'),
+    ("thai_dr_single.json", "nash-stackelberg --mode theta=0.5", 0, '6e2cf6c615d3b8bccb20fd9b61db82689957798341aadc431e00f20bead1160b'),
+    ("thai_dr_single.json", "nash-stackelberg --mode leader-risk=cvar:0.5", 0, '53b5335e4fc3725b5f1bac9b6d801c65187d3af77503dd771f348b01fae98860'),
+    ("thai_dr_single.json", "nash-stackelberg --mode leader-risk=expectation-uniform", 0, 'dd36533c7c0697806324d65c758f983fa1cbecdea35091bbe5be568283711ea0'),
+    ("thai_dr_single.json", "nash-stackelberg --mode leader-risk=worst-case", 0, '6561b303688140e3c0ba2154a0a810e8bc82805a907d03dbf5fb98e7f20b0db2'),
+    ("thai_dr_single.json", "normal-form", 0, 'b82afc762c7c2264753bb3f01cbc7fb870dd4b2e86b151ca70c4d00009c8c5a3'),
+    ("thai_dr_single.json", "export", 0, '148a1748a2ba731d322920abafc482f6fd3ae437b680c51e5b17899721b46f91'),
+    ("tou_pricing.json", "validate", 0, 'ca63b7ffb2f7f21d606371808b66724b17a1d250460abf8249869d175fdf9304'),
+    ("tou_pricing.json", "strategies", 0, '531af368da9c35cf36c93066bc90fc1b12b3fdcd648344987689a664648e73fc'),
+    ("tou_pricing.json", "playability --mode all", 0, 'df08ca76bcc37351de3586b4eb69464d45b39ff3498963830fc05618b42a1c33'),
+    ("tou_pricing.json", "playability --mode sample=5,seed=1", 0, '4a0c9cf9cda354949afde1792131d10f11d526f811ed4d2936c728281f307784'),
+    ("tou_pricing.json", "nash", 0, '79845ae55adf183ecb37ffeabd5d10bf8de3c89616f570a7880fe646f9c6933d'),
+    ("tou_pricing.json", "stackelberg --mode theta=0.5", 0, '8d096565351f6de74991ad0d71533acb2458415c90e04fb8b7d90c64d2a141d4'),
+    ("tou_pricing.json", "stackelberg --mode pessimistic", 0, '60453bc61b7488c00274bebcc9c1f95c9f681880895126e9b2c645cd16f4040b'),
+    ("tou_pricing.json", "nash-stackelberg --mode optimistic", 0, '032622475c55f2c813f8092d7c2fc9210698656fa2ba8dd1d5a17414213a7a12'),
+    ("tou_pricing.json", "nash-stackelberg --mode pessimistic", 0, '9282aada60c47d7b694b3edfc5531106cf9f89ef53d8fcc15c02e97db960173b'),
+    ("tou_pricing.json", "nash-stackelberg --mode theta=0.5", 0, 'fb4a7c15a5dfb647166cf111d3d7a5510a90eb04e2530fa35214939a845b1c50'),
+    ("tou_pricing.json", "nash-stackelberg --mode leader-risk=cvar:0.5", 0, '9e81f02a731436908386e4f7770147f083a54cc92746bb52b78174d101b6fcae'),
+    ("tou_pricing.json", "nash-stackelberg --mode leader-risk=expectation-uniform", 0, 'e17ba227e7cf2f370ae7c45cb194dc5f1498790a355ede2835d1cea4ab8e6ff9'),
+    ("tou_pricing.json", "nash-stackelberg --mode leader-risk=worst-case", 0, 'f15062b148a3bdaf0bb17cafc36a9f5c9e3d00c5d68c6bb24caa81155094b2d7'),
+    ("tou_pricing.json", "normal-form", 0, '22069a6e8e2b3d97d401855e4e3754dafbc7cef49a59732bef7bd95097499856'),
+    ("tou_pricing.json", "export", 0, '015d23a45865029df8b2f9035d714ed8c23475ffdf0570445ca0351a025d2c99'),
+]
+
+
+@pytest.mark.parametrize("game, command, code, sha256", REPORT_SHA256)
+def test_shipped_game_reports_are_pinned(tmp_path, monkeypatch, capsys, game, command, code, sha256):
+    monkeypatch.chdir(GAMES_DIR.parent)
+    out = tmp_path / "report.json"
+    assert main([*command.split(), "--game", f"games/{game}", "--out", str(out)]) == code
+    digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+    assert digest == sha256

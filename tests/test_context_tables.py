@@ -10,13 +10,15 @@ strategy through that path.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from collections import Counter
 
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infogames import (
@@ -540,40 +542,85 @@ def test_keyed_records_assemble_no_profile_and_score_nothing(monkeypatch):
         assert searched.pop() == ev.evaluations
 
 
-def random_keyed_follower_game(rng: random.Random):
-    """A random game of :func:`random_game` with leaders and exactly one
-    follower, who owns one agent."""
-    while True:
-        game = random_game(rng)
-        followers = game.followers
-        if game.leaders and len(followers) == 1 and len(game.agents_of(followers[0])) == 1:
-            return game
+class CountingEvaluator(Evaluator):
+    """An :class:`Evaluator` that also counts its evaluations per player."""
+
+    def __init__(self, game):
+        super().__init__(game)
+        self.by_player = Counter()
+
+    def value(self, player, profile, deviation=None):
+        before = self.evaluations
+        v = super().value(player, profile, deviation)
+        self.by_player[player] += self.evaluations - before
+        return v
+
+
+def _assert_records_are_their_profiles(game, report):
+    """Each record's profile is its players' strategies, and its values are
+    that profile's, scored afresh."""
+    fresh = Evaluator(game)
+    for rec in report.profiles:
+        assert rec.profile == assemble_profile(game, dict(rec.by_player))
+        rescored = tuple((p, fresh.value(p, rec.profile)) for p in game.players.players)
+        _assert_same(rec.values, rescored)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_keyed_records_match_rescored_records(seed):
-    """With any number of leaders, the records read from the response sets
-    equal those rescored from full assignments, and reading them scores
-    nothing."""
-    game = random_keyed_follower_game(random.Random(seed))
-    (follower,) = game.followers
-    for mode in MODES:
-        session = equilibria._Session(game, None, equilibria.DEFAULT_CAP, mode)
-        assert session._keyed_follower == follower
-        try:
-            leader_set, _ = equilibria._stackelberg_in_session(session)
-        except GameError:
-            continue
-        searched = session.evaluator.evaluations
-        records = equilibria._keyed_records(session, leader_set)
-        assert session.evaluator.evaluations == searched
-        rescored = tuple(
-            equilibria._record(session, {**dict(leaders), **dict(fp)})
-            for leaders in leader_set
-            for fp in session.followers_nash(dict(leaders))
-        )
-        _assert_same(records, rescored)
+@given(st.none() | st.integers(0, 2**32 - 1))
+@example(None)  # the cyclic game
+@example(0)  # three one-agent players
+@example(4)  # a one-agent player and a two-agent player
+def test_records_are_their_profiles(seed):
+    """Records of ``nash_equilibria`` and ``nash_stackelberg`` hold their
+    profile and its values, for every choice of leaders of a random game of
+    several players (drawn from ``seed``) or, without a seed, of
+    ``games/cyclic_three_agents.json``, which has no sequential order: one
+    follower or several, followers with several agents, and leaders only.
+
+    Records read the values from the contexts of the last follower (the
+    last player when there are none).  The search has scored the deviator's
+    values there, and, when there are followers, the leaders'; with a single
+    follower that is every value, so the records score nothing."""
+    if seed is None:
+        base = load_game(str(GAMES_DIR / "cyclic_three_agents.json"))
+    else:
+        rng = random.Random(seed)
+        base = random_game(rng)
+        while len(base.players.players) < 2:
+            base = random_game(rng)
+    players = base.players.players
+    search = equilibria._stackelberg_in_session
+    searched = []
+
+    def counting_search(session):
+        result = search(session)
+        searched.append(Counter(session.evaluator.by_player))
+        return result
+
+    for n in range(len(players) + 1):
+        for leaders in itertools.combinations(players, n):
+            game = make_wgame(base.model, base.players, base.data, leaders)
+            report = _outcome(lambda: nash_equilibria(game))
+            if report[0] == "returns":
+                _assert_records_are_their_profiles(game, report[1])
+            if not leaders:
+                continue
+            deviator = (game.followers or players)[-1]
+            scored = {deviator, *(leaders if game.followers else ())}
+            for mode in MODES:
+                ev = CountingEvaluator(game)
+                searched.clear()
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(equilibria, "_stackelberg_in_session", counting_search)
+                    report = _outcome(lambda: nash_stackelberg(game, mode, evaluator=ev))
+                if report[0] == "raises":
+                    continue
+                _assert_records_are_their_profiles(game, report[1])
+                added = ev.by_player - searched.pop()
+                assert not scored & set(added)
+                if len(game.followers) == 1:
+                    assert not added
 
 
 def signed_zero_game():
