@@ -20,6 +20,13 @@ lists), to the C encoder in one call, with the item separator carrying the
 line break and indentation of its depth.  A flat container that occurs more
 than once in a report, such as a strategy table shared by many failures, is
 encoded once per depth.
+
+Tied equilibria repeat most of what they show, so a report labels each
+distinct strategy once (:func:`~infogames.normal_form.strategy_labeller`),
+calls :func:`~infogames.normal_form.fmt_value` once per distinct value (zeros
+excepted, since ``0.0 == -0.0`` but they render as "0" and "-0"), and
+records whose values render alike share one ``values`` dict, which
+:func:`_dumps` then encodes once.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Callable
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .equilibria import (
@@ -49,7 +57,7 @@ from .normal_form import (
     fmt_value,
     matrix_to_csv,
     normal_form_matrix,
-    player_strategy_label,
+    strategy_labeller,
 )
 from .preferences import WGame
 
@@ -150,18 +158,36 @@ def _validation_section(order: tuple | None, playability: dict | None = None) ->
     }
 
 
+def _value_renderer() -> Callable[[float], str]:
+    """:func:`fmt_value`, called once per distinct value.  Zeros bypass the
+    cache: ``0.0 == -0.0`` as keys, but they render as "0" and "-0"."""
+    texts: dict[float, str] = {}
+
+    def render(v: float) -> str:
+        text = texts.get(v)
+        if text is None:
+            text = fmt_value(v)
+            if v:
+                texts[v] = text
+        return text
+
+    return render
+
+
 def _profile_doc(label, by_player) -> dict:
     return {p: label(ps) for p, ps in by_player}
 
 
-def _equilibrium_results(label, report) -> dict:
-    out = [
-        {
-            "profile": _profile_doc(label, rec.by_player),
-            "values": {p: fmt_value(v) for p, v in rec.values},
-        }
-        for rec in report.profiles
-    ]
+def _equilibrium_results(label, render, report) -> dict:
+    # Records whose values render alike share one "values" dict.
+    shared: dict[tuple, dict] = {}
+    out = []
+    for rec in report.profiles:
+        rendered = tuple([(p, render(v)) for p, v in rec.values])
+        values = shared.get(rendered)
+        if values is None:
+            values = shared[rendered] = dict(rendered)
+        out.append({"profile": _profile_doc(label, rec.by_player), "values": values})
     return {"count": len(out), "equilibria": out}
 
 
@@ -188,8 +214,8 @@ def run(command: str, game_path: str, options: dict, cap: int, mode=None) -> tup
     }
     exit_code = EXIT_OK
     playability_doc = None
-    # Tied profiles share most player strategies; each is labelled once.
-    label = functools.cache(lambda ps: player_strategy_label(game, ps))
+    label = strategy_labeller(game)
+    render = _value_renderer()
     results: dict = {}
     diag = None
 
@@ -229,7 +255,7 @@ def run(command: str, game_path: str, options: dict, cap: int, mode=None) -> tup
     elif command == "normal-form":
         matrix = normal_form_matrix(game, cap=cap, evaluator=evaluator)
         cells = [
-            [[fmt_value(a), fmt_value(b)] for a, b in row] for row in matrix.values
+            [[render(a), render(b)] for a, b in row] for row in matrix.values
         ]
         results = {
             "row_player": matrix.row_player,
@@ -243,7 +269,7 @@ def run(command: str, game_path: str, options: dict, cap: int, mode=None) -> tup
                 fh.write(matrix_to_csv(matrix))
     elif command == "nash":
         eq = nash_equilibria(game, evaluator=evaluator, cap=cap)
-        results = _equilibrium_results(label, eq)
+        results = _equilibrium_results(label, render, eq)
         diag = eq.diagnostics
     elif command == "stackelberg":
         leader_set, diag = stackelberg_strategies(game, mode, evaluator=evaluator, cap=cap)
@@ -254,7 +280,7 @@ def run(command: str, game_path: str, options: dict, cap: int, mode=None) -> tup
         }
     elif command == "nash-stackelberg":
         eq = nash_stackelberg(game, mode, evaluator=evaluator, cap=cap)
-        results = _equilibrium_results(label, eq)
+        results = _equilibrium_results(label, render, eq)
         results["mode"] = mode.describe()
         diag = eq.diagnostics
     elif command == "export":

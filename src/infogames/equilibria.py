@@ -265,8 +265,9 @@ class _Session:
     In a sequential model, normal-form values are scored from the evaluator's
     context tables.  A player deviates through her last agent; the session
     looks a context up by that player, the other players' strategies and her
-    other agents' strategies, so no profile is assembled per candidate
-    (:meth:`_walk`, which :meth:`scores` and :meth:`records` share).
+    other agents' strategies, once per run of candidates sharing those, so
+    no profile is assembled per candidate (:meth:`_walk`, which
+    :meth:`scores` and :meth:`records` share).
 
     :meth:`responses` returns a player's best-response set in a context.  A
     one-agent player judged by the normal-form value in a sequential model is
@@ -279,7 +280,7 @@ class _Session:
 
     :meth:`records` reads every player's value from the contexts of one
     ``deviator``, the last follower (the last player when there are none),
-    whose contexts the search has built.
+    whose contexts the search has built, one run (:meth:`runs`) at a time.
     """
 
     def __init__(
@@ -339,22 +340,20 @@ class _Session:
 
     def _walk(
         self, deviator: str, fixed: Mapping[str, PlayerStrategy], candidates
-    ) -> list[tuple[StrategyProfile | Context, Strategy | None]]:
-        """Where each of ``deviator``'s ``candidates`` is scored against the
-        other players' strategies in ``fixed``: her last agent's context and
-        strategy, or, in a non-sequential model, the assembled profile and
-        ``None``.  Candidates sharing her other agents' strategies share a
-        context."""
+    ) -> list[tuple[StrategyProfile | Context, Sequence[PlayerStrategy]]]:
+        """Where ``deviator``'s ``candidates`` are scored against the other
+        players' strategies in ``fixed``, as runs ``(where, run)`` in
+        candidate order.  A run is the consecutive candidates sharing her
+        other agents' strategies and ``where`` her last agent's context,
+        looked up once per run; in a non-sequential model, each run is one
+        candidate and ``where`` its assembled profile."""
         if self.evaluator.sequential_order is None:
-            return [(assemble_profile(self.game, {**fixed, deviator: c}), None) for c in candidates]
+            return [(assemble_profile(self.game, {**fixed, deviator: c}), (c,)) for c in candidates]
         others = _context_key(self.game, deviator, fixed)
         out = []
-        rest = ctx = None
-        for c in candidates:
-            if c[:-1] != rest:
-                rest = c[:-1]
-                ctx = self._context(deviator, others, fixed, c)
-            out.append((ctx, c[-1]))
+        for _, group in itertools.groupby(candidates, key=itemgetter(slice(-1))):
+            run = list(group)
+            out.append((self._context(deviator, others, fixed, run[0]), run))
         return out
 
     def scores(
@@ -367,7 +366,10 @@ class _Session:
         """Normal-form values of ``player`` when ``deviator`` plays each of
         ``candidates`` against the other players' strategies in ``fixed``."""
         value = self.evaluator.value
-        return [value(player, where, s) for where, s in self._walk(deviator, fixed, candidates)]
+        walk = self._walk(deviator, fixed, candidates)
+        if self.evaluator.sequential_order is None:
+            return [value(player, profile) for profile, _ in walk]
+        return [value(player, ctx, c[-1]) for ctx, run in walk for c in run]
 
     def records(
         self,
@@ -379,43 +381,63 @@ class _Session:
         against the other players' strategies in ``fixed``, with every
         player's normal-form value.
 
-        In a sequential model, the candidate's last-agent strategy is spliced
-        into her context's profile, and each player's value is the context's
-        memo entry for it: the member's own entry, not a set's best, since
-        tied keys compare equal but may differ in the sign of zero."""
+        In a sequential model, each run's context profile is split once
+        around her last agent, each candidate's last-agent strategy is
+        spliced in, and each player's value is the context's memo entry for
+        it: the member's own entry, not a set's best, since tied keys
+        compare equal but may differ in the sign of zero."""
         game, value = self.game, self.evaluator.value
         players = game.players.players
         slot = players.index(deviator)
         before = tuple((p, fixed[p]) for p in players[:slot])
         after = tuple((p, fixed[p]) for p in players[slot + 1:])
-        at = game.model.agents.index(game.agents_of(deviator)[-1])
-        out = []
-        last = None
-        for c, (where, s) in zip(candidates, self._walk(deviator, fixed, candidates)):
-            if s is not None and where is not last:
-                last, strategies = where, where.profile.strategies
-                head, tail = strategies[:at], strategies[at + 1:]
-            out.append(
+        walk = self._walk(deviator, fixed, candidates)
+        if self.evaluator.sequential_order is None:
+            return [
                 ProfileRecord(
                     before + ((deviator, c),) + after,
-                    where if s is None else StrategyProfile(head + (s,) + tail),
-                    tuple((p, value(p, where, s)) for p in players),
+                    profile,
+                    tuple([(p, value(p, profile)) for p in players]),
                 )
-            )
+                for profile, (c,) in walk
+            ]
+        at = game.model.agents.index(game.agents_of(deviator)[-1])
+        out = []
+        for ctx, run in walk:
+            strategies = ctx.profile.strategies
+            head, tail = strategies[:at], strategies[at + 1:]
+            for c in run:
+                s = c[-1]
+                out.append(
+                    ProfileRecord(
+                        before + ((deviator, c),) + after,
+                        StrategyProfile(head + (s,) + tail),
+                        tuple([(p, value(p, ctx, s)) for p in players]),
+                    )
+                )
         return out
 
     def value(self, player: str, assignment: Mapping[str, PlayerStrategy]) -> float:
         """The player's normal-form value at the full ``assignment``."""
-        return self.scores(player, player, assignment, [assignment[player]])[0]
+        if self.evaluator.sequential_order is None:
+            return self.evaluator.value(player, assemble_profile(self.game, assignment))
+        c = assignment[player]
+        others = _context_key(self.game, player, assignment)
+        return self.evaluator.value(player, self._context(player, others, assignment, c), c[-1])
 
-    def runs(self, leaders: Mapping[str, PlayerStrategy]) -> list[tuple[dict, list]]:
+    def runs(self, leaders: Mapping[str, PlayerStrategy]) -> list[tuple[dict, Sequence]]:
         """The full profiles over the followers' joint best responses to
         ``leaders``, in enumeration order, as runs sharing every strategy but
         the ``deviator``'s: each run is those strategies and her candidates.
         Responses vary the last follower fastest, so each run is scored from
-        one context."""
-        if not self.game.followers:
-            return [(leaders, [leaders[self.deviator]])]
+        one context.  A single follower's joint best responses are her
+        best-response set, one run."""
+        followers = self.game.followers
+        if not followers:
+            return [(leaders, (leaders[self.deviator],))]
+        if len(followers) == 1:
+            self.count(followers)
+            return [(leaders, self.responses(self.deviator, leaders).strategies())]
         return [
             ({**leaders, **dict(head)}, [fp[-1][1] for fp in group])
             for head, group in itertools.groupby(

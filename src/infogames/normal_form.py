@@ -56,22 +56,37 @@ def fmt_value(v: float) -> str:
     return format(float(v), ".12g")
 
 
-def agent_display_name(game: WGame, agent: AgentId) -> str:
-    """Player name when the player has a single agent, else player.stage."""
-    player = game.players.assignment[agent]
-    if len(game.agents_of(player)) == 1:
-        return player
-    return str(agent)
+def strategy_labeller(game: WGame) -> Callable[[PlayerStrategy], str]:
+    """The labeller of the game's player strategies: a label joins, by
+    spaces, each agent's ``name:actions``, where ``name`` is the player's
+    when she has a single agent and the agent's (player.stage) otherwise,
+    and ``actions`` joins by ``|`` the action elements the agent's table
+    plays at his atoms.  Each agent's name and action elements are read
+    once, and each distinct :class:`Strategy` is labelled once."""
+    assignment = game.players.assignment
+    agents = {}
+    for a in game.model.agents:
+        player = assignment[a]
+        name = player if len(game.agents_of(player)) == 1 else str(a)
+        agents[a] = (name + ":", game.model.action_factors[a].elements)
+    labels: dict[Strategy, str] = {}
 
+    def strategy_label(s: Strategy) -> str:
+        text = labels.get(s)
+        if text is None:
+            prefix, elements = agents[s.agent]
+            text = labels[s] = prefix + "|".join([elements[i] for i in s.table])
+        return text
 
-def strategy_label(game: WGame, strategy: Strategy) -> str:
-    factor = game.model.action_factors[strategy.agent]
-    actions = "|".join(factor.elements[i] for i in strategy.table)
-    return f"{agent_display_name(game, strategy.agent)}:{actions}"
+    def label(ps: PlayerStrategy) -> str:
+        return " ".join(map(strategy_label, ps))
+
+    return label
 
 
 def player_strategy_label(game: WGame, ps: PlayerStrategy) -> str:
-    return " ".join(strategy_label(game, s) for s in ps)
+    """The label of one player strategy (see :func:`strategy_labeller`)."""
+    return strategy_labeller(game)(ps)
 
 
 def count_player_strategies(game: WGame, player: str, cap: float = math.inf) -> int:
@@ -249,13 +264,14 @@ def normal_form_matrix(
                 (evaluator.value(row_player, profile), evaluator.value(col_player, profile))
             )
         values.append(tuple(row_vals))
+    label = strategy_labeller(game)
     return NormalFormMatrix(
         row_player,
         col_player,
         tuple(rows),
         tuple(cols),
-        tuple(player_strategy_label(game, r) for r in rows),
-        tuple(player_strategy_label(game, c) for c in cols),
+        tuple(map(label, rows)),
+        tuple(map(label, cols)),
         tuple(values),
     )
 

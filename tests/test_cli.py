@@ -2,25 +2,41 @@
 
 import hashlib
 import json
+import random
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infogames import (
+    GameError,
     StrategyProfile,
     check_playability,
     joint_strategies,
     leader_risk_mode,
     load_game,
+    nash_equilibria,
     nash_stackelberg,
     player_strategy_label,
     stackelberg_strategies,
 )
-from infogames.cli import main
+from infogames import cli
+from infogames.cli import _dumps, main
+from infogames.gamefile import export_custom
+from infogames.model import DEFAULT_CAP
 from infogames.normal_form import fmt_value
+from infogames.preferences import Objective, PlayerData, make_wgame
+from test_context_tables import (
+    MODES,
+    oracle_nash_stackelberg,
+    plain_scorer,
+    random_game,
+    signed_zero_game,
+)
 
 GAMES_DIR = Path(__file__).resolve().parent.parent / "games"
 
@@ -507,6 +523,103 @@ class TestInProcessRuns:
         assert codes == [0, 0, 2, 2, 0]
 
 
+# --- Report dicts against the record-by-record rule ---------------------------
+#
+# ``cli.run`` labels each distinct strategy once, renders each distinct value
+# once and shares one "values" dict among records whose values render alike.
+# The reference below builds each record's dicts on its own, with the label
+# rule written out per strategy and ``fmt_value`` per value.
+
+
+def reference_label(game, ps) -> str:
+    parts = []
+    for s in ps:
+        player = game.players.assignment[s.agent]
+        name = player if len(game.agents_of(player)) == 1 else str(s.agent)
+        elements = game.model.action_factors[s.agent].elements
+        parts.append(f"{name}:" + "|".join(elements[i] for i in s.table))
+    return " ".join(parts)
+
+
+def reference_equilibria(game, report) -> list[dict]:
+    return [
+        {
+            "profile": {p: reference_label(game, ps) for p, ps in rec.by_player},
+            "values": {p: fmt_value(v) for p, v in rec.values},
+        }
+        for rec in report.profiles
+    ]
+
+
+@pytest.mark.parametrize("leader_values", [None, (1.0, 2.0, 3.0, 3.0)])
+def test_signed_zeros_render_as_the_oracle_scores_them(tmp_path, leader_values):
+    """The follower's tied keys score 0.0 and -0.0 (a worst-case cost), so
+    her values alternate "0" and "-0" down the records: a value cache that
+    merged the two zeros would print one of them for both.  With the second
+    leader table, the leader's value is 3 in every record, so records differ
+    only in the sign of the follower's zero, and a "values" dict shared by
+    equal floats rather than equal texts would merge them too."""
+    game = signed_zero_game()
+    if leader_values is not None:
+        leader = game.data["L"]
+        objective = Objective("L", leader.objective.sense, leader_values)
+        data = {**game.data, "L": PlayerData(objective, leader.risk)}
+        game = make_wgame(game.model, game.players, data, game.leaders)
+    path = tmp_path / "zeros.json"
+    path.write_text(json.dumps(export_custom(game)))
+    for mode in MODES:
+        expected = reference_equilibria(
+            game, oracle_nash_stackelberg(game, plain_scorer(game), mode)
+        )
+        assert [rec["values"]["F"] for rec in expected] == ["0", "-0", "0", "-0"]
+        args = ["nash-stackelberg", "--mode", mode.describe(), "--game", str(path)]
+        out = tmp_path / "report"
+        assert main([*args, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["results"]["equilibria"] == expected
+        assert main([*args, "--format", "text", "--out", str(out)]) == 0
+        listed = [line for line in out.read_text().splitlines() if line.startswith("  [")]
+        assert listed == [
+            "  [L: {}; F: {}] values: L={}, F={}".format(
+                rec["profile"]["L"], rec["profile"]["F"], rec["values"]["L"], rec["values"]["F"]
+            )
+            for rec in expected
+        ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_report_dicts_match_the_record_by_record_rule(seed):
+    """On a random game (``random_game``: one to three players, several
+    agents per player, every mode of ``MODES``), the ``nash`` and
+    ``nash-stackelberg`` equilibria and the ``stackelberg`` leader profiles
+    of ``cli.run`` equal the reference dicts, as objects, as ``json.dumps``
+    bytes and as ``_dumps`` bytes."""
+    game = random_game(random.Random(seed))
+    cases = [("nash", None, lambda mode: nash_equilibria(game))]
+    for mode in MODES:
+        cases.append(("stackelberg", mode, lambda mode: stackelberg_strategies(game, mode)))
+        cases.append(("nash-stackelberg", mode, lambda mode: nash_stackelberg(game, mode)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "load_game", lambda path, cap: game)
+        for command, mode, solve in cases:
+            try:
+                solved = solve(mode)
+            except (GameError, ValueError) as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    cli.run(command, "game.json", {}, DEFAULT_CAP, mode)
+                continue
+            results = cli.run(command, "game.json", {}, DEFAULT_CAP, mode)[0]["results"]
+            if command == "stackelberg":
+                listed = results["leader_profiles"]
+                expected = [{p: reference_label(game, ps) for p, ps in lp} for lp in solved[0]]
+            else:
+                listed = results["equilibria"]
+                expected = reference_equilibria(game, solved)
+            assert listed == expected
+            assert json.dumps(listed) == json.dumps(expected)
+            assert _dumps(listed) == json.dumps(expected, indent=2)
+
+
 # The sha256 of each JSON ``--out`` report of the CI "Report byte identity"
 # loop on the shipped games, run from the repository root with a relative
 # ``--game`` path (``None``: the run writes no report).  Unlike the
@@ -582,5 +695,82 @@ def test_shipped_game_reports_are_pinned(tmp_path, monkeypatch, capsys, game, co
     monkeypatch.chdir(GAMES_DIR.parent)
     out = tmp_path / "report.json"
     assert main([*command.split(), "--game", f"games/{game}", "--out", str(out)]) == code
+    digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+    assert digest == sha256
+
+
+# The sha256 of each ``--format text --out`` report of the same runs.  The
+# text is derived from the JSON report, so these pin what it reads of it:
+# labels, shared "values" objects and counters.
+TEXT_REPORT_SHA256 = [
+    ("cyclic_three_agents.json", "validate", 0, '10bb24bfc59a50876e7d28c28fa787b1fc724fb8b3ed847981cf637bdb51f2a4'),
+    ("cyclic_three_agents.json", "strategies", 0, '45ad88c5fac0f72f825eef443658ed782b4b561575018f98ace0a4cc0b22e0fa'),
+    ("cyclic_three_agents.json", "playability --mode all", 2, 'c5c9e6fbdb34d25892f1bfe72111bd59b18298e73b0d64e9b48678f34c6c8b2d'),
+    ("cyclic_three_agents.json", "playability --mode sample=5,seed=1", 2, '263755d4665e4e7e37d59f5c33c77f7c42bd2ca876c29f45252e3353e9b6e81d'),
+    ("cyclic_three_agents.json", "nash", 2, None),
+    ("cyclic_three_agents.json", "stackelberg --mode theta=0.5", 2, None),
+    ("cyclic_three_agents.json", "stackelberg --mode pessimistic", 2, None),
+    ("cyclic_three_agents.json", "nash-stackelberg --mode optimistic", 2, None),
+    ("cyclic_three_agents.json", "nash-stackelberg --mode pessimistic", 2, None),
+    ("cyclic_three_agents.json", "nash-stackelberg --mode theta=0.5", 2, None),
+    ("cyclic_three_agents.json", "nash-stackelberg --mode leader-risk=cvar:0.5", 2, None),
+    ("cyclic_three_agents.json", "nash-stackelberg --mode leader-risk=expectation-uniform", 2, None),
+    ("cyclic_three_agents.json", "nash-stackelberg --mode leader-risk=worst-case", 2, None),
+    ("cyclic_three_agents.json", "normal-form", 2, None),
+    ("cyclic_three_agents.json", "export", 0, '1de2e275bc2e4407f7becb4cd31e10c96e4f782008c1fa3a650ca9bb994ce9b8'),
+    ("prisoners_dilemma.json", "validate", 0, 'a07669a502699f88e5c671e274abdf0d4669d57bc0ab0d068b399ba0e1add593'),
+    ("prisoners_dilemma.json", "strategies", 0, '9b4da4bb2c9eca58183afb42a611bdfd6121be4217a754f9499f78d8a4e286fd'),
+    ("prisoners_dilemma.json", "playability --mode all", 0, '35a2d5039adb9ac411b5dbc72f02a3d1eb86e79b9bcb2099514f680f8a3e882e'),
+    ("prisoners_dilemma.json", "playability --mode sample=5,seed=1", 0, '1382f2b492449356df7fe74059391ccdc72ab12916e65b6375ec642f908a1c23'),
+    ("prisoners_dilemma.json", "nash", 0, 'b616ebeede9b6e05188f1cf9e3f64364b07cc4935f5fc5253039498f43e1d103'),
+    ("prisoners_dilemma.json", "stackelberg --mode theta=0.5", 2, None),
+    ("prisoners_dilemma.json", "stackelberg --mode pessimistic", 2, None),
+    ("prisoners_dilemma.json", "nash-stackelberg --mode optimistic", 2, None),
+    ("prisoners_dilemma.json", "nash-stackelberg --mode pessimistic", 2, None),
+    ("prisoners_dilemma.json", "nash-stackelberg --mode theta=0.5", 2, None),
+    ("prisoners_dilemma.json", "nash-stackelberg --mode leader-risk=cvar:0.5", 2, None),
+    ("prisoners_dilemma.json", "nash-stackelberg --mode leader-risk=expectation-uniform", 2, None),
+    ("prisoners_dilemma.json", "nash-stackelberg --mode leader-risk=worst-case", 2, None),
+    ("prisoners_dilemma.json", "normal-form", 0, '048e60e8182e9994aaef166bde66807a533be1fb860cb1556f36091b519285da'),
+    ("prisoners_dilemma.json", "export", 0, '145830d3c6496c70c1f8389fb1283d18b3d913cc0142685155430f5bfc23d0e5'),
+    ("thai_dr_single.json", "validate", 0, '69f4e9d67ce0313b4091509c1450f8a83f69138cf5076dd0efc13316447e300d'),
+    ("thai_dr_single.json", "strategies", 0, '37b2dd104be4d3d38b3e7faf54bd7a5e3b06d74dbb4b2e9c72cd60361a0809ff'),
+    ("thai_dr_single.json", "playability --mode all", 0, 'a1ce00a327b41ac6084eb703eb29ddb598954befe4ee43ec47ee633c583a936d'),
+    ("thai_dr_single.json", "playability --mode sample=5,seed=1", 0, '64a1cd289917f770a688591fea65dcb36ae2bdcce8d81d96742679e3a0fb1ffb'),
+    ("thai_dr_single.json", "nash", 0, 'cbc6b9f82982a6fb288a1e119e1641d372668f8cda6d82112484272a6138d34a'),
+    ("thai_dr_single.json", "stackelberg --mode theta=0.5", 0, '3cc0d9f268fc6cc6918ae34aa190837bcb3e5fb73b2583f0db58bc4541819cd7'),
+    ("thai_dr_single.json", "stackelberg --mode pessimistic", 0, '1c08d18fc0bcf842ca9dbfea3eceda494f8ce8afb39c7bbb5aeed4f6eb2edd44'),
+    ("thai_dr_single.json", "nash-stackelberg --mode optimistic", 0, 'd619e852b90ffe1ba2779c515064262539c886c20197e45360a3e412d17d03f8'),
+    ("thai_dr_single.json", "nash-stackelberg --mode pessimistic", 0, '5999f80338827947bb1a68cb3247162a48b62a01821c2dfaef09bcf4c53840a3'),
+    ("thai_dr_single.json", "nash-stackelberg --mode theta=0.5", 0, 'c1e5f992cf2235b8467b03d1609c9270c814edf575bb9a6177cbac9f6f8a0095'),
+    ("thai_dr_single.json", "nash-stackelberg --mode leader-risk=cvar:0.5", 0, '3c0aae660390f1471cc566a13f44f31734e35cb9ba6cb53ac16c1ecd5cc891c2'),
+    ("thai_dr_single.json", "nash-stackelberg --mode leader-risk=expectation-uniform", 0, 'f3933950e289decff46427a3d8b099d5914ee536ace42b82face9b36e52ef0e0'),
+    ("thai_dr_single.json", "nash-stackelberg --mode leader-risk=worst-case", 0, 'ec7df0546b78f540ca4fa471f4bd89bf9d3a9b5f2b09dcd42ed55a674284e1ed'),
+    ("thai_dr_single.json", "normal-form", 0, '920c2265cc986a1c638924968497ccb31b6768f2b4b47a5c13d1e09bed16993d'),
+    ("thai_dr_single.json", "export", 0, '148a1748a2ba731d322920abafc482f6fd3ae437b680c51e5b17899721b46f91'),
+    ("tou_pricing.json", "validate", 0, '859775e26dc5f1d9fb261c75a64f0b2a1c2c29a5a096a5a754e7b3099bf4c23d'),
+    ("tou_pricing.json", "strategies", 0, '24a685a4cfcbf0f6550383c70458819c3623a70b4b051085ef3f20ed58e8bc3c'),
+    ("tou_pricing.json", "playability --mode all", 0, '0976814574ecef6f5829e4da97055749a737863ad84fe856a9f75f8570873a59'),
+    ("tou_pricing.json", "playability --mode sample=5,seed=1", 0, 'ff8fa260a5c5ab4a96d18fba6d0dc0cd391b8af006b56540a0508effdefbc076'),
+    ("tou_pricing.json", "nash", 0, 'e7dabbbc207c493515d2ff0d6344a62d2a415790e1baf8b5180dff8c955c4fdc'),
+    ("tou_pricing.json", "stackelberg --mode theta=0.5", 0, 'cef6d0b76345147c316f4a8da14ca342b209cadcfdea9629f1f677fb17098d79'),
+    ("tou_pricing.json", "stackelberg --mode pessimistic", 0, '159c34a73bc77afbe4e80c6d74a93cf4ce14ec619e1bf49d30acf36714900dbf'),
+    ("tou_pricing.json", "nash-stackelberg --mode optimistic", 0, '6c69eb5b608620e3dadf5156bf7fd21d0b0d05813bf6cb46c15aa7eccffdd100'),
+    ("tou_pricing.json", "nash-stackelberg --mode pessimistic", 0, 'f0f6015d05f7ccc24c534f27480e656505b26129f646341c256c99c1578a5f89'),
+    ("tou_pricing.json", "nash-stackelberg --mode theta=0.5", 0, '2ae1ecdfe4c0c0f4687cc123e55f8be09c88015793e826dc5b6d92be043c6524'),
+    ("tou_pricing.json", "nash-stackelberg --mode leader-risk=cvar:0.5", 0, 'e1497f3370fa0b8b244626f38f99dedddd46a7ef8145a2857402fab604ef4e9b'),
+    ("tou_pricing.json", "nash-stackelberg --mode leader-risk=expectation-uniform", 0, '0160728118a51387988c40ccc38427e9738a4c6ddf3499cbe0a8b2b4bbf64782'),
+    ("tou_pricing.json", "nash-stackelberg --mode leader-risk=worst-case", 0, '200df95f96df8ef78960a59df1dff11cf62cbd61410ba4d32c307632d86f43b0'),
+    ("tou_pricing.json", "normal-form", 0, 'e2bdc58c326a37be6951bfbe4ecb3f545efb16fb04d2648754f0c1115a3ac431'),
+    ("tou_pricing.json", "export", 0, '015d23a45865029df8b2f9035d714ed8c23475ffdf0570445ca0351a025d2c99'),
+]
+
+
+@pytest.mark.parametrize("game, command, code, sha256", TEXT_REPORT_SHA256)
+def test_shipped_game_text_reports_are_pinned(tmp_path, monkeypatch, game, command, code, sha256):
+    monkeypatch.chdir(GAMES_DIR.parent)
+    out = tmp_path / "report.txt"
+    args = [*command.split(), "--game", f"games/{game}", "--format", "text", "--out", str(out)]
+    assert main(args) == code
     digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
     assert digest == sha256
