@@ -11,8 +11,10 @@ The search enumerates strategies, except for a one-agent player judged by her
 normal-form value in a sequential model: her value in a context reads her
 actions only at her memo-key atoms, so her best-response set is built by
 scoring each key once (see :class:`_Session`), with the same values, members,
-order, evaluations and caps as enumeration.  Every reported profile's values
-are read from the contexts of the last follower (see :meth:`_Session.records`).
+order, evaluations and caps as enumeration.  Every normal-form value is read
+from an evaluator context, in sequential and non-sequential models alike, and
+every reported profile's values from the contexts of the last follower (see
+:meth:`_Session.records`).
 
 Optimistic, pessimistic and theta leader anticipation are interpreted with
 respect to the leader's objective sense: optimistic picks the follower best
@@ -262,12 +264,12 @@ class _Session:
     joint best responses to the leaders' profile; followers, and every player
     of a session without a mode, by the normal-form value.
 
-    In a sequential model, normal-form values are scored from the evaluator's
-    context tables.  A player deviates through her last agent; the session
-    looks a context up by that player, the other players' strategies and her
-    other agents' strategies, once per run of candidates sharing those, so
-    no profile is assembled per candidate (:meth:`_walk`, which
-    :meth:`scores` and :meth:`records` share).
+    Normal-form values are scored from the evaluator's contexts, in every
+    model (see :class:`~infogames.normal_form.Evaluator`).  A player deviates
+    through her last agent; the session looks a context up by that player,
+    the other players' strategies and her other agents' strategies, once per
+    run of candidates sharing those, so no profile is assembled per candidate
+    (:meth:`_walk`, which :meth:`scores` and :meth:`records` share).
 
     :meth:`responses` returns a player's best-response set in a context.  A
     one-agent player judged by the normal-form value in a sequential model is
@@ -340,15 +342,12 @@ class _Session:
 
     def _walk(
         self, deviator: str, fixed: Mapping[str, PlayerStrategy], candidates
-    ) -> list[tuple[StrategyProfile | Context, Sequence[PlayerStrategy]]]:
+    ) -> list[tuple[Context, Sequence[PlayerStrategy]]]:
         """Where ``deviator``'s ``candidates`` are scored against the other
-        players' strategies in ``fixed``, as runs ``(where, run)`` in
-        candidate order.  A run is the consecutive candidates sharing her
-        other agents' strategies and ``where`` her last agent's context,
-        looked up once per run; in a non-sequential model, each run is one
-        candidate and ``where`` its assembled profile."""
-        if self.evaluator.sequential_order is None:
-            return [(assemble_profile(self.game, {**fixed, deviator: c}), (c,)) for c in candidates]
+        players' strategies in ``fixed``, as runs ``(ctx, run)`` in candidate
+        order.  A run is the consecutive candidates sharing her other agents'
+        strategies and ``ctx`` her last agent's context, looked up once per
+        run."""
         others = _context_key(self.game, deviator, fixed)
         out = []
         for _, group in itertools.groupby(candidates, key=itemgetter(slice(-1))):
@@ -367,8 +366,6 @@ class _Session:
         ``candidates`` against the other players' strategies in ``fixed``."""
         value = self.evaluator.value
         walk = self._walk(deviator, fixed, candidates)
-        if self.evaluator.sequential_order is None:
-            return [value(player, profile) for profile, _ in walk]
         return [value(player, ctx, c[-1]) for ctx, run in walk for c in run]
 
     def records(
@@ -381,37 +378,25 @@ class _Session:
         against the other players' strategies in ``fixed``, with every
         player's normal-form value.
 
-        In a sequential model, each run's context profile is split once
-        around her last agent, each candidate's last-agent strategy is
-        spliced in, and each player's value is the context's memo entry for
-        it: the member's own entry, not a set's best, since tied keys
-        compare equal but may differ in the sign of zero."""
-        game, value = self.game, self.evaluator.value
-        players = game.players.players
+        Each candidate's last-agent strategy is spliced into its run's
+        context (:meth:`~infogames.normal_form.Context.splice`), and each
+        player's value is read from the context: in a sequential model, the
+        context's memo entry for it, the member's own entry, not a set's
+        best, since tied keys compare equal but may differ in the sign of
+        zero."""
+        value = self.evaluator.value
+        players = self.game.players.players
         slot = players.index(deviator)
         before = tuple((p, fixed[p]) for p in players[:slot])
         after = tuple((p, fixed[p]) for p in players[slot + 1:])
-        walk = self._walk(deviator, fixed, candidates)
-        if self.evaluator.sequential_order is None:
-            return [
-                ProfileRecord(
-                    before + ((deviator, c),) + after,
-                    profile,
-                    tuple([(p, value(p, profile)) for p in players]),
-                )
-                for profile, (c,) in walk
-            ]
-        at = game.model.agents.index(game.agents_of(deviator)[-1])
         out = []
-        for ctx, run in walk:
-            strategies = ctx.profile.strategies
-            head, tail = strategies[:at], strategies[at + 1:]
+        for ctx, run in self._walk(deviator, fixed, candidates):
             for c in run:
                 s = c[-1]
                 out.append(
                     ProfileRecord(
                         before + ((deviator, c),) + after,
-                        StrategyProfile(head + (s,) + tail),
+                        ctx.splice(s),
                         tuple([(p, value(p, ctx, s)) for p in players]),
                     )
                 )
@@ -419,8 +404,6 @@ class _Session:
 
     def value(self, player: str, assignment: Mapping[str, PlayerStrategy]) -> float:
         """The player's normal-form value at the full ``assignment``."""
-        if self.evaluator.sequential_order is None:
-            return self.evaluator.value(player, assemble_profile(self.game, assignment))
         c = assignment[player]
         others = _context_key(self.game, player, assignment)
         return self.evaluator.value(player, self._context(player, others, assignment, c), c[-1])

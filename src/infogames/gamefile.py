@@ -55,9 +55,12 @@ def _get(doc: dict, key: str, path: str, kind=None, required: bool = True, defau
     value = doc[key]
     if value is None and not required:
         return default
-    if kind is not None and not isinstance(value, kind):
-        names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
-        raise SchemaError(f"{path}.{key}", f"expected {names}, got {type(value).__name__}")
+    if kind is not None:
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        # JSON booleans are Python ints: accept one only where bool is expected.
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+            names = "/".join(k.__name__ for k in kinds)
+            raise SchemaError(f"{path}.{key}", f"expected {names}, got {type(value).__name__}")
     return value
 
 
@@ -418,9 +421,11 @@ def export_custom(game: WGame) -> dict:
     """Render a game in the custom schema (inverse of :func:`_load_custom`
     up to information-spec form).
 
-    An agent's information is written as ``cylinder`` over the factors it
-    observes, in configuration order, when it equals that cylinder, and as
-    ``atoms`` otherwise."""
+    Each agent is written under the player the game assigns it to, with its
+    own stage; two agents that would be written with the same player and
+    stage raise ``ValueError``.  An agent's information is written as
+    ``cylinder`` over the factors it observes, in configuration order, when
+    it equals that cylinder, and as ``atoms`` otherwise."""
     model = game.model
     factors_doc = [
         {"id": f.id, "label": f.label, "kind": f.kind, "elements": list(f.elements)}
@@ -428,13 +433,21 @@ def export_custom(game: WGame) -> dict:
     ]
 
     agents_doc = []
+    written: dict = {}
     for a in model.agents:
+        player = game.players.assignment[a]
+        other = written.setdefault((player, a.stage), a)
+        if other != a:
+            raise ValueError(
+                f"agents {other} and {a} would both be written as player {player!r}, "
+                f"stage {a.stage}"
+            )
         visible = [model.configuration.factors[i].id for i in model.observed[a]]
         cylinder = cylinder_partition(model.configuration, visible) == model.info[a]
         info = {"cylinder": visible} if cylinder else {"atoms": list(model.info[a].atom_of)}
         agents_doc.append(
             {
-                "player": a.player,
+                "player": player,
                 "stage": a.stage,
                 "action": model.action_factors[a].id,
                 "info": info,

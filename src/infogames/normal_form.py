@@ -3,19 +3,23 @@ composed with the solution map, as a function of the strategy profile.
 
 An :class:`Evaluator` scores a full profile through the solution map
 (:func:`~infogames.model.outcome_indices`), memoized per (player, profile).
-Equilibrium search instead scores unilateral deviations.  In a sequential
-model, fixing every agent but one (the deviator) fixes, at each Nature state,
-the deviator's information atom and the outcome each of his actions leads to.
-A :class:`Context` holds that table, built once per (deviating agent,
-strategies of every other agent) by |Nature| x |actions| forward
+Equilibrium search instead scores unilateral deviations, each from a
+:class:`Context`: the deviating agent against fixed strategies of every other
+agent, built once per (deviating agent, those strategies), in any model.
+
+In a sequential model, fixing every agent but the deviator fixes, at each
+Nature state, his information atom and the outcome each of his actions leads
+to.  The context holds that table, built by |Nature| x |actions| forward
 substitutions.  A deviation's value is then the same ``apply_risk`` call on
 the same composed list as the profile path, so both paths agree bit for bit.
 It is memoized per player under the deviator's actions at the atoms of the
 player's positive-mass states (every state when her risk has no belief): the
 other states are dropped by ``apply_risk``, so deviations that agree there
-share the value.  Evaluation is pure, so every memo is a last-write-wins
-cache.  ``Evaluator.evaluations`` counts the risk evaluations actually
-computed, on either path.
+share the value.  In any other model the context has no table, and a
+deviation is spliced into its profile and scored on the profile path, so the
+choice between the two paths is made here alone.  Evaluation is pure, so
+every memo is a last-write-wins cache.  ``Evaluator.evaluations`` counts the
+risk evaluations actually computed, on either path.
 """
 
 from __future__ import annotations
@@ -123,21 +127,29 @@ def assemble_profile(
 
 @dataclass(eq=False, slots=True)
 class Context:
-    """The deviating ``agent`` against fixed strategies of every other agent,
-    in a sequential model.
+    """The deviating ``agent`` against fixed strategies of every other agent.
 
     ``profile`` holds those strategies (its entry for ``agent`` is whichever
-    built the context).  ``atoms[w]`` is the agent's information atom at
-    Nature state ``w`` and ``outcomes[w][a]`` the flat outcome index when he
-    plays action ``a`` there.  ``memo`` maps a player to her memo key (a
-    getter over strategy tables) and the values memoized under it.
+    built the context); ``head`` and ``tail`` are its entries before and
+    after that one, so :meth:`splice` builds a deviation's profile.  In a
+    sequential model, ``atoms[w]`` is the agent's information atom at Nature
+    state ``w`` and ``outcomes[w][a]`` the flat outcome index when he plays
+    action ``a`` there; in any other model both are ``None``.  ``memo`` maps
+    a player to her memo key (a getter over strategy tables) and the values
+    memoized under it.
     """
 
     agent: AgentId
     profile: StrategyProfile
-    atoms: list[int]
-    outcomes: list[Sequence[int]]
+    head: tuple[Strategy, ...]
+    tail: tuple[Strategy, ...]
+    atoms: list[int] | None
+    outcomes: list[Sequence[int]] | None
     memo: dict[str, tuple[Callable, dict]] = field(default_factory=dict)
+
+    def splice(self, deviation: Strategy) -> StrategyProfile:
+        """The full profile where the agent plays ``deviation``."""
+        return StrategyProfile(self.head + (deviation,) + self.tail)
 
     def key_atoms(self, risk: RiskMeasure) -> tuple[int, ...]:
         """The atoms of the positive-mass states of ``risk`` (every state
@@ -157,11 +169,13 @@ class Evaluator:
 
     :meth:`value` scores a full :class:`StrategyProfile` through
     :meth:`outcome_indices`, memoized per (player, profile), or a deviation
-    from a :class:`Context`, memoized in the context per player under the
-    deviator's actions at the atoms of her positive-mass states (all states
-    when her risk has no belief).  :meth:`context` builds each context once
-    per (deviating agent, strategies of every other agent).  ``evaluations``
-    counts the ``apply_risk`` calls actually made, not memo hits.
+    from a :class:`Context`.  In a sequential model that value is memoized in
+    the context per player under the deviator's actions at the atoms of her
+    positive-mass states (all states when her risk has no belief); in any
+    other model it is the value of the spliced profile.  :meth:`context`
+    builds each context once per (deviating agent, strategies of every other
+    agent).  ``evaluations`` counts the ``apply_risk`` calls actually made,
+    not memo hits.
     """
 
     def __init__(self, game: WGame):
@@ -169,7 +183,7 @@ class Evaluator:
         self.sequential_order = check_sequential(game.model)
         self._outcomes: dict[StrategyProfile, list[int]] = {}
         self._values: dict[tuple[str, StrategyProfile], float] = {}
-        self._contexts: dict[tuple[AgentId, tuple[Strategy, ...]], Context] = {}
+        self._contexts: dict[tuple, Context] = {}
         self.evaluations = 0
 
     def outcome_indices(self, profile: StrategyProfile) -> list[int]:
@@ -184,15 +198,19 @@ class Evaluator:
 
     def context(self, agent: AgentId, profile: StrategyProfile) -> Context:
         """The context of ``agent`` against the other strategies of
-        ``profile`` (his own entry is ignored); sequential models only."""
-        order = self.sequential_order
-        if order is None:
-            raise ValueError("context tables need a sequential model")
-        key = (agent, tuple(s for s in profile.strategies if s.agent != agent))
+        ``profile`` (his own entry is ignored), with a deviation table when
+        the model is sequential."""
+        strategies = profile.strategies
+        at = self.game.model.agents.index(agent)
+        head, tail = strategies[:at], strategies[at + 1:]
+        key = (agent, head, tail)
         ctx = self._contexts.get(key)
         if ctx is None:
-            atoms, outcomes = deviation_table(self.game.model, agent, profile, order)
-            ctx = self._contexts[key] = Context(agent, profile, atoms, outcomes)
+            order = self.sequential_order
+            atoms = outcomes = None
+            if order is not None:
+                atoms, outcomes = deviation_table(self.game.model, agent, profile, order)
+            ctx = self._contexts[key] = Context(agent, profile, head, tail, atoms, outcomes)
         return ctx
 
     def value(
@@ -216,6 +234,9 @@ class Evaluator:
         else:
             entry = profile.memo.get(player)
             if entry is None:
+                if profile.outcomes is None:
+                    # No table (non-sequential model): score the full profile.
+                    return self.value(player, profile.splice(deviation))
                 entry = profile.memo[player] = (profile.memo_key(data.risk), {})
             getter, memo = entry
             key = getter(deviation.table)

@@ -90,6 +90,8 @@ class Objective:
 
 def _check_mass_vector(vec: Sequence[float], what: str):
     for m in vec:
+        if not math.isfinite(m):
+            raise ValueError(f"{what} has a non-finite mass {m}")
         if m < 0:
             raise ValueError(f"{what} has a negative mass {m}")
     if abs(math.fsum(vec) - 1.0) > MASS_TOL:

@@ -231,6 +231,42 @@ class TestExitCodes:
         assert res.stdout == ""
         assert res.stderr.startswith("error: ") and message in res.stderr
 
+    @pytest.mark.parametrize(
+        "game,belief,what",
+        [
+            (
+                "nature_orders.json",
+                {"product": [[float("nan"), 0.3]]},
+                "$.custom.players[0].belief: belief vector for factor 'first'",
+            ),
+            (
+                "nature_orders.json",
+                {"joint": [0.5, float("nan")]},
+                "$.custom.players[0].belief: joint belief",
+            ),
+            (
+                "tou_pricing.json",
+                {"values": [100, 120], "masses": [float("nan"), 0.5]},
+                "$.builtin.params: belief vector for factor 'demand'",
+            ),
+        ],
+    )
+    def test_nan_belief_mass_exit_2(self, tmp_path, capsys, game, belief, what):
+        """A NaN mass fails both the sign and the sum check, so it is
+        rejected as not finite."""
+        doc = json.loads((GAMES_DIR / game).read_text(encoding="utf-8"))
+        if "builtin" in doc:
+            doc["builtin"]["params"]["demand"] = belief
+        else:
+            doc["custom"]["players"][0]["belief"] = belief
+        path = tmp_path / game
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert "NaN" in path.read_text(encoding="utf-8")
+        assert main(["nash", "--game", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {what} has a non-finite mass nan\n"
+
     @pytest.mark.parametrize("command", ["validate", "strategies"])
     @pytest.mark.parametrize("cap", ["-5", "-1", "five"])
     def test_bad_cap_is_a_usage_error(self, command, cap):
@@ -642,6 +678,21 @@ REPORT_SHA256 = [
     ("cyclic_three_agents.json", "nash-stackelberg --mode leader-risk=worst-case", 2, None),
     ("cyclic_three_agents.json", "normal-form", 2, None),
     ("cyclic_three_agents.json", "export", 0, '1de2e275bc2e4407f7becb4cd31e10c96e4f782008c1fa3a650ca9bb994ce9b8'),
+    ("nature_orders.json", "validate", 0, 'd78bc084d3799eaadf393f954e1b54048c85380bf2d655d94fc04e0d2ed4b59e'),
+    ("nature_orders.json", "strategies", 0, 'f5cf3d03f37ff6053247a2dd6bbd8d4ec5296b2c1aedcbfe33200fcbdd2186f4'),
+    ("nature_orders.json", "playability --mode all", 0, '87140212281c39fc6bc2011f970397fccea24f5e68dfae22664848711c973e00'),
+    ("nature_orders.json", "playability --mode sample=5,seed=1", 0, '1e9827724db4d9ead1aee656a9c722a5734c61dd246e13fbb894103e46f5bcbb'),
+    ("nature_orders.json", "nash", 0, '05425ed1ca953ac9f1703402d07e62dc6530a14621a418429f0a3d42460cd44a'),
+    ("nature_orders.json", "stackelberg --mode theta=0.5", 0, '6c8b1166ae40d0780d44f28c88457a525ac510673380b0f2e216b4897dbc36ee'),
+    ("nature_orders.json", "stackelberg --mode pessimistic", 0, '9f190627e83c961b5f21035ae9109c608d7bab07f93199247c3cf7a6e799868c'),
+    ("nature_orders.json", "nash-stackelberg --mode optimistic", 0, 'b563f9d4583b0cd9d9b476c5db4a6557b8a72f014d8a65d7d2cca3691918db33'),
+    ("nature_orders.json", "nash-stackelberg --mode pessimistic", 0, '796f67f47d7c4853a371b0221e295ec67bcb7c9993279569552d6189de022bc5'),
+    ("nature_orders.json", "nash-stackelberg --mode theta=0.5", 0, 'e1ea881cd92268da09150626aa064cecd3e77112f89d389d382d4ce1a297cf99'),
+    ("nature_orders.json", "nash-stackelberg --mode leader-risk=cvar:0.5", 0, '0d97729e4caac0263807c58da0ba3b495e5a5995d66a79e0b36b01c257b9588f'),
+    ("nature_orders.json", "nash-stackelberg --mode leader-risk=expectation-uniform", 0, '05aac9a0ede0985ba859af09d2d44f52452b73990fa6d4fa99e3a69d8ad97889'),
+    ("nature_orders.json", "nash-stackelberg --mode leader-risk=worst-case", 0, '7c6d5274294909ef66f7954eae391e476ce67c39958913ca15bebbc083dccaf1'),
+    ("nature_orders.json", "normal-form", 0, 'fa4d5e7dc2abdd1f196c54594b330f2c45c611b819c8fc71104e0413117c17f9'),
+    ("nature_orders.json", "export", 0, 'b8b0db20a740c7db430e230f82fd6a56792d49092b75b2914d0b78b037ce7812'),
     ("prisoners_dilemma.json", "validate", 0, 'db28d7869b97dd92e02ea771731262c8d4dd8dcfe7d6aeba31da7b5fddcf17de'),
     ("prisoners_dilemma.json", "strategies", 0, 'd381e60bb7c484c2b84d3ad94fafb600077d3e5c0e82c7134e16aaec2f75e942'),
     ("prisoners_dilemma.json", "playability --mode all", 0, '85d6226610f1674095d9f35cac4262fc3b63629b19bca028cfc246f885c6ebbb'),
@@ -718,6 +769,21 @@ TEXT_REPORT_SHA256 = [
     ("cyclic_three_agents.json", "nash-stackelberg --mode leader-risk=worst-case", 2, None),
     ("cyclic_three_agents.json", "normal-form", 2, None),
     ("cyclic_three_agents.json", "export", 0, '1de2e275bc2e4407f7becb4cd31e10c96e4f782008c1fa3a650ca9bb994ce9b8'),
+    ("nature_orders.json", "validate", 0, 'e0e9a8b9914000430fa7d04fbc96817b1f35a7321f2b67eb7f880e716e15e557'),
+    ("nature_orders.json", "strategies", 0, 'b2c17a7e2ce259088e21b7e22a1fd4f51ad03c11571f6a1a4fd155c6e690c84e'),
+    ("nature_orders.json", "playability --mode all", 0, '3567b619b4b7ec14c4e5b23e5318d73578615dd97c7b6750223fc65982b797fe'),
+    ("nature_orders.json", "playability --mode sample=5,seed=1", 0, '5ca79669f37e51278696d1d78a536c8e9e200a87ef4571408c1bd44a622fe402'),
+    ("nature_orders.json", "nash", 0, '16483bc06555d61b16b83b6e99d5453ec1af00c5e586c50749cece57245cf23b'),
+    ("nature_orders.json", "stackelberg --mode theta=0.5", 0, '2e1fa07aa1105ed4d012a873f82a83cdb407215335e8195081f0fed9a1f6bb7e'),
+    ("nature_orders.json", "stackelberg --mode pessimistic", 0, '25f78fa26751afcc771a09297f9a8710c6d376052824f4ab924d9c32535b67b2'),
+    ("nature_orders.json", "nash-stackelberg --mode optimistic", 0, '4393aa76cbf90c5dc5016f18d197bfbf6c7b1164d9ffdd6e3d0ab341a5d5ff72'),
+    ("nature_orders.json", "nash-stackelberg --mode pessimistic", 0, 'f967f050265d23ed267761223f09c6eb9e2dcf835e4630eb3422d2fa470d2bab'),
+    ("nature_orders.json", "nash-stackelberg --mode theta=0.5", 0, '53037eee0937342039f3d67087d91ee34e275554fe618043d98fed39c522d80c'),
+    ("nature_orders.json", "nash-stackelberg --mode leader-risk=cvar:0.5", 0, '791a277a9a71f0aeadf4f51fa9c2344ff3434d21649afaa7a5eaada3e8d35286'),
+    ("nature_orders.json", "nash-stackelberg --mode leader-risk=expectation-uniform", 0, 'cfc3ce04b3af61fb3891c93219fe7ffe02410a2a063137c3b05dd637aedf2022'),
+    ("nature_orders.json", "nash-stackelberg --mode leader-risk=worst-case", 0, '54316682864089e2fc3913560d06e155b939072ca6e927054b89ad8f989c0c01'),
+    ("nature_orders.json", "normal-form", 0, '460f1e5eadd8c687b7d84e5f2782abd60629ddfab70672383caa5c57f08cd452'),
+    ("nature_orders.json", "export", 0, 'b8b0db20a740c7db430e230f82fd6a56792d49092b75b2914d0b78b037ce7812'),
     ("prisoners_dilemma.json", "validate", 0, 'a07669a502699f88e5c671e274abdf0d4669d57bc0ab0d068b399ba0e1add593'),
     ("prisoners_dilemma.json", "strategies", 0, '9b4da4bb2c9eca58183afb42a611bdfd6121be4217a754f9499f78d8a4e286fd'),
     ("prisoners_dilemma.json", "playability --mode all", 0, '35a2d5039adb9ac411b5dbc72f02a3d1eb86e79b9bcb2099514f680f8a3e882e'),

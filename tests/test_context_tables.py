@@ -32,6 +32,7 @@ from infogames import (
     Evaluator,
     GameError,
     Objective,
+    Partition,
     PlayerData,
     PlayerPartition,
     RiskMeasure,
@@ -40,12 +41,14 @@ from infogames import (
     StrategyProfile,
     best_responses,
     build_wmodel,
+    check_playability,
     count_profiles,
     enumerate_strategies,
     followers_nash,
     leader_risk_mode,
     leader_value,
     load_game,
+    make_product_space,
     make_wgame,
     nash_equilibria,
     nash_stackelberg,
@@ -112,21 +115,60 @@ def _random_risk(rng: random.Random, nature_space) -> RiskMeasure:
     return RiskMeasure.cvar(rng.choice((0.25, 0.5, 1.0)), belief)
 
 
-def _random_model(rng: random.Random):
+def random_causal_model(rng: random.Random):
+    """A model where the Nature factor ``first`` picks a random order of
+    2-3 agents or its reverse, and at its states each agent sees a random
+    function of ``first``, of the other Nature factor (when drawn) and of the
+    actions of agents before him in that order.  Every profile is playable,
+    but the two orders usually leave the model without a sequential order."""
+    agents = [AgentId("p", t) for t in range(1, rng.randint(2, 3) + 1)]
+    nature = [small_factor("first", 2)]
     if rng.random() < 0.5:
+        nature.append(small_factor("n0", 2, "nature-type"))
+    actions = {a: small_factor(f"u{a.stage}", rng.randint(2, 3), "action") for a in agents}
+    forward = rng.sample(agents, len(agents))
+    orders = [forward, forward[::-1]]
+    configuration = make_product_space(nature + [actions[a] for a in agents])
+    specs = {}
+    for a in agents:
+        seen = []
+        for order in orders:
+            ids = [f.id for f in nature[1:] if rng.random() < 0.5]
+            ids += [actions[b].id for b in order[: order.index(a)] if rng.random() < 0.7]
+            seen.append([configuration.factor_index(i) for i in ids])
+        keys = [(pt[0],) + tuple(pt[i] for i in seen[pt[0]]) for pt in configuration.points()]
+        labels: dict = {}
+        for key in keys:
+            labels.setdefault(key, rng.randrange(3))
+        specs[a] = Partition.from_labels(configuration, [labels[k] for k in keys])
+    return build_wmodel(nature, agents, actions, specs)
+
+
+def _random_model(rng: random.Random):
+    kind = rng.random()
+    if kind < 0.5:
         return random_sequential_model(rng)
-    nature, agents, actions, specs, _ = random_information_parts(rng, sequential=True)
+    if kind < 0.7:
+        nature, agents, actions, specs, _ = random_information_parts(rng, sequential=True)
+    elif kind < 0.85:
+        return random_causal_model(rng)
+    else:
+        nature, agents, actions, specs, _ = random_information_parts(rng, sequential=False)
     return build_wmodel(nature, agents, actions, specs)
 
 
 def random_game(rng: random.Random):
-    """A random sequential game of at most ``PROFILE_LIMIT`` profiles.
+    """A random game of at most ``PROFILE_LIMIT`` profiles.
 
-    Agents are dealt to 1-3 players, so players may own several agents, in
-    any position of the sequential order.  Objectives are small integers,
-    sometimes with the adverse infinity; risks are expectation, worst case
-    with or without a belief, or CVaR, over beliefs that may be Dirac or
-    leave states without mass.  Some players, or all, are leaders.
+    Most models are sequential.  The others usually have no sequential
+    order: causal ones (:func:`random_causal_model`), where every profile is
+    playable, and unrestricted ones, where agents may observe each other and
+    some profiles may have no solution or several.  Agents are dealt to 1-3
+    players, so players may own several agents, in any position of the
+    order.  Objectives are small integers, sometimes with the adverse
+    infinity; risks are expectation, worst case with or without a belief, or
+    CVaR, over beliefs that may be Dirac or leave states without mass.  Some
+    players, or all, are leaders.
     """
     if rng.random() < 0.2:
         return random_lf_game(rng)
@@ -187,6 +229,8 @@ def test_deviation_values_match_the_profile_path(seed):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
+@example(35)  # causal, without a sequential order
+@example(68)  # unrestricted, with unplayable profiles
 def test_solvers_match_the_profile_path(seed):
     rng = random.Random(seed)
     game = random_game(rng)
@@ -219,12 +263,15 @@ def test_generator_covers_the_cases():
     for seed in range(300):
         game = random_game(random.Random(seed))
         order = Evaluator(game).sequential_order
+        if order is None:
+            playable = check_playability(game.model, "all").playable
+            seen.add("no sequential order, " + ("playable" if playable else "not playable"))
         for p in game.players.players:
             agents = game.agents_of(p)
             risk = game.data[p].risk
             if len(agents) > 1:
                 seen.add("multi-agent player")
-            if order.index(agents[-1]) < len(order) - 1:
+            if order is not None and order.index(agents[-1]) < len(order) - 1:
                 seen.add("deviator not last")
             if risk.belief is None:
                 seen.add("worst case without belief")
@@ -248,6 +295,8 @@ def test_generator_covers_the_cases():
         "adverse infinity",
         "leaders",
         "only leaders",
+        "no sequential order, playable",
+        "no sequential order, not playable",
     }
 
 
@@ -429,6 +478,8 @@ def test_leader_follower_generator_covers_the_cases():
         if len(game.agents_of(follower)) > 1:
             seen.add("multi-agent follower")
             continue
+        if Evaluator(game).sequential_order is None:
+            continue  # no keyed path without a sequential order
         risk = game.data[follower].risk
         if risk.belief is None:
             seen.add("worst case without belief")
@@ -569,8 +620,11 @@ def _assert_records_are_their_profiles(game, report):
 @settings(max_examples=60, deadline=None)
 @given(st.none() | st.integers(0, 2**32 - 1))
 @example(None)  # the cyclic game
-@example(0)  # three one-agent players
-@example(4)  # a one-agent player and a two-agent player
+@example(3)  # three one-agent players
+@example(9)  # a one-agent player and a two-agent player
+@example(5)  # causal, without a sequential order: three one-agent players
+@example(23)  # causal, without a sequential order: one- and two-agent players
+@example(68)  # unrestricted, with unplayable profiles
 def test_records_are_their_profiles(seed):
     """Records of ``nash_equilibria`` and ``nash_stackelberg`` hold their
     profile and its values, for every choice of leaders of a random game of

@@ -2,13 +2,20 @@
 
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
 
 from infogames import (
+    GameError,
+    Objective,
     ParseError,
+    PlayerData,
+    PlayerPartition,
+    RiskMeasure,
     SchemaError,
+    Sense,
     SelfInformationViolation,
     build_prisoners_dilemma,
     build_thai_slsf_st,
@@ -16,10 +23,15 @@ from infogames import (
     export_custom,
     load_game,
     load_game_document,
+    make_wgame,
     matrix_to_csv,
+    nash_equilibria,
     normal_form_matrix,
 )
 from infogames.models import GridSpec, ThaiParams, TouParams
+from infogames.normal_form import count_player_strategies
+from conftest import mutual_observation_model
+from test_context_tables import random_game
 
 
 GAMES_DIR = Path(__file__).resolve().parent.parent / "games"
@@ -183,6 +195,61 @@ class TestLoad:
             load_game_document(doc)
         assert str(exc.value) == f"{path}.belif: unknown key"
 
+    @pytest.mark.parametrize(
+        "game,where,valid,message",
+        [
+            (None, ["version"], 1, "$.version: expected int, got bool"),
+            (
+                None,
+                ["custom", "agents", 0, "stage"],
+                1,
+                "$.custom.agents[0].stage: expected int, got bool",
+            ),
+            (
+                None,
+                ["custom", "players", 0, "risk", "alpha"],
+                1,
+                "$.custom.players[0].risk.alpha: expected int/float, got bool",
+            ),
+            (
+                "tou_pricing.json",
+                ["builtin", "params", "demand", "true_index"],
+                0,
+                "$.builtin.params.demand.true_index: expected int, got bool",
+            ),
+            (
+                "thai_dr_single.json",
+                ["builtin", "params", "horizon"],
+                1,
+                "$.builtin.params.horizon: expected int, got bool",
+            ),
+            (
+                "thai_dr_single.json",
+                ["builtin", "params", "reward"],
+                1,
+                "$.builtin.params.reward: expected int/float, got bool",
+            ),
+        ],
+    )
+    def test_booleans_are_not_numbers(self, game, where, valid, message):
+        """JSON ``true`` and ``false`` are Python ints, but no integer or
+        number field takes them."""
+        if game is None:
+            doc = custom_doc()
+            doc["custom"]["players"][0]["risk"] = {"kind": "cvar", "alpha": 1}
+        else:
+            with open(GAMES_DIR / game, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = valid
+        load_game_document(doc)
+        node[where[-1]] = bool(valid)
+        with pytest.raises(SchemaError) as exc:
+            load_game_document(doc)
+        assert str(exc.value) == message
+
     def test_shipped_and_exported_documents_have_known_keys(self):
         for path in sorted(GAMES_DIR.glob("*.json")):
             game = load_game(str(path))
@@ -285,6 +352,39 @@ class TestRoundTrip:
         follower = doc["custom"]["agents"][1]
         # One price pair: the prices factor is a singleton and drops out.
         assert follower["info"] == {"cylinder": ["demand", "unwillingness"]}
+
+    def test_random_games_survive_round_trip(self):
+        """Each agent is written under the player the game assigns it to, so
+        random games, whose agents are all named ``p``, reload with the same
+        players, strategy counts and equilibrium values."""
+
+        def equilibrium_values(game):
+            try:
+                report = nash_equilibria(game)
+            except GameError as exc:
+                return type(exc).__name__
+            return repr([rec.values for rec in report.profiles])
+
+        for seed in range(300):
+            game = random_game(random.Random(seed))
+            reloaded = load_game_document(json.loads(json.dumps(export_custom(game))))
+            players = game.players.players
+            assert reloaded.players.players == players
+            assert reloaded.leaders == game.leaders
+            assert [count_player_strategies(reloaded, p) for p in players] == [
+                count_player_strategies(game, p) for p in players
+            ]
+            assert equilibrium_values(reloaded) == equilibrium_values(game)
+
+    def test_agents_written_alike_rejected(self):
+        """Two unstaged agents of one player would be written as the same
+        (player, stage) pair, which the loader rejects."""
+        model = mutual_observation_model()
+        a, b = model.agents
+        data = {"P": PlayerData(Objective("P", Sense.COST, (0.0,) * 4), RiskMeasure.worst_case())}
+        game = make_wgame(model, PlayerPartition(("P",), {a: "P", b: "P"}), data)
+        with pytest.raises(ValueError, match="agents a and b would both be written as player 'P'"):
+            export_custom(game)
 
     def test_inf_values_survive_round_trip(self):
         doc = custom_doc()
