@@ -14,7 +14,10 @@ scoring each key once (see :class:`_Session`), with the same values, members,
 order, evaluations and caps as enumeration.  Every normal-form value is read
 from an evaluator context, in sequential and non-sequential models alike, and
 every reported profile's values from the contexts of the last follower (see
-:meth:`_Session.records`).
+:meth:`_Session.records`).  The joint profiles of several players are walked
+by strategy index, each member's statuses read once per context of hers (see
+:meth:`_Session.nash`), so no profile is built to be checked.  Player
+strategies given to a public solver are checked once, at entry.
 
 Optimistic, pessimistic and theta leader anticipation are interpreted with
 respect to the leader's objective sense: optimistic picks the follower best
@@ -32,12 +35,12 @@ from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import EmptyFollowerResponse, IndeterminateValue
-from .model import DEFAULT_CAP, Strategy, StrategyProfile, count_profiles
+from .model import DEFAULT_CAP, Strategy, StrategyProfile, count_profiles, validate_strategy
 from .normal_form import (
     Context,
     Evaluator,
     PlayerStrategy,
-    assemble_profile,
+    assemble_profile,  # noqa: F401  (bench/ and the tests wrap it here to count calls)
     count_player_strategies,
     player_strategies,
 )
@@ -159,6 +162,7 @@ def best_responses(
         raise ValueError(
             f"context must fix exactly the other players {sorted(expected)}"
         )
+    _require_strategies(game, others)
     count_player_strategies(game, player, cap)
     rs = _Session(game, evaluator, cap).responses(player, others)
     return BestResponseSet(
@@ -194,12 +198,14 @@ class _Responses:
     keys scoring ``value``, in lexicographic order.  A table of ``size``
     atoms and ``count`` actions is a member iff its actions at ``atoms`` form
     one of ``keys``; every action is allowed at the other atoms.  Any other
-    player's set lists its ``members``.
+    player's set lists its ``members`` and keeps the judged ``values`` of all
+    her strategies.
     """
 
     value: float | None
     infeasible: int = 0
     members: tuple[PlayerStrategy, ...] | None = None
+    values: Sequence[float | None] = ()
     ctx: Context | None = None
     size: int = 0
     count: int = 0
@@ -225,6 +231,17 @@ class _Responses:
             else:
                 level = [(t + (a,), node) for t, node in level for a in actions]
         return [t for t, _ in level]
+
+    def statuses(self, space: Sequence[PlayerStrategy]) -> list[bool | None]:
+        """Whether each strategy of ``space`` (all of the player's, in
+        enumeration order) is a member, or ``None`` when it has no judged
+        value."""
+        if self.members is not None:
+            best = self.value
+            return [None if v is None else v == best for v in self.values]
+        keys = set(self.keys)
+        atoms = self.atoms
+        return [tuple([s.table[a] for a in atoms]) in keys for (s,) in space]
 
     def strategies(self) -> tuple[PlayerStrategy, ...]:
         """Every member, in enumeration order."""
@@ -266,10 +283,11 @@ class _Session:
 
     Normal-form values are scored from the evaluator's contexts, in every
     model (see :class:`~infogames.normal_form.Evaluator`).  A player deviates
-    through her last agent; the session looks a context up by that player,
-    the other players' strategies and her other agents' strategies, once per
-    run of candidates sharing those, so no profile is assembled per candidate
-    (:meth:`_walk`, which :meth:`scores` and :meth:`records` share).
+    through her last agent; the session places the other players' strategies
+    and her other agents' by agent slot and looks the context up in the
+    evaluator, its only cache, once per run of candidates sharing those, so
+    no profile is assembled per candidate (:meth:`_walk`, which
+    :meth:`scores` and :meth:`records` share).
 
     :meth:`responses` returns a player's best-response set in a context.  A
     one-agent player judged by the normal-form value in a sequential model is
@@ -278,7 +296,9 @@ class _Session:
     anticipation over a single keyed follower's set scores that context once
     per distinct leader memo key.  Everything else (leaders judged by
     anticipation, multi-agent players, non-sequential models, and the joint
-    profiles of several players) enumerates strategies.
+    profiles of several players) enumerates strategies.  :meth:`nash` walks
+    the joint profiles by strategy index and reads each member's status in
+    her context from her response set, built on the first visit.
 
     :meth:`records` reads every player's value from the contexts of one
     ``deviator``, the last follower (the last player when there are none),
@@ -309,8 +329,10 @@ class _Session:
             followers[0] if len(followers) == 1 and followers[0] in self._keyed else None
         )
         self.deviator = (followers or game.players.players)[-1]
+        agents = game.model.agents
+        # Each player's agents' positions in a profile.
+        self._slots = {p: tuple(map(agents.index, game.agents_of(p))) for p in game.players.players}
         self._spaces: dict[str, list[PlayerStrategy]] = {}
-        self._contexts: dict = {}
         self._responses: dict = {}
         self._anticipated: dict = {}
         self._followers_nash: dict = {}
@@ -329,16 +351,27 @@ class _Session:
             f"profiles of players {list(players)}",
         )
 
-    def _context(self, deviator: str, others, fixed, candidate: PlayerStrategy) -> Context:
-        """The context of ``deviator``'s last agent when her other agents play
-        ``candidate``'s and the other players (``others``, the context key of
-        ``fixed``) theirs."""
-        key = (deviator, others, candidate[:-1])
-        ctx = self._contexts.get(key)
-        if ctx is None:
-            profile = assemble_profile(self.game, {**fixed, deviator: candidate})
-            ctx = self._contexts[key] = self.evaluator.context(candidate[-1].agent, profile)
-        return ctx
+    def _place(self, fixed: Mapping[str, PlayerStrategy], deviator: str) -> list:
+        """A profile's strategies, placed by agent slot: those of every player
+        of ``fixed`` but ``deviator``, and ``None`` at her slots."""
+        placed: list = [None] * len(self.game.model.agents)
+        for q, ps in fixed.items():
+            if q != deviator:
+                for slot, s in zip(self._slots[q], ps):
+                    placed[slot] = s
+        return placed
+
+    def _profile(self, placed: list, player: str, ps: PlayerStrategy) -> StrategyProfile:
+        """The ``placed`` profile where ``player`` plays ``ps``, which this
+        writes into ``placed`` at her slots."""
+        for slot, s in zip(self._slots[player], ps):
+            placed[slot] = s
+        return StrategyProfile(tuple(placed))
+
+    def _context(self, placed: list, deviator: str, candidate: PlayerStrategy) -> Context:
+        """The evaluator's context of ``deviator``'s last agent when her
+        agents play ``candidate``'s strategies in the ``placed`` profile."""
+        return self.evaluator.context(candidate[-1].agent, self._profile(placed, deviator, candidate))
 
     def _walk(
         self, deviator: str, fixed: Mapping[str, PlayerStrategy], candidates
@@ -348,11 +381,11 @@ class _Session:
         order.  A run is the consecutive candidates sharing her other agents'
         strategies and ``ctx`` her last agent's context, looked up once per
         run."""
-        others = _context_key(self.game, deviator, fixed)
+        placed = self._place(fixed, deviator)
         out = []
         for _, group in itertools.groupby(candidates, key=itemgetter(slice(-1))):
             run = list(group)
-            out.append((self._context(deviator, others, fixed, run[0]), run))
+            out.append((self._context(placed, deviator, run[0]), run))
         return out
 
     def scores(
@@ -405,8 +438,8 @@ class _Session:
     def value(self, player: str, assignment: Mapping[str, PlayerStrategy]) -> float:
         """The player's normal-form value at the full ``assignment``."""
         c = assignment[player]
-        others = _context_key(self.game, player, assignment)
-        return self.evaluator.value(player, self._context(player, others, assignment, c), c[-1])
+        ctx = self._context(self._place(assignment, player), player, c)
+        return self.evaluator.value(player, ctx, c[-1])
 
     def runs(self, leaders: Mapping[str, PlayerStrategy]) -> list[tuple[dict, Sequence]]:
         """The full profiles over the followers' joint best responses to
@@ -486,13 +519,13 @@ class _Session:
             # A strategy without a judged value (None) never equals a float.
             hits = map(operator.eq, values, itertools.repeat(best)) if best is not None else ()
             members = tuple(itertools.compress(self.space(player), hits))
-            rs = _Responses(best, values.count(None), members)
+            rs = _Responses(best, values.count(None), members, values)
         else:
             (agent,) = self.game.agents_of(player)
             size = self.game.model.info[agent].atom_count
             count = self.game.model.action_factors[agent].size
             zeros = Strategy(agent, (0,) * size)
-            ctx = self._context(player, others, fixed, (zeros,))
+            ctx = self._context(self._place(fixed, player), player, (zeros,))
             atoms = ctx.key_atoms(self.game.data[player].risk)
             keys = list(itertools.product(range(count), repeat=len(atoms)))
             values = []
@@ -519,6 +552,18 @@ class _Session:
         check, which fixes both the set of evaluations and that flag.  A
         one-player group has a single context, so it is her best-response
         set (:meth:`responses`).
+
+        Several players are walked by strategy index: profile ``flat`` in
+        enumeration order gives member ``k`` the index
+        ``flat // strides[k] % sizes[k]``, and removing her term from
+        ``flat`` numbers the other members' indices.  Per member, that
+        number keys the status of each of her strategies in that context
+        (member, not a member, or ``None`` without a judged value).  The
+        first visit to a context makes the calls a per-profile check makes,
+        :meth:`judged` then :meth:`responses`, and fills the statuses from
+        the response set; later visits read them, so no profile is built.
+        A first visit without a judged value fills nothing, so the next one
+        repeats those calls, as a per-profile check would.
         """
         total = self.count(players)
         if len(players) == 1:
@@ -526,24 +571,44 @@ class _Session:
             rs = self.responses(p, fixed)
             all_adverse = rs.value == self.game.data[p].objective.sense.adverse
             return tuple([((p, c),) for c in rs.strategies()]), total, rs.infeasible, all_adverse
+        spaces = [self.space(p) for p in players]
+        sizes = [len(space) for space in spaces]
+        strides = [math.prod(sizes[k + 1:]) for k in range(len(players))]
+
+        def combo(flat: int) -> list[PlayerStrategy]:
+            return [space[flat // qs % qn] for space, qs, qn in zip(spaces, strides, sizes)]
+
+        members = [
+            (p, space, stride, size, {}, self.game.data[p].objective.sense.adverse)
+            for p, space, stride, size in zip(players, spaces, strides, sizes)
+        ]
         found: list[GroupProfile] = []
         infeasible = 0
         all_adverse = False
-        for combo in itertools.product(*(self.space(p) for p in players)):
-            assignment = dict(fixed)
-            assignment.update(zip(players, combo))
-            for p in players:
-                v = self.judged(p, assignment)
-                if v is None:
+        for flat in range(total):
+            for p, space, stride, size, seen, adverse in members:
+                i = flat // stride % size
+                others = flat - i * stride
+                entry = seen.get(others)
+                if entry is None:
+                    assignment = dict(fixed)
+                    assignment.update(zip(players, combo(flat)))
+                    if self.judged(p, assignment) is None:
+                        infeasible += 1
+                        break
+                    rs = self.responses(p, assignment)
+                    entry = seen[others] = (rs.statuses(space), rs.value == adverse)
+                statuses, best_adverse = entry
+                status = statuses[i]
+                if status is None:
                     infeasible += 1
                     break
-                best = self.responses(p, assignment).value
-                if best == self.game.data[p].objective.sense.adverse:
+                if best_adverse:
                     all_adverse = True
-                if v != best:
+                if not status:
                     break
             else:
-                found.append(tuple(zip(players, combo)))
+                found.append(tuple(zip(players, combo(flat))))
         return tuple(found), total, infeasible, all_adverse
 
     def followers_nash(self, leaders: Mapping[str, PlayerStrategy]) -> tuple[GroupProfile, ...]:
@@ -574,13 +639,13 @@ def _anticipate(values: list[float], sense: Sense, mode: StackelbergMode) -> flo
         assert mode.theta is not None
         return _theta_combine(mode.theta, sense.best(values), sense.worst(values))
     # leader-risk: uniform mass over the best-response set
-    pairs = [(v, 1.0 / len(values)) for v in values]
+    masses = [1.0 / len(values)] * len(values)
     if mode.risk == "expectation-uniform":
-        return _expectation(pairs)
+        return _expectation(values, masses)
     if mode.risk == "worst-case":
         return sense.worst(values)
     assert isinstance(mode.risk, tuple)
-    return _adverse_tail_mean(pairs, mode.risk[1], sense)
+    return _adverse_tail_mean(list(zip(values, masses)), mode.risk[1], sense)
 
 
 def nash_equilibria(
@@ -616,9 +681,10 @@ def _verify_no_improving_deviation(
     game = session.game
     for p in game.players.players:
         sense = game.data[p].objective.sense
-        v = evaluator.value(p, assemble_profile(game, assignment))
+        placed = session._place(assignment, p)
+        v = evaluator.value(p, session._profile(placed, p, assignment[p]))
         for cand in session.space(p):
-            alt = evaluator.value(p, assemble_profile(game, {**assignment, p: cand}))
+            alt = evaluator.value(p, session._profile(placed, p, cand))
             if sense.better(alt, v):
                 raise RuntimeError(
                     f"reported Nash profile fails re-verification: player {p!r} "
@@ -661,6 +727,22 @@ def _require_leaders_profile(game: WGame, leaders_profile: Mapping[str, PlayerSt
     _require_roles(game)
     if set(leaders_profile) != set(game.leaders):
         raise ValueError("leaders_profile must fix exactly the declared leaders")
+    _require_strategies(game, leaders_profile)
+
+
+def _require_strategies(game: WGame, by_player: Mapping[str, PlayerStrategy]):
+    """Each given player strategy holds one valid strategy per agent of the
+    player, in model order.  The solvers place strategies by agent slot and
+    index tables by atom and action without further checks."""
+    for q, ps in by_player.items():
+        agents = game.agents_of(q)
+        if tuple(s.agent for s in ps) != agents:
+            raise ValueError(
+                f"the strategy of player {q!r} must hold one strategy per agent "
+                f"({', '.join(map(str, agents))}), in model order"
+            )
+        for s in ps:
+            validate_strategy(game.model, s)
 
 
 def _require_roles(game: WGame):

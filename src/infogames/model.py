@@ -543,19 +543,34 @@ def deviation_table(
     action ``a`` there.  Forward substitution starts at the state's block
     base (every action 0) and adds ``action * stride`` per agent along the
     order: up to the agent, then once per action for the agents after him.
+
+    Every other agent with a single information atom plays one action at
+    every state, so all of them are folded into one constant offset added to
+    each base.  That is sound wherever they stand in the order: an agent's
+    atom reads only Nature and the axes of agents earlier in the order, so
+    setting the axes of later agents early changes no atom read.
     """
     columns = model.columns
     tables = dict(zip(model.agents, (s.table for s in profile.strategies)))
-    steps = [(columns[a][0], tables[a], columns[a][1]) for a in order]
-    pos = order.index(agent)
-    before, after = steps[:pos], steps[pos + 1:]
-    own_atom_of, _, own_stride = steps[pos]
+    offset = 0
+    before: list[tuple[Sequence[int], tuple[int, ...], int]] = []
+    after: list[tuple[Sequence[int], tuple[int, ...], int]] = []
+    steps = before
+    for a in order:
+        atom_of, stride, _ = columns[a]
+        if a == agent:
+            own_atom_of, own_stride = atom_of, stride
+            steps = after
+        elif model.info[a].atom_count == 1:
+            offset += tables[a][0] * stride
+        else:
+            steps.append((atom_of, tables[a], stride))
     count = model.action_factors[agent].size
     size = model.configuration.size
     atoms: list[int] = []
     outcomes: list[Sequence[int]] = []
     for base in range(0, size, size // model.nature_space.size):
-        idx = base
+        idx = base + offset
         for atom_of, table, stride in before:
             idx += table[atom_of[idx]] * stride
         atoms.append(own_atom_of[idx])

@@ -152,12 +152,12 @@ class Context:
         return StrategyProfile(self.head + (deviation,) + self.tail)
 
     def key_atoms(self, risk: RiskMeasure) -> tuple[int, ...]:
-        """The atoms of the positive-mass states of ``risk`` (every state
-        without a belief), ascending."""
-        masses = risk.belief.masses if risk.belief is not None else None
-        return tuple(
-            sorted({a for w, a in enumerate(self.atoms) if masses is None or masses[w] > 0})
-        )
+        """The atoms of the positive-mass states of ``risk`` (its support;
+        every state without a belief), ascending."""
+        if risk.support is None:
+            return tuple(sorted(set(self.atoms)))
+        atoms = self.atoms
+        return tuple(sorted({atoms[w] for w in risk.support[0]}))
 
     def memo_key(self, risk: RiskMeasure) -> Callable:
         """Getter of a strategy table's actions at :meth:`key_atoms`."""
@@ -174,13 +174,15 @@ class Evaluator:
     positive-mass states (all states when her risk has no belief); in any
     other model it is the value of the spliced profile.  :meth:`context`
     builds each context once per (deviating agent, strategies of every other
-    agent).  ``evaluations`` counts the ``apply_risk`` calls actually made,
+    agent) and is the only cache of contexts: solvers look every context up
+    there.  ``evaluations`` counts the ``apply_risk`` calls actually made,
     not memo hits.
     """
 
     def __init__(self, game: WGame):
         self.game = game
         self.sequential_order = check_sequential(game.model)
+        self._slots = {a: i for i, a in enumerate(game.model.agents)}
         self._outcomes: dict[StrategyProfile, list[int]] = {}
         self._values: dict[tuple[str, StrategyProfile], float] = {}
         self._contexts: dict[tuple, Context] = {}
@@ -201,7 +203,7 @@ class Evaluator:
         ``profile`` (his own entry is ignored), with a deviation table when
         the model is sequential."""
         strategies = profile.strategies
-        at = self.game.model.agents.index(agent)
+        at = self._slots[agent]
         head, tail = strategies[:at], strategies[at + 1:]
         key = (agent, head, tail)
         ctx = self._contexts.get(key)

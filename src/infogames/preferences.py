@@ -172,11 +172,18 @@ class RiskMeasure:
 
     Worst case may omit the belief, in which case every Nature state counts;
     with a belief it ranges over the positive-mass states only.
+
+    ``support`` is computed once, at construction: the positive-mass states
+    in Nature order, their masses, and, under expectation, the ``fsum`` of
+    those masses (``None`` otherwise).  It is ``None`` without a belief.
     """
 
     kind: RiskKind
     belief: Belief | None = None
     alpha: float | None = None
+    support: tuple[tuple[int, ...], tuple[float, ...], float | None] | None = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.kind in (RiskKind.EXPECTATION, RiskKind.CVAR) and self.belief is None:
@@ -186,6 +193,14 @@ class RiskMeasure:
                 raise ValueError("CVaR level must lie in (0, 1]")
         elif self.alpha is not None:
             raise ValueError("alpha only applies to CVaR")
+        support = None
+        if self.belief is not None:
+            masses = self.belief.masses
+            states = tuple(w for w, m in enumerate(masses) if m > 0)
+            weights = tuple(masses[w] for w in states)
+            total = math.fsum(weights) if self.kind is RiskKind.EXPECTATION else None
+            support = (states, weights, total)
+        object.__setattr__(self, "support", support)
 
     @staticmethod
     def expectation(belief: Belief) -> "RiskMeasure":
@@ -200,19 +215,24 @@ class RiskMeasure:
         return RiskMeasure(RiskKind.CVAR, belief, alpha)
 
 
-def _expectation(pairs: list[tuple[float, float]], where: str = "carry positive mass") -> float:
-    """Weighted mean of (value, mass) pairs with the infinity conventions;
-    ``where`` ends the message raised when both infinities occur."""
-    has_pos = any(v == math.inf for v, _ in pairs)
-    has_neg = any(v == -math.inf for v, _ in pairs)
-    if has_pos and has_neg:
-        raise IndeterminateValue(f"both +inf and -inf {where}")
-    if has_pos:
+def _expectation(
+    values: Sequence[float],
+    masses: Sequence[float],
+    where: str = "carry positive mass",
+    total: float | None = None,
+) -> float:
+    """Mean of ``values`` weighted by ``masses`` with the infinity
+    conventions.  ``total`` is the ``fsum`` of the masses when the caller
+    has it; ``where`` ends the message raised when both infinities occur."""
+    if math.inf in values:
+        if -math.inf in values:
+            raise IndeterminateValue(f"both +inf and -inf {where}")
         return math.inf
-    if has_neg:
+    if -math.inf in values:
         return -math.inf
-    total = math.fsum(m for _, m in pairs)
-    return math.fsum(v * m for v, m in pairs) / total
+    if total is None:
+        total = math.fsum(masses)
+    return math.fsum(map(operator.mul, values, masses)) / total
 
 
 def _adverse_tail_mean(
@@ -221,38 +241,41 @@ def _adverse_tail_mean(
     """Mean of the adverse tail of total mass ``alpha``, boundary atom split
     fractionally (discrete CVaR)."""
     ordered = sorted(pairs, key=lambda vm: vm[0], reverse=(sense is Sense.COST))
-    taken: list[tuple[float, float]] = []
+    values: list[float] = []
+    taken: list[float] = []
     remaining = alpha
     for v, m in ordered:
         if remaining <= 0:
             break
         take = min(m, remaining)
-        taken.append((v, take))
+        values.append(v)
+        taken.append(take)
         remaining -= take
-    return _expectation(taken, "lie in the adverse tail")
+    return _expectation(values, taken, "lie in the adverse tail")
 
 
 def apply_risk(risk: RiskMeasure, values: Sequence[float], sense: Sense) -> float:
     """Map a Nature-indexed value table to a number.
 
     Zero-mass states are dropped before any weighting, so the 0 * inf form
-    never arises.  Under expectation, a positive-mass state at the adverse
-    infinity drives the result to that infinity; if both infinities carry
-    positive mass the value is undefined and :class:`IndeterminateValue` is
-    raised.
+    never arises: only the states of ``risk.support`` are read, with the
+    masses and, under expectation, the mass total computed there once.
+    Under expectation, a positive-mass state at the adverse infinity drives
+    the result to that infinity; if both infinities carry positive mass the
+    value is undefined and :class:`IndeterminateValue` is raised.
     """
-    if risk.belief is not None and len(values) != risk.belief.space.size:
-        raise ValueError("value table length does not match Nature size")
     if risk.belief is None:
-        pairs = [(float(v), 1.0) for v in values]
-    else:
-        pairs = [(float(v), m) for v, m in zip(values, risk.belief.masses) if m > 0]
+        return sense.worst(map(float, values))
+    if len(values) != risk.belief.space.size:
+        raise ValueError("value table length does not match Nature size")
+    states, masses, total = risk.support
+    kept = [float(values[w]) for w in states]
     if risk.kind is RiskKind.WORST_CASE:
-        return sense.worst(v for v, _ in pairs)
+        return sense.worst(kept)
     if risk.kind is RiskKind.EXPECTATION:
-        return _expectation(pairs)
+        return _expectation(kept, masses, total=total)
     assert risk.alpha is not None
-    return _adverse_tail_mean(pairs, risk.alpha, sense)
+    return _adverse_tail_mean(list(zip(kept, masses)), risk.alpha, sense)
 
 
 @dataclass(frozen=True)

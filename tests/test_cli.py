@@ -723,6 +723,21 @@ REPORT_SHA256 = [
     ("thai_dr_single.json", "nash-stackelberg --mode leader-risk=worst-case", 0, '6561b303688140e3c0ba2154a0a810e8bc82805a907d03dbf5fb98e7f20b0db2'),
     ("thai_dr_single.json", "normal-form", 0, 'b82afc762c7c2264753bb3f01cbc7fb870dd4b2e86b151ca70c4d00009c8c5a3'),
     ("thai_dr_single.json", "export", 0, '148a1748a2ba731d322920abafc482f6fd3ae437b680c51e5b17899721b46f91'),
+    ("thai_two_consumers.json", "validate", 0, '146805ca6a98b13acfce882d444b464f13f72eb238650214bfab401d5bd4fac6'),
+    ("thai_two_consumers.json", "strategies", 0, '5ee587ba9ef62eb66bae2d9120f69d61acd35c16bfba3828ebcc6a0a28dd7b24'),
+    ("thai_two_consumers.json", "playability --mode all", 0, 'f9dc425e8510a9e786486fb5305a0a818fb6f4f40cd91be040aa1d383e899b8a'),
+    ("thai_two_consumers.json", "playability --mode sample=5,seed=1", 0, 'a62980978824aad715b0f0fedd32606125805c42e1f23070443aa121b2cab8a3'),
+    ("thai_two_consumers.json", "nash", 0, '0f661f0007a6e2e60fd861bb001222264acd147576139b9544637704527f7bae'),
+    ("thai_two_consumers.json", "stackelberg --mode theta=0.5", 0, '3ba8280ed126311c35534521221e0afc35aeaaa65fed68dccfc6095ee6e4e4b4'),
+    ("thai_two_consumers.json", "stackelberg --mode pessimistic", 0, '032511e5945b3f19a5acda9e7534dd03e924340c0e560870071f4d5ab2f231b2'),
+    ("thai_two_consumers.json", "nash-stackelberg --mode optimistic", 0, 'aad77e503d11ad30e616c82a5288844830a2150dc9ddeafe7b30bb41667641b8'),
+    ("thai_two_consumers.json", "nash-stackelberg --mode pessimistic", 0, '7f6febee9abdb7136b9283eab043a809f43efb6d7fcadc599a39699d429aa2d7'),
+    ("thai_two_consumers.json", "nash-stackelberg --mode theta=0.5", 0, '23be8c8116ae2509ecbe7ae00318443986c9af13184baead5935af54c61972ef'),
+    ("thai_two_consumers.json", "nash-stackelberg --mode leader-risk=cvar:0.5", 0, 'f971a2f01a0b50f285570a7b0d1bddc3fb5311f7aea6dec647566e1aeeb3d41c'),
+    ("thai_two_consumers.json", "nash-stackelberg --mode leader-risk=expectation-uniform", 0, 'b099c3bab6b884285f823a4247e0df288a9ea33bba8ba88fd6903b67b8fc483b'),
+    ("thai_two_consumers.json", "nash-stackelberg --mode leader-risk=worst-case", 0, 'e92b5c0fa137712a872b5835f1ce295855536f20c7970f060056d8cda0aa3d3b'),
+    ("thai_two_consumers.json", "normal-form", 2, None),
+    ("thai_two_consumers.json", "export", 0, 'f70fd49e86bad84c4927974293a35d55a1804fd33713e0b01e4161e577d591ec'),
     ("tou_pricing.json", "validate", 0, 'ca63b7ffb2f7f21d606371808b66724b17a1d250460abf8249869d175fdf9304'),
     ("tou_pricing.json", "strategies", 0, '531af368da9c35cf36c93066bc90fc1b12b3fdcd648344987689a664648e73fc'),
     ("tou_pricing.json", "playability --mode all", 0, 'df08ca76bcc37351de3586b4eb69464d45b39ff3498963830fc05618b42a1c33'),
@@ -814,6 +829,21 @@ TEXT_REPORT_SHA256 = [
     ("thai_dr_single.json", "nash-stackelberg --mode leader-risk=worst-case", 0, 'ec7df0546b78f540ca4fa471f4bd89bf9d3a9b5f2b09dcd42ed55a674284e1ed'),
     ("thai_dr_single.json", "normal-form", 0, '920c2265cc986a1c638924968497ccb31b6768f2b4b47a5c13d1e09bed16993d'),
     ("thai_dr_single.json", "export", 0, '148a1748a2ba731d322920abafc482f6fd3ae437b680c51e5b17899721b46f91'),
+    ("thai_two_consumers.json", "validate", 0, 'f56a15a690f87e3f39adde7bdbbd09832801b9767500693e539299004e65fd75'),
+    ("thai_two_consumers.json", "strategies", 0, 'a75c54a1aade1a5a22522784089fc4a2cef4540eb2be5c3f64a6e13c1b50398d'),
+    ("thai_two_consumers.json", "playability --mode all", 0, '028116fb9a851ec153d80cb9f52c120193a11b4ede8a974bd7d7ef808959f451'),
+    ("thai_two_consumers.json", "playability --mode sample=5,seed=1", 0, 'b402f0c719b8d584802fa686cf5ff5473a94861c63969ac2d44c51f1abee47d4'),
+    ("thai_two_consumers.json", "nash", 0, '72ebc7c492e74cb366ca90f4704ec0a000d5792e2e0458bf376e64621ab24388'),
+    ("thai_two_consumers.json", "stackelberg --mode theta=0.5", 0, '0194314308e824059d658399357b051773cc3f7d843b52e5a837f70e681946cb'),
+    ("thai_two_consumers.json", "stackelberg --mode pessimistic", 0, '5ec44b107e0e30294f0b6761a3e2eb76b7844b8e43e9874b8090cf517e806d7b'),
+    ("thai_two_consumers.json", "nash-stackelberg --mode optimistic", 0, '16da40b1216ef1000ea17fdc52d79115a6db4d33802a24284ae4ccf4434a5893'),
+    ("thai_two_consumers.json", "nash-stackelberg --mode pessimistic", 0, '00548c1afe1244f38b1822dd8770b1ea511246688bd99ee8871b377582a3894d'),
+    ("thai_two_consumers.json", "nash-stackelberg --mode theta=0.5", 0, 'c0143b7233780330446a3dd39c9b472c54176ca3a28a793fbdb006d50d23b236'),
+    ("thai_two_consumers.json", "nash-stackelberg --mode leader-risk=cvar:0.5", 0, 'd2dcdd84367bf2e6f4a1eea7194160627374cf606a609af03120646af31d2c7c'),
+    ("thai_two_consumers.json", "nash-stackelberg --mode leader-risk=expectation-uniform", 0, '0583c2cf5a3c2ed8cd1fe5df0dfe33b36e563900c1e798e3422d904843345be1'),
+    ("thai_two_consumers.json", "nash-stackelberg --mode leader-risk=worst-case", 0, 'b99a002ff28ad2be13fa6e7eb182b36b1e0b58ebb5da64993ab71f022da62709'),
+    ("thai_two_consumers.json", "normal-form", 2, None),
+    ("thai_two_consumers.json", "export", 0, 'f70fd49e86bad84c4927974293a35d55a1804fd33713e0b01e4161e577d591ec'),
     ("tou_pricing.json", "validate", 0, '859775e26dc5f1d9fb261c75a64f0b2a1c2c29a5a096a5a754e7b3099bf4c23d'),
     ("tou_pricing.json", "strategies", 0, '24a685a4cfcbf0f6550383c70458819c3623a70b4b051085ef3f20ed58e8bc3c'),
     ("tou_pricing.json", "playability --mode all", 0, '0976814574ecef6f5829e4da97055749a737863ad84fe856a9f75f8570873a59'),

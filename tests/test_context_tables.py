@@ -31,6 +31,7 @@ from infogames import (
     EquilibriumReport,
     Evaluator,
     GameError,
+    IndeterminateValue,
     Objective,
     Partition,
     PlayerData,
@@ -58,9 +59,9 @@ from infogames import (
 )
 from infogames import equilibria
 from infogames.equilibria import Diagnostics, ProfileRecord, _anticipate
-from infogames.model import joint_strategies, outcome_indices
+from infogames.model import check_sequential, deviation_table, joint_strategies, outcome_indices
 from infogames.normal_form import assemble_profile
-from infogames.preferences import apply_risk
+from infogames.preferences import RiskKind, apply_risk
 from conftest import (
     random_information_parts,
     random_lf_game,
@@ -711,3 +712,277 @@ def test_keyed_records_keep_each_members_signed_zero():
         # The leader plays her second action, so the follower's key atom is
         # her second: either action at the first, then either at the key.
         assert follower_values == ["0.0", "-0.0", "0.0", "-0.0"]
+
+
+# --- The multi-player index walk against the per-profile loop ----------------
+#
+# ``_Session.nash`` walks a group of several players by strategy index and
+# reads each member's statuses per context.  ``PerProfileSession`` keeps the
+# loop it replaced, which builds every profile's assignment and asks
+# ``judged`` and ``responses`` for each member in turn: the two must find the
+# same profiles with the same counts, evaluations and errors.
+
+
+class PerProfileSession(equilibria._Session):
+    """A session whose multi-player groups are checked profile by profile."""
+
+    def nash(self, players, fixed):
+        if len(players) == 1:
+            return super().nash(players, fixed)
+        total = self.count(players)
+        found = []
+        infeasible = 0
+        all_adverse = False
+        for combo in itertools.product(*(self.space(p) for p in players)):
+            assignment = dict(fixed)
+            assignment.update(zip(players, combo))
+            for p in players:
+                v = self.judged(p, assignment)
+                if v is None:
+                    infeasible += 1
+                    break
+                best = self.responses(p, assignment).value
+                if best == self.game.data[p].objective.sense.adverse:
+                    all_adverse = True
+                if v != best:
+                    break
+            else:
+                found.append(tuple(zip(players, combo)))
+        return tuple(found), total, infeasible, all_adverse
+
+
+def _group_outcome(session_type, game, players, fixed, mode):
+    ev = Evaluator(game)
+    session = session_type(game, ev, PROFILE_LIMIT, mode)
+    try:
+        return ("returns", session.nash(players, fixed), ev.evaluations)
+    except GameError as exc:
+        return ("raises", type(exc).__name__, str(exc), ev.evaluations)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@example(3)  # three one-agent players
+@example(9)  # a one-agent and a two-agent player
+@example(23)  # causal, without a sequential order
+@example(68)  # unrestricted, with unplayable profiles
+@example(133)  # a leaders' profile whose followers have no joint best response
+def test_index_walk_matches_the_per_profile_loop(seed):
+    """Groups of 2-3 players of a random game: all players without a mode;
+    the leaders under each Stackelberg mode, whose judged values walk the
+    followers against each leaders' profile; and the followers against each
+    leaders' profile."""
+    rng = random.Random(seed)
+    game = random_game(rng)
+    while len(game.players.players) < 2:
+        game = random_game(rng)
+    cases = [(game.players.players, {}, None)]
+    if game.leaders:
+        cases += [(game.leaders, {}, mode) for mode in MODES]
+        if len(game.followers) > 1:
+            leader_agents = [a for ld in game.leaders for a in game.agents_of(ld)]
+            for leaders in joint_strategies(game.model, leader_agents, math.inf, "leaders"):
+                queue = list(leaders)
+                fixed = {ld: tuple(queue.pop(0) for _ in game.agents_of(ld)) for ld in game.leaders}
+                cases.append((game.followers, fixed, None))
+    for players, fixed, mode in cases:
+        walked = _group_outcome(equilibria._Session, game, players, fixed, mode)
+        assert walked == _group_outcome(PerProfileSession, game, players, fixed, mode)
+
+
+def test_walk_generator_covers_the_cases():
+    """The walk test meets several-player groups of each kind, with and
+    without a sequential order, and the outcomes that the walk records.
+    No game here raises ``IndeterminateValue``: a table holds only its
+    adverse infinity."""
+    seen = set()
+    for seed in range(200):
+        rng = random.Random(seed)
+        game = random_game(rng)
+        while len(game.players.players) < 2:
+            game = random_game(rng)
+        sequential = Evaluator(game).sequential_order is not None
+        seen.add(f"{len(game.players.players)} players")
+        seen.add("sequential" if sequential else "no sequential order")
+        if len(game.followers) > 1:
+            seen.add("several followers")
+        if len(game.leaders) > 1:
+            seen.add("several leaders")
+        outcome = _group_outcome(equilibria._Session, game, game.players.players, {}, None)
+        if outcome[0] == "raises":
+            seen.add(outcome[1])
+        else:
+            found, _, _, all_adverse = outcome[1]
+            seen.add("found" if found else "none found")
+            if all_adverse:
+                seen.add("all adverse")
+        if game.leaders:
+            outcome = _group_outcome(equilibria._Session, game, game.leaders, {}, OPTIMISTIC)
+            if outcome[0] == "returns" and outcome[1][2]:
+                seen.add("infeasible leader profiles")
+    assert seen >= {
+        "2 players",
+        "3 players",
+        "sequential",
+        "no sequential order",
+        "several followers",
+        "several leaders",
+        "found",
+        "none found",
+        "all adverse",
+        "NotPlayable",
+        "infeasible leader profiles",
+    }
+
+
+# --- Kernel identities --------------------------------------------------------
+
+
+def plain_deviation_table(model, agent, profile, order):
+    """Forward substitution along ``order`` through every agent, the
+    deviator playing each of his actions in turn."""
+    tables = {s.agent: s.table for s in profile.strategies}
+    columns = model.columns
+    size = model.configuration.size
+    atoms, rows = [], []
+    for base in range(0, size, size // model.nature_space.size):
+        row = []
+        for action in range(model.action_factors[agent].size):
+            idx = base
+            for b in order:
+                atom_of, stride, _ = columns[b]
+                if b == agent:
+                    if action == 0:
+                        atoms.append(atom_of[idx])
+                    idx += action * stride
+                else:
+                    idx += tables[b][atom_of[idx]] * stride
+            row.append(idx)
+        rows.append(row)
+    return atoms, rows
+
+
+def random_model_with_one_atom_agents(rng: random.Random):
+    """A sequential model (agents declared out of order, cylinder or
+    explicit information) where some agents see nothing, so have one atom."""
+    nature, agents, actions, specs, _ = random_information_parts(rng, sequential=True)
+    for a in specs:
+        if rng.random() < 0.4:
+            specs[a] = ()
+    return build_wmodel(nature, agents, actions, specs)
+
+
+def _one_atom_sides(model, order):
+    """For each deviator, whether a one-atom agent comes before him and
+    whether one comes after him in ``order``."""
+    single = [model.info[a].atom_count == 1 for a in order]
+    return {a: (any(single[:k]), any(single[k + 1:])) for k, a in enumerate(order)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_deviation_table_matches_plain_substitution(seed):
+    rng = random.Random(seed)
+    model = random_model_with_one_atom_agents(rng)
+    order = check_sequential(model)
+    profile = random_profile(model, rng)
+    for agent in model.agents:
+        atoms, rows = deviation_table(model, agent, profile, order)
+        assert (atoms, [list(row) for row in rows]) == plain_deviation_table(
+            model, agent, profile, order
+        )
+        at = model.agents.index(agent)
+        for action in range(model.action_factors[agent].size):
+            constant = Strategy(agent, (action,) * model.info[agent].atom_count)
+            strategies = profile.strategies
+            played = StrategyProfile(strategies[:at] + (constant,) + strategies[at + 1:])
+            assert outcome_indices(model, played, None) == [row[action] for row in rows]
+
+
+def test_one_atom_generator_covers_the_cases():
+    seen = set()
+    for seed in range(100):
+        model = random_model_with_one_atom_agents(random.Random(seed))
+        for before, after in _one_atom_sides(model, check_sequential(model)).values():
+            seen.add(("one-atom agent before" if before else "none before",
+                      "one-atom agent after" if after else "none after"))
+    assert len(seen) == 4
+
+
+def pairs_expectation(pairs, where="carry positive mass"):
+    has_pos = any(v == math.inf for v, _ in pairs)
+    has_neg = any(v == -math.inf for v, _ in pairs)
+    if has_pos and has_neg:
+        raise IndeterminateValue(f"both +inf and -inf {where}")
+    if has_pos:
+        return math.inf
+    if has_neg:
+        return -math.inf
+    total = math.fsum(m for _, m in pairs)
+    return math.fsum(v * m for v, m in pairs) / total
+
+
+def pairs_apply_risk(risk, values, sense):
+    """``apply_risk`` as it read before each risk measure kept its support:
+    (value, mass) pairs filtered from the whole table on every call."""
+    if risk.belief is not None and len(values) != risk.belief.space.size:
+        raise ValueError("value table length does not match Nature size")
+    if risk.belief is None:
+        pairs = [(float(v), 1.0) for v in values]
+    else:
+        pairs = [(float(v), m) for v, m in zip(values, risk.belief.masses) if m > 0]
+    if risk.kind is RiskKind.WORST_CASE:
+        return sense.worst(v for v, _ in pairs)
+    if risk.kind is RiskKind.EXPECTATION:
+        return pairs_expectation(pairs)
+    assert risk.alpha is not None
+    ordered = sorted(pairs, key=lambda vm: vm[0], reverse=(sense is Sense.COST))
+    taken = []
+    remaining = risk.alpha
+    for v, m in ordered:
+        if remaining <= 0:
+            break
+        take = min(m, remaining)
+        taken.append((v, take))
+        remaining -= take
+    return pairs_expectation(taken, "lie in the adverse tail")
+
+
+def _risk_outcome(fn):
+    try:
+        result = fn()
+    except (GameError, ValueError) as exc:
+        return ("raises", type(exc).__name__, str(exc))
+    return ("returns", result)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@example(0)
+def test_apply_risk_matches_the_pairs_formula(seed):
+    """Every risk kind, with and without a belief, on tables mixing both
+    infinities, both zeros, ints and floats, over beliefs that may leave
+    states without mass; a table of the wrong length must fail alike."""
+    rng = random.Random(seed)
+    space = make_product_space([small_factor("n0", rng.randint(1, 5))])
+    masses = random_mass_vector(rng, space.size)
+    if rng.random() < 0.3:
+        raw = [rng.choice((0, 0, 1, 3)) for _ in range(space.size)]
+        if not any(raw):
+            raw[rng.randrange(space.size)] = 1
+        masses = tuple(m / sum(raw) for m in raw)
+    belief = Belief.joint_over(space, masses)
+    risks = [
+        RiskMeasure.expectation(belief),
+        RiskMeasure.worst_case(),
+        RiskMeasure.worst_case(belief),
+        RiskMeasure.cvar(rng.choice((0.1, 0.25, 0.5, 1.0)), belief),
+    ]
+    pool = (math.inf, -math.inf, 0.0, -0.0, 0, 3, -2, 1.5, -0.25, 7.0)
+    for _ in range(20):
+        size = space.size if rng.random() < 0.9 else space.size + 1
+        values = [rng.choice(pool) for _ in range(size)]
+        for risk in risks:
+            for sense in Sense:
+                mine = _risk_outcome(lambda: apply_risk(risk, values, sense))
+                _assert_same(mine, _risk_outcome(lambda: pairs_apply_risk(risk, values, sense)))

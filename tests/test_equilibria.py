@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,12 +22,14 @@ from infogames import (
     RiskMeasure,
     Sense,
     StackelbergMode,
+    Strategy,
     best_responses,
     build_prisoners_dilemma,
     build_wmodel,
     followers_nash,
     leader_risk_mode,
     leader_value,
+    load_game,
     make_wgame,
     nash_equilibria,
     nash_stackelberg,
@@ -38,6 +41,7 @@ from infogames.normal_form import assemble_profile
 from conftest import random_lf_game, rescale_player, small_factor
 
 INF = math.inf
+GAMES_DIR = Path(__file__).resolve().parent.parent / "games"
 
 
 def one_shot_game(row_costs, col_costs, senses=(Sense.COST, Sense.COST), leaders=()):
@@ -213,6 +217,44 @@ class TestNash:
                             p, assemble_profile(game, {**assignment, p: dev})
                         )
                         assert not sense.better(alt, mine)
+
+
+class TestGivenStrategiesChecked:
+    """Public solvers check each given player strategy at entry: one valid
+    strategy per agent of the player, in model order."""
+
+    def cases(self, agent, atoms, other):
+        zeros = (0,) * atoms
+        return [
+            ((Strategy(agent, (-1,) * atoms),), "action index -1 out of range"),
+            ((Strategy(agent, zeros + (1,)),), f"has {atoms + 1} entries"),
+            ((Strategy(agent, zeros), Strategy(agent, zeros)), "one strategy per agent"),
+            ((Strategy(agent, (5,) * atoms),), "action index 5 out of range"),
+            ((Strategy(other, (0,) * atoms),), "one strategy per agent"),
+            ((), "one strategy per agent"),
+        ]
+
+    def test_best_responses(self):
+        game = build_prisoners_dilemma()
+        (row,), (col,) = game.agents_of("row"), game.agents_of("col")
+        for ps, message in self.cases(col, 1, row):
+            with pytest.raises(ValueError, match=message):
+                best_responses(game, "row", {"col": ps})
+
+    def test_followers_nash_and_leader_value(self):
+        game = load_game(str(GAMES_DIR / "tou_pricing.json"))
+        (leader,), (follower,) = game.leaders, game.followers
+        (agent,), (other,) = game.agents_of(leader), game.agents_of(follower)
+        atoms = game.model.info[agent].atom_count
+        assert game.model.info[other].atom_count != atoms
+        for ps, message in self.cases(agent, atoms, other)[:-2]:
+            with pytest.raises(ValueError, match=message):
+                followers_nash(game, {leader: ps})
+            with pytest.raises(ValueError, match=message):
+                leader_value(game, leader, {leader: ps}, OPTIMISTIC)
+        for ps in ((Strategy(other, (0,) * game.model.info[other].atom_count),), ()):
+            with pytest.raises(ValueError, match="one strategy per agent"):
+                followers_nash(game, {leader: ps})
 
 
 class TestFollowersNash:
