@@ -9,18 +9,19 @@ construction records once: no agent may observe his own action axis.
 
 Strategies map information atoms to action indices, so measurability holds by
 construction.  Playability (the closed-loop equation ``u = strategy(nature, u)``
-having exactly one solution) is checked either by fixed-point enumeration or,
+having exactly one solution) is checked either by fixed-point search or,
 when an agent ordering compatible with the information structure exists, by
 the sequential fast path.
 
-Fixed-point enumeration of every joint profile treats a profile as one
-strategy digit per (agent, information atom), agents in model order and atoms
-in table order, so an odometer over the digits (last fastest) visits profiles
-in :func:`joint_strategies` order.  Each digit's action has a bitmask over
-flat configuration indices keeping the points consistent with it; a profile's
-fixed points are the AND of its digits' masks, taken from a stack of prefix
-ANDs.  One-action agents add no digit, so the masks number at most the capped
-profile count.
+Fixed-point search treats a profile as one strategy digit per (agent,
+information atom), agents in model order and atoms in table order; one-action
+agents add none.  Each digit's action has a bitmask over flat configuration
+indices keeping the points consistent with it, and a profile's fixed points
+are the AND of the masks its digits pick.  Every search reads the one mask
+table a model builds on first use and keeps (digits x actions masks of
+configuration-size bits).  Checking every joint profile runs an odometer over
+the digits (last fastest), in :func:`joint_strategies` order, taking each AND
+from a stack of prefix ANDs.
 """
 
 from __future__ import annotations
@@ -109,6 +110,16 @@ class WModel:
             a: (self.info[a].atom_of, strides[first + i], self.action_factors[a].size)
             for i, a in enumerate(self.agents)
         }
+
+    @functools.cached_property
+    def _masks(self) -> tuple[list[list[int]], list[int], list[tuple[int, Point]]]:
+        """The digit masks of :func:`_digit_masks`, the block mask of each
+        Nature state in nature order, and those blocks paired with the
+        states.  Computed on first use and kept, like :attr:`columns`."""
+        size = self.configuration.size
+        block = size // self.nature_space.size
+        blocks = [((1 << block) - 1) << base for base in range(0, size, block)]
+        return _digit_masks(self), blocks, list(zip(blocks, self.nature_points()))
 
 
 def build_wmodel(
@@ -219,6 +230,17 @@ def validate_strategy(model: WModel, strategy: Strategy):
             raise ValueError(f"action index {v} out of range for {strategy.agent}")
 
 
+def _require_profile(model: WModel, profile: StrategyProfile):
+    """Raise ``ValueError`` unless ``profile`` holds one valid strategy per
+    agent, in model agent order."""
+    if not isinstance(profile, StrategyProfile):
+        raise ValueError("profiles must be StrategyProfile values")
+    if [s.agent for s in profile.strategies] != list(model.agents):
+        raise ValueError("profile must contain exactly one strategy per agent, in model order")
+    for s in profile.strategies:
+        validate_strategy(model, s)
+
+
 def make_profile(model: WModel, strategies: Iterable[Strategy]) -> StrategyProfile:
     by_agent: dict[AgentId, Strategy] = {}
     for s in strategies:
@@ -294,23 +316,6 @@ def check_sequential(model: WModel) -> tuple[AgentId, ...] | None:
     return tuple(placed)
 
 
-def _fixed_points(model: WModel, profile: StrategyProfile) -> Iterator[list[int]]:
-    """Flat indices solving the closed-loop equation, one list per nature
-    state in nature order, each scanning that state's block in point order.
-    The profile's strategies pair with :attr:`WModel.columns` by position."""
-    checks = [
-        (atom_of, s.table, stride, count)
-        for (atom_of, stride, count), s in zip(model.columns.values(), profile.strategies)
-    ]
-    size = model.configuration.size
-    block = size // model.nature_space.size
-    for base in range(0, size, block):
-        solutions = range(base, base + block)
-        for atom_of, table, stride, count in checks:
-            solutions = [i for i in solutions if table[atom_of[i]] == i // stride % count]
-        yield solutions
-
-
 def _bits(flags: Iterable[bool]) -> int:
     """The integer whose bit ``i`` is set iff the ``i``-th flag is true."""
     return int("".join("1" if f else "0" for f in flags)[::-1], 2)
@@ -353,12 +358,34 @@ class PlayabilityReport:
     sequential_order: tuple[AgentId, ...] | None = None
 
 
-def _failure(
-    omega: Point, profile: StrategyProfile, solutions: list[int], point_at
-) -> PlayabilityFailure:
-    """The failure of ``profile`` at nature state ``omega``, whose flat
-    solutions are not exactly one."""
-    return PlayabilityFailure(omega, profile, len(solutions), tuple(map(point_at, solutions)))
+def _solved(model: WModel, profile: StrategyProfile) -> int:
+    """The bitmask of the flat indices solving the closed-loop equation under
+    ``profile``: the AND of the digit masks its strategies pick."""
+    digits = iter(model._masks[0])
+    solved = (1 << model.configuration.size) - 1
+    for (_, _, count), s in zip(model.columns.values(), profile.strategies):
+        if count > 1:
+            for j, masks in zip(s.table, digits):
+                solved &= masks[j]
+    return solved
+
+
+def _failures(model: WModel, profile: StrategyProfile, solved: int) -> list[PlayabilityFailure]:
+    """The failures of ``profile``, whose flat solutions are the bits of
+    ``solved``, at the Nature states whose block has not exactly one bit."""
+    point_at = model.configuration.point_at
+    failures = []
+    for block_mask, omega in model._masks[2]:
+        b = solved & block_mask
+        if b and not b & (b - 1):
+            continue
+        solutions = []
+        while b:
+            bit = b & -b
+            solutions.append(point_at(bit.bit_length() - 1))
+            b ^= bit
+        failures.append(PlayabilityFailure(omega, profile, len(solutions), tuple(solutions)))
+    return failures
 
 
 def _random_profile(model: WModel, rng: random.Random) -> StrategyProfile:
@@ -377,9 +404,8 @@ def _scan_all_profiles(model: WModel, cap: int) -> tuple[int, list[PlayabilityFa
     checked = count_profiles(model, model.agents, cap, "strategy profiles")
     # Without a sequential order some agent observes another's action axis,
     # which has two actions or more, so there is at least one digit.
-    digits = _digit_masks(model)
-    size = model.configuration.size
-    full = (1 << size) - 1
+    digits, blocks, _ = model._masks
+    full = (1 << model.configuration.size) - 1
     # Each agent's strategy: a constant one for one-action agents, otherwise
     # the slice of the digit choices holding its table.
     parts: list[tuple[AgentId, Strategy | slice]] = []
@@ -391,27 +417,13 @@ def _scan_all_profiles(model: WModel, cap: int) -> tuple[int, list[PlayabilityFa
         else:
             parts.append((a, slice(lo, lo + m)))
             lo += m
-    block = size // model.nature_space.size
-    low = (1 << block) - 1
-    blocks = [low << base for base in range(0, size, block)]
-    states = list(zip(blocks, model.nature_points()))
-    point_at = model.configuration.point_at
     failures: list[PlayabilityFailure] = []
 
     def record(choice: list[int], solved: int):
         profile = StrategyProfile(
             tuple(p if isinstance(p, Strategy) else Strategy(a, tuple(choice[p])) for a, p in parts)
         )
-        for block_mask, omega in states:
-            b = solved & block_mask
-            if b and not b & (b - 1):
-                continue
-            solutions = []
-            while b:
-                bit = b & -b
-                solutions.append(bit.bit_length() - 1)
-                b ^= bit
-            failures.append(_failure(omega, profile, solutions, point_at))
+        failures.extend(_failures(model, profile, solved))
 
     # Odometer over the digits, last fastest; prefix[d] is the AND of the
     # masks chosen for the digits before d, so each profile costs one AND.
@@ -458,15 +470,12 @@ def check_playability(
 
     Otherwise ``"all"`` checks the profile count against ``cap``, then walks
     every joint profile in :func:`joint_strategies` order as an odometer over
-    strategy digits, one per (agent, atom) in model agent order and table
-    order.  Digit ``(a, atom)`` playing action ``j`` has a bitmask over flat
-    configuration indices that clears the atom's points whose
-    ``a``-coordinate is not ``j``; a profile's fixed points are the AND of
-    its digits' masks, kept as a stack of prefix ANDs.  A Nature state is
-    playable iff its block of that AND has exactly one bit.  Agents with one
-    action contribute no digit, so the masks number the sum of the action
-    counts of the remaining digits, which is at most the capped profile
-    count.  Sampled and explicit profiles are scanned one by one.
+    the strategy digits, keeping a stack of prefix ANDs of their masks.
+    Sampled and explicit profiles AND the masks their digits pick
+    (:func:`_solved`).  Every mode reads the model's one mask table (see the
+    module docstring): a mask of configuration-size bits per digit and
+    action, built on first use and kept while the model lives.  A Nature
+    state is playable iff its block of the AND has exactly one bit.
     """
     if profiles == "all":
         order = check_sequential(model)
@@ -486,23 +495,11 @@ def check_playability(
     else:
         selected = list(profiles)  # type: ignore[arg-type]
         for p in selected:
-            if not isinstance(p, StrategyProfile):
-                raise ValueError("explicit profiles must be StrategyProfile values")
-            if [s.agent for s in p.strategies] != list(model.agents):
-                raise ValueError(
-                    "profile must contain exactly one strategy per agent, in model order"
-                )
-            for s in p.strategies:
-                validate_strategy(model, s)
+            _require_profile(model, p)
         mode = "explicit"
-
     failures = []
-    nature = list(model.nature_points())
-    point_at = model.configuration.point_at
     for profile in selected:
-        for omega, sols in zip(nature, _fixed_points(model, profile)):
-            if len(sols) != 1:
-                failures.append(_failure(omega, profile, sols, point_at))
+        failures += _failures(model, profile, _solved(model, profile))
     return PlayabilityReport(not failures, mode, len(selected), tuple(failures))
 
 
@@ -515,17 +512,16 @@ def outcome_indices(
     Along a sequential ``order`` (from :func:`check_sequential`), the last
     agent in the order moves after everyone else, so the outcome is the entry
     of his own action in his :func:`deviation_table` row.  With
-    ``order=None`` each block is scanned for fixed points;
-    :class:`NotPlayable` is raised at the first nature state with zero or
-    several.
+    ``order=None`` the outcomes are the bits of :func:`_solved`, one per
+    block; :class:`NotPlayable` is raised at the first nature state with
+    zero or several.
     """
     if order is None:
-        outcomes = []
-        for omega, sols in zip(model.nature_points(), _fixed_points(model, profile)):
-            if len(sols) != 1:
-                raise NotPlayable(omega, len(sols))
-            outcomes.append(sols[0])
-        return outcomes
+        solved = _solved(model, profile)
+        failures = _failures(model, profile, solved)
+        if failures:
+            raise NotPlayable(failures[0].nature_point, failures[0].solution_count)
+        return [(solved & block_mask).bit_length() - 1 for block_mask in model._masks[1]]
     last = order[-1]
     table = profile.strategies[model.agents.index(last)].table
     atoms, rows = deviation_table(model, last, profile, order)
@@ -586,18 +582,18 @@ def deviation_table(
     return atoms, outcomes
 
 
-def solution_map(
-    model: WModel, profile: StrategyProfile, brute_force: bool = False
-) -> dict[Point, Point]:
+def solution_map(model: WModel, profile: StrategyProfile) -> dict[Point, Point]:
     """Map each nature state to the unique outcome under the profile: the
     point view of :func:`outcome_indices`.
 
-    Uses forward substitution along a sequential agent ordering when one
-    exists; falls back to fixed-point enumeration (always, with
-    ``brute_force``) and raises :class:`NotPlayable` if some nature state has
-    zero or several solutions.
+    The profile must hold one valid strategy per agent in model order
+    (``ValueError`` otherwise).  Uses forward substitution along a
+    sequential agent ordering when one exists; falls back to fixed-point
+    search and raises :class:`NotPlayable` if some nature state has zero or
+    several solutions.
     """
-    order = None if brute_force else check_sequential(model)
+    _require_profile(model, profile)
+    order = check_sequential(model)
     point_at = model.configuration.point_at
     outcomes = outcome_indices(model, profile, order)
     return {omega: point_at(i) for omega, i in zip(model.nature_points(), outcomes)}

@@ -31,10 +31,13 @@ from infogames import (
     enumerate_strategies,
     is_measurable,
     joint_strategies,
+    make_product_space,
     make_profile,
     refines,
     solution_map,
 )
+from infogames.gamefile import load_game
+from infogames.model import _random_profile, outcome_indices
 from infogames.spaces import Partition, common_refinement
 from conftest import (
     copy_strategy,
@@ -46,6 +49,16 @@ from conftest import (
     random_sequential_model,
     small_factor,
 )
+
+GAMES_DIR = Path(__file__).resolve().parent.parent / "games"
+
+
+def fixed_point_map(model, profile):
+    """The point view of ``outcome_indices(model, profile, None)``: the
+    fixed-point search, whatever the model's information structure."""
+    point_at = model.configuration.point_at
+    outcomes = outcome_indices(model, profile, None)
+    return {omega: point_at(i) for omega, i in zip(model.nature_points(), outcomes)}
 
 
 def oracle_solution_table(model, profile):
@@ -355,7 +368,7 @@ class TestSolutionMap:
             model = random_sequential_model(random.Random(100 + seed))
             profile = random_profile(model, random.Random(200 + seed))
             fwd = solution_map(model, profile)
-            bf = solution_map(model, profile, brute_force=True)
+            bf = fixed_point_map(model, profile)
             assert fwd == bf
             oracle = oracle_solution_table(model, profile)
             for omega, config in fwd.items():
@@ -371,6 +384,28 @@ class TestSolutionMap:
                 for a in model.agents:
                     chosen = config[model.agent_axis(a)]
                     assert by_agent[a].table[model.info[a].atom_of[idx]] == chosen
+
+    def test_profiles_are_checked_like_explicit_playability_profiles(self):
+        # Strategies in another order than the model's, and tables of the
+        # wrong length or with out-of-range actions, used to give a silently
+        # wrong map.
+        nature_orders = load_game(str(GAMES_DIR / "nature_orders.json")).model
+        a, b = nature_orders.agents
+        sa, sb = Strategy(a, (0, 0, 0)), Strategy(b, (0, 0, 1))
+        assert solution_map(nature_orders, StrategyProfile((sa, sb)))[(1,)] == (1, 0, 1)
+        tou = load_game(str(GAMES_DIR / "tou_pricing.json")).model
+        leader, follower = tou.agents
+        for model, profile, message in (
+            (nature_orders, StrategyProfile((sb, sa)), "in model order"),
+            (tou, StrategyProfile((Strategy(leader, (0, 5)), Strategy(follower, (0, 0)))),
+             "has 2 entries"),
+            (tou, StrategyProfile((Strategy(leader, (5,)), Strategy(follower, (0, 0)))),
+             "out of range"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                solution_map(model, profile)
+            with pytest.raises(ValueError, match=message):
+                check_playability(model, [profile])
 
     def test_not_playable_raised(self):
         model = mutual_observation_model()
@@ -500,13 +535,13 @@ class TestRandomInformationStructures:
             oracle = oracle_solution_table(model, profile)
             bad = [(omega, sols) for omega, sols in oracle.items() if len(sols) != 1]
             expected_failures += [(omega, profile, len(s), tuple(s)) for omega, s in bad]
-            for brute_force in (True, False):
+            for solve in (fixed_point_map, solution_map):
                 if bad:
                     with pytest.raises(NotPlayable) as exc:
-                        solution_map(model, profile, brute_force=brute_force)
+                        solve(model, profile)
                     assert (exc.value.nature_point, exc.value.count) == (bad[0][0], len(bad[0][1]))
                 else:
-                    table = solution_map(model, profile, brute_force=brute_force)
+                    table = solve(model, profile)
                     assert table == {omega: sols[0] for omega, sols in oracle.items()}
         report = check_playability(model, profiles)
         assert [
@@ -594,6 +629,72 @@ class TestAllProfilesFastPath:
         assert exc.value.needed == expected.value.needed == 3**12
         assert str(exc.value) == str(expected.value)
         assert str(exc.value) == "strategy profiles needs 531441 items, cap is 1000"
+
+
+def random_model_with_one_action_agents(rng: random.Random):
+    """A model with two or three Nature states, a cycle of two or three
+    agents with two or three actions each (each sees the next one's action,
+    so there is no sequential order), and one or two one-action agents, all
+    declared in shuffled order and seeing random other axes."""
+    nature = [small_factor("n0", rng.randint(2, 3))]
+    cycle = [AgentId("c", t) for t in range(rng.randint(2, 3))]
+    idle = [AgentId("i", t) for t in range(rng.randint(1, 2))]
+    actions = {a: small_factor(f"u{a.player}{a.stage}", rng.randint(2, 3), "action") for a in cycle}
+    actions.update({a: small_factor(f"u{a.player}{a.stage}", 1, "action") for a in idle})
+    agents = rng.sample(cycle + idle, len(actions))
+    configuration = make_product_space(nature + [actions[a] for a in agents])
+    specs = {}
+    for a in agents:
+        ids = [f.id for f in nature] + [actions[b].id for b in agents if b != a]
+        ids = [i for i in ids if rng.random() < 0.5]
+        if a in cycle:
+            specs[a] = (*ids, actions[cycle[(cycle.index(a) + 1) % len(cycle)]].id)
+        elif rng.random() < 0.5:
+            specs[a] = tuple(ids)
+        else:
+            specs[a] = random_partition(rng, configuration, map(configuration.factor_index, ids))
+    return build_wmodel(nature, agents, actions, specs)
+
+
+class TestSampledProfiles:
+    """``check_playability(model, (n, seed))`` and the shared mask table."""
+
+    @given(st.randoms(use_true_random=False), st.integers(1, 30), st.integers(0, 999))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_on_models_with_one_action_agents(self, rng, n, seed):
+        model = random_model_with_one_action_agents(rng)
+        assert check_sequential(model) is None
+        draw = random.Random(seed)
+        profiles = [_random_profile(model, draw) for _ in range(n)]
+        expected = [
+            (omega, profile, len(sols), tuple(sols))
+            for profile in profiles
+            for omega, sols in oracle_solution_table(model, profile).items()
+            if len(sols) != 1
+        ]
+        report = check_playability(model, (n, seed))
+        got = [(f.nature_point, f.profile, f.solution_count, f.solutions) for f in report.failures]
+        assert got == expected
+        assert (report.mode, report.profiles_checked, report.playable) == (
+            f"sample(n={n}, seed={seed})", n, not expected
+        )
+
+    def test_every_search_reads_one_mask_table(self, monkeypatch):
+        built = []
+        digit_masks = infogames.model._digit_masks
+        monkeypatch.setattr(
+            infogames.model, "_digit_masks", lambda model: built.append(model) or digit_masks(model)
+        )
+        model = mutual_observation_model()
+        a, b = model.agents
+        profile = StrategyProfile((copy_strategy(model, a), flip_strategy(model, b)))
+        check_playability(model, (5, 1))
+        assert built == [model]
+        check_playability(model, [profile])
+        with pytest.raises(NotPlayable):
+            outcome_indices(model, profile, None)
+        check_playability(model, "all")
+        assert built == [model]
 
 
 class TestHashing:
