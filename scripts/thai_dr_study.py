@@ -7,9 +7,9 @@ reward-aggregation readings with two consumers.
 Run: python3 scripts/thai_dr_study.py
 """
 
-from infogames import OPTIMISTIC, Evaluator, nash_stackelberg, player_strategy_label
+from infogames import OPTIMISTIC, Evaluator, nash_stackelberg
 from infogames.models import GridSpec, ThaiParams, build_thai_slmf_mt, build_thai_slsf_st
-from infogames.normal_form import assemble_profile, fmt_value
+from infogames.normal_form import fmt_value, strategy_labeller
 
 
 def reward_sweep():
@@ -28,9 +28,7 @@ def reward_sweep():
         ev = Evaluator(game)
         report = nash_stackelberg(game, OPTIMISTIC, evaluator=ev)
         rec = report.profiles[0]
-        assignment = dict(rec.by_player)
-        profile = assemble_profile(game, assignment)
-        outcome = game.model.configuration.point_at(ev.outcome_indices(profile)[0])
+        outcome = game.model.configuration.point_at(ev.outcome_indices(rec.profile)[0])
         target = params.targets[outcome[2]]
         consumption = params.consumptions[outcome[3]]
         values = dict(rec.values)
@@ -56,12 +54,13 @@ def aggregation_comparison():
             aggregation=aggregation,
         )
         game = build_thai_slmf_mt(params)
+        label = strategy_labeller(game)
         report = nash_stackelberg(game, OPTIMISTIC)
         rec = report.profiles[0]
         assignment = dict(rec.by_player)
         values = dict(rec.values)
         print(
-            f"  {aggregation:<10} leader={player_strategy_label(game, assignment['leader'])} "
+            f"  {aggregation:<10} leader={label(assignment['leader'])} "
             f"cost={fmt_value(values['leader'])} "
             f"payoffs=({fmt_value(values['c1'])}, {fmt_value(values['c2'])})"
         )

@@ -12,11 +12,10 @@ from infogames import (
     leader_value,
     nash_stackelberg,
     player_strategies,
-    player_strategy_label,
     theta_mode,
 )
 from infogames.models import GridSpec, TouParams, build_tou_game
-from infogames.normal_form import fmt_value
+from infogames.normal_form import fmt_value, strategy_labeller
 
 
 def make_game(unwillingness: float):
@@ -37,7 +36,8 @@ def theta_sweep():
     ev = Evaluator(game)
     leaders = player_strategies(game, "leader")
     print("anticipated leader payoff per posted price pair")
-    header = ["theta"] + [player_strategy_label(game, ls) for ls in leaders]
+    label = strategy_labeller(game)
+    header = ["theta"] + [label(ls) for ls in leaders]
     print("  ".join(f"{h:>22}" for h in header))
     for theta in (0.0, 0.25, 0.5, 0.75, 1.0):
         row = [f"{theta:>22}"]
@@ -55,6 +55,7 @@ def unwillingness_sweep():
     print("equilibrium vs unwillingness to shift (optimistic)")
     for w in (0.05, 0.1, 0.15, 0.25):
         game = make_game(w)
+        label = strategy_labeller(game)
         ev = Evaluator(game)
         report = nash_stackelberg(game, theta_mode(1.0), evaluator=ev)
         rec = report.profiles[0]
@@ -64,7 +65,7 @@ def unwillingness_sweep():
         )
         values = dict(rec.values)
         print(
-            f"  w={w:<5} leader={player_strategy_label(game, assignment['leader'])} "
+            f"  w={w:<5} leader={label(assignment['leader'])} "
             f"anticipated={fmt_value(anticipated)} follower_cost={fmt_value(values['follower'])}"
         )
     print()

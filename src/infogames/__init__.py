@@ -15,13 +15,9 @@ from .spaces import (
     FiniteFactor,
     Partition,
     ProductSpace,
-    common_refinement,
     cylinder_partition,
-    is_measurable,
     make_product_space,
     refines,
-    singleton_partition,
-    trivial_partition,
 )
 from .model import (
     AgentId,
@@ -36,7 +32,6 @@ from .model import (
     count_strategies,
     enumerate_strategies,
     joint_strategies,
-    make_profile,
     solution_map,
 )
 from .preferences import (
@@ -57,7 +52,6 @@ from .normal_form import (
     matrix_to_csv,
     normal_form_matrix,
     player_strategies,
-    player_strategy_label,
 )
 from .equilibria import (
     OPTIMISTIC,

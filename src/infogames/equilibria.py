@@ -8,12 +8,12 @@ in the argmin/argmax directly; a best-response set whose every member sits at
 the adverse infinity is returned in full with a diagnostic flag.
 
 The search enumerates strategies, except for a one-agent player judged by her
-normal-form value in a sequential model: her value in a context reads her
-actions only at her memo-key atoms, so her best-response set is built by
-scoring each key once (see :class:`_Session`), with the same values, members,
-order, evaluations and caps as enumeration.  Every normal-form value is read
-from an evaluator context, in sequential and non-sequential models alike, and
-every reported profile's values from the contexts of the last follower (see
+normal-form value: her value in a context reads her actions only at her
+memo-key atoms, so her best-response set is built by scoring each key once
+(see :class:`_Session`), with the same values, members, order, evaluations and
+caps as enumeration.  Every normal-form value is read from an evaluator
+context, in sequential and non-sequential models alike, and every reported
+profile's values from the contexts of the last follower (see
 :meth:`_Session.records`).  The joint profiles of several players are walked
 by strategy index, each member's statuses read once per context of hers (see
 :meth:`_Session.nash`), so no profile is built to be checked.  Player
@@ -40,7 +40,6 @@ from .normal_form import (
     Context,
     Evaluator,
     PlayerStrategy,
-    assemble_profile,  # noqa: F401  (bench/ and the tests wrap it here to count calls)
     count_player_strategies,
     player_strategies,
 )
@@ -195,11 +194,12 @@ class _Responses:
     Her value reads her actions only at the key ``atoms``, so each key is
     scored once, on the lexicographically smallest table carrying it (zeros
     elsewhere), which is the table enumeration meets first.  ``keys`` are the
-    keys scoring ``value``, in lexicographic order.  A table of ``size``
-    atoms and ``count`` actions is a member iff its actions at ``atoms`` form
-    one of ``keys``; every action is allowed at the other atoms.  Any other
-    player's set lists its ``members`` and keeps the judged ``values`` of all
-    her strategies.
+    keys scoring ``value``, in lexicographic order.  A table of the agent's
+    ``ctx.atom_count`` atoms and ``count`` actions is a member iff its
+    actions at ``atoms`` form one of ``keys``; every action is allowed at the
+    other atoms.  Without a sequential order a key is a whole table.  Any
+    other player's set lists its ``members`` and keeps the judged ``values``
+    of all her strategies.
     """
 
     value: float | None
@@ -207,7 +207,6 @@ class _Responses:
     members: tuple[PlayerStrategy, ...] | None = None
     values: Sequence[float | None] = ()
     ctx: Context | None = None
-    size: int = 0
     count: int = 0
     atoms: tuple[int, ...] = ()
     keys: Sequence[tuple[int, ...]] = ()
@@ -248,7 +247,7 @@ class _Responses:
         if self.members is not None:
             return self.members
         agent = self.ctx.agent
-        return tuple((Strategy(agent, t),) for t in self.tables(range(self.size)))
+        return tuple((Strategy(agent, t),) for t in self.tables(range(self.ctx.atom_count)))
 
     def leader_values(self, evaluator: Evaluator, leader: str, multiset: bool) -> list[float]:
         """The leader's values at the members, scored from the context once
@@ -259,15 +258,16 @@ class _Responses:
         both players, so walking the members' actions at those atoms meets
         the keys in member order, each at the table enumeration scores."""
         ctx = self.ctx
+        size = ctx.atom_count
         lead = ctx.key_atoms(evaluator.game.data[leader].risk)
-        positions = range(self.size) if multiset else sorted({*self.atoms, *lead})
+        positions = range(size) if multiset else sorted({*self.atoms, *lead})
         key_of = itemgetter(*(positions.index(a) for a in lead))
         scored: dict = {}
         out = []
         for t in self.tables(positions):
             key = key_of(t)
             if key not in scored:
-                table = _spread(self.size, positions, t)
+                table = _spread(size, positions, t)
                 scored[key] = evaluator.value(leader, ctx, Strategy(ctx.agent, table))
             out.append(scored[key])
         return out if multiset else list(scored.values())
@@ -290,15 +290,15 @@ class _Session:
     :meth:`scores` and :meth:`records` share).
 
     :meth:`responses` returns a player's best-response set in a context.  A
-    one-agent player judged by the normal-form value in a sequential model is
-    *keyed*: her set scores each of her memo keys once instead of each of her
-    strategies, and lists members only when a caller needs them.  A leader's
-    anticipation over a single keyed follower's set scores that context once
-    per distinct leader memo key.  Everything else (leaders judged by
-    anticipation, multi-agent players, non-sequential models, and the joint
-    profiles of several players) enumerates strategies.  :meth:`nash` walks
-    the joint profiles by strategy index and reads each member's status in
-    her context from her response set, built on the first visit.
+    one-agent player judged by the normal-form value is *keyed*: her set
+    scores each of her memo keys once instead of each of her strategies, and
+    lists members only when a caller needs them.  A leader's anticipation
+    over a single keyed follower's set scores that context once per distinct
+    leader memo key.  Everything else (leaders judged by anticipation,
+    multi-agent players, and the joint profiles of several players)
+    enumerates strategies.  :meth:`nash` walks the joint profiles by strategy
+    index and reads each member's status in her context from her response
+    set, built on the first visit.
 
     :meth:`records` reads every player's value from the contexts of one
     ``deviator``, the last follower (the last player when there are none),
@@ -319,8 +319,7 @@ class _Session:
         self._keyed = frozenset(
             p
             for p in game.players.players
-            if self.evaluator.sequential_order is not None
-            and len(game.agents_of(p)) == 1
+            if len(game.agents_of(p)) == 1
             and (mode is None or p not in game.leaders)
         )
         followers = game.followers
@@ -535,7 +534,7 @@ class _Session:
                 values.append(self.evaluator.value(player, ctx, rep))
             best = self.best_of(player, values)
             keys = [k for k, v in zip(keys, values) if v == best]
-            rs = _Responses(best, ctx=ctx, size=size, count=count, atoms=atoms, keys=keys)
+            rs = _Responses(best, ctx=ctx, count=count, atoms=atoms, keys=keys)
         self._responses[(player, others)] = rs
         return rs
 

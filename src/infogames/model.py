@@ -241,19 +241,6 @@ def _require_profile(model: WModel, profile: StrategyProfile):
         validate_strategy(model, s)
 
 
-def make_profile(model: WModel, strategies: Iterable[Strategy]) -> StrategyProfile:
-    by_agent: dict[AgentId, Strategy] = {}
-    for s in strategies:
-        if s.agent in by_agent:
-            raise ValueError(f"duplicate strategy for agent {s.agent}")
-        by_agent[s.agent] = s
-    if set(by_agent) != set(model.agents):
-        raise ValueError("profile must contain exactly one strategy per agent")
-    for s in by_agent.values():
-        validate_strategy(model, s)
-    return StrategyProfile(tuple(by_agent[a] for a in model.agents))
-
-
 def count_strategies(model: WModel, agent: AgentId) -> int:
     """Number of measurable strategies: |actions| ** (information atoms)."""
     return model.action_factors[agent].size ** model.info[agent].atom_count

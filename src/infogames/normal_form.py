@@ -37,6 +37,7 @@ from .model import (
     AgentId,
     Strategy,
     StrategyProfile,
+    _require_profile,
     check_sequential,
     count_profiles,
     deviation_table,
@@ -88,11 +89,6 @@ def strategy_labeller(game: WGame) -> Callable[[PlayerStrategy], str]:
     return label
 
 
-def player_strategy_label(game: WGame, ps: PlayerStrategy) -> str:
-    """The label of one player strategy (see :func:`strategy_labeller`)."""
-    return strategy_labeller(game)(ps)
-
-
 def count_player_strategies(game: WGame, player: str, cap: float = math.inf) -> int:
     """The player's strategy count, checked against ``cap`` as
     :func:`player_strategies` checks it."""
@@ -131,7 +127,8 @@ class Context:
 
     ``profile`` holds those strategies (its entry for ``agent`` is whichever
     built the context); ``head`` and ``tail`` are its entries before and
-    after that one, so :meth:`splice` builds a deviation's profile.  In a
+    after that one, so :meth:`splice` builds a deviation's profile.
+    ``atom_count`` is the agent's number of information atoms.  In a
     sequential model, ``atoms[w]`` is the agent's information atom at Nature
     state ``w`` and ``outcomes[w][a]`` the flat outcome index when he plays
     action ``a`` there; in any other model both are ``None``.  ``memo`` maps
@@ -143,6 +140,7 @@ class Context:
     profile: StrategyProfile
     head: tuple[Strategy, ...]
     tail: tuple[Strategy, ...]
+    atom_count: int
     atoms: list[int] | None
     outcomes: list[Sequence[int]] | None
     memo: dict[str, tuple[Callable, dict]] = field(default_factory=dict)
@@ -152,16 +150,15 @@ class Context:
         return StrategyProfile(self.head + (deviation,) + self.tail)
 
     def key_atoms(self, risk: RiskMeasure) -> tuple[int, ...]:
-        """The atoms of the positive-mass states of ``risk`` (its support;
-        every state without a belief), ascending."""
-        if risk.support is None:
-            return tuple(sorted(set(self.atoms)))
+        """The atoms a deviation's value reads, ascending: those of the
+        positive-mass states of ``risk`` (its support; every state without a
+        belief), or every atom of the agent when the context has no table."""
         atoms = self.atoms
+        if atoms is None:
+            return tuple(range(self.atom_count))
+        if risk.support is None:
+            return tuple(sorted(set(atoms)))
         return tuple(sorted({atoms[w] for w in risk.support[0]}))
-
-    def memo_key(self, risk: RiskMeasure) -> Callable:
-        """Getter of a strategy table's actions at :meth:`key_atoms`."""
-        return itemgetter(*self.key_atoms(risk))
 
 
 class Evaluator:
@@ -190,10 +187,14 @@ class Evaluator:
 
     def outcome_indices(self, profile: StrategyProfile) -> list[int]:
         """Configuration point index reached from each nature state, in
-        nature enumeration order."""
+        nature enumeration order.  The profile must hold one valid strategy
+        per agent in model order (``ValueError`` otherwise), which is checked
+        once per profile, as :func:`~infogames.model.solution_map` checks
+        it."""
         cached = self._outcomes.get(profile)
         if cached is not None:
             return cached
+        _require_profile(self.game.model, profile)
         indices = outcome_indices(self.game.model, profile, self.sequential_order)
         self._outcomes[profile] = indices
         return indices
@@ -212,7 +213,8 @@ class Evaluator:
             atoms = outcomes = None
             if order is not None:
                 atoms, outcomes = deviation_table(self.game.model, agent, profile, order)
-            ctx = self._contexts[key] = Context(agent, profile, head, tail, atoms, outcomes)
+            size = self.game.model.info[agent].atom_count
+            ctx = self._contexts[key] = Context(agent, profile, head, tail, size, atoms, outcomes)
         return ctx
 
     def value(
@@ -239,7 +241,7 @@ class Evaluator:
                 if profile.outcomes is None:
                     # No table (non-sequential model): score the full profile.
                     return self.value(player, profile.splice(deviation))
-                entry = profile.memo[player] = (profile.memo_key(data.risk), {})
+                entry = profile.memo[player] = (itemgetter(*profile.key_atoms(data.risk)), {})
             getter, memo = entry
             key = getter(deviation.table)
             cached = memo.get(key)

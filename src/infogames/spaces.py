@@ -4,8 +4,8 @@ A :class:`ProductSpace` is an ordered list of finite factors; its points are
 tuples of per-factor element indices, enumerated in row-major order (last
 factor varies fastest).  A :class:`Partition` labels every point with an atom
 id; on finite sets a partition carries exactly the same data as the sigma-field
-it generates, so inclusion, product, and measurability all reduce to linear
-scans over points.
+it generates, so inclusion (:func:`refines`) reduces to a linear scan over
+points.
 """
 
 from __future__ import annotations
@@ -176,14 +176,6 @@ class Partition:
         return groups
 
 
-def trivial_partition(space: ProductSpace) -> Partition:
-    return Partition(space, (0,) * space.size, 1)
-
-
-def singleton_partition(space: ProductSpace) -> Partition:
-    return Partition(space, tuple(range(space.size)), space.size)
-
-
 def cylinder_partition(space: ProductSpace, visible: Iterable[str]) -> Partition:
     """Partition where two points share an atom iff they agree on every
     visible factor.  Hidden factors contribute the trivial field."""
@@ -231,35 +223,5 @@ def refines(fine: Partition, coarse: Partition) -> bool:
         if rep[f_atom] is None:
             rep[f_atom] = c_atom
         elif rep[f_atom] != c_atom:
-            return False
-    return True
-
-
-def common_refinement(p: Partition, q: Partition) -> Partition:
-    """The coarsest partition refining both arguments (pairwise atom meet)."""
-    if p.space != q.space:
-        raise ValueError("partitions are over different spaces")
-    return Partition.from_labels(p.space, list(zip(p.atom_of, q.atom_of)))
-
-
-def is_measurable(values, wrt: Partition) -> bool:
-    """True iff the point map is constant on every atom of ``wrt``.
-
-    ``values`` is either a sequence indexed by point index or a callable on
-    point tuples.
-    """
-    if callable(values):
-        table = [values(pt) for pt in wrt.space.points()]
-    else:
-        table = list(values)
-        if len(table) != wrt.space.size:
-            raise ValueError("value table length does not match space size")
-    rep: list = [None] * wrt.atom_count
-    seen = [False] * wrt.atom_count
-    for idx, atom in enumerate(wrt.atom_of):
-        if not seen[atom]:
-            rep[atom] = table[idx]
-            seen[atom] = True
-        elif rep[atom] != table[idx]:
             return False
     return True

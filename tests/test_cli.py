@@ -21,14 +21,13 @@ from infogames import (
     load_game,
     nash_equilibria,
     nash_stackelberg,
-    player_strategy_label,
     stackelberg_strategies,
 )
 from infogames import cli
 from infogames.cli import _dumps, main
 from infogames.gamefile import export_custom
 from infogames.model import DEFAULT_CAP
-from infogames.normal_form import fmt_value
+from infogames.normal_form import fmt_value, strategy_labeller
 from infogames.preferences import Objective, PlayerData, make_wgame
 from test_context_tables import (
     MODES,
@@ -470,7 +469,8 @@ class TestLeaderRiskModes:
         mode = leader_risk_mode(risk)
         assert mode.describe() == flag
         leader_set, diag = stackelberg_strategies(game, mode)
-        expected = [{p: player_strategy_label(game, ps) for p, ps in lp} for lp in leader_set]
+        label = strategy_labeller(game)
+        expected = [{p: label(ps) for p, ps in lp} for lp in leader_set]
         assert report["results"]["leader_profiles"] == expected
         assert report["diagnostics"]["profiles_enumerated"] == diag.profiles_enumerated
 
@@ -479,9 +479,10 @@ class TestLeaderRiskModes:
         report = self.cli_report(capsys, "nash-stackelberg", flag)
         game = load_game(str(GAMES_DIR / "tou_pricing.json"))
         eq = nash_stackelberg(game, leader_risk_mode(risk))
+        label = strategy_labeller(game)
         expected = [
             {
-                "profile": {p: player_strategy_label(game, ps) for p, ps in rec.by_player},
+                "profile": {p: label(ps) for p, ps in rec.by_player},
                 "values": {p: fmt_value(v) for p, v in rec.values},
             }
             for rec in eq.profiles

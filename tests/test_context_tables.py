@@ -480,7 +480,7 @@ def test_leader_follower_generator_covers_the_cases():
             seen.add("multi-agent follower")
             continue
         if Evaluator(game).sequential_order is None:
-            continue  # no keyed path without a sequential order
+            seen.add("keyed follower without a sequential order")
         risk = game.data[follower].risk
         if risk.belief is None:
             seen.add("worst case without belief")
@@ -498,6 +498,7 @@ def test_leader_follower_generator_covers_the_cases():
             seen.add("tied responses")
     assert seen == {
         "multi-agent follower",
+        "keyed follower without a sequential order",
         "worst case without belief",
         "zero-mass state",
         "cvar",
@@ -507,12 +508,14 @@ def test_leader_follower_generator_covers_the_cases():
     }
 
 
-def test_stackelberg_builds_follower_strategies_only_to_score_keys(monkeypatch):
-    """``stackelberg`` on the shipped pricing game never enumerates the
-    follower's strategies: every follower strategy it builds is the one
-    representative scored for a memo key, and none outside the response
-    sets is listed."""
-    game = load_game(str(GAMES_DIR / "tou_pricing.json"))
+@pytest.mark.parametrize("name", ["tou_pricing.json", "nature_orders.json"])
+def test_stackelberg_builds_follower_strategies_only_to_score_keys(monkeypatch, name):
+    """``stackelberg`` on a shipped game with a one-agent follower never
+    enumerates the follower's strategies: every follower strategy it builds
+    is the one representative scored for a memo key, and none outside the
+    response sets is listed.  ``nature_orders.json`` has no sequential
+    order, so each of its keys is a whole table."""
+    game = load_game(str(GAMES_DIR / name))
     (follower,) = game.followers
     (agent,) = game.agents_of(follower)
     built, enumerated = [], []
@@ -564,34 +567,26 @@ def test_keyed_paths_keep_the_cap_messages():
 #
 # Records are read from the follower's response set against each Stackelberg
 # leaders' profile: its context's profile with the member spliced in, and the
-# context's memo entry per player, with no profile assembled or value scored.
+# context's memo entry per player, with no context built or value scored.
 
 
 def test_keyed_records_assemble_no_profile_and_score_nothing(monkeypatch):
     game = load_game(str(GAMES_DIR / "tou_pricing.json"))
-    assembled, searched = [], []
+    searched = []
     search = equilibria._stackelberg_in_session
-
-    def counting_assemble(g, by_player):
-        assembled.append(by_player)
-        return assemble_profile(g, by_player)
 
     def counting_search(session):
         result = search(session)
-        searched.append(session.evaluator.evaluations)
+        searched.append((session.evaluator.evaluations, len(session.evaluator._contexts)))
         return result
 
-    monkeypatch.setattr(equilibria, "assemble_profile", counting_assemble)
     monkeypatch.setattr(equilibria, "_stackelberg_in_session", counting_search)
     for mode in MODES:
-        assembled.clear()
         ev = Evaluator(game)
         report = nash_stackelberg(game, mode, evaluator=ev)
-        leader_profiles = report.diagnostics.profiles_enumerated
-        assert len(report.profiles) > leader_profiles
-        # One context per leader profile during the search, none per record.
-        assert len(assembled) <= leader_profiles
-        assert searched.pop() == ev.evaluations
+        assert len(report.profiles) > report.diagnostics.profiles_enumerated
+        # The records reuse the search's contexts and score nothing.
+        assert searched.pop() == (ev.evaluations, len(ev._contexts))
 
 
 class CountingEvaluator(Evaluator):

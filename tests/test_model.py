@@ -29,16 +29,14 @@ from infogames import (
     count_strategies,
     cylinder_partition,
     enumerate_strategies,
-    is_measurable,
     joint_strategies,
     make_product_space,
-    make_profile,
     refines,
     solution_map,
 )
 from infogames.gamefile import load_game
 from infogames.model import _random_profile, outcome_indices
-from infogames.spaces import Partition, common_refinement
+from infogames.spaces import Partition
 from conftest import (
     copy_strategy,
     flip_strategy,
@@ -212,15 +210,16 @@ class TestStrategies:
         for s in profile.strategies:
             part = model.info[s.agent]
             induced = [s.table[part.atom_of[i]] for i in range(part.space.size)]
-            assert is_measurable(induced, part)
+            assert refines(part, Partition.from_labels(part.space, induced))
 
     def test_make_profile_validates(self):
+        # What ``make_profile`` rejected, an explicit profile check rejects.
         model = mutual_observation_model()
         a, b = model.agents
         with pytest.raises(ValueError):
-            make_profile(model, [Strategy(a, (0, 1))])
+            check_playability(model, [StrategyProfile((Strategy(a, (0, 1)),))])
         with pytest.raises(ValueError):
-            make_profile(model, [Strategy(a, (0,)), Strategy(b, (0, 1))])
+            check_playability(model, [StrategyProfile((Strategy(a, (0,)), Strategy(b, (0, 1))))])
 
 
 class TestSequential:
@@ -507,10 +506,9 @@ class TestRandomInformationStructures:
         assume(actions[a].size > 1)
         axis = len(nature) + agents.index(a)
         others = [i for i in range(len(config.factors)) if rng.random() < 0.5]
-        part = common_refinement(
-            random_partition(rng, config, others),
-            cylinder_partition(config, [actions[a].id]),
-        )
+        seen = random_partition(rng, config, others)
+        own = cylinder_partition(config, [actions[a].id])
+        part = Partition.from_labels(config, list(zip(seen.atom_of, own.atom_of)))
         with pytest.raises(SelfInformationViolation) as exc:
             build_wmodel(nature, agents, actions, {**specs, a: part})
         assert exc.value.agent == a

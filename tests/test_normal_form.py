@@ -14,6 +14,8 @@ from infogames import (
     PlayerPartition,
     RiskMeasure,
     Sense,
+    Strategy,
+    StrategyProfile,
     build_prisoners_dilemma,
     make_wgame,
     matrix_to_csv,
@@ -109,6 +111,32 @@ class TestValues:
         ev.value("row", profile)
         ev.value("col", profile)
         assert ev.evaluations == 2
+
+    @pytest.mark.parametrize("table", [(-1,), (2,), (0, 0)])
+    def test_profiles_are_checked_before_they_are_scored(self, table):
+        # An action index out of range would read another outcome (-1) or
+        # raise IndexError (2); a table of the wrong size is not a strategy.
+        game = build_prisoners_dilemma()
+        (col,) = player_strategies(game, "col")[0]
+        bad = StrategyProfile((Strategy(game.agents_of("row")[0], table), col))
+        for score in (
+            lambda ev: ev.value("row", bad),
+            lambda ev: ev.value("col", bad),
+            lambda ev: ev.outcome_indices(bad),
+        ):
+            ev = Evaluator(game)
+            with pytest.raises(ValueError, match="action index|entries"):
+                score(ev)
+            assert ev.evaluations == 0
+
+    def test_profiles_out_of_model_order_are_rejected(self):
+        game = build_prisoners_dilemma()
+        (row,), (col,) = player_strategies(game, "row")[0], player_strategies(game, "col")[0]
+        ev = Evaluator(game)
+        for profile in (StrategyProfile((col, row)), StrategyProfile((row,))):
+            with pytest.raises(ValueError, match="one strategy per agent"):
+                ev.value("row", profile)
+        assert ev.evaluations == 0
 
 
 class TestMatrix:

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,13 +12,9 @@ from infogames import (
     Objective,
     Partition,
     Sense,
-    common_refinement,
     cylinder_partition,
-    is_measurable,
     make_product_space,
     refines,
-    singleton_partition,
-    trivial_partition,
 )
 from conftest import small_factor
 
@@ -67,12 +62,12 @@ class TestCylinder:
         space = space_of(2, 3)
         part = cylinder_partition(space, [])
         assert part.atom_count == 1
-        assert part == trivial_partition(space)
+        assert part == Partition(space, (0,) * space.size, 1)
 
     def test_all_visible_is_singletons(self):
         space = space_of(2, 3)
         part = cylinder_partition(space, ["f0", "f1"])
-        assert part == singleton_partition(space)
+        assert part == Partition(space, tuple(range(space.size)), space.size)
 
     def test_one_visible_binary_factor_in_2x2x2(self):
         # Two atoms of four points each: the middle panel of the
@@ -182,7 +177,7 @@ class TestStrideBuilt:
 class TestRefines:
     def test_singleton_refines_everything(self):
         space = space_of(2, 2)
-        fine = singleton_partition(space)
+        fine = cylinder_partition(space, ["f0", "f1"])
         for ids in ([], ["f0"], ["f0", "f1"]):
             assert refines(fine, cylinder_partition(space, ids))
 
@@ -205,27 +200,35 @@ class TestRefines:
 
     def test_mismatched_spaces_rejected(self):
         with pytest.raises(ValueError, match="different spaces"):
-            refines(trivial_partition(space_of(2)), trivial_partition(space_of(3)))
+            refines(cylinder_partition(space_of(2), []), cylinder_partition(space_of(3), []))
+
+
+def meet_of(p, q):
+    """The README recipe for the coarsest common refinement."""
+    return Partition.from_labels(p.space, list(zip(p.atom_of, q.atom_of)))
+
+
+def measurable(values, p):
+    """The README recipe for measurability of a point map given by its values."""
+    return refines(p, Partition.from_labels(p.space, values))
 
 
 class TestCommonRefinement:
     def test_with_trivial_is_identity(self):
         space = space_of(2, 3)
         p = cylinder_partition(space, ["f1"])
-        assert common_refinement(p, trivial_partition(space)) == p
+        assert meet_of(p, cylinder_partition(space, [])) == p
 
     def test_idempotent(self):
         space = space_of(2, 3)
         p = cylinder_partition(space, ["f0"])
-        assert common_refinement(p, p) == p
+        assert meet_of(p, p) == p
 
     def test_cylinders_meet_by_point_pair_oracle(self):
         # Oracle: two points are equivalent in the meet iff they agree on f0
         # and on f1.
         space = space_of(2, 3)
-        meet = common_refinement(
-            cylinder_partition(space, ["f0"]), cylinder_partition(space, ["f1"])
-        )
+        meet = meet_of(cylinder_partition(space, ["f0"]), cylinder_partition(space, ["f1"]))
         assert meet == cylinder_partition(space, ["f0", "f1"])
         pts = list(space.points())
         for i, j in itertools.combinations(range(len(pts)), 2):
@@ -264,16 +267,37 @@ def test_refines_is_a_partial_order(spec_p, spec_q, spec_r):
 @given(partitions(), partitions(), partitions())
 @settings(max_examples=60, deadline=None)
 def test_common_refinement_is_coarsest(spec_p, spec_q, spec_r):
+    """Labelling each point by its pair of atoms gives the meet."""
     a, b, labels_p = spec_p
     space = space_of(a, b)
     n = space.size
     p = Partition.from_labels(space, labels_p)
     q = Partition.from_labels(space, (spec_q[2] * n)[:n])
     r = Partition.from_labels(space, (spec_r[2] * n)[:n])
-    meet = common_refinement(p, q)
+    meet = meet_of(p, q)
     assert refines(meet, p) and refines(meet, q)
     if refines(r, p) and refines(r, q):
         assert refines(r, meet)
+
+
+@given(
+    partitions(), st.lists(st.integers(0, 2), min_size=16, max_size=16), st.booleans()
+)
+@settings(max_examples=60, deadline=None)
+def test_measurable_values_are_those_whose_partition_is_refined(spec, noise, by_atom):
+    """A point map is constant on every atom of ``p`` iff ``p`` refines the
+    partition by its values."""
+    a, b, labels = spec
+    space = space_of(a, b)
+    p = Partition.from_labels(space, labels)
+    if by_atom:
+        values = [noise[atom] % 2 for atom in p.atom_of]
+    else:
+        values = noise[: space.size]
+    constant = all(len({values[i] for i in atom}) == 1 for atom in p.atoms())
+    assert measurable(values, p) == constant
+    if by_atom:
+        assert constant
 
 
 @given(st.lists(st.booleans(), min_size=3, max_size=3), st.lists(st.booleans(), min_size=3, max_size=3))
@@ -290,24 +314,25 @@ class TestMeasurable:
     def test_everything_measurable_wrt_singletons(self, rng):
         space = space_of(2, 3)
         values = [rng.randint(0, 9) for _ in range(space.size)]
-        assert is_measurable(values, singleton_partition(space))
+        assert measurable(values, cylinder_partition(space, ["f0", "f1"]))
 
     def test_nonconstant_not_measurable_wrt_trivial(self):
         space = space_of(2, 2)
-        assert not is_measurable(lambda pt: pt[0], trivial_partition(space))
-        assert is_measurable(lambda pt: 7, trivial_partition(space))
+        trivial = cylinder_partition(space, [])
+        assert not measurable([pt[0] for pt in space.points()], trivial)
+        assert measurable([7 for _ in space.points()], trivial)
 
     def test_projection_measurability_per_atom_scan(self):
         space = space_of(2, 3)
-        proj0 = lambda pt: pt[0]
-        assert is_measurable(proj0, cylinder_partition(space, ["f0"]))
-        assert not is_measurable(proj0, cylinder_partition(space, ["f1"]))
+        proj0 = [pt[0] for pt in space.points()]
+        assert measurable(proj0, cylinder_partition(space, ["f0"]))
+        assert not measurable(proj0, cylinder_partition(space, ["f1"]))
 
     def test_measurability_survives_refinement(self, rng):
         space = space_of(2, 2, 2)
         part = cylinder_partition(space, ["f0"])
         values = [space.point_at(i)[0] for i in range(space.size)]
-        assert is_measurable(values, part)
-        finer = common_refinement(part, cylinder_partition(space, ["f2"]))
+        assert measurable(values, part)
+        finer = meet_of(part, cylinder_partition(space, ["f2"]))
         assert refines(finer, part)
-        assert is_measurable(values, finer)
+        assert measurable(values, finer)
