@@ -121,6 +121,13 @@ class WModel:
         blocks = [((1 << block) - 1) << base for base in range(0, size, block)]
         return _digit_masks(self), blocks, list(zip(blocks, self.nature_points()))
 
+    @functools.cached_property
+    def _plans(self) -> dict:
+        """The deviation plan of each (agent, sequential order) that
+        :func:`deviation_table` has been called with, kept like
+        :attr:`columns`."""
+        return {}
+
 
 def build_wmodel(
     nature_factors: Sequence[FiniteFactor],
@@ -515,6 +522,29 @@ def outcome_indices(
     return [row[table[atom]] for atom, row in zip(atoms, rows)]
 
 
+def _plan(model: WModel, agent: AgentId, order: tuple[AgentId, ...]) -> tuple:
+    """What :func:`deviation_table` needs of the model and ``order`` alone
+    when ``agent`` deviates: the profile slot and stride of every other
+    one-atom agent; the slot, atom table and stride of each other agent
+    before him, then after him, in order; his atom table, his stride and the
+    span of his actions (count x stride); the size of the configuration space
+    and of each Nature state's block."""
+    slots = {a: i for i, a in enumerate(model.agents)}
+    folded, before, after = [], [], []
+    steps = before
+    for a in order:
+        atom_of, stride, count = model.columns[a]
+        if a == agent:
+            own = atom_of, stride, count * stride
+            steps = after
+        elif model.info[a].atom_count == 1:
+            folded.append((slots[a], stride))
+        else:
+            steps.append((slots[a], atom_of, stride))
+    size = model.configuration.size
+    return tuple(folded), tuple(before), tuple(after), *own, size, size // model.nature_space.size
+
+
 def deviation_table(
     model: WModel, agent: AgentId, profile: StrategyProfile, order: tuple[AgentId, ...]
 ) -> tuple[list[int], list[Sequence[int]]]:
@@ -532,36 +562,36 @@ def deviation_table(
     each base.  That is sound wherever they stand in the order: an agent's
     atom reads only Nature and the axes of agents earlier in the order, so
     setting the axes of later agents early changes no atom read.
+
+    What depends only on the model, ``agent`` and ``order`` (the slots,
+    atom tables and strides of the agents on each side, the folded agents,
+    the Nature blocks) is a plan (:func:`_plan`) built on the first call and
+    kept in ``model._plans``, so each call reads only the given strategies.
     """
-    columns = model.columns
-    tables = dict(zip(model.agents, (s.table for s in profile.strategies)))
+    plans = model._plans
+    key = agent, order
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = _plan(model, agent, order)
+    folded, before, after, own_atom_of, own_stride, span, size, block = plan
+    strategies = profile.strategies
     offset = 0
-    before: list[tuple[Sequence[int], tuple[int, ...], int]] = []
-    after: list[tuple[Sequence[int], tuple[int, ...], int]] = []
-    steps = before
-    for a in order:
-        atom_of, stride, _ = columns[a]
-        if a == agent:
-            own_atom_of, own_stride = atom_of, stride
-            steps = after
-        elif model.info[a].atom_count == 1:
-            offset += tables[a][0] * stride
-        else:
-            steps.append((atom_of, tables[a], stride))
-    count = model.action_factors[agent].size
-    size = model.configuration.size
-    atoms: list[int] = []
+    for slot, stride in folded:
+        offset += strategies[slot].table[0] * stride
+    starts = range(offset, offset + size, block)
+    pre = [(atom_of, strategies[slot].table, stride) for slot, atom_of, stride in before]
+    post = [(atom_of, strategies[slot].table, stride) for slot, atom_of, stride in after]
+    atoms = []
     outcomes: list[Sequence[int]] = []
-    for base in range(0, size, size // model.nature_space.size):
-        idx = base + offset
-        for atom_of, table, stride in before:
+    for idx in starts:
+        for atom_of, table, stride in pre:
             idx += table[atom_of[idx]] * stride
         atoms.append(own_atom_of[idx])
-        row: Sequence[int] = range(idx, idx + count * own_stride, own_stride)
-        if after:
+        row: Sequence[int] = range(idx, idx + span, own_stride)
+        if post:
             substituted = []
             for i in row:
-                for atom_of, table, stride in after:
+                for atom_of, table, stride in post:
                     i += table[atom_of[i]] * stride
                 substituted.append(i)
             row = substituted

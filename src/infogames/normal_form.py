@@ -10,16 +10,21 @@ agent, built once per (deviating agent, those strategies), in any model.
 In a sequential model, fixing every agent but the deviator fixes, at each
 Nature state, his information atom and the outcome each of his actions leads
 to.  The context holds that table, built by |Nature| x |actions| forward
-substitutions.  A deviation's value is then the same ``apply_risk`` call on
-the same composed list as the profile path, so both paths agree bit for bit.
-It is memoized per player under the deviator's actions at the atoms of the
-player's positive-mass states (every state when her risk has no belief): the
-other states are dropped by ``apply_risk``, so deviations that agree there
-share the value.  In any other model the context has no table, and a
-deviation is spliced into its profile and scored on the profile path, so the
-choice between the two paths is made here alone.  Evaluation is pure, so
-every memo is a last-write-wins cache.  ``Evaluator.evaluations`` counts the
-risk evaluations actually computed, on either path.
+substitutions along a plan: what the table needs of the model and the order
+alone (each other agent's profile slot, atom table and stride, the one-atom
+agents folded into one offset, the Nature blocks), which the model builds
+once per (deviating agent, order) and keeps.  So every evaluator of a model,
+each with its own memos, reads the same plans.  A deviation's value is then
+the same ``apply_risk`` call on the same composed list as the profile path,
+so both paths agree bit for bit.  It is memoized per player under the
+deviator's actions at the atoms of the player's positive-mass states (every
+state when her risk has no belief): the other states are dropped by
+``apply_risk``, so deviations that agree there share the value.  In any other
+model the context has no table, and a deviation is spliced into its profile
+and scored on the profile path, so the choice between the two paths is made
+here alone.  Evaluation is pure, so every memo is a last-write-wins cache.
+``Evaluator.evaluations`` counts the risk evaluations actually computed, on
+either path.
 """
 
 from __future__ import annotations

@@ -77,14 +77,14 @@ class Objective:
         order.  A term is ``(axes, table)`` with ``table`` indexed row-major
         by the point's coordinates on ``axes``."""
         values: list = [0.0] * space.size
-        index: dict = {}
         for axes, table in terms:
             axes = tuple(axes)
+            # Before the length check, which would read factors[axis]:
+            # axis_index rejects axes outside the space.
+            index = space.axis_index(axes)
             if len(table) != math.prod(space.factors[a].size for a in axes):
                 raise ValueError("term table length does not match its axes")
-            if axes not in index:
-                index[axes] = space.axis_index(axes)
-            values = list(map(operator.add, values, map(table.__getitem__, index[axes])))
+            values = list(map(operator.add, values, map(table.__getitem__, index)))
         return Objective(player, sense, tuple(values))
 
 

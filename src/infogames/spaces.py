@@ -10,6 +10,7 @@ points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -71,6 +72,12 @@ class ProductSpace:
         object.__setattr__(self, "_strides", tuple(reversed(strides)))
         object.__setattr__(self, "size", acc)
 
+    @functools.cached_property
+    def _axis_indexes(self) -> dict[tuple[int, ...], list[int]]:
+        """The memo of :meth:`axis_index`, keyed by axes without size-1
+        factors; kept while the space lives, out of equality and hashing."""
+        return {}
+
     def factor_index(self, factor_id: str) -> int:
         for i, f in enumerate(self.factors):
             if f.id == factor_id:
@@ -104,23 +111,35 @@ class ProductSpace:
 
     def axis_index(self, axes: Sequence[int]) -> list[int]:
         """For every flat point, the row-major index of its coordinates on
-        ``axes`` (distinct factor positions in any order, the last fastest)."""
+        ``axes`` (distinct factor positions in any order, the last fastest).
+
+        A size-1 factor adds nothing to the index, so each index is built
+        once per space under its axes without those factors, kept while the
+        space lives, and returned as a fresh list."""
         if len(set(axes)) != len(axes):
             raise ValueError("axes must be distinct")
-        weight, acc = {}, 1
-        for axis in reversed(axes):
-            weight[axis] = acc
-            acc *= self.factors[axis].size
-        # Expand a head and a tail of about sqrt(size) entries each, then
-        # combine them in one full-size pass.
-        head, tail, size = [0], [0], self.size
-        for axis, f in enumerate(self.factors):
-            steps = [c * weight.get(axis, 0) for c in range(f.size)]
-            if len(head) ** 2 < size:
-                head = [i + s for i in head for s in steps]
-            else:
-                tail = [i + s for i in tail for s in steps]
-        return [h + t for h in head for t in tail]
+        n = len(self.factors)
+        for axis in axes:
+            if not 0 <= axis < n:
+                raise ValueError(f"axis {axis} out of range for {n} factors")
+        key = tuple(axis for axis in axes if self.factors[axis].size > 1)
+        index = self._axis_indexes.get(key)
+        if index is None:
+            weight, acc = {}, 1
+            for axis in reversed(key):
+                weight[axis] = acc
+                acc *= self.factors[axis].size
+            # Expand a head and a tail of about sqrt(size) entries each, then
+            # combine them in one full-size pass.
+            head, tail, size = [0], [0], self.size
+            for axis, f in enumerate(self.factors):
+                steps = [c * weight.get(axis, 0) for c in range(f.size)]
+                if len(head) ** 2 < size:
+                    head = [i + s for i in head for s in steps]
+                else:
+                    tail = [i + s for i in tail for s in steps]
+            index = self._axis_indexes[key] = [h + t for h in head for t in tail]
+        return list(index)
 
     def point_labels(self, point: Sequence[int]) -> tuple[str, ...]:
         return tuple(f.elements[c] for f, c in zip(self.factors, point))

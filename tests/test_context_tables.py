@@ -894,6 +894,65 @@ def test_deviation_table_matches_plain_substitution(seed):
             assert outcome_indices(model, played, None) == [row[action] for row in rows]
 
 
+def _one_player_game(model):
+    """The model with one player owning every agent, so that an
+    :class:`Evaluator` can be built on it."""
+    players = PlayerPartition(("P",), {a: "P" for a in model.agents})
+    objective = Objective("P", Sense.COST, (0.0,) * model.configuration.size)
+    return make_wgame(model, players, {"P": PlayerData(objective, RiskMeasure.worst_case())})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_deviation_plans_are_built_once_per_agent_and_order(seed):
+    rng = random.Random(seed)
+    model = random_model_with_one_atom_agents(rng)
+    order = check_sequential(model)
+    profiles = [random_profile(model, rng) for _ in range(4)]
+    calls = [(agent, profile) for profile in profiles for agent in model.agents]
+    rng.shuffle(calls)
+    for agent, profile in calls:
+        atoms, rows = deviation_table(model, agent, profile, order)
+        assert (atoms, [list(row) for row in rows]) == plain_deviation_table(
+            model, agent, profile, order
+        )
+        at = model.agents.index(agent)
+        for action in range(model.action_factors[agent].size):
+            constant = Strategy(agent, (action,) * model.info[agent].atom_count)
+            strategies = profile.strategies
+            played = StrategyProfile(strategies[:at] + (constant,) + strategies[at + 1:])
+            expected = [row[action] for row in rows]
+            assert outcome_indices(model, played, None) == expected
+            assert outcome_indices(model, played, order) == expected
+    assert set(model._plans) == {(a, order) for a in model.agents}
+    plans = dict(model._plans)
+    # Evaluators share no memo, but read the plans the model already holds.
+    game = _one_player_game(model)
+    for profile in profiles:
+        evaluator = Evaluator(game)
+        for agent in model.agents:
+            ctx = evaluator.context(agent, profile)
+            assert (ctx.atoms, [list(row) for row in ctx.outcomes]) == plain_deviation_table(
+                model, agent, profile, order
+            )
+        assert evaluator.outcome_indices(profile) == outcome_indices(model, profile, None)
+    assert model._plans.keys() == plans.keys()
+    assert all(model._plans[key] is plan for key, plan in plans.items())
+
+
+def test_plan_generator_covers_the_range_rows():
+    """The generator draws deviators with one atom and with several, each
+    both with and without another agent of several atoms in the order (the
+    deviation table then has ``range`` rows)."""
+    seen = set()
+    for seed in range(100):
+        model = random_model_with_one_atom_agents(random.Random(seed))
+        for a in model.agents:
+            others = any(model.info[b].atom_count > 1 for b in model.agents if b != a)
+            seen.add((model.info[a].atom_count == 1, others))
+    assert len(seen) == 4
+
+
 def test_one_atom_generator_covers_the_cases():
     seen = set()
     for seed in range(100):

@@ -128,6 +128,48 @@ class TestStrideBuilt:
     def test_axis_index_rejects_repeated_axes(self):
         with pytest.raises(ValueError, match="distinct"):
             space_of(2, 2).axis_index([1, 1])
+        # Also when the repeated factor has one element, which the memo key
+        # would drop.
+        with pytest.raises(ValueError, match="distinct"):
+            space_of(2, 1).axis_index([1, 1])
+
+    @pytest.mark.parametrize("axes", [[-1], [3], [5], [0, -3]])
+    def test_axis_index_rejects_axes_outside_the_space(self, axes):
+        with pytest.raises(ValueError, match="out of range"):
+            space_of(2, 1, 3).axis_index(axes)
+
+    def test_from_terms_rejects_axes_outside_the_space(self):
+        # A negative axis once read the last factor's size for the length
+        # check and then tabulated table[0] at every point.
+        with pytest.raises(ValueError, match="out of range"):
+            Objective.from_terms(space_of(2, 3), "p", Sense.COST, [((-1,), [1.0, 2.0, 3.0])])
+        with pytest.raises(ValueError, match="out of range"):
+            Objective.from_terms(space_of(2, 3), "p", Sense.COST, [((5,), [1.0])])
+
+    def test_axis_index_returns_a_fresh_list(self):
+        space = space_of(2, 3)
+        first = space.axis_index([1, 0])
+        expected = list(first)
+        first[0] = 99
+        first.append(7)
+        assert space.axis_index([1, 0]) == expected
+        assert space.axis_index([1, 0]) is not space.axis_index([1, 0])
+
+    @given(factor_sizes.flatmap(lambda sizes: st.tuples(
+        st.just(sizes), st.permutations(range(len(sizes))), st.integers(0, len(sizes)))))
+    @settings(max_examples=80, deadline=None)
+    def test_axis_index_ignores_one_element_factors(self, spec):
+        sizes, order, k = spec
+        space = space_of(*sizes)
+        axes = list(order[:k])
+        kept = [a for a in axes if sizes[a] > 1]
+        expected = [row_major(pt, kept, sizes) for pt in space.points()]
+        # Each order of the calls: the memo entry is built by either form.
+        assert space.axis_index(axes) == expected
+        assert space.axis_index(kept) == expected
+        fresh = space_of(*sizes)
+        assert fresh.axis_index(kept) == expected
+        assert fresh.axis_index(axes) == expected
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
