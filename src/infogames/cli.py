@@ -84,7 +84,14 @@ def _parse_playability_mode(raw: str):
                         f"bad playability mode {raw!r}: {problem} key {found[0]!r}; "
                         "use all or sample=N,seed=S"
                     )
-            return (int(parts["n"]), int(parts.get("seed", "0")))
+            n, seed = int(parts["n"]), int(parts.get("seed", "0"))
+            if seed < 0:
+                # random.Random(-s) draws what random.Random(s) draws.
+                raise argparse.ArgumentTypeError(
+                    f"bad playability mode {raw!r}: seed must be at least 0; "
+                    "use all or sample=N,seed=S"
+                )
+            return n, seed
         except (KeyError, ValueError):
             raise argparse.ArgumentTypeError(
                 f"bad playability mode {raw!r}; use all or sample=N,seed=S"
@@ -230,21 +237,22 @@ def run(command: str, game_path: str, options: dict, cap: int, mode=None) -> tup
             "mode": pr.mode,
             "profiles_checked": pr.profiles_checked,
         }
-        # Failures repeat profiles, strategies and points: each distinct one
-        # is rendered once and shared, so _dumps encodes each shared table
-        # and point once.
+        # Failures repeat profiles, strategies, points and solution sets:
+        # each distinct one is rendered once and shared, so _dumps encodes
+        # each shared table and point once.
         nature = functools.cache(lambda w: list(game.model.nature_space.point_labels(w)))
         point = functools.cache(lambda x: list(game.model.configuration.point_labels(x)))
         table = functools.cache(lambda s: list(s.table))
         profile = functools.cache(
             lambda prof: {str(s.agent): table(s) for s in prof.strategies}
         )
+        witnesses = functools.cache(lambda sols: [point(x) for x in sols])
         failures = [
             {
                 "nature": nature(f.nature_point),
                 "profile": profile(f.profile),
                 "solutions": f.solution_count,
-                "witnesses": [point(sol) for sol in f.solutions],
+                "witnesses": witnesses(f.solutions),
             }
             for f in pr.failures
         ]

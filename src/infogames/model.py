@@ -21,7 +21,12 @@ are the AND of the masks its digits pick.  Every search reads the one mask
 table a model builds on first use and keeps (digits x actions masks of
 configuration-size bits).  Checking every joint profile runs an odometer over
 the digits (last fastest), in :func:`joint_strategies` order, taking each AND
-from a stack of prefix ANDs.
+from a stack of prefix ANDs.  A sample of ``n`` profiles from seed ``s``
+makes one ``random.Random(s).randrange(action count)`` call per strategy
+table entry, agents in model order and atoms in table order, one-action
+agents included, and ANDs the masks of the drawn digits; only a failing
+sample becomes a profile.  The failures of one check share equal strategies
+and equal solution tuples.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -364,31 +370,54 @@ def _solved(model: WModel, profile: StrategyProfile) -> int:
     return solved
 
 
-def _failures(model: WModel, profile: StrategyProfile, solved: int) -> list[PlayabilityFailure]:
+def _failures(
+    model: WModel, profile: StrategyProfile, solved: int, decoded: dict[int, tuple[Point, ...]]
+) -> list[PlayabilityFailure]:
     """The failures of ``profile``, whose flat solutions are the bits of
-    ``solved``, at the Nature states whose block has not exactly one bit."""
+    ``solved``, at the Nature states whose block has not exactly one bit.
+    ``decoded`` maps each block of bits decoded so far to its solutions, so
+    a check decodes each distinct one once."""
     point_at = model.configuration.point_at
     failures = []
     for block_mask, omega in model._masks[2]:
         b = solved & block_mask
         if b and not b & (b - 1):
             continue
-        solutions = []
-        while b:
-            bit = b & -b
-            solutions.append(point_at(bit.bit_length() - 1))
-            b ^= bit
-        failures.append(PlayabilityFailure(omega, profile, len(solutions), tuple(solutions)))
+        solutions = decoded.get(b)
+        if solutions is None:
+            points = []
+            rest = b
+            while rest:
+                bit = rest & -rest
+                points.append(point_at(bit.bit_length() - 1))
+                rest ^= bit
+            solutions = decoded[b] = tuple(points)
+        failures.append(PlayabilityFailure(omega, profile, len(solutions), solutions))
     return failures
 
 
-def _random_profile(model: WModel, rng: random.Random) -> StrategyProfile:
-    strategies = []
-    for a in model.agents:
-        k = model.action_factors[a].size
-        m = model.info[a].atom_count
-        strategies.append(Strategy(a, tuple(rng.randrange(k) for _ in range(m))))
-    return StrategyProfile(tuple(strategies))
+def _recorder(model: WModel, parts: list[tuple[AgentId, Strategy | slice]]):
+    """A ``record(choice, solved)`` appending to the returned list the
+    failures of the profile whose flat solutions are the bits of ``solved``;
+    each agent's strategy is its constant one in ``parts`` or the slice of
+    ``choice`` holding its table.  Equal strategies and solution tuples are
+    built once per recorder, so the failures of one check share them."""
+    failures: list[PlayabilityFailure] = []
+    made: dict[tuple[AgentId, tuple[int, ...]], Strategy] = {}
+    decoded: dict[int, tuple[Point, ...]] = {}
+
+    def record(choice: list[int], solved: int):
+        strategies = []
+        for a, p in parts:
+            if isinstance(p, slice):
+                key = (a, tuple(choice[p]))
+                p = made.get(key)
+                if p is None:
+                    p = made[key] = Strategy(*key)
+            strategies.append(p)
+        failures.extend(_failures(model, StrategyProfile(tuple(strategies)), solved, decoded))
+
+    return record, failures
 
 
 def _scan_all_profiles(model: WModel, cap: int) -> tuple[int, list[PlayabilityFailure]]:
@@ -411,13 +440,7 @@ def _scan_all_profiles(model: WModel, cap: int) -> tuple[int, list[PlayabilityFa
         else:
             parts.append((a, slice(lo, lo + m)))
             lo += m
-    failures: list[PlayabilityFailure] = []
-
-    def record(choice: list[int], solved: int):
-        profile = StrategyProfile(
-            tuple(p if isinstance(p, Strategy) else Strategy(a, tuple(choice[p])) for a, p in parts)
-        )
-        failures.extend(_failures(model, profile, solved))
+    record, failures = _recorder(model, parts)
 
     # Odometer over the digits, last fastest; prefix[d] is the AND of the
     # masks chosen for the digits before d, so each profile costs one AND.
@@ -448,6 +471,36 @@ def _scan_all_profiles(model: WModel, cap: int) -> tuple[int, list[PlayabilityFa
             prefix[e + 1] = prefix[e] & digits[e][choice[e]]
 
 
+def _sample_profiles(model: WModel, n: int, seed: int) -> list[PlayabilityFailure]:
+    """The playability failures of ``n`` profiles drawn from
+    ``random.Random(seed)`` (see :func:`check_playability`)."""
+    digits, blocks, _ = model._masks
+    full = (1 << model.configuration.size) - 1
+    # Per table entry, agents in model order and atoms in table order: the
+    # action count to draw below and the masks to pick from, a no-op one for
+    # one-action agents; each agent's table is a slice of the drawn digits.
+    counts: list[int] = []
+    masks: list[Sequence[int]] = []
+    parts: list[tuple[AgentId, Strategy | slice]] = []
+    rest = iter(digits)
+    for a, (_, _, count) in model.columns.items():
+        m = model.info[a].atom_count
+        parts.append((a, slice(len(counts), len(counts) + m)))
+        counts += [count] * m
+        masks += itertools.islice(rest, m) if count > 1 else [(full,)] * m
+    record, failures = _recorder(model, parts)
+    draw = random.Random(seed).randrange
+    for _ in range(n):
+        choice = [draw(k) for k in counts]
+        solved = functools.reduce(operator.and_, map(operator.getitem, masks, choice), full)
+        for block_mask in blocks:
+            b = solved & block_mask
+            if not b or b & (b - 1):
+                record(choice, solved)
+                break
+    return failures
+
+
 def check_playability(
     model: WModel,
     profiles: str | tuple[int, int] | Sequence[StrategyProfile] = "all",
@@ -456,7 +509,8 @@ def check_playability(
     """Count fixed points of the closed-loop equation over selected profiles.
 
     ``profiles`` is ``"all"``, a ``(n, seed)`` pair for random sampling
-    (``1 <= n <= cap``), or an explicit list of profiles, each holding one
+    (``1 <= n <= cap``, ``seed >= 0``: ``random.Random`` seeds by absolute
+    value), or an explicit list of profiles, each holding one
     strategy per agent in model agent order.  In ``"all"`` mode a sequential
     information structure short-circuits to playable (sequential implies
     playable) with zero profiles checked and the ordering recorded as
@@ -465,11 +519,15 @@ def check_playability(
     Otherwise ``"all"`` checks the profile count against ``cap``, then walks
     every joint profile in :func:`joint_strategies` order as an odometer over
     the strategy digits, keeping a stack of prefix ANDs of their masks.
-    Sampled and explicit profiles AND the masks their digits pick
-    (:func:`_solved`).  Every mode reads the model's one mask table (see the
-    module docstring): a mask of configuration-size bits per digit and
-    action, built on first use and kept while the model lives.  A Nature
-    state is playable iff its block of the AND has exactly one bit.
+    Sampling draws one ``randrange`` per table entry, in agent then atom
+    order with one-action agents included, and ANDs the masks of the drawn
+    digits, building a profile only for a failing sample; explicit profiles
+    AND the masks their digits pick (:func:`_solved`).  Every mode reads the
+    model's one mask table (see the module docstring): a mask of
+    configuration-size bits per digit and action, built on first use and kept
+    while the model lives.  A Nature state is playable iff its block of the
+    AND has exactly one bit.  Within one report, equal strategies and equal
+    solution tuples of the failures are one object each.
     """
     if profiles == "all":
         order = check_sequential(model)
@@ -481,20 +539,20 @@ def check_playability(
         n, seed = profiles
         if n < 1:
             raise ValueError(f"sample size must be at least 1, got {n}")
+        if seed < 0:
+            raise ValueError(f"sample seed must be at least 0, got {seed}")
         if n > cap:
             raise CapacityExceeded(n, cap, "sampled profiles")
-        rng = random.Random(seed)
-        selected = [_random_profile(model, rng) for _ in range(n)]
-        mode = f"sample(n={n}, seed={seed})"
-    else:
-        selected = list(profiles)  # type: ignore[arg-type]
-        for p in selected:
-            _require_profile(model, p)
-        mode = "explicit"
+        failures = _sample_profiles(model, n, seed)
+        return PlayabilityReport(not failures, f"sample(n={n}, seed={seed})", n, tuple(failures))
+    selected = list(profiles)  # type: ignore[arg-type]
+    for p in selected:
+        _require_profile(model, p)
     failures = []
+    decoded: dict[int, tuple[Point, ...]] = {}
     for profile in selected:
-        failures += _failures(model, profile, _solved(model, profile))
-    return PlayabilityReport(not failures, mode, len(selected), tuple(failures))
+        failures += _failures(model, profile, _solved(model, profile), decoded)
+    return PlayabilityReport(not failures, "explicit", len(selected), tuple(failures))
 
 
 def outcome_indices(
@@ -512,7 +570,7 @@ def outcome_indices(
     """
     if order is None:
         solved = _solved(model, profile)
-        failures = _failures(model, profile, solved)
+        failures = _failures(model, profile, solved, {})
         if failures:
             raise NotPlayable(failures[0].nature_point, failures[0].solution_count)
         return [(solved & block_mask).bit_length() - 1 for block_mask in model._masks[1]]

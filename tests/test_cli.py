@@ -218,6 +218,8 @@ class TestExitCodes:
             ("sample=3,7", "use all or sample=N,seed=S"),
             ("sample=-5,seed=1", "sample size must be at least 1, got -5"),
             ("sample=0", "sample size must be at least 1, got 0"),
+            # random.Random(-3) would draw the profiles of seed 3.
+            ("sample=4,seed=-3", "'sample=4,seed=-3': seed must be at least 0; use all or"),
             ("sample=3,sede=9", "unknown key 'sede'"),
             ("sample=5,n=7", "repeated key 'n'"),
             ("sample=5,seed=1,seed=2", "repeated key 'seed'"),

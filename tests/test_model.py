@@ -35,7 +35,7 @@ from infogames import (
     solution_map,
 )
 from infogames.gamefile import load_game
-from infogames.model import _random_profile, outcome_indices
+from infogames.model import outcome_indices
 from infogames.spaces import Partition
 from conftest import (
     copy_strategy,
@@ -316,15 +316,23 @@ class TestPlayability:
                 check_playability(mutual_observation_model(), (n, 1))
 
     def test_sample_size_is_capped_before_drawing(self, monkeypatch):
-        def draw(model, rng):
+        def draw(seed):
             raise AssertionError("a profile was drawn")
 
-        monkeypatch.setattr(infogames.model, "_random_profile", draw)
+        monkeypatch.setattr(infogames.model.random, "Random", draw)
         model = mutual_observation_model()
         for n, cap in ((10**18, 10**6), (11, 10)):
             with pytest.raises(CapacityExceeded, match="sampled profiles needs") as info:
                 check_playability(model, (n, 1), cap=cap)
             assert (info.value.needed, info.value.cap) == (n, cap)
+        # The patch is where sampling draws: within the cap, it is reached.
+        with pytest.raises(AssertionError, match="a profile was drawn"):
+            check_playability(model, (10, 1), cap=10)
+
+    def test_sample_seed_must_not_be_negative(self):
+        # random.Random(-3) would draw the profiles of random.Random(3).
+        with pytest.raises(ValueError, match="sample seed must be at least 0, got -3"):
+            check_playability(mutual_observation_model(), (4, -3))
 
     def test_sample_mode_is_deterministic(self):
         model = mutual_observation_model()
@@ -577,6 +585,7 @@ def assert_all_mode_matches_oracle(model):
     explicit = check_playability(model, profiles)
     assert explicit.mode == "explicit"
     assert dataclasses.replace(explicit, mode="all") == report
+    return report
 
 
 class TestAllProfilesFastPath:
@@ -654,6 +663,52 @@ def random_model_with_one_action_agents(rng: random.Random):
     return build_wmodel(nature, agents, actions, specs)
 
 
+def random_model_with_one_to_five_actions(rng: random.Random, sequential: bool):
+    """Two or three agents with one to five actions each, one or two Nature
+    states, each agent seeing random other axes: with ``sequential``, only
+    Nature and the actions of agents declared before him."""
+    nature = [small_factor("n0", rng.randint(1, 2))]
+    agents = [AgentId("p", t) for t in range(rng.randint(2, 3))]
+    actions = {a: small_factor(f"u{a.stage}", rng.randint(1, 5), "action") for a in agents}
+    specs = {}
+    for i, a in enumerate(agents):
+        others = agents[:i] if sequential else [b for b in agents if b != a]
+        ids = [f.id for f in nature] + [actions[b].id for b in others]
+        specs[a] = tuple(v for v in ids if rng.random() < 0.5)
+    return build_wmodel(nature, agents, actions, specs)
+
+
+def assert_sample_matches_oracle(model, n, seed):
+    """``check_playability(model, (n, seed))`` against the oracle on the
+    profiles of the plain draw of :func:`conftest.random_profile`: one
+    ``randrange`` per table entry, agents in model order and atoms in table
+    order, one-action agents included."""
+    draw = random.Random(seed)
+    profiles = [random_profile(model, draw) for _ in range(n)]
+    expected = [
+        (omega, profile, len(sols), tuple(sols))
+        for profile in profiles
+        for omega, sols in oracle_solution_table(model, profile).items()
+        if len(sols) != 1
+    ]
+    report = check_playability(model, (n, seed))
+    got = [(f.nature_point, f.profile, f.solution_count, f.solutions) for f in report.failures]
+    assert got == expected
+    assert (report.mode, report.profiles_checked, report.playable) == (
+        f"sample(n={n}, seed={seed})", n, not expected
+    )
+    return report
+
+
+def assert_parts_shared(report):
+    """Equal strategies, and equal solution tuples, of the report's failures
+    are one object each."""
+    first: dict = {}
+    for f in report.failures:
+        for part in (*f.profile.strategies, f.solutions):
+            assert first.setdefault(part, part) is part
+
+
 class TestSampledProfiles:
     """``check_playability(model, (n, seed))`` and the shared mask table."""
 
@@ -662,20 +717,26 @@ class TestSampledProfiles:
     def test_matches_oracle_on_models_with_one_action_agents(self, rng, n, seed):
         model = random_model_with_one_action_agents(rng)
         assert check_sequential(model) is None
-        draw = random.Random(seed)
-        profiles = [_random_profile(model, draw) for _ in range(n)]
-        expected = [
-            (omega, profile, len(sols), tuple(sols))
-            for profile in profiles
-            for omega, sols in oracle_solution_table(model, profile).items()
-            if len(sols) != 1
-        ]
-        report = check_playability(model, (n, seed))
-        got = [(f.nature_point, f.profile, f.solution_count, f.solutions) for f in report.failures]
-        assert got == expected
-        assert (report.mode, report.profiles_checked, report.playable) == (
-            f"sample(n={n}, seed={seed})", n, not expected
-        )
+        assert_sample_matches_oracle(model, n, seed)
+
+    # randrange(k) draws k.bit_length() bits and rejects values >= k, so the
+    # action counts 1-5 cover a power of two (4, drawn as 3 bits) and counts
+    # that reject draws.
+    @given(
+        st.randoms(use_true_random=False), st.booleans(), st.integers(1, 20), st.integers(0, 999)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_with_one_to_five_actions(self, rng, sequential, n, seed):
+        model = random_model_with_one_to_five_actions(rng, sequential)
+        assert_sample_matches_oracle(model, n, seed)
+
+    def test_failures_share_strategies_and_solutions(self):
+        model = load_game(str(GAMES_DIR / "cyclic_three_agents.json")).model
+        assert check_sequential(model) is None
+        sampled = assert_sample_matches_oracle(model, 300, 7)
+        for report in (sampled, assert_all_mode_matches_oracle(model)):
+            assert len(report.failures) > len({f.profile for f in report.failures})
+            assert_parts_shared(report)
 
     def test_every_search_reads_one_mask_table(self, monkeypatch):
         built = []
