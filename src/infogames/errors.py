@@ -8,9 +8,15 @@ import math
 def render_count(n: int) -> int | str:
     """How reports and messages show a count: exact up to 10**100, else the
     string ``~10^N`` with N = floor(log10 n), since ``str`` refuses integers
-    of more than 4300 digits."""
+    of more than 4300 digits.  ``math.log10`` rounds, so N is settled by
+    exact comparisons with powers of ten."""
     if n > 10**100:
-        return f"~10^{int(math.log10(n))}"
+        exponent = int(math.log10(n))
+        while 10**exponent > n:
+            exponent -= 1
+        while 10 ** (exponent + 1) <= n:
+            exponent += 1
+        return f"~10^{exponent}"
     return n
 
 

@@ -13,20 +13,21 @@ having exactly one solution) is checked either by fixed-point search or,
 when an agent ordering compatible with the information structure exists, by
 the sequential fast path.
 
-Fixed-point search treats a profile as one strategy digit per (agent,
-information atom), agents in model order and atoms in table order; one-action
-agents add none.  Each digit's action has a bitmask over flat configuration
-indices keeping the points consistent with it, and a profile's fixed points
-are the AND of the masks its digits pick.  Every search reads the one mask
-table a model builds on first use and keeps (digits x actions masks of
+Fixed-point search treats a profile as one digit per strategy-table entry:
+agents in model order, atoms in table order, one-action agents included, so a
+profile's digits are its tables, concatenated.  Each digit's action has a
+bitmask over flat configuration indices keeping the points consistent with it
+(a one-action digit's only mask has every bit set), and a profile's fixed
+points are the AND of the masks its digits pick.  Every search reads the one
+mask table a model builds on first use and keeps (digits x actions masks of
 configuration-size bits).  Checking every joint profile runs an odometer over
-the digits (last fastest), in :func:`joint_strategies` order, taking each AND
-from a stack of prefix ANDs.  A sample of ``n`` profiles from seed ``s``
-makes one ``random.Random(s).randrange(action count)`` call per strategy
-table entry, agents in model order and atoms in table order, one-action
-agents included, and ANDs the masks of the drawn digits; only a failing
-sample becomes a profile.  The failures of one check share equal strategies
-and equal solution tuples.
+the digits with two actions or more (last fastest), in
+:func:`joint_strategies` order, taking each AND from a stack of prefix ANDs.
+A sample of ``n`` profiles from seed ``s`` draws each digit with one
+``random.Random(s).randrange(action count)`` call.  Sampled and explicit
+profiles share one loop that ANDs the masks each digit choice picks; only a
+failing choice becomes a profile.  The failures of one check share equal
+strategies and equal solution tuples.
 """
 
 from __future__ import annotations
@@ -323,16 +324,14 @@ def _bits(flags: Iterable[bool]) -> int:
 
 def _digit_masks(model: WModel) -> list[list[int]]:
     """Consistency bitmasks over flat configuration indices, one list per
-    strategy digit: agents in model order, atoms in table order within each,
-    skipping agents with one action.  Entry ``j`` of digit ``(a, atom)`` has
+    strategy-table entry: agents in model order, atoms in table order within
+    each, one-action agents included.  Entry ``j`` of digit ``(a, atom)`` has
     every bit set except those of the atom's points whose ``a``-coordinate is
-    not ``j``."""
+    not ``j``, so a one-action digit's only mask has every bit set."""
     size = model.configuration.size
     full = (1 << size) - 1
     digits = []
     for a, (atom_of, stride, count) in model.columns.items():
-        if count == 1:
-            continue
         coords = [i // stride % count for i in range(size)]
         on_action = [_bits(c == j for c in coords) for j in range(count)]
         for atom in range(model.info[a].atom_count):
@@ -358,16 +357,16 @@ class PlayabilityReport:
     sequential_order: tuple[AgentId, ...] | None = None
 
 
-def _solved(model: WModel, profile: StrategyProfile) -> int:
-    """The bitmask of the flat indices solving the closed-loop equation under
-    ``profile``: the AND of the digit masks its strategies pick."""
-    digits = iter(model._masks[0])
-    solved = (1 << model.configuration.size) - 1
-    for (_, _, count), s in zip(model.columns.values(), profile.strategies):
-        if count > 1:
-            for j, masks in zip(s.table, digits):
-                solved &= masks[j]
-    return solved
+def _digits(profile: StrategyProfile) -> list[int]:
+    """The digit choice of ``profile``: its strategy tables, concatenated."""
+    return [j for s in profile.strategies for j in s.table]
+
+
+def _solved(model: WModel, choice: Iterable[int]) -> int:
+    """The bitmask of the flat indices solving the closed-loop equation when
+    each digit takes its action in ``choice``: the AND of the masks picked.
+    Every agent has at least one atom, so there is at least one digit."""
+    return functools.reduce(operator.and_, map(operator.getitem, model._masks[0], choice))
 
 
 def _failures(
@@ -396,28 +395,48 @@ def _failures(
     return failures
 
 
-def _recorder(model: WModel, parts: list[tuple[AgentId, Strategy | slice]]):
+def _recorder(model: WModel):
     """A ``record(choice, solved)`` appending to the returned list the
-    failures of the profile whose flat solutions are the bits of ``solved``;
-    each agent's strategy is its constant one in ``parts`` or the slice of
-    ``choice`` holding its table.  Equal strategies and solution tuples are
-    built once per recorder, so the failures of one check share them."""
+    failures of the profile whose digit choice is ``choice`` and whose flat
+    solutions are the bits of ``solved``; each agent's strategy is the slice
+    of ``choice`` holding its table.  Equal strategies and solution tuples
+    are built once per recorder, so the failures of one check share them."""
     failures: list[PlayabilityFailure] = []
     made: dict[tuple[AgentId, tuple[int, ...]], Strategy] = {}
     decoded: dict[int, tuple[Point, ...]] = {}
+    parts = []
+    stop = 0
+    for a in model.agents:
+        start, stop = stop, stop + model.info[a].atom_count
+        parts.append((a, slice(start, stop)))
 
     def record(choice: list[int], solved: int):
         strategies = []
-        for a, p in parts:
-            if isinstance(p, slice):
-                key = (a, tuple(choice[p]))
-                p = made.get(key)
-                if p is None:
-                    p = made[key] = Strategy(*key)
-            strategies.append(p)
+        for a, part in parts:
+            key = (a, tuple(choice[part]))
+            s = made.get(key)
+            if s is None:
+                s = made[key] = Strategy(*key)
+            strategies.append(s)
         failures.extend(_failures(model, StrategyProfile(tuple(strategies)), solved, decoded))
 
     return record, failures
+
+
+def _check_choices(model: WModel, choices: Iterable[list[int]]) -> list[PlayabilityFailure]:
+    """The playability failures of the profiles with the given digit
+    choices, in order: a choice is recorded when some Nature block of the
+    AND of its masks has not exactly one bit."""
+    blocks = model._masks[1]
+    record, failures = _recorder(model)
+    for choice in choices:
+        solved = _solved(model, choice)
+        for block_mask in blocks:
+            b = solved & block_mask
+            if not b or b & (b - 1):
+                record(choice, solved)
+                break
+    return failures
 
 
 def _scan_all_profiles(model: WModel, cap: int) -> tuple[int, list[PlayabilityFailure]]:
@@ -425,80 +444,40 @@ def _scan_all_profiles(model: WModel, cap: int) -> tuple[int, list[PlayabilityFa
     profile, in :func:`joint_strategies` order (see :func:`check_playability`).
     """
     checked = count_profiles(model, model.agents, cap, "strategy profiles")
-    # Without a sequential order some agent observes another's action axis,
-    # which has two actions or more, so there is at least one digit.
     digits, blocks, _ = model._masks
-    full = (1 << model.configuration.size) - 1
-    # Each agent's strategy: a constant one for one-action agents, otherwise
-    # the slice of the digit choices holding its table.
-    parts: list[tuple[AgentId, Strategy | slice]] = []
-    lo = 0
-    for a, (_, _, count) in model.columns.items():
-        m = model.info[a].atom_count
-        if count == 1:
-            parts.append((a, Strategy(a, (0,) * m)))
-        else:
-            parts.append((a, slice(lo, lo + m)))
-            lo += m
-    record, failures = _recorder(model, parts)
+    record, failures = _recorder(model)
 
-    # Odometer over the digits, last fastest; prefix[d] is the AND of the
-    # masks chosen for the digits before d, so each profile costs one AND.
-    n = len(digits)
-    choice = [0] * n
-    prefix = [full]
-    for masks in digits[:-1]:
-        prefix.append(prefix[-1] & masks[0])
-    last = digits[-1]
+    # Odometer over the digits with two actions or more, last fastest.  The
+    # others stay at 0, whose mask has every bit set, so no AND reads them.
+    # Without a sequential order some agent observes another's action axis,
+    # which has two actions or more, so at least one digit moves.  prefix[k]
+    # is the AND of the masks chosen for the first k moving digits, so each
+    # profile costs one AND.
+    *moving, last = [d for d, masks in enumerate(digits) if len(masks) > 1]
+    choice = [0] * len(digits)
+    prefix = [(1 << model.configuration.size) - 1]
+    for d in moving:
+        prefix.append(prefix[-1] & digits[d][0])
     while True:
         head = prefix[-1]
-        for j, mask in enumerate(last):
+        for j, mask in enumerate(digits[last]):
             solved = head & mask
             for block_mask in blocks:
                 b = solved & block_mask
                 if not b or b & (b - 1):
-                    choice[-1] = j
+                    choice[last] = j
                     record(choice, solved)
                     break
-        d = n - 2
-        while d >= 0 and choice[d] == len(digits[d]) - 1:
-            choice[d] = 0
-            d -= 1
-        if d < 0:
+        k = len(moving) - 1
+        while k >= 0 and choice[moving[k]] == len(digits[moving[k]]) - 1:
+            choice[moving[k]] = 0
+            k -= 1
+        if k < 0:
             return checked, failures
-        choice[d] += 1
-        for e in range(d, n - 1):
-            prefix[e + 1] = prefix[e] & digits[e][choice[e]]
-
-
-def _sample_profiles(model: WModel, n: int, seed: int) -> list[PlayabilityFailure]:
-    """The playability failures of ``n`` profiles drawn from
-    ``random.Random(seed)`` (see :func:`check_playability`)."""
-    digits, blocks, _ = model._masks
-    full = (1 << model.configuration.size) - 1
-    # Per table entry, agents in model order and atoms in table order: the
-    # action count to draw below and the masks to pick from, a no-op one for
-    # one-action agents; each agent's table is a slice of the drawn digits.
-    counts: list[int] = []
-    masks: list[Sequence[int]] = []
-    parts: list[tuple[AgentId, Strategy | slice]] = []
-    rest = iter(digits)
-    for a, (_, _, count) in model.columns.items():
-        m = model.info[a].atom_count
-        parts.append((a, slice(len(counts), len(counts) + m)))
-        counts += [count] * m
-        masks += itertools.islice(rest, m) if count > 1 else [(full,)] * m
-    record, failures = _recorder(model, parts)
-    draw = random.Random(seed).randrange
-    for _ in range(n):
-        choice = [draw(k) for k in counts]
-        solved = functools.reduce(operator.and_, map(operator.getitem, masks, choice), full)
-        for block_mask in blocks:
-            b = solved & block_mask
-            if not b or b & (b - 1):
-                record(choice, solved)
-                break
-    return failures
+        choice[moving[k]] += 1
+        for e in range(k, len(moving)):
+            d = moving[e]
+            prefix[e + 1] = prefix[e] & digits[d][choice[d]]
 
 
 def check_playability(
@@ -518,16 +497,17 @@ def check_playability(
 
     Otherwise ``"all"`` checks the profile count against ``cap``, then walks
     every joint profile in :func:`joint_strategies` order as an odometer over
-    the strategy digits, keeping a stack of prefix ANDs of their masks.
-    Sampling draws one ``randrange`` per table entry, in agent then atom
-    order with one-action agents included, and ANDs the masks of the drawn
-    digits, building a profile only for a failing sample; explicit profiles
-    AND the masks their digits pick (:func:`_solved`).  Every mode reads the
-    model's one mask table (see the module docstring): a mask of
-    configuration-size bits per digit and action, built on first use and kept
-    while the model lives.  A Nature state is playable iff its block of the
-    AND has exactly one bit.  Within one report, equal strategies and equal
-    solution tuples of the failures are one object each.
+    the digits with two actions or more, keeping a stack of prefix ANDs of
+    their masks.  Sampling draws each digit with one ``randrange``; sampled
+    and explicit profiles share one loop that ANDs the masks their digits
+    pick and builds a profile only for a failing choice.  Every mode reads
+    the model's one mask table (see the module docstring): one digit per
+    strategy-table entry, agents in model order and atoms in table order,
+    one-action agents included, with a mask of configuration-size bits per
+    digit and action, built on first use and kept while the model lives.  A
+    Nature state is playable iff its block of the AND has exactly one bit.
+    Within one report, equal strategies and equal solution tuples of the
+    failures are one object each.
     """
     if profiles == "all":
         order = check_sequential(model)
@@ -543,15 +523,14 @@ def check_playability(
             raise ValueError(f"sample seed must be at least 0, got {seed}")
         if n > cap:
             raise CapacityExceeded(n, cap, "sampled profiles")
-        failures = _sample_profiles(model, n, seed)
+        draw = random.Random(seed).randrange
+        counts = [len(masks) for masks in model._masks[0]]
+        failures = _check_choices(model, ([draw(k) for k in counts] for _ in range(n)))
         return PlayabilityReport(not failures, f"sample(n={n}, seed={seed})", n, tuple(failures))
     selected = list(profiles)  # type: ignore[arg-type]
     for p in selected:
         _require_profile(model, p)
-    failures = []
-    decoded: dict[int, tuple[Point, ...]] = {}
-    for profile in selected:
-        failures += _failures(model, profile, _solved(model, profile), decoded)
+    failures = _check_choices(model, map(_digits, selected))
     return PlayabilityReport(not failures, "explicit", len(selected), tuple(failures))
 
 
@@ -569,7 +548,7 @@ def outcome_indices(
     zero or several.
     """
     if order is None:
-        solved = _solved(model, profile)
+        solved = _solved(model, _digits(profile))
         failures = _failures(model, profile, solved, {})
         if failures:
             raise NotPlayable(failures[0].nature_point, failures[0].solution_count)

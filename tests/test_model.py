@@ -34,6 +34,7 @@ from infogames import (
     refines,
     solution_map,
 )
+from infogames.errors import render_count
 from infogames.gamefile import load_game
 from infogames.model import outcome_indices
 from infogames.spaces import Partition
@@ -203,6 +204,18 @@ class TestStrategies:
         assert exc.needed == 3**10000
         exact = CapacityExceeded(10**100, 5)
         assert str(exact) == f"enumeration needs 1{'0' * 100} items, cap is 5"
+
+    def test_power_of_ten_exponent_is_floored_exactly(self):
+        # math.log10 rounds 10**101 - 1 up to 101.0.
+        for n, shown in (
+            (10**101 - 1, "~10^100"),
+            (10**101, "~10^101"),
+            (10**200 - 1, "~10^199"),
+            (10**1000 - 1, "~10^999"),
+            (10**1000, "~10^1000"),
+        ):
+            assert render_count(n) == shown
+        assert str(CapacityExceeded(10**101 - 1, 5)) == "enumeration needs ~10^100 items, cap is 5"
 
     def test_strategies_are_measurable_by_construction(self, rng):
         model = random_sequential_model(random.Random(7))
@@ -637,12 +650,21 @@ class TestAllProfilesFastPath:
         assert str(exc.value) == str(expected.value)
         assert str(exc.value) == "strategy profiles needs 531441 items, cap is 1000"
 
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle_on_models_with_one_action_agents(self, rng):
+        model = random_model_with_one_action_agents(rng)
+        while count_profiles(model, model.agents) > 1024:
+            model = random_model_with_one_action_agents(rng)
+        assert_all_mode_matches_oracle(model)
+
 
 def random_model_with_one_action_agents(rng: random.Random):
     """A model with two or three Nature states, a cycle of two or three
     agents with two or three actions each (each sees the next one's action,
     so there is no sequential order), and one or two one-action agents, all
-    declared in shuffled order and seeing random other axes."""
+    declared in shuffled order and seeing random other axes (some through an
+    explicit partition)."""
     nature = [small_factor("n0", rng.randint(2, 3))]
     cycle = [AgentId("c", t) for t in range(rng.randint(2, 3))]
     idle = [AgentId("i", t) for t in range(rng.randint(1, 2))]
@@ -679,10 +701,11 @@ def random_model_with_one_to_five_actions(rng: random.Random, sequential: bool):
 
 
 def assert_sample_matches_oracle(model, n, seed):
-    """``check_playability(model, (n, seed))`` against the oracle on the
-    profiles of the plain draw of :func:`conftest.random_profile`: one
-    ``randrange`` per table entry, agents in model order and atoms in table
-    order, one-action agents included."""
+    """``check_playability(model, (n, seed))`` against the oracle, and
+    against the explicit check, on the profiles of the plain draw of
+    :func:`conftest.random_profile`: one ``randrange`` per table entry,
+    agents in model order and atoms in table order, one-action agents
+    included."""
     draw = random.Random(seed)
     profiles = [random_profile(model, draw) for _ in range(n)]
     expected = [
@@ -697,6 +720,9 @@ def assert_sample_matches_oracle(model, n, seed):
     assert (report.mode, report.profiles_checked, report.playable) == (
         f"sample(n={n}, seed={seed})", n, not expected
     )
+    explicit = check_playability(model, profiles)
+    assert explicit.mode == "explicit"
+    assert dataclasses.replace(explicit, mode=report.mode) == report
     return report
 
 
@@ -754,6 +780,21 @@ class TestSampledProfiles:
             outcome_indices(model, profile, None)
         check_playability(model, "all")
         assert built == [model]
+
+    def test_one_digit_per_strategy_table_entry(self):
+        for seed in range(20):
+            model = random_model_with_one_action_agents(random.Random(seed))
+            digits = model._masks[0]
+            counts = [
+                model.action_factors[a].size
+                for a in model.agents
+                for _ in range(model.info[a].atom_count)
+            ]
+            assert len(digits) == sum(model.info[a].atom_count for a in model.agents)
+            assert [len(masks) for masks in digits] == counts
+            assert 1 in counts
+            full = (1 << model.configuration.size) - 1
+            assert all(masks == [full] for masks in digits if len(masks) == 1)
 
 
 class TestHashing:
