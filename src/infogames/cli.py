@@ -296,7 +296,7 @@ def run(command: str, game_path: str, options: dict, cap: int, mode=None) -> tup
     else:  # pragma: no cover - argparse restricts the choices
         raise ValueError(f"unknown command {command!r}")
 
-    report["validation"] = _validation_section(evaluator.sequential_order, playability_doc)
+    report["validation"] = _validation_section(game.model.sequential_order, playability_doc)
     report["counts"] = _count_section(game)
     report["results"] = results
     report["timing"] = {"normal_form_evaluations": evaluator.evaluations}

@@ -2,8 +2,8 @@
 
 Everything here is exact with hard caps and deterministic ordering: ties are
 all included, in enumeration-index order, and every reported Nash profile is
-re-verified, on an evaluator that shares no memo with the search, against
-every unilateral deviation before emission.  Extended-real values participate
+re-verified, scoring full profiles directly with no memo, against every
+unilateral deviation before emission.  Extended-real values participate
 in the argmin/argmax directly; a best-response set whose every member sits at
 the adverse infinity is returned in full with a diagnostic flag.
 
@@ -35,7 +35,14 @@ from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import EmptyFollowerResponse, IndeterminateValue
-from .model import DEFAULT_CAP, Strategy, StrategyProfile, count_profiles, validate_strategy
+from .model import (
+    DEFAULT_CAP,
+    Strategy,
+    StrategyProfile,
+    count_profiles,
+    outcome_indices,
+    validate_strategy,
+)
 from .normal_form import (
     Context,
     Evaluator,
@@ -43,7 +50,7 @@ from .normal_form import (
     count_player_strategies,
     player_strategies,
 )
-from .preferences import Sense, WGame, _adverse_tail_mean, _expectation
+from .preferences import Sense, WGame, _adverse_tail_mean, _expectation, apply_risk
 
 # A joint assignment for a group of players, in declaration order.
 GroupProfile = tuple[tuple[str, PlayerStrategy], ...]
@@ -370,7 +377,7 @@ class _Session:
     def _context(self, placed: list, deviator: str, candidate: PlayerStrategy) -> Context:
         """The evaluator's context of ``deviator``'s last agent when her
         agents play ``candidate``'s strategies in the ``placed`` profile."""
-        return self.evaluator.context(candidate[-1].agent, self._profile(placed, deviator, candidate))
+        return self.evaluator._context(candidate[-1].agent, self._profile(placed, deviator, candidate))
 
     def _walk(
         self, deviator: str, fixed: Mapping[str, PlayerStrategy], candidates
@@ -495,13 +502,10 @@ class _Session:
         return [self.judged(player, {**fixed, player: cand}) for cand in space]
 
     def best_of(self, player: str, values: Sequence[float | None]) -> float | None:
-        """The first best of the values that are not ``None``."""
-        sense = self.game.data[player].objective.sense
-        best: float | None = None
-        for v in values:
-            if v is not None and (best is None or sense.better(v, best)):
-                best = v
-        return best
+        """The first best of the values that are not ``None``, or ``None``
+        when all are."""
+        judged = [v for v in values if v is not None]
+        return self.game.data[player].objective.sense.best(judged) if judged else None
 
     def responses(self, player: str, fixed: Mapping[str, PlayerStrategy]) -> _Responses:
         """The player's best-response set against the other players'
@@ -656,12 +660,11 @@ def nash_equilibria(
     set, in enumeration order."""
     session = _Session(game, evaluator, cap)
     found, total, _, all_adverse = session.nash(game.players.players, {})
-    fresh = Evaluator(game)
     deviator = session.deviator
     records = []
     for group in found:
         assignment = dict(group)
-        _verify_no_improving_deviation(session, fresh, assignment)
+        _verify_no_improving_deviation(session, assignment)
         records += session.records(deviator, assignment, [assignment[deviator]])
     diag = Diagnostics(
         profiles_enumerated=total,
@@ -672,23 +675,30 @@ def nash_equilibria(
 
 
 def _verify_no_improving_deviation(
-    session: _Session, evaluator: Evaluator, assignment: Mapping[str, PlayerStrategy]
+    session: _Session, assignment: Mapping[str, PlayerStrategy]
 ) -> None:
-    """Independent re-check on an evaluator that shares no memo with the
-    search: no unilateral deviation strictly improves.  A failure is a fault
-    of the solver, not a property of the game, so it raises."""
+    """Independent re-check, sharing no memo with the search: no unilateral
+    deviation strictly improves, each full profile scored directly by
+    :func:`~infogames.model.outcome_indices` and ``apply_risk``.  The
+    strategies were checked at entry or enumerated, so none is checked
+    again.  A failure is a fault of the solver, not a property of the game,
+    so it raises."""
     game = session.game
     for p in game.players.players:
-        sense = game.data[p].objective.sense
+        data = game.data[p]
+        values, sense = data.objective.values, data.objective.sense
         placed = session._place(assignment, p)
-        v = evaluator.value(p, session._profile(placed, p, assignment[p]))
-        for cand in session.space(p):
-            alt = evaluator.value(p, session._profile(placed, p, cand))
-            if sense.better(alt, v):
-                raise RuntimeError(
-                    f"reported Nash profile fails re-verification: player {p!r} "
-                    "has a strictly improving deviation"
-                )
+
+        def score(ps: PlayerStrategy) -> float:
+            indices = outcome_indices(game.model, session._profile(placed, p, ps))
+            return apply_risk(data.risk, [values[i] for i in indices], sense)
+
+        v = score(assignment[p])
+        if any(sense.better(score(cand), v) for cand in session.space(p)):
+            raise RuntimeError(
+                f"reported Nash profile fails re-verification: player {p!r} "
+                "has a strictly improving deviation"
+            )
 
 
 def followers_nash(

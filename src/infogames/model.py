@@ -11,7 +11,9 @@ Strategies map information atoms to action indices, so measurability holds by
 construction.  Playability (the closed-loop equation ``u = strategy(nature, u)``
 having exactly one solution) is checked either by fixed-point search or,
 when an agent ordering compatible with the information structure exists, by
-the sequential fast path.
+the sequential fast path.  That ordering depends on the information fields
+alone, so a model finds it once (``WModel.sequential_order``) and every
+caller reads it there; no function takes an order.
 
 Fixed-point search treats a profile as one digit per strategy-table entry:
 agents in model order, atoms in table order, one-action agents included, so a
@@ -129,11 +131,17 @@ class WModel:
         return _digit_masks(self), blocks, list(zip(blocks, self.nature_points()))
 
     @functools.cached_property
-    def _plans(self) -> dict:
-        """The deviation plan of each (agent, sequential order) that
-        :func:`deviation_table` has been called with, kept like
+    def sequential_order(self) -> tuple[AgentId, ...] | None:
+        """:func:`check_sequential` of the model, computed on first use and
+        kept like :attr:`columns`: every solver reads this one order."""
+        return check_sequential(self)
+
+    @functools.cached_property
+    def _plans(self) -> dict[AgentId, tuple] | None:
+        """The deviation plan (:func:`_plan`) of each agent, or ``None``
+        without a sequential order.  Computed on first use and kept, like
         :attr:`columns`."""
-        return {}
+        return None if self.sequential_order is None else {a: _plan(self, a) for a in self.agents}
 
 
 def build_wmodel(
@@ -489,11 +497,11 @@ def check_playability(
 
     ``profiles`` is ``"all"``, a ``(n, seed)`` pair for random sampling
     (``1 <= n <= cap``, ``seed >= 0``: ``random.Random`` seeds by absolute
-    value), or an explicit list of profiles, each holding one
-    strategy per agent in model agent order.  In ``"all"`` mode a sequential
-    information structure short-circuits to playable (sequential implies
-    playable) with zero profiles checked and the ordering recorded as
-    justification.
+    value; neither may be a bool), or an explicit list of profiles, each
+    holding one strategy per agent in model agent order.  In ``"all"`` mode
+    a sequential information structure short-circuits to playable
+    (sequential implies playable) with zero profiles checked and the model's
+    ordering recorded as justification.
 
     Otherwise ``"all"`` checks the profile count against ``cap``, then walks
     every joint profile in :func:`joint_strategies` order as an odometer over
@@ -510,13 +518,14 @@ def check_playability(
     failures are one object each.
     """
     if profiles == "all":
-        order = check_sequential(model)
-        if order is not None:
-            return PlayabilityReport(True, "sequential", 0, (), order)
+        if model.sequential_order is not None:
+            return PlayabilityReport(True, "sequential", 0, (), model.sequential_order)
         checked, failures = _scan_all_profiles(model, cap)
         return PlayabilityReport(not failures, "all", checked, tuple(failures))
     if isinstance(profiles, tuple) and len(profiles) == 2 and isinstance(profiles[0], int):
         n, seed = profiles
+        if isinstance(n, bool) or isinstance(seed, bool):
+            raise ValueError(f"sample size and seed must be integers, got {profiles}")
         if n < 1:
             raise ValueError(f"sample size must be at least 1, got {n}")
         if seed < 0:
@@ -534,42 +543,45 @@ def check_playability(
     return PlayabilityReport(not failures, "explicit", len(selected), tuple(failures))
 
 
-def outcome_indices(
-    model: WModel, profile: StrategyProfile, order: tuple[AgentId, ...] | None
-) -> list[int]:
+def outcome_indices(model: WModel, profile: StrategyProfile) -> list[int]:
     """Flat configuration index of the unique outcome at each nature state,
     in nature enumeration order.
 
-    Along a sequential ``order`` (from :func:`check_sequential`), the last
-    agent in the order moves after everyone else, so the outcome is the entry
-    of his own action in his :func:`deviation_table` row.  With
-    ``order=None`` the outcomes are the bits of :func:`_solved`, one per
-    block; :class:`NotPlayable` is raised at the first nature state with
-    zero or several.
+    Along the model's sequential order (:attr:`WModel.sequential_order`),
+    the last agent in the order moves after everyone else, so the outcome is
+    the entry of his own action in his :func:`deviation_table` row.  Without
+    one, the outcomes are :func:`fixed_point_outcomes`.
     """
-    if order is None:
-        solved = _solved(model, _digits(profile))
-        failures = _failures(model, profile, solved, {})
-        if failures:
-            raise NotPlayable(failures[0].nature_point, failures[0].solution_count)
-        return [(solved & block_mask).bit_length() - 1 for block_mask in model._masks[1]]
-    last = order[-1]
+    if model.sequential_order is None:
+        return fixed_point_outcomes(model, profile)
+    last = model.sequential_order[-1]
     table = profile.strategies[model.agents.index(last)].table
-    atoms, rows = deviation_table(model, last, profile, order)
+    atoms, rows = deviation_table(model, last, profile)
     return [row[table[atom]] for atom, row in zip(atoms, rows)]
 
 
-def _plan(model: WModel, agent: AgentId, order: tuple[AgentId, ...]) -> tuple:
-    """What :func:`deviation_table` needs of the model and ``order`` alone
-    when ``agent`` deviates: the profile slot and stride of every other
-    one-atom agent; the slot, atom table and stride of each other agent
-    before him, then after him, in order; his atom table, his stride and the
-    span of his actions (count x stride); the size of the configuration space
-    and of each Nature state's block."""
+def fixed_point_outcomes(model: WModel, profile: StrategyProfile) -> list[int]:
+    """The outcomes of :func:`outcome_indices` by fixed-point search, on any
+    model: the bits of :func:`_solved`, one per Nature block.  Raises
+    :class:`NotPlayable` at the first nature state with zero or several."""
+    solved = _solved(model, _digits(profile))
+    failures = _failures(model, profile, solved, {})
+    if failures:
+        raise NotPlayable(failures[0].nature_point, failures[0].solution_count)
+    return [(solved & block_mask).bit_length() - 1 for block_mask in model._masks[1]]
+
+
+def _plan(model: WModel, agent: AgentId) -> tuple:
+    """What :func:`deviation_table` needs of the model alone when ``agent``
+    deviates: the profile slot and stride of every other one-atom agent; the
+    slot, atom table and stride of each other agent before him, then after
+    him, in the sequential order; his atom table, his stride and the span of
+    his actions (count x stride); the size of the configuration space and of
+    each Nature state's block."""
     slots = {a: i for i, a in enumerate(model.agents)}
     folded, before, after = [], [], []
     steps = before
-    for a in order:
+    for a in model.sequential_order:
         atom_of, stride, count = model.columns[a]
         if a == agent:
             own = atom_of, stride, count * stride
@@ -583,10 +595,11 @@ def _plan(model: WModel, agent: AgentId, order: tuple[AgentId, ...]) -> tuple:
 
 
 def deviation_table(
-    model: WModel, agent: AgentId, profile: StrategyProfile, order: tuple[AgentId, ...]
-) -> tuple[list[int], list[Sequence[int]]]:
+    model: WModel, agent: AgentId, profile: StrategyProfile
+) -> tuple[list[int], list[Sequence[int]]] | tuple[None, None]:
     """The outcomes of every action of ``agent`` while the other agents play
-    ``profile`` (his own entry is ignored), along a sequential ``order``.
+    ``profile`` (his own entry is ignored), along the model's sequential
+    order; ``(None, None)`` when the model has none.
 
     Returns, per nature state in nature order, the agent's information atom
     and the sequence whose entry ``a`` is the flat outcome index when he plays
@@ -600,17 +613,15 @@ def deviation_table(
     atom reads only Nature and the axes of agents earlier in the order, so
     setting the axes of later agents early changes no atom read.
 
-    What depends only on the model, ``agent`` and ``order`` (the slots,
-    atom tables and strides of the agents on each side, the folded agents,
-    the Nature blocks) is a plan (:func:`_plan`) built on the first call and
+    What depends only on the model and ``agent`` (the slots, atom tables and
+    strides of the agents on each side, the folded agents, the Nature blocks)
+    is a plan (:func:`_plan`), one per agent, built on the first call and
     kept in ``model._plans``, so each call reads only the given strategies.
     """
     plans = model._plans
-    key = agent, order
-    plan = plans.get(key)
-    if plan is None:
-        plan = plans[key] = _plan(model, agent, order)
-    folded, before, after, own_atom_of, own_stride, span, size, block = plan
+    if plans is None:
+        return None, None
+    folded, before, after, own_atom_of, own_stride, span, size, block = plans[agent]
     strategies = profile.strategies
     offset = 0
     for slot, stride in folded:
@@ -641,13 +652,12 @@ def solution_map(model: WModel, profile: StrategyProfile) -> dict[Point, Point]:
     point view of :func:`outcome_indices`.
 
     The profile must hold one valid strategy per agent in model order
-    (``ValueError`` otherwise).  Uses forward substitution along a
-    sequential agent ordering when one exists; falls back to fixed-point
+    (``ValueError`` otherwise).  Uses forward substitution along the
+    model's sequential order when it has one; falls back to fixed-point
     search and raises :class:`NotPlayable` if some nature state has zero or
     several solutions.
     """
     _require_profile(model, profile)
-    order = check_sequential(model)
     point_at = model.configuration.point_at
-    outcomes = outcome_indices(model, profile, order)
+    outcomes = outcome_indices(model, profile)
     return {omega: point_at(i) for omega, i in zip(model.nature_points(), outcomes)}

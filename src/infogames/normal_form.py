@@ -3,28 +3,29 @@ composed with the solution map, as a function of the strategy profile.
 
 An :class:`Evaluator` scores a full profile through the solution map
 (:func:`~infogames.model.outcome_indices`), memoized per (player, profile).
-Equilibrium search instead scores unilateral deviations, each from a
-:class:`Context`: the deviating agent against fixed strategies of every other
-agent, built once per (deviating agent, those strategies), in any model.
+Equilibrium search instead scores unilateral deviations, each from an
+internal :class:`Context`: the deviating agent against fixed strategies of
+every other agent, built once per (deviating agent, those strategies), in any
+model.  Contexts take strategies the solvers have already checked, so they
+check nothing themselves.
 
 In a sequential model, fixing every agent but the deviator fixes, at each
 Nature state, his information atom and the outcome each of his actions leads
-to.  The context holds that table, built by |Nature| x |actions| forward
-substitutions along a plan: what the table needs of the model and the order
-alone (each other agent's profile slot, atom table and stride, the one-atom
-agents folded into one offset, the Nature blocks), which the model builds
-once per (deviating agent, order) and keeps.  So every evaluator of a model,
-each with its own memos, reads the same plans.  A deviation's value is then
-the same ``apply_risk`` call on the same composed list as the profile path,
-so both paths agree bit for bit.  It is memoized per player under the
-deviator's actions at the atoms of the player's positive-mass states (every
-state when her risk has no belief): the other states are dropped by
-``apply_risk``, so deviations that agree there share the value.  In any other
-model the context has no table, and a deviation is spliced into its profile
-and scored on the profile path, so the choice between the two paths is made
-here alone.  Evaluation is pure, so every memo is a last-write-wins cache.
-``Evaluator.evaluations`` counts the risk evaluations actually computed, on
-either path.
+to.  The context holds that table (:func:`~infogames.model.deviation_table`),
+built by |Nature| x |actions| forward substitutions along a plan: what the
+table needs of the model alone (each other agent's profile slot, atom table
+and stride, the one-atom agents folded into one offset, the Nature blocks),
+which the model builds once per deviating agent and keeps.  So every
+evaluator of a model, each with its own memos, reads the same plans.  A
+deviation's value is then the same ``apply_risk`` call on the same composed
+list as the profile path, so both paths agree bit for bit.  It is memoized
+per player under the deviator's actions at the atoms of the player's
+positive-mass states (every state when her risk has no belief): the other
+states are dropped by ``apply_risk``, so deviations that agree there share
+the value.  In any other model the context has no table, and a deviation is
+spliced into its profile and scored on the profile path.  Evaluation is
+pure, so every memo is a last-write-wins cache.  ``Evaluator.evaluations``
+counts the risk evaluations actually computed, on either path.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .model import (
     Strategy,
     StrategyProfile,
     _require_profile,
-    check_sequential,
     count_profiles,
     deviation_table,
     joint_strategies,
@@ -174,7 +174,7 @@ class Evaluator:
     from a :class:`Context`.  In a sequential model that value is memoized in
     the context per player under the deviator's actions at the atoms of her
     positive-mass states (all states when her risk has no belief); in any
-    other model it is the value of the spliced profile.  :meth:`context`
+    other model it is the value of the spliced profile.  :meth:`_context`
     builds each context once per (deviating agent, strategies of every other
     agent) and is the only cache of contexts: solvers look every context up
     there.  ``evaluations`` counts the ``apply_risk`` calls actually made,
@@ -183,7 +183,6 @@ class Evaluator:
 
     def __init__(self, game: WGame):
         self.game = game
-        self.sequential_order = check_sequential(game.model)
         self._slots = {a: i for i, a in enumerate(game.model.agents)}
         self._outcomes: dict[StrategyProfile, list[int]] = {}
         self._values: dict[tuple[str, StrategyProfile], float] = {}
@@ -200,25 +199,23 @@ class Evaluator:
         if cached is not None:
             return cached
         _require_profile(self.game.model, profile)
-        indices = outcome_indices(self.game.model, profile, self.sequential_order)
-        self._outcomes[profile] = indices
+        indices = self._outcomes[profile] = outcome_indices(self.game.model, profile)
         return indices
 
-    def context(self, agent: AgentId, profile: StrategyProfile) -> Context:
+    def _context(self, agent: AgentId, profile: StrategyProfile) -> Context:
         """The context of ``agent`` against the other strategies of
         ``profile`` (his own entry is ignored), with a deviation table when
-        the model is sequential."""
+        the model is sequential.  The strategies are not checked: the
+        solvers check them at entry or enumerate them."""
         strategies = profile.strategies
         at = self._slots[agent]
         head, tail = strategies[:at], strategies[at + 1:]
         key = (agent, head, tail)
         ctx = self._contexts.get(key)
         if ctx is None:
-            order = self.sequential_order
-            atoms = outcomes = None
-            if order is not None:
-                atoms, outcomes = deviation_table(self.game.model, agent, profile, order)
-            size = self.game.model.info[agent].atom_count
+            model = self.game.model
+            atoms, outcomes = deviation_table(model, agent, profile)
+            size = model.info[agent].atom_count
             ctx = self._contexts[key] = Context(agent, profile, head, tail, size, atoms, outcomes)
         return ctx
 

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import infogames.model
 from infogames import (
     OPTIMISTIC,
     PESSIMISTIC,
@@ -54,12 +55,19 @@ from infogames import (
     nash_equilibria,
     nash_stackelberg,
     player_strategies,
+    solution_map,
     stackelberg_strategies,
     theta_mode,
 )
 from infogames import equilibria
 from infogames.equilibria import Diagnostics, ProfileRecord, _anticipate
-from infogames.model import check_sequential, deviation_table, joint_strategies, outcome_indices
+from infogames.model import (
+    check_sequential,
+    deviation_table,
+    fixed_point_outcomes,
+    joint_strategies,
+    outcome_indices,
+)
 from infogames.normal_form import assemble_profile
 from infogames.preferences import RiskKind, apply_risk
 from conftest import (
@@ -99,7 +107,7 @@ class PlainEvaluator(Evaluator):
             profile = profile_for(profile, deviation)
         self.evaluations += 1
         data = self.game.data[player]
-        indices = outcome_indices(self.game.model, profile, self.sequential_order)
+        indices = outcome_indices(self.game.model, profile)
         composed = [data.objective.values[i] for i in indices]
         return apply_risk(data.risk, composed, data.objective.sense)
 
@@ -217,7 +225,7 @@ def test_deviation_values_match_the_profile_path(seed):
     plain = PlainEvaluator(game)
     base = random_profile(game.model, rng)
     for agent in game.model.agents:
-        ctx = ev.context(agent, base)
+        ctx = ev._context(agent, base)
         deviations = list(enumerate_strategies(game.model, agent))
         rng.shuffle(deviations)
         for deviation in deviations:
@@ -263,7 +271,7 @@ def test_generator_covers_the_cases():
     seen = set()
     for seed in range(300):
         game = random_game(random.Random(seed))
-        order = Evaluator(game).sequential_order
+        order = game.model.sequential_order
         if order is None:
             playable = check_playability(game.model, "all").playable
             seen.add("no sequential order, " + ("playable" if playable else "not playable"))
@@ -324,7 +332,7 @@ def context_scorer(game):
 
     def score(p, assignment, deviator):
         own = assignment[deviator][-1]
-        ctx = ev.context(own.agent, assemble_profile(game, assignment))
+        ctx = ev._context(own.agent, assemble_profile(game, assignment))
         return ev.value(p, ctx, own)
 
     return ev, score
@@ -399,7 +407,7 @@ def _key_atoms(game, player, others):
     (agent,) = game.agents_of(player)
     ev = Evaluator(game)
     zeros = (next(enumerate_strategies(game.model, agent)),)
-    ctx = ev.context(agent, assemble_profile(game, {**others, player: zeros}))
+    ctx = ev._context(agent, assemble_profile(game, {**others, player: zeros}))
     return ctx.key_atoms(game.data[player].risk), game.model.info[agent].atom_count
 
 
@@ -479,7 +487,7 @@ def test_leader_follower_generator_covers_the_cases():
         if len(game.agents_of(follower)) > 1:
             seen.add("multi-agent follower")
             continue
-        if Evaluator(game).sequential_order is None:
+        if game.model.sequential_order is None:
             seen.add("keyed follower without a sequential order")
         risk = game.data[follower].risk
         if risk.belief is None:
@@ -796,7 +804,7 @@ def test_walk_generator_covers_the_cases():
         game = random_game(rng)
         while len(game.players.players) < 2:
             game = random_game(rng)
-        sequential = Evaluator(game).sequential_order is not None
+        sequential = game.model.sequential_order is not None
         seen.add(f"{len(game.players.players)} players")
         seen.add("sequential" if sequential else "no sequential order")
         if len(game.followers) > 1:
@@ -882,7 +890,7 @@ def test_deviation_table_matches_plain_substitution(seed):
     order = check_sequential(model)
     profile = random_profile(model, rng)
     for agent in model.agents:
-        atoms, rows = deviation_table(model, agent, profile, order)
+        atoms, rows = deviation_table(model, agent, profile)
         assert (atoms, [list(row) for row in rows]) == plain_deviation_table(
             model, agent, profile, order
         )
@@ -891,7 +899,7 @@ def test_deviation_table_matches_plain_substitution(seed):
             constant = Strategy(agent, (action,) * model.info[agent].atom_count)
             strategies = profile.strategies
             played = StrategyProfile(strategies[:at] + (constant,) + strategies[at + 1:])
-            assert outcome_indices(model, played, None) == [row[action] for row in rows]
+            assert fixed_point_outcomes(model, played) == [row[action] for row in rows]
 
 
 def _one_player_game(model):
@@ -904,7 +912,7 @@ def _one_player_game(model):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_deviation_plans_are_built_once_per_agent_and_order(seed):
+def test_deviation_plans_are_built_once_per_agent(seed):
     rng = random.Random(seed)
     model = random_model_with_one_atom_agents(rng)
     order = check_sequential(model)
@@ -912,7 +920,7 @@ def test_deviation_plans_are_built_once_per_agent_and_order(seed):
     calls = [(agent, profile) for profile in profiles for agent in model.agents]
     rng.shuffle(calls)
     for agent, profile in calls:
-        atoms, rows = deviation_table(model, agent, profile, order)
+        atoms, rows = deviation_table(model, agent, profile)
         assert (atoms, [list(row) for row in rows]) == plain_deviation_table(
             model, agent, profile, order
         )
@@ -922,22 +930,44 @@ def test_deviation_plans_are_built_once_per_agent_and_order(seed):
             strategies = profile.strategies
             played = StrategyProfile(strategies[:at] + (constant,) + strategies[at + 1:])
             expected = [row[action] for row in rows]
-            assert outcome_indices(model, played, None) == expected
-            assert outcome_indices(model, played, order) == expected
-    assert set(model._plans) == {(a, order) for a in model.agents}
+            assert fixed_point_outcomes(model, played) == expected
+            assert outcome_indices(model, played) == expected
+    assert set(model._plans) == set(model.agents)
     plans = dict(model._plans)
     # Evaluators share no memo, but read the plans the model already holds.
     game = _one_player_game(model)
     for profile in profiles:
         evaluator = Evaluator(game)
         for agent in model.agents:
-            ctx = evaluator.context(agent, profile)
+            ctx = evaluator._context(agent, profile)
             assert (ctx.atoms, [list(row) for row in ctx.outcomes]) == plain_deviation_table(
                 model, agent, profile, order
             )
-        assert evaluator.outcome_indices(profile) == outcome_indices(model, profile, None)
+        assert evaluator.outcome_indices(profile) == fixed_point_outcomes(model, profile)
     assert model._plans.keys() == plans.keys()
     assert all(model._plans[key] is plan for key, plan in plans.items())
+
+
+@pytest.mark.parametrize("name", ["tou_pricing", "nature_orders"])
+def test_check_sequential_runs_once_per_model(monkeypatch, name):
+    """Every caller reads the model's one order, with or without one."""
+    models = []
+    check = infogames.model.check_sequential
+    monkeypatch.setattr(
+        infogames.model, "check_sequential", lambda model: models.append(model) or check(model)
+    )
+    game = load_game(str(GAMES_DIR / f"{name}.json"))
+    model = game.model
+    profile = random_profile(model, random.Random(0))
+    first, second = Evaluator(game), Evaluator(game)
+    assert not hasattr(first, "sequential_order") and not hasattr(first, "context")
+    check_playability(model, "all")
+    _outcome(lambda: solution_map(model, profile))
+    _outcome(lambda: outcome_indices(model, profile))
+    for ev in (first, second):
+        _outcome(lambda: ev.outcome_indices(profile))
+        _outcome(lambda: nash_equilibria(game, evaluator=ev))
+    assert models == [model]
 
 
 def test_plan_generator_covers_the_range_rows():

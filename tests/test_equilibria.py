@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import infogames.equilibria
+import infogames.model
 from infogames import (
     OPTIMISTIC,
     PESSIMISTIC,
@@ -184,15 +186,15 @@ class TestNash:
 
     def test_reverification_does_not_trust_the_search_memo(self):
         # A corrupted context memo makes (C, C) look like an equilibrium to
-        # the search; the re-check on the plain profile path of a fresh
-        # evaluator must catch it.
+        # the search; the re-check, scoring full profiles with no memo, must
+        # catch it.
         game = build_prisoners_dilemma()
         (c_row, d_row), (c_col, d_col) = (player_strategies(game, p) for p in ("row", "col"))
         ev = Evaluator(game)
 
         def corrupt(player, assignment):
             (deviation,) = assignment[player]
-            ctx = ev.context(deviation.agent, assemble_profile(game, assignment))
+            ctx = ev._context(deviation.agent, assemble_profile(game, assignment))
             ev.value(player, ctx, deviation)
             getter, memo = ctx.memo[player]
             memo[getter(deviation.table)] = 100.0
@@ -201,6 +203,15 @@ class TestNash:
         corrupt("col", {"row": c_row, "col": d_col})
         with pytest.raises(RuntimeError, match="re-verification"):
             nash_equilibria(game, evaluator=ev)
+
+    def test_nash_checks_no_strategy_after_entry(self, monkeypatch):
+        # Every strategy the search and its re-check score was enumerated.
+        checked = []
+        for module in (infogames.model, infogames.equilibria):
+            monkeypatch.setattr(module, "validate_strategy", lambda model, s: checked.append(s))
+        report = nash_equilibria(load_game(str(GAMES_DIR / "thai_two_consumers.json")))
+        assert report.profiles
+        assert checked == []
 
     def test_unilateral_deviations_never_improve(self):
         for seed in range(15):

@@ -36,7 +36,7 @@ from infogames import (
 )
 from infogames.errors import render_count
 from infogames.gamefile import load_game
-from infogames.model import outcome_indices
+from infogames.model import fixed_point_outcomes
 from infogames.spaces import Partition
 from conftest import (
     copy_strategy,
@@ -53,10 +53,10 @@ GAMES_DIR = Path(__file__).resolve().parent.parent / "games"
 
 
 def fixed_point_map(model, profile):
-    """The point view of ``outcome_indices(model, profile, None)``: the
+    """The point view of ``fixed_point_outcomes(model, profile)``: the
     fixed-point search, whatever the model's information structure."""
     point_at = model.configuration.point_at
-    outcomes = outcome_indices(model, profile, None)
+    outcomes = fixed_point_outcomes(model, profile)
     return {omega: point_at(i) for omega, i in zip(model.nature_points(), outcomes)}
 
 
@@ -346,6 +346,17 @@ class TestPlayability:
         # random.Random(-3) would draw the profiles of random.Random(3).
         with pytest.raises(ValueError, match="sample seed must be at least 0, got -3"):
             check_playability(mutual_observation_model(), (4, -3))
+
+    def test_sample_size_and_seed_must_not_be_bools(self, monkeypatch):
+        # True and False are ints: (True, 5) would report n=True.
+        def draw(seed):
+            raise AssertionError("a profile was drawn")
+
+        monkeypatch.setattr(infogames.model.random, "Random", draw)
+        model = mutual_observation_model()
+        for sample in ((True, 5), (False, 5), (3, True), (3, False)):
+            with pytest.raises(ValueError, match="sample size and seed must be integers"):
+                check_playability(model, sample)
 
     def test_sample_mode_is_deterministic(self):
         model = mutual_observation_model()
@@ -777,7 +788,7 @@ class TestSampledProfiles:
         assert built == [model]
         check_playability(model, [profile])
         with pytest.raises(NotPlayable):
-            outcome_indices(model, profile, None)
+            fixed_point_outcomes(model, profile)
         check_playability(model, "all")
         assert built == [model]
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from infogames import (
     Strategy,
     StrategyProfile,
     build_prisoners_dilemma,
+    load_game,
     make_wgame,
     matrix_to_csv,
     normal_form_matrix,
@@ -25,6 +27,8 @@ from infogames import (
 from infogames.normal_form import assemble_profile, fmt_value
 from infogames.models import GridSpec, TouParams, build_tou_game
 from conftest import random_lf_game
+
+GAMES_DIR = Path(__file__).resolve().parent.parent / "games"
 
 
 def tou_dirac_instance():
@@ -128,6 +132,29 @@ class TestValues:
             with pytest.raises(ValueError, match="action index|entries"):
                 score(ev)
             assert ev.evaluations == 0
+
+    def test_public_entry_points_reject_bad_tables(self):
+        # Deviation contexts are internal and check nothing; the public entry
+        # points check the full profile: a table longer than the agent's
+        # atom count, on either side of the order, and an action out of range.
+        game = load_game(str(GAMES_DIR / "tou_pricing.json"))
+        leader, follower = game.model.agents
+        lead, follow = Strategy(leader, (0,)), Strategy(follower, (0, 0))
+        assert Evaluator(game).value("follower", StrategyProfile((lead, follow))) is not None
+        for bad in (
+            StrategyProfile((lead, Strategy(follower, (0,) * 5))),
+            StrategyProfile((Strategy(leader, (0,) * 50), follow)),
+            StrategyProfile((lead, Strategy(follower, (0, 3)))),
+        ):
+            for score in (
+                lambda ev: ev.value("follower", bad),
+                lambda ev: ev.value("leader", bad),
+                lambda ev: ev.outcome_indices(bad),
+            ):
+                ev = Evaluator(game)
+                with pytest.raises(ValueError, match="entries|action index"):
+                    score(ev)
+                assert ev.evaluations == 0
 
     def test_profiles_out_of_model_order_are_rejected(self):
         game = build_prisoners_dilemma()
