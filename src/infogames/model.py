@@ -497,11 +497,11 @@ def check_playability(
 
     ``profiles`` is ``"all"``, a ``(n, seed)`` pair for random sampling
     (``1 <= n <= cap``, ``seed >= 0``: ``random.Random`` seeds by absolute
-    value; neither may be a bool), or an explicit list of profiles, each
-    holding one strategy per agent in model agent order.  In ``"all"`` mode
-    a sequential information structure short-circuits to playable
-    (sequential implies playable) with zero profiles checked and the model's
-    ordering recorded as justification.
+    value; both are ``int``, neither a bool), or an explicit list of
+    profiles, each holding one strategy per agent in model agent order.  In
+    ``"all"`` mode a sequential information structure short-circuits to
+    playable (sequential implies playable) with zero profiles checked and
+    the model's ordering recorded as justification.
 
     Otherwise ``"all"`` checks the profile count against ``cap``, then walks
     every joint profile in :func:`joint_strategies` order as an odometer over
@@ -524,7 +524,7 @@ def check_playability(
         return PlayabilityReport(not failures, "all", checked, tuple(failures))
     if isinstance(profiles, tuple) and len(profiles) == 2 and isinstance(profiles[0], int):
         n, seed = profiles
-        if isinstance(n, bool) or isinstance(seed, bool):
+        if isinstance(n, bool) or isinstance(seed, bool) or not isinstance(seed, int):
             raise ValueError(f"sample size and seed must be integers, got {profiles}")
         if n < 1:
             raise ValueError(f"sample size must be at least 1, got {n}")

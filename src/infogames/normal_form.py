@@ -130,19 +130,17 @@ def assemble_profile(
 class Context:
     """The deviating ``agent`` against fixed strategies of every other agent.
 
-    ``profile`` holds those strategies (its entry for ``agent`` is whichever
-    built the context); ``head`` and ``tail`` are its entries before and
-    after that one, so :meth:`splice` builds a deviation's profile.
-    ``atom_count`` is the agent's number of information atoms.  In a
-    sequential model, ``atoms[w]`` is the agent's information atom at Nature
-    state ``w`` and ``outcomes[w][a]`` the flat outcome index when he plays
-    action ``a`` there; in any other model both are ``None``.  ``memo`` maps
-    a player to her memo key (a getter over strategy tables) and the values
-    memoized under it.
+    ``head`` and ``tail`` are those strategies, the profile's entries before
+    and after the agent's slot, so :meth:`splice` builds a deviation's
+    profile.  ``atom_count`` is the agent's number of information atoms.  In
+    a sequential model, ``atoms[w]`` is the agent's information atom at
+    Nature state ``w`` and ``outcomes[w][a]`` the flat outcome index when he
+    plays action ``a`` there; in any other model both are ``None``.
+    ``memo`` maps a player to her memo key (a getter over strategy tables)
+    and the values memoized under it.
     """
 
     agent: AgentId
-    profile: StrategyProfile
     head: tuple[Strategy, ...]
     tail: tuple[Strategy, ...]
     atom_count: int
@@ -216,7 +214,7 @@ class Evaluator:
             model = self.game.model
             atoms, outcomes = deviation_table(model, agent, profile)
             size = model.info[agent].atom_count
-            ctx = self._contexts[key] = Context(agent, profile, head, tail, size, atoms, outcomes)
+            ctx = self._contexts[key] = Context(agent, head, tail, size, atoms, outcomes)
         return ctx
 
     def value(

@@ -29,13 +29,8 @@ from infogames.gamefile import export_custom
 from infogames.model import DEFAULT_CAP
 from infogames.normal_form import fmt_value, strategy_labeller
 from infogames.preferences import Objective, PlayerData, make_wgame
-from test_context_tables import (
-    MODES,
-    oracle_nash_stackelberg,
-    plain_scorer,
-    random_game,
-    signed_zero_game,
-)
+import oracle
+from test_context_tables import MODES, random_game, signed_zero_game
 
 GAMES_DIR = Path(__file__).resolve().parent.parent / "games"
 
@@ -607,9 +602,7 @@ def test_signed_zeros_render_as_the_oracle_scores_them(tmp_path, leader_values):
     path = tmp_path / "zeros.json"
     path.write_text(json.dumps(export_custom(game)))
     for mode in MODES:
-        expected = reference_equilibria(
-            game, oracle_nash_stackelberg(game, plain_scorer(game), mode)
-        )
+        expected = reference_equilibria(game, oracle.Oracle(game).nash_stackelberg(mode))
         assert [rec["values"]["F"] for rec in expected] == ["0", "-0", "0", "-0"]
         args = ["nash-stackelberg", "--mode", mode.describe(), "--game", str(path)]
         out = tmp_path / "report"

@@ -1,11 +1,10 @@
-"""Context-table scoring against the plain profile path.
+"""The solvers against the reference solver of :mod:`oracle`, and
+context-table scoring against the plain profile path.
 
-``PlainEvaluator`` scores every value, deviations included, by the full
-profile's outcome indices and one ``apply_risk`` call, with no memo.  The
-library's evaluator must give the same floats (``==`` and ``repr``), and every
-solver must return the same results with either evaluator.  Best-response
-sets built from memo keys must equal a brute-force enumeration of every
-strategy through that path.
+``PlainEvaluator`` scores every value, deviations included, by the oracle's
+:func:`oracle.value` on the full profile, with no memo.  The library's
+evaluator must give the same floats (``==`` and ``repr``), and every solver
+must return the same results with either evaluator and as the oracle.
 """
 
 from __future__ import annotations
@@ -24,15 +23,11 @@ from hypothesis import strategies as st
 import infogames.model
 from infogames import (
     OPTIMISTIC,
-    PESSIMISTIC,
     AgentId,
     Belief,
-    BestResponseSet,
     CapacityExceeded,
-    EquilibriumReport,
     Evaluator,
     GameError,
-    IndeterminateValue,
     Objective,
     Partition,
     PlayerData,
@@ -47,7 +42,6 @@ from infogames import (
     count_profiles,
     enumerate_strategies,
     followers_nash,
-    leader_risk_mode,
     leader_value,
     load_game,
     make_product_space,
@@ -57,19 +51,17 @@ from infogames import (
     player_strategies,
     solution_map,
     stackelberg_strategies,
-    theta_mode,
 )
 from infogames import equilibria
-from infogames.equilibria import Diagnostics, ProfileRecord, _anticipate
 from infogames.model import (
     check_sequential,
     deviation_table,
     fixed_point_outcomes,
-    joint_strategies,
     outcome_indices,
 )
 from infogames.normal_form import assemble_profile
-from infogames.preferences import RiskKind, apply_risk
+from infogames.preferences import apply_risk
+import oracle
 from conftest import (
     random_information_parts,
     random_lf_game,
@@ -81,35 +73,18 @@ from conftest import (
 
 GAMES_DIR = Path(__file__).resolve().parent.parent / "games"
 PROFILE_LIMIT = 2000
-MODES = (
-    OPTIMISTIC,
-    PESSIMISTIC,
-    theta_mode(0.25),
-    leader_risk_mode("expectation-uniform"),
-    leader_risk_mode("worst-case"),
-    leader_risk_mode(("cvar", 0.5)),
-)
-
-
-def profile_for(ctx, deviation) -> StrategyProfile:
-    """The full profile in which the context's deviating agent plays
-    ``deviation``."""
-    return StrategyProfile(
-        tuple(deviation if s.agent == ctx.agent else s for s in ctx.profile.strategies)
-    )
+MODES = oracle.MODES
 
 
 class PlainEvaluator(Evaluator):
-    """Scores by ``outcome_indices`` and ``apply_risk`` on the full profile."""
+    """Drives the library's search, scoring each value by
+    :func:`oracle.value` on the full profile, with no memo."""
 
     def value(self, player, profile, deviation=None):
         if deviation is not None:
-            profile = profile_for(profile, deviation)
+            profile = profile.splice(deviation)
         self.evaluations += 1
-        data = self.game.data[player]
-        indices = outcome_indices(self.game.model, profile)
-        composed = [data.objective.values[i] for i in indices]
-        return apply_risk(data.risk, composed, data.objective.sense)
+        return oracle.value(self.game, player, profile)
 
 
 def _random_risk(rng: random.Random, nature_space) -> RiskMeasure:
@@ -203,6 +178,14 @@ def random_game(rng: random.Random):
     return make_wgame(model, PlayerPartition(tuple(names), assignment), data, leaders)
 
 
+def random_contexts(game, rng: random.Random):
+    """Each player with the other players' strategies in a random profile."""
+    by_agent = {s.agent: s for s in random_profile(game.model, rng).strategies}
+    players = game.players.players
+    strategies = {q: tuple(by_agent[a] for a in game.agents_of(q)) for q in players}
+    return [(p, {q: strategies[q] for q in players if q != p}) for p in players]
+
+
 def _outcome(fn):
     try:
         result = fn()
@@ -229,7 +212,7 @@ def test_deviation_values_match_the_profile_path(seed):
         deviations = list(enumerate_strategies(game.model, agent))
         rng.shuffle(deviations)
         for deviation in deviations:
-            profile = profile_for(ctx, deviation)
+            profile = ctx.splice(deviation)
             for p in game.players.players:
                 kernel = _outcome(lambda: ev.value(p, ctx, deviation))
                 _assert_same(kernel, _outcome(lambda: plain.value(p, profile)))
@@ -256,14 +239,63 @@ def test_solvers_match_the_profile_path(seed):
             _assert_same(rec.values, tuple((p, fresh.value(p, rec.profile)) for p, _ in rec.values))
     if not game.leaders:
         return
-    leader_agents = [a for ld in game.leaders for a in game.agents_of(ld)]
-    for leaders in joint_strategies(game.model, leader_agents, math.inf, "leaders"):
-        queue = list(leaders)
-        profile = {ld: tuple(queue.pop(0) for _ in game.agents_of(ld)) for ld in game.leaders}
-        both(lambda ev: followers_nash(game, profile, evaluator=ev))
+    for leaders in oracle.leaders_profiles(game):
+        both(lambda ev: followers_nash(game, leaders, evaluator=ev))
     for mode in MODES:
         both(lambda ev: stackelberg_strategies(game, mode, evaluator=ev))
         both(lambda ev: nash_stackelberg(game, mode, evaluator=ev))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@example(17)  # several leaders
+@example(68)  # unrestricted, with unplayable profiles
+@example(133)  # several followers, without a sequential order
+@example(619)  # several followers, with infeasible leaders' profiles
+@example(4521)  # several followers, with no feasible leaders' profile
+def test_solvers_match_the_oracle(seed):
+    """Every solver on a random game: best responses of each player to a
+    random profile and Nash; with leaders, the followers' Nash and each
+    leader's value at each leaders' profile, and the Stackelberg and
+    Nash-Stackelberg sets, in every mode."""
+    rng = random.Random(seed)
+    game = random_game(rng)
+    ref = oracle.Oracle(game)
+
+    def check(solve, query):
+        kernel, reference = _outcome(solve), _outcome(query)
+        # Each side names the first unplayable profile it meets.
+        if not kernel[:2] == reference[:2] == ("raises", "NotPlayable"):
+            _assert_same(kernel, reference)
+
+    for player, others in random_contexts(game, rng):
+        check(
+            lambda: best_responses(game, player, others),
+            lambda: ref.best_responses(player, others),
+        )
+    check(lambda: nash_equilibria(game), ref.nash_equilibria)
+    if not game.leaders:
+        return
+    for leaders in oracle.leaders_profiles(game):
+        check(
+            lambda: followers_nash(game, leaders),
+            lambda: ref.followers_nash(leaders),
+        )
+        for mode in MODES:
+            for leader in game.leaders:
+                check(
+                    lambda: leader_value(game, leader, leaders, mode),
+                    lambda: ref.leader_value(leader, leaders, mode),
+                )
+    for mode in MODES:
+        check(
+            lambda: stackelberg_strategies(game, mode),
+            lambda: ref.stackelberg_strategies(mode),
+        )
+        check(
+            lambda: nash_stackelberg(game, mode),
+            lambda: ref.nash_stackelberg(mode),
+        )
 
 
 def test_generator_covers_the_cases():
@@ -294,6 +326,10 @@ def test_generator_covers_the_cases():
                 seen.add("adverse infinity")
         if game.leaders:
             seen.add("leaders" if game.followers else "only leaders")
+            if len(game.leaders) > 1:
+                seen.add("several leaders")
+            if len(game.followers) > 1:
+                seen.add("several followers")
     assert seen == {
         "multi-agent player",
         "deviator not last",
@@ -304,6 +340,8 @@ def test_generator_covers_the_cases():
         "adverse infinity",
         "leaders",
         "only leaders",
+        "several leaders",
+        "several followers",
         "no sequential order, playable",
         "no sequential order, not playable",
     }
@@ -314,17 +352,10 @@ def test_generator_covers_the_cases():
 #
 # A one-agent player judged by her normal-form value has her best-response
 # set built from her memo keys, and a leader's anticipation over one such
-# follower scores each distinct leader key once.  The oracle below enumerates
-# every strategy instead, scoring each with a ``score(player, assignment,
-# deviator)`` function: :func:`plain_scorer` scores full profiles through
-# ``PlainEvaluator`` (results must be equal), :func:`context_scorer` scores
-# from ``Evaluator`` context tables, as enumeration did (the evaluation count
-# must be equal).
-
-
-def plain_scorer(game):
-    plain = PlainEvaluator(game)
-    return lambda p, assignment, deviator: plain.value(p, assemble_profile(game, assignment))
+# follower scores each distinct leader key once.  The oracle enumerates every
+# strategy instead: with its own scoring, results must be equal; scoring
+# through :func:`context_scorer`, from ``Evaluator`` context tables as
+# enumeration did, the evaluation count must be equal too.
 
 
 def context_scorer(game):
@@ -336,58 +367,6 @@ def context_scorer(game):
         return ev.value(p, ctx, own)
 
     return ev, score
-
-
-def _first_best(sense, values):
-    best = None
-    for v in values:
-        if v is not None and (best is None or sense.better(v, best)):
-            best = v
-    return best
-
-
-def oracle_best_responses(game, score, player, others):
-    sense = game.data[player].objective.sense
-    space = player_strategies(game, player)
-    values = [score(player, {**others, player: c}, player) for c in space]
-    best = _first_best(sense, values)
-    context = tuple((q, others[q]) for q in game.players.players if q != player)
-    members = tuple(c for c, v in zip(space, values) if v == best)
-    return BestResponseSet(player, context, members, best, all_adverse=(best == sense.adverse))
-
-
-def oracle_leader_value(game, score, leaders, mode):
-    (leader,), (follower,) = game.leaders, game.followers
-    members = oracle_best_responses(game, score, follower, leaders).strategies
-    values = [score(leader, {**leaders, follower: c}, follower) for c in members]
-    return _anticipate(values, game.data[leader].objective.sense, mode)
-
-
-def oracle_stackelberg(game, score, mode):
-    (leader,) = game.leaders
-    space = player_strategies(game, leader)
-    values = [oracle_leader_value(game, score, {leader: c}, mode) for c in space]
-    best = _first_best(game.data[leader].objective.sense, values)
-    leader_set = tuple(((leader, c),) for c, v in zip(space, values) if v == best)
-    diag = Diagnostics(profiles_enumerated=len(space), ties=len(leader_set) - 1)
-    return leader_set, diag
-
-
-def oracle_nash_stackelberg(game, score, mode):
-    leader_set, diag = oracle_stackelberg(game, score, mode)
-    (follower,) = game.followers
-    records = []
-    for leaders in leader_set:
-        for c in oracle_best_responses(game, score, follower, dict(leaders)).strategies:
-            assignment = {**dict(leaders), follower: c}
-            records.append(
-                ProfileRecord(
-                    tuple((p, assignment[p]) for p in game.players.players),
-                    assemble_profile(game, assignment),
-                    tuple((p, score(p, assignment, follower)) for p in game.players.players),
-                )
-            )
-    return EquilibriumReport("nash-stackelberg", tuple(records), diag, mode=mode)
 
 
 def random_leader_follower_game(rng: random.Random):
@@ -411,14 +390,17 @@ def _key_atoms(game, player, others):
     return ctx.key_atoms(game.data[player].risk), game.model.info[agent].atom_count
 
 
-def _compare(game, solve, oracle):
-    """Library and oracle agree on result and repr (or on the raised error),
-    and the library makes exactly the evaluations enumeration makes."""
+def _compare(ref, solve, query):
+    """The library and ``query`` on the oracle ``ref`` agree on result and
+    repr (or on the raised error), and on a fresh oracle scoring through
+    :func:`context_scorer`, which also counts the evaluations enumeration
+    makes: the library makes exactly those."""
+    game = ref.game
     ev = Evaluator(game)
     kernel = _outcome(lambda: solve(ev))
-    _assert_same(kernel, _outcome(lambda: oracle(plain_scorer(game))))
+    _assert_same(kernel, _outcome(lambda: query(ref)))
     enumerated, context_score = context_scorer(game)
-    _assert_same(kernel, _outcome(lambda: oracle(context_score)))
+    _assert_same(kernel, _outcome(lambda: query(oracle.Oracle(game, context_score))))
     assert ev.evaluations == enumerated.evaluations
     return kernel
 
@@ -428,17 +410,12 @@ def _compare(game, solve, oracle):
 def test_best_responses_match_brute_force(seed):
     rng = random.Random(seed)
     game = random_game(rng)
-    by_agent = {s.agent: s for s in random_profile(game.model, rng).strategies}
-    for player in game.players.players:
-        others = {
-            q: tuple(by_agent[a] for a in game.agents_of(q))
-            for q in game.players.players
-            if q != player
-        }
+    ref = oracle.Oracle(game)
+    for player, others in random_contexts(game, rng):
         _compare(
-            game,
+            ref,
             lambda ev: best_responses(game, player, others, evaluator=ev),
-            lambda score: oracle_best_responses(game, score, player, others),
+            lambda ref: ref.best_responses(player, others),
         )
 
 
@@ -447,33 +424,30 @@ def test_best_responses_match_brute_force(seed):
 def test_leader_follower_solvers_match_brute_force(seed):
     rng = random.Random(seed)
     game = random_leader_follower_game(rng)
-    (leader,), (follower,) = game.leaders, game.followers
-    for c in player_strategies(game, leader):
-        leaders = {leader: c}
+    (leader,) = game.leaders
+    ref = oracle.Oracle(game)
+    for leaders in oracle.leaders_profiles(game):
         _compare(
-            game,
+            ref,
             lambda ev: followers_nash(game, leaders, evaluator=ev),
-            lambda score: tuple(
-                ((follower, f),)
-                for f in oracle_best_responses(game, score, follower, leaders).strategies
-            ),
+            lambda ref: ref.followers_nash(leaders),
         )
         for mode in MODES:
             _compare(
-                game,
+                ref,
                 lambda ev: leader_value(game, leader, leaders, mode, evaluator=ev),
-                lambda score: oracle_leader_value(game, score, leaders, mode),
+                lambda ref: ref.leader_value(leader, leaders, mode),
             )
     for mode in MODES:
         _compare(
-            game,
+            ref,
             lambda ev: stackelberg_strategies(game, mode, evaluator=ev),
-            lambda score: oracle_stackelberg(game, score, mode),
+            lambda ref: ref.stackelberg_strategies(mode),
         )
         _compare(
-            game,
+            ref,
             lambda ev: nash_stackelberg(game, mode, evaluator=ev),
-            lambda score: oracle_nash_stackelberg(game, score, mode),
+            lambda ref: ref.nash_stackelberg(mode),
         )
 
 
@@ -704,12 +678,13 @@ def signed_zero_game():
 
 
 def test_keyed_records_keep_each_members_signed_zero():
-    game = signed_zero_game()
+    ref = oracle.Oracle(signed_zero_game())
+    game = ref.game
     for mode in MODES:
         report = _compare(
-            game,
+            ref,
             lambda ev: nash_stackelberg(game, mode, evaluator=ev),
-            lambda score: oracle_nash_stackelberg(game, score, mode),
+            lambda ref: ref.nash_stackelberg(mode),
         )[1]
         follower_values = [repr(dict(rec.values)["F"]) for rec in report.profiles]
         # The leader plays her second action, so the follower's key atom is
@@ -783,11 +758,7 @@ def test_index_walk_matches_the_per_profile_loop(seed):
     if game.leaders:
         cases += [(game.leaders, {}, mode) for mode in MODES]
         if len(game.followers) > 1:
-            leader_agents = [a for ld in game.leaders for a in game.agents_of(ld)]
-            for leaders in joint_strategies(game.model, leader_agents, math.inf, "leaders"):
-                queue = list(leaders)
-                fixed = {ld: tuple(queue.pop(0) for _ in game.agents_of(ld)) for ld in game.leaders}
-                cases.append((game.followers, fixed, None))
+            cases += [(game.followers, fixed, None) for fixed in oracle.leaders_profiles(game)]
     for players, fixed, mode in cases:
         walked = _group_outcome(equilibria._Session, game, players, fixed, mode)
         assert walked == _group_outcome(PerProfileSession, game, players, fixed, mode)
@@ -993,45 +964,6 @@ def test_one_atom_generator_covers_the_cases():
     assert len(seen) == 4
 
 
-def pairs_expectation(pairs, where="carry positive mass"):
-    has_pos = any(v == math.inf for v, _ in pairs)
-    has_neg = any(v == -math.inf for v, _ in pairs)
-    if has_pos and has_neg:
-        raise IndeterminateValue(f"both +inf and -inf {where}")
-    if has_pos:
-        return math.inf
-    if has_neg:
-        return -math.inf
-    total = math.fsum(m for _, m in pairs)
-    return math.fsum(v * m for v, m in pairs) / total
-
-
-def pairs_apply_risk(risk, values, sense):
-    """``apply_risk`` as it read before each risk measure kept its support:
-    (value, mass) pairs filtered from the whole table on every call."""
-    if risk.belief is not None and len(values) != risk.belief.space.size:
-        raise ValueError("value table length does not match Nature size")
-    if risk.belief is None:
-        pairs = [(float(v), 1.0) for v in values]
-    else:
-        pairs = [(float(v), m) for v, m in zip(values, risk.belief.masses) if m > 0]
-    if risk.kind is RiskKind.WORST_CASE:
-        return sense.worst(v for v, _ in pairs)
-    if risk.kind is RiskKind.EXPECTATION:
-        return pairs_expectation(pairs)
-    assert risk.alpha is not None
-    ordered = sorted(pairs, key=lambda vm: vm[0], reverse=(sense is Sense.COST))
-    taken = []
-    remaining = risk.alpha
-    for v, m in ordered:
-        if remaining <= 0:
-            break
-        take = min(m, remaining)
-        taken.append((v, take))
-        remaining -= take
-    return pairs_expectation(taken, "lie in the adverse tail")
-
-
 def _risk_outcome(fn):
     try:
         result = fn()
@@ -1069,4 +1001,5 @@ def test_apply_risk_matches_the_pairs_formula(seed):
         for risk in risks:
             for sense in Sense:
                 mine = _risk_outcome(lambda: apply_risk(risk, values, sense))
-                _assert_same(mine, _risk_outcome(lambda: pairs_apply_risk(risk, values, sense)))
+                pairs = _risk_outcome(lambda: oracle.pairs_apply_risk(risk, values, sense))
+                _assert_same(mine, pairs)

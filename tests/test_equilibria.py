@@ -1,6 +1,5 @@
 """Best responses, Nash, Stackelberg modes, multi-leader-multi-follower."""
 
-import itertools
 import math
 import random
 from pathlib import Path
@@ -40,6 +39,7 @@ from infogames import (
     theta_mode,
 )
 from infogames.normal_form import assemble_profile
+import oracle
 from conftest import random_lf_game, rescale_player, small_factor
 
 INF = math.inf
@@ -138,23 +138,7 @@ class TestNash:
         match_cost = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
         mismatch_cost = {(0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 1}
         game = one_shot_game(match_cost, mismatch_cost)
-        ev = Evaluator(game)
-        p1 = player_strategies(game, "P1")
-        p2 = player_strategies(game, "P2")
-        oracle = []
-        for s1, s2 in itertools.product(p1, p2):
-            prof = assemble_profile(game, {"P1": s1, "P2": s2})
-            v1 = ev.value("P1", prof)
-            v2 = ev.value("P2", prof)
-            dev1 = min(
-                ev.value("P1", assemble_profile(game, {"P1": d, "P2": s2})) for d in p1
-            )
-            dev2 = min(
-                ev.value("P2", assemble_profile(game, {"P1": s1, "P2": d})) for d in p2
-            )
-            if v1 == dev1 and v2 == dev2:
-                oracle.append((s1, s2))
-        assert oracle == []
+        assert oracle.Oracle(game).nash_equilibria().profiles == ()
         assert nash_equilibria(game).profiles == ()
 
     def test_one_player_game_reduces_to_argmin(self):
@@ -214,20 +198,10 @@ class TestNash:
         assert checked == []
 
     def test_unilateral_deviations_never_improve(self):
+        # The oracle keeps exactly the profiles no player improves on alone.
         for seed in range(15):
             game = random_lf_game(random.Random(1000 + seed))
-            ev = Evaluator(game)
-            report = nash_equilibria(game, evaluator=ev)
-            for rec in report.profiles:
-                assignment = dict(rec.by_player)
-                for p in game.players.players:
-                    sense = game.data[p].objective.sense
-                    mine = ev.value(p, assemble_profile(game, assignment))
-                    for dev in player_strategies(game, p):
-                        alt = ev.value(
-                            p, assemble_profile(game, {**assignment, p: dev})
-                        )
-                        assert not sense.better(alt, mine)
+            assert nash_equilibria(game) == oracle.Oracle(game).nash_equilibria()
 
 
 class TestGivenStrategiesChecked:
@@ -318,33 +292,11 @@ class TestFollowersNash:
         }
         return make_wgame(model, players, data, leaders=("L",))
 
-    def _brute_force_follower_nash(self, game, leaders_profile):
-        ev = Evaluator(game)
-        followers = game.followers
-        spaces = {f: player_strategies(game, f) for f in followers}
-        result = []
-        for combo in itertools.product(*(spaces[f] for f in followers)):
-            assignment = dict(leaders_profile)
-            assignment.update(zip(followers, combo))
-            ok = True
-            for f in followers:
-                mine = ev.value(f, assemble_profile(game, assignment))
-                best = min(
-                    ev.value(f, assemble_profile(game, {**assignment, f: d}))
-                    for d in spaces[f]
-                )
-                if mine != best:
-                    ok = False
-                    break
-            if ok:
-                result.append(tuple(zip(followers, combo)))
-        return tuple(result)
-
     def test_decoupled_objectives_give_cartesian_product(self):
         game = self._two_follower_game(coupled=False)
         ls = player_strategies(game, "L")[0]
         fn = followers_nash(game, {"L": ls})
-        assert fn == self._brute_force_follower_nash(game, {"L": ls})
+        assert fn == oracle.Oracle(game).followers_nash({"L": ls})
         br1 = best_responses(
             game, "f1", {"L": ls, "f2": player_strategies(game, "f2")[0]}
         )
@@ -362,7 +314,7 @@ class TestFollowersNash:
         game = self._two_follower_game(coupled=True)
         ls = player_strategies(game, "L")[0]
         fn = followers_nash(game, {"L": ls})
-        assert fn == self._brute_force_follower_nash(game, {"L": ls})
+        assert fn == oracle.Oracle(game).followers_nash({"L": ls})
         # Anti-coordination: exactly the two mismatched profiles.
         actions = {tuple(fp[i][1][0].table[0] for i in range(2)) for fp in fn}
         assert actions == {(0, 1), (1, 0)}
@@ -498,25 +450,17 @@ class TestStackelberg:
         assert diag.ties == 1
 
     def test_nested_loop_oracle_on_random_games(self):
-        # Independent oracle: argmax over leader actions of the
-        # mode-anticipated leader payoff over the follower's argmin columns.
+        # Random leader and follower tables over a one-state Nature.
         for seed in range(25):
             rng = random.Random(3000 + seed)
             nl, nf = rng.randint(2, 3), rng.randint(2, 3)
             leader_table = [[float(rng.randint(-5, 5)) for _ in range(nf)] for _ in range(nl)]
             follower_table = [[float(rng.randint(-5, 5)) for _ in range(nf)] for _ in range(nl)]
             game = leader_follower_costs(leader_table, follower_table)
-            for mode, pick in ((OPTIMISTIC, max), (PESSIMISTIC, min)):
-                anticipated = []
-                for i in range(nl):
-                    best_f = min(follower_table[i])
-                    br_cols = [j for j, v in enumerate(follower_table[i]) if v == best_f]
-                    anticipated.append(pick(leader_table[i][j] for j in br_cols))
-                best_l = max(anticipated)
-                oracle_actions = {i for i, v in enumerate(anticipated) if v == best_l}
-                profiles, _ = stackelberg_strategies(game, mode)
-                got_actions = {prof[0][1][0].table[0] for prof in profiles}
-                assert got_actions == oracle_actions, (seed, mode.kind)
+            ref = oracle.Oracle(game)
+            for mode in (OPTIMISTIC, PESSIMISTIC):
+                expected = ref.stackelberg_strategies(mode)
+                assert stackelberg_strategies(game, mode) == expected, (seed, mode.kind)
 
     def test_pessimistic_theta_optimistic_ordering(self):
         for seed in range(30):
@@ -653,86 +597,6 @@ def two_leader_two_follower_game(objectives):
     return make_wgame(model, players, data, leaders=("L1", "L2"))
 
 
-class DirectOracle:
-    """Stackelberg among several leaders over several followers, straight
-    from the definitions, on indices into each player's strategy list.
-
-    A group profile is kept when no member does strictly better alone.
-    Followers compare normal-form values against the fixed leaders; leaders
-    compare values anticipated over the followers' joint best responses and
-    skip deviations that have none.  Values come from ``ev``; leaders must be
-    declared first.
-    """
-
-    def __init__(self, game, ev):
-        self.game = game
-        self.players = game.players.players
-        self.n_leaders = len(game.leaders)
-        assert self.players[: self.n_leaders] == game.leaders
-        self.spaces = [player_strategies(game, p) for p in self.players]
-        self.table = {}
-        for idx in itertools.product(*(range(len(s)) for s in self.spaces)):
-            assignment = {p: s[i] for p, s, i in zip(self.players, self.spaces, idx)}
-            profile = assemble_profile(game, assignment)
-            self.table[idx] = [ev.value(p, profile) for p in self.players]
-        leads = itertools.product(*(range(len(s)) for s in self.spaces[: self.n_leaders]))
-        follows = list(
-            itertools.product(*(range(len(s)) for s in self.spaces[self.n_leaders :]))
-        )
-        followers = range(self.n_leaders, len(self.players))
-        self.responses = {
-            lead: [
-                fol
-                for fol in follows
-                if self._stable(followers, lead + fol, lambda k, idx: self.table[idx][k])
-            ]
-            for lead in leads
-        }
-
-    def _stable(self, group, idx, judge):
-        for k in group:
-            mine = judge(k, idx)
-            for d in range(len(self.spaces[k])):
-                alt = judge(k, idx[:k] + (d,) + idx[k + 1 :])
-                if alt is not None and self._better(k, alt, mine):
-                    return False
-        return True
-
-    def _better(self, k, a, b):
-        cost = self.game.data[self.players[k]].objective.sense is Sense.COST
-        return a < b if cost else a > b
-
-    def group(self, idx, first=0):
-        """Index tuple -> (player, strategy) pairs, starting at player ``first``."""
-        return tuple(
-            (self.players[first + k], self.spaces[first + k][i]) for k, i in enumerate(idx)
-        )
-
-    def stackelberg(self, mode):
-        """(leader set, leader profiles enumerated, infeasible leader profiles)."""
-
-        def anticipated(k, lead):
-            values = [self.table[lead + fol][k] for fol in self.responses[lead]]
-            if not values:
-                return None
-            cost = self.game.data[self.players[k]].objective.sense is Sense.COST
-            opt, pess = (min(values), max(values)) if cost else (max(values), min(values))
-            if mode.kind == "optimistic":
-                return opt
-            if mode.kind == "pessimistic":
-                return pess
-            return mode.theta * opt + (1 - mode.theta) * pess
-
-        leaders = range(self.n_leaders)
-        chosen = [
-            self.group(lead)
-            for lead, fols in self.responses.items()
-            if fols and self._stable(leaders, lead, anticipated)
-        ]
-        infeasible = sum(1 for fols in self.responses.values() if not fols)
-        return tuple(chosen), len(self.responses), infeasible
-
-
 def _table_objective(values):
     """An objective reading ``values`` at 8 p1 + 4 p2 + 2 x1 + x2."""
     return lambda pt: float(values[8 * pt[1] + 4 * pt[2] + 2 * pt[3] + pt[4]])
@@ -777,14 +641,13 @@ class TestMultiLeaderMultiFollower:
 
     def test_matches_direct_definition_oracle(self):
         game = self._game()
-        ev = Evaluator(game)
-        oracle = DirectOracle(game, ev)
-        for lead, fols in oracle.responses.items():
-            got = followers_nash(game, dict(oracle.group(lead)), evaluator=ev)
-            assert got == tuple(oracle.group(fol, first=2) for fol in fols)
+        ev, ref = Evaluator(game), oracle.Oracle(game)
+        for leaders in oracle.leaders_profiles(game):
+            got = followers_nash(game, leaders, evaluator=ev)
+            assert got == ref.followers_nash(leaders)
 
-        got_set, _ = stackelberg_strategies(game, OPTIMISTIC, evaluator=ev)
-        assert got_set == oracle.stackelberg(OPTIMISTIC)[0]
+        got_set, diag = stackelberg_strategies(game, OPTIMISTIC, evaluator=ev)
+        assert (got_set, diag) == ref.stackelberg_strategies(OPTIMISTIC)
         assert got_set  # solvable instance
 
     @settings(max_examples=25, deadline=None)
@@ -815,19 +678,18 @@ class TestMultiLeaderMultiFollower:
                 for p, sense, values in zip(("L1", "L2", "F1", "F2"), senses, tables)
             }
         )
-        ev = Evaluator(game)
-        oracle = DirectOracle(game, ev)
-        for mode in (OPTIMISTIC, PESSIMISTIC, theta_mode(0.5)):
-            leader_set, enumerated, infeasible = oracle.stackelberg(mode)
-            if infeasible == enumerated:
+        ev, ref = Evaluator(game), oracle.Oracle(game)
+        for mode in oracle.MODES:
+            try:
+                leader_set, expected = ref.stackelberg_strategies(mode)
+            except EmptyFollowerResponse:
                 with pytest.raises(EmptyFollowerResponse):
                     stackelberg_strategies(game, mode, evaluator=ev)
                 continue
             got, diag = stackelberg_strategies(game, mode, evaluator=ev)
             assert got == leader_set, mode
-            assert diag.profiles_enumerated == enumerated
-            assert diag.ties == max(0, len(leader_set) - 1)
-            assert diag.infeasible_leader_profiles == infeasible
+            # Every field: the count, ties, infeasible profiles, the flag.
+            assert diag == expected, mode
 
 
 class TestInvariance:

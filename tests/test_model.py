@@ -348,13 +348,14 @@ class TestPlayability:
             check_playability(mutual_observation_model(), (4, -3))
 
     def test_sample_size_and_seed_must_not_be_bools(self, monkeypatch):
-        # True and False are ints: (True, 5) would report n=True.
+        # True and False are ints: (True, 5) would report n=True.  A float
+        # seed would be reported as given, and a string one fail late.
         def draw(seed):
             raise AssertionError("a profile was drawn")
 
         monkeypatch.setattr(infogames.model.random, "Random", draw)
         model = mutual_observation_model()
-        for sample in ((True, 5), (False, 5), (3, True), (3, False)):
+        for sample in ((True, 5), (False, 5), (3, True), (3, False), (3, 1.5), (3, 1.0), (3, "1")):
             with pytest.raises(ValueError, match="sample size and seed must be integers"):
                 check_playability(model, sample)
 

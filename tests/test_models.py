@@ -1,6 +1,5 @@
 """Builtin game builders: validity, closed forms, oracle equivalences."""
 
-import itertools
 import math
 import random
 
@@ -32,6 +31,7 @@ from infogames import (
 )
 from infogames.models import GridSpec, ThaiParams, TouParams
 from infogames.normal_form import assemble_profile
+import oracle
 
 
 def tou_params(peak=(0.2, 0.3), offpeak=(0.1,), shifts=(0.0, 0.5, 1.0), w=0.15):
@@ -491,28 +491,9 @@ class TestThaiMultiFollower:
             consumptions=(6.0, 8.0),
         )
         game = build_thai_slmf_mt(params)
-        ev = Evaluator(game)
-        for ls in player_strategies(game, "leader"):
-            fn = followers_nash(game, {"L" if False else "leader": ls}, evaluator=ev)
-            # Brute force over all 4 follower joint profiles.
-            brute = []
-            f1_space = player_strategies(game, "f1")
-            f2_space = player_strategies(game, "f2")
-            for s1, s2 in itertools.product(f1_space, f2_space):
-                assignment = {"leader": ls, "f1": s1, "f2": s2}
-                ok = True
-                for f, space in (("f1", f1_space), ("f2", f2_space)):
-                    mine = ev.value(f, assemble_profile(game, assignment))
-                    best = max(
-                        ev.value(f, assemble_profile(game, {**assignment, f: d}))
-                        for d in space
-                    )
-                    if mine != best:
-                        ok = False
-                        break
-                if ok:
-                    brute.append((("f1", s1), ("f2", s2)))
-            assert list(fn) == brute
+        ev, ref = Evaluator(game), oracle.Oracle(game)
+        for leaders in oracle.leaders_profiles(game):
+            assert followers_nash(game, leaders, evaluator=ev) == ref.followers_nash(leaders)
 
     def test_follower_beliefs_cover_other_followers(self):
         params = thai_params(
