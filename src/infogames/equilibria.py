@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Mapping, Sequence
@@ -171,13 +170,8 @@ def best_responses(
     _require_strategies(game, others)
     count_player_strategies(game, player, cap)
     rs = _Session(game, evaluator, cap).responses(player, others)
-    return BestResponseSet(
-        player,
-        _context_key(game, player, others),
-        rs.strategies(),
-        rs.value,
-        all_adverse=(rs.value == game.data[player].objective.sense.adverse),
-    )
+    context = _context_key(game, player, others)
+    return BestResponseSet(player, context, rs.strategies(), rs.value, all_adverse=rs.adverse)
 
 
 def _spread(size: int, positions: Sequence[int], actions: Sequence[int]) -> tuple[int, ...]:
@@ -192,9 +186,10 @@ def _spread(size: int, positions: Sequence[int], actions: Sequence[int]) -> tupl
 @dataclass(eq=False, slots=True)
 class _Responses:
     """A player's best-response set in one context: her strategies whose
-    judged value is the best, ``value`` (``None`` when none has one), in
-    enumeration order.  ``infeasible`` counts her strategies without a judged
-    value.
+    judged value ties with the best, ``value`` (``None`` when none has one),
+    by :meth:`~infogames.preferences.Sense.ties`, in enumeration order.
+    ``adverse`` is whether ``value`` is her adverse infinity.  ``infeasible``
+    counts her strategies without a judged value.
 
     A keyed player's set is built from her memo key
     (:meth:`~infogames.normal_form.Context.key_atoms`) in her context ``ctx``.
@@ -205,14 +200,15 @@ class _Responses:
     ``ctx.atom_count`` atoms and ``count`` actions is a member iff its
     actions at ``atoms`` form one of ``keys``; every action is allowed at the
     other atoms.  Without a sequential order a key is a whole table.  Any
-    other player's set lists its ``members`` and keeps the judged ``values``
-    of all her strategies.
+    other player's set lists its ``members`` and keeps the tie ``flags`` of
+    all her strategies.
     """
 
     value: float | None
+    adverse: bool
     infeasible: int = 0
     members: tuple[PlayerStrategy, ...] | None = None
-    values: Sequence[float | None] = ()
+    flags: Sequence[bool | None] = ()
     ctx: Context | None = None
     count: int = 0
     atoms: tuple[int, ...] = ()
@@ -243,8 +239,7 @@ class _Responses:
         enumeration order) is a member, or ``None`` when it has no judged
         value."""
         if self.members is not None:
-            best = self.value
-            return [None if v is None else v == best for v in self.values]
+            return self.flags
         keys = set(self.keys)
         atoms = self.atoms
         return [tuple([s.table[a] for a in atoms]) in keys for (s,) in space]
@@ -501,12 +496,6 @@ class _Session:
             return self.scores(player, player, fixed, space)
         return [self.judged(player, {**fixed, player: cand}) for cand in space]
 
-    def best_of(self, player: str, values: Sequence[float | None]) -> float | None:
-        """The first best of the values that are not ``None``, or ``None``
-        when all are."""
-        judged = [v for v in values if v is not None]
-        return self.game.data[player].objective.sense.best(judged) if judged else None
-
     def responses(self, player: str, fixed: Mapping[str, PlayerStrategy]) -> _Responses:
         """The player's best-response set against the other players'
         strategies in ``fixed``, built once per context.  A keyed player's
@@ -516,13 +505,12 @@ class _Session:
         rs = self._responses.get((player, others))
         if rs is not None:
             return rs
+        sense = self.game.data[player].objective.sense
         if player not in self._keyed:
             values = self.judged_all(player, fixed)
-            best = self.best_of(player, values)
-            # A strategy without a judged value (None) never equals a float.
-            hits = map(operator.eq, values, itertools.repeat(best)) if best is not None else ()
-            members = tuple(itertools.compress(self.space(player), hits))
-            rs = _Responses(best, values.count(None), members, values)
+            best, flags = sense.ties(values)
+            members = tuple(itertools.compress(self.space(player), flags))
+            rs = _Responses(best, best == sense.adverse, values.count(None), members, flags)
         else:
             (agent,) = self.game.agents_of(player)
             size = self.game.model.info[agent].atom_count
@@ -536,9 +524,9 @@ class _Session:
                 # keys[0] is all zeros, the table the context was built with.
                 rep = Strategy(agent, _spread(size, atoms, key)) if any(key) else zeros
                 values.append(self.evaluator.value(player, ctx, rep))
-            best = self.best_of(player, values)
-            keys = [k for k, v in zip(keys, values) if v == best]
-            rs = _Responses(best, ctx=ctx, count=count, atoms=atoms, keys=keys)
+            best, flags = sense.ties(values)
+            keys = list(itertools.compress(keys, flags))
+            rs = _Responses(best, best == sense.adverse, ctx=ctx, count=count, atoms=atoms, keys=keys)
         self._responses[(player, others)] = rs
         return rs
 
@@ -572,8 +560,7 @@ class _Session:
         if len(players) == 1:
             (p,) = players
             rs = self.responses(p, fixed)
-            all_adverse = rs.value == self.game.data[p].objective.sense.adverse
-            return tuple([((p, c),) for c in rs.strategies()]), total, rs.infeasible, all_adverse
+            return tuple([((p, c),) for c in rs.strategies()]), total, rs.infeasible, rs.adverse
         spaces = [self.space(p) for p in players]
         sizes = [len(space) for space in spaces]
         strides = [math.prod(sizes[k + 1:]) for k in range(len(players))]
@@ -581,15 +568,12 @@ class _Session:
         def combo(flat: int) -> list[PlayerStrategy]:
             return [space[flat // qs % qn] for space, qs, qn in zip(spaces, strides, sizes)]
 
-        members = [
-            (p, space, stride, size, {}, self.game.data[p].objective.sense.adverse)
-            for p, space, stride, size in zip(players, spaces, strides, sizes)
-        ]
+        members = [(*member, {}) for member in zip(players, spaces, strides, sizes)]
         found: list[GroupProfile] = []
         infeasible = 0
         all_adverse = False
         for flat in range(total):
-            for p, space, stride, size, seen, adverse in members:
+            for p, space, stride, size, seen in members:
                 i = flat // stride % size
                 others = flat - i * stride
                 entry = seen.get(others)
@@ -600,7 +584,7 @@ class _Session:
                         infeasible += 1
                         break
                     rs = self.responses(p, assignment)
-                    entry = seen[others] = (rs.statuses(space), rs.value == adverse)
+                    entry = seen[others] = (rs.statuses(space), rs.adverse)
                 statuses, best_adverse = entry
                 status = statuses[i]
                 if status is None:
@@ -660,11 +644,11 @@ def nash_equilibria(
     set, in enumeration order."""
     session = _Session(game, evaluator, cap)
     found, total, _, all_adverse = session.nash(game.players.players, {})
+    _verify_no_improving_deviation(session, found)
     deviator = session.deviator
     records = []
     for group in found:
         assignment = dict(group)
-        _verify_no_improving_deviation(session, assignment)
         records += session.records(deviator, assignment, [assignment[deviator]])
     diag = Diagnostics(
         profiles_enumerated=total,
@@ -674,11 +658,11 @@ def nash_equilibria(
     return EquilibriumReport("nash", tuple(records), diag)
 
 
-def _verify_no_improving_deviation(
-    session: _Session, assignment: Mapping[str, PlayerStrategy]
-) -> None:
-    """Independent re-check, sharing no memo with the search: no unilateral
-    deviation strictly improves, each full profile scored directly by
+def _verify_no_improving_deviation(session: _Session, found: Sequence[GroupProfile]) -> None:
+    """Independent re-check, sharing no memo with the search: no player of a
+    ``found`` profile has a strictly improving unilateral deviation.  Her
+    strategies are scored once per strategies of the other players, and her
+    own once per profile, each full profile directly by
     :func:`~infogames.model.outcome_indices` and ``apply_risk``.  The
     strategies were checked at entry or enumerated, so none is checked
     again.  A failure is a fault of the solver, not a property of the game,
@@ -687,18 +671,23 @@ def _verify_no_improving_deviation(
     for p in game.players.players:
         data = game.data[p]
         values, sense = data.objective.values, data.objective.sense
-        placed = session._place(assignment, p)
 
-        def score(ps: PlayerStrategy) -> float:
+        def score(placed: list, ps: PlayerStrategy) -> float:
             indices = outcome_indices(game.model, session._profile(placed, p, ps))
             return apply_risk(data.risk, [values[i] for i in indices], sense)
 
-        v = score(assignment[p])
-        if any(sense.better(score(cand), v) for cand in session.space(p)):
-            raise RuntimeError(
-                f"reported Nash profile fails re-verification: player {p!r} "
-                "has a strictly improving deviation"
-            )
+        bests: dict = {}
+        for group in found:
+            assignment = dict(group)
+            placed = session._place(assignment, p)
+            others = tuple(placed)
+            if others not in bests:
+                bests[others] = sense.best([score(placed, ps) for ps in session.space(p)])
+            if sense.better(bests[others], score(placed, assignment[p])):
+                raise RuntimeError(
+                    f"reported Nash profile fails re-verification: player {p!r} "
+                    "has a strictly improving deviation"
+                )
 
 
 def followers_nash(

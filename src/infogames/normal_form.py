@@ -239,8 +239,12 @@ class Evaluator:
             entry = profile.memo.get(player)
             if entry is None:
                 if profile.outcomes is None:
-                    # No table (non-sequential model): score the full profile.
-                    return self.value(player, profile.splice(deviation))
+                    # No table (non-sequential model): score the full profile,
+                    # unchecked: its strategies were checked at entry.
+                    full = profile.splice(deviation)
+                    if full not in self._outcomes:
+                        self._outcomes[full] = outcome_indices(self.game.model, full)
+                    return self.value(player, full)
                 entry = profile.memo[player] = (itemgetter(*profile.key_atoms(data.risk)), {})
             getter, memo = entry
             key = getter(deviation.table)

@@ -41,6 +41,17 @@ class Sense(enum.Enum):
     def best(self, values):
         return min(values) if self is Sense.COST else max(values)
 
+    def ties(self, values):
+        """The tie rule of every best-response set: ``(best, flags)``, where
+        ``best`` is the best of the values that are not ``None`` (``None``
+        when all are) and ``flags`` holds, per value, ``None`` for ``None``,
+        else whether it equals ``best``.  Values tie by float equality, so
+        ``0.0`` and ``-0.0`` tie, and ``best`` keeps the sign of the first
+        one met."""
+        judged = [v for v in values if v is not None]
+        best = self.best(judged) if judged else None
+        return best, [None if v is None else v == best for v in values]
+
     def worst(self, values):
         return max(values) if self is Sense.COST else min(values)
 

@@ -155,7 +155,10 @@ def random_game(rng: random.Random):
     players, or all, are leaders.
     """
     if rng.random() < 0.2:
-        return random_lf_game(rng)
+        while True:
+            game = random_lf_game(rng)
+            if count_profiles(game.model, game.model.agents) <= PROFILE_LIMIT:
+                return game
     while True:
         model = _random_model(rng)
         if count_profiles(model, model.agents) <= PROFILE_LIMIT:
@@ -298,11 +301,32 @@ def test_solvers_match_the_oracle(seed):
         )
 
 
+def test_nash_recheck_scores_each_context_once(monkeypatch):
+    """The re-check of reported Nash profiles scores a player's strategies
+    once per strategies of the other players, plus her own once per
+    profile.  Seed 7426 draws one player with 1,296 strategies and 216 tied
+    equilibria, so at most 1,296 + 216 full profiles, where a re-check per
+    profile scores 280,152."""
+    game = random_game(random.Random(7426))
+    scored = []
+    real = equilibria.outcome_indices
+
+    def counted(model, profile):
+        scored.append(profile)
+        return real(model, profile)
+
+    monkeypatch.setattr(equilibria, "outcome_indices", counted)
+    report = nash_equilibria(game)
+    assert len(report.profiles) == 216
+    assert len(scored) <= 1296 + 216
+
+
 def test_generator_covers_the_cases():
     """The random games reach every case the kernel distinguishes."""
     seen = set()
     for seed in range(300):
         game = random_game(random.Random(seed))
+        assert count_profiles(game.model, game.model.agents) <= PROFILE_LIMIT
         order = game.model.sequential_order
         if order is None:
             playable = check_playability(game.model, "all").playable

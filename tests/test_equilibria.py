@@ -188,12 +188,20 @@ class TestNash:
         with pytest.raises(RuntimeError, match="re-verification"):
             nash_equilibria(game, evaluator=ev)
 
-    def test_nash_checks_no_strategy_after_entry(self, monkeypatch):
-        # Every strategy the search and its re-check score was enumerated.
+    @pytest.mark.parametrize("name", ["thai_two_consumers.json", "nature_orders.json"])
+    @pytest.mark.parametrize(
+        "solve",
+        [nash_equilibria, lambda game: nash_stackelberg(game, OPTIMISTIC)],
+        ids=["nash_equilibria", "nash_stackelberg"],
+    )
+    def test_nash_checks_no_strategy_after_entry(self, monkeypatch, name, solve):
+        # Every strategy the search and its re-check score was enumerated,
+        # with or without a sequential order (nature_orders.json has none).
+        game = load_game(str(GAMES_DIR / name))
         checked = []
         for module in (infogames.model, infogames.equilibria):
             monkeypatch.setattr(module, "validate_strategy", lambda model, s: checked.append(s))
-        report = nash_equilibria(load_game(str(GAMES_DIR / "thai_two_consumers.json")))
+        report = solve(game)
         assert report.profiles
         assert checked == []
 

@@ -251,6 +251,32 @@ def test_worst_case_dominates(tb, alpha):
     assert c >= e - 1e-9
 
 
+class TestTies:
+    """``Sense.ties``, the tie rule of every best-response set."""
+
+    def test_none_entries_are_neither_best_nor_tied(self):
+        assert Sense.COST.ties([3.0, None, 1.0, 1.0]) == (1.0, [False, None, True, True])
+        assert Sense.PAYOFF.ties([None, 3.0, 1.0, 3.0]) == (3.0, [None, True, False, True])
+
+    def test_all_none(self):
+        for sense in Sense:
+            assert sense.ties([None, None]) == (None, [None, None])
+            assert sense.ties([]) == (None, [])
+
+    def test_adverse_infinity(self):
+        for sense in Sense:
+            adverse = sense.adverse
+            assert sense.ties([adverse, None, adverse]) == (adverse, [True, None, True])
+            assert sense.ties([adverse, 0.0]) == (0.0, [False, True])
+
+    def test_signed_zeros_tie_and_the_best_keeps_the_first_sign(self):
+        for sense in Sense:
+            for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+                best, flags = sense.ties([None, first, second, sense.adverse])
+                assert flags == [None, True, True, False]
+                assert math.copysign(1.0, best) == math.copysign(1.0, first)
+
+
 class TestObjective:
     def test_favorable_infinity_rejected(self):
         with pytest.raises(ValueError):
