@@ -25,8 +25,15 @@ Tied equilibria repeat most of what they show, so a report labels each
 distinct strategy once (:func:`~infogames.normal_form.strategy_labeller`),
 calls :func:`~infogames.normal_form.fmt_value` once per distinct value (zeros
 excepted, since ``0.0 == -0.0`` but they render as "0" and "-0"), and
-records whose values render alike share one ``values`` dict, which
-:func:`_dumps` then encodes once.
+records whose values render alike share one ``values`` dict.  Walking
+thousands of such records costs more than finding them, so when :func:`main`
+writes a JSON report, each record's text is composed where its dict is
+built, from one text per distinct strategy and per shared ``values`` dict,
+with the writer's own separators (:func:`_level`) and string escaping.  The
+list's text is handed to the writer as a seeded entry of its memo, and
+``_dumps`` writes it with one lookup.  ``_dumps(x)`` with nothing seeded
+stays exactly ``json.dumps(x, indent=2)``, the reference the tests compare
+both with.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ import functools
 import json
 import sys
 from collections.abc import Callable
+from contextvars import ContextVar
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .equilibria import (
@@ -181,20 +189,56 @@ def _value_renderer() -> Callable[[float], str]:
     return render
 
 
-def _profile_doc(label, by_player) -> dict:
-    return {p: label(ps) for p, ps in by_player}
+# The JSON writer's memo (see :func:`_encode`) of the report that main() is
+# building, None when no JSON report will be written: when run() is called
+# on its own or the format is text.
+_WRITER_MEMO: ContextVar[dict | None] = ContextVar("_WRITER_MEMO", default=None)
 
 
 def _equilibrium_results(label, render, report) -> dict:
-    # Records whose values render alike share one "values" dict.
-    shared: dict[tuple, dict] = {}
-    out = []
+    # Records whose values render alike share one "values" dict.  Each
+    # distinct player strategy is labelled once and each distinct "values"
+    # dict built once.  For a JSON report, each also gets its text once,
+    # each record's text is composed from them at its depth in the report
+    # (3), and the list's text seeds the writer's memo at depth 2.
+    memo = _WRITER_MEMO.get()
+    compose = memo is not None
+    entries: dict[tuple, tuple[str, str | None]] = {}
+    shared: dict[tuple, tuple[dict, str | None]] = {}
+    # The line breaks of the list, of a record and of its two dicts.  Both
+    # dicts list every player, so neither is empty.
+    _, list_close, list_item = _level(2)
+    _, close, item = _level(3)
+    _, inner_close, inner_item = _level(4)
+    separator = "," + inner_item
+    head = "{" + item + _key("profile") + ": {" + inner_item
+    middle = inner_close + "}," + item + _key("values") + ": "
+    tail = close + "}"
+    out, texts = [], []
     for rec in report.profiles:
+        profile, parts = {}, []
+        for key in rec.by_player:
+            entry = entries.get(key)
+            if entry is None:
+                text = label(key[1])
+                entry = entries[key] = (
+                    text, _key(key[0]) + ": " + encode_basestring_ascii(text) if compose else None
+                )
+            profile[key[0]] = entry[0]
+            parts.append(entry[1])
         rendered = tuple([(p, render(v)) for p, v in rec.values])
         values = shared.get(rendered)
         if values is None:
-            values = shared[rendered] = dict(rendered)
-        out.append({"profile": _profile_doc(label, rec.by_player), "values": values})
+            doc = dict(rendered)
+            text = "{" + inner_item + separator.join(
+                [_key(p) + ": " + encode_basestring_ascii(v) for p, v in doc.items()]
+            ) + inner_close + "}" if compose else None
+            values = shared[rendered] = doc, text
+        out.append({"profile": profile, "values": values[0]})
+        if compose:
+            texts.append(head + separator.join(parts) + middle + values[1] + tail)
+    if texts:
+        memo[id(out)] = 2, "[" + list_item + ("," + list_item).join(texts) + list_close + "]"
     return {"count": len(out), "equilibria": out}
 
 
@@ -284,7 +328,7 @@ def run(command: str, game_path: str, options: dict, cap: int, mode=None) -> tup
         results = {
             "mode": mode.describe(),
             "count": len(leader_set),
-            "leader_profiles": [_profile_doc(label, lp) for lp in leader_set],
+            "leader_profiles": [{p: label(ps) for p, ps in lp} for lp in leader_set],
         }
     elif command == "nash-stackelberg":
         eq = nash_stackelberg(game, mode, evaluator=evaluator, cap=cap)
@@ -403,18 +447,20 @@ def _key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
-def _dumps(obj) -> str:
+def _dumps(obj, memo: dict[int, tuple[int, str]] | None = None) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte (see the module
-    docstring)."""
+    docstring).  ``memo`` may come seeded with the texts of containers in
+    ``obj`` (see :func:`_encode`)."""
     if isinstance(obj, _CONTAINERS):
-        return _encode(obj, 0, {})
+        return _encode(obj, 0, {} if memo is None else memo)
     return _scalar(obj)
 
 
 def _encode(o, depth: int, memo: dict[int, tuple[int, str]]) -> str:
     """The container ``o`` at ``depth``.  ``memo`` maps the id of each flat
-    container encoded so far in this report to its depth and text; each
-    lives as long as the report, so no id is reused."""
+    container encoded so far in this report, and of each container whose
+    text the caller seeded, to its depth and text; each lives as long as the
+    report, so no id is reused."""
     is_dict = isinstance(o, dict)
     if not o:
         return "{}" if is_dict else "[]"
@@ -441,13 +487,13 @@ def _encode(o, depth: int, memo: dict[int, tuple[int, str]]) -> str:
     return "[" + item + ("," + item).join(parts) + close + "]"
 
 
-def _emit(report: dict, fmt: str, out: str | None):
+def _emit(report: dict, fmt: str, out: str | None, memo: dict | None):
     if report["command"] == "export":
         # The useful artifact is the game document itself, directly loadable
         # with --game.
         text = _dumps(report["results"]["document"]) + "\n"
     elif fmt == "json":
-        text = _dumps(report) + "\n"
+        text = _dumps(report, memo) + "\n"
     else:
         text = render_text(report)
     if out:
@@ -512,9 +558,11 @@ def main(argv=None) -> int:
     elif args.command == "normal-form" and args.csv:
         options["csv"] = args.csv
 
+    memo = {} if args.format == "json" else None
+    token = _WRITER_MEMO.set(memo)
     try:
         report, code = run(args.command, args.game, options, args.cap, mode)
-        _emit(report, args.format, args.out)
+        _emit(report, args.format, args.out, memo)
     except CapacityExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
@@ -524,6 +572,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        _WRITER_MEMO.reset(token)
     return code
 
 

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infogames import (
+    CapacityExceeded,
     GameError,
     StrategyProfile,
     check_playability,
@@ -25,7 +27,7 @@ from infogames import (
 )
 from infogames import cli
 from infogames.cli import _dumps, main
-from infogames.gamefile import export_custom
+from infogames.gamefile import export_custom, load_game
 from infogames.model import DEFAULT_CAP
 from infogames.normal_form import fmt_value, strategy_labeller
 from infogames.preferences import Objective, PlayerData, make_wgame
@@ -585,14 +587,43 @@ def reference_equilibria(game, report) -> list[dict]:
     ]
 
 
+# Player ids and action elements that the JSON writer escapes: quotes,
+# backslashes, control, non-ASCII and astral characters, and text that looks
+# like JSON.
+ESCAPED_NAMES = {
+    "L": 'L"\\\x00',
+    "F": "F\t\u00e9\U0001f600",
+    "ul0": '{"a": [1]}',
+    "ul1": "\\u0041\x1f\u2028",
+    "uf0": "\u00fc\x7f",
+    "uf1": "\U0001f600\"",
+}
+
+
+def renamed(doc: dict, names: dict) -> dict:
+    """The custom game document ``doc`` with the player ids and action
+    elements in ``names`` renamed."""
+    custom = doc["custom"]
+    for factor in custom["factors"]:
+        factor["elements"] = [names.get(e, e) for e in factor["elements"]]
+    for agent in custom["agents"]:
+        agent["player"] = names.get(agent["player"], agent["player"])
+    for player in custom["players"]:
+        player["id"] = names.get(player["id"], player["id"])
+    return doc
+
+
+@pytest.mark.parametrize("names", [{}, ESCAPED_NAMES], ids=["plain", "escaped"])
 @pytest.mark.parametrize("leader_values", [None, (1.0, 2.0, 3.0, 3.0)])
-def test_signed_zeros_render_as_the_oracle_scores_them(tmp_path, leader_values):
+def test_signed_zeros_render_as_the_oracle_scores_them(tmp_path, leader_values, names):
     """The follower's tied keys score 0.0 and -0.0 (a worst-case cost), so
     her values alternate "0" and "-0" down the records: a value cache that
     merged the two zeros would print one of them for both.  With the second
     leader table, the leader's value is 3 in every record, so records differ
     only in the sign of the follower's zero, and a "values" dict shared by
-    equal floats rather than equal texts would merge them too."""
+    equal floats rather than equal texts would merge them too.  With
+    ``ESCAPED_NAMES``, every record's profile and values hold escaped text,
+    and the ``--out`` file is still ``json.dumps(indent=2)`` bytes."""
     game = signed_zero_game()
     if leader_values is not None:
         leader = game.data["L"]
@@ -600,19 +631,30 @@ def test_signed_zeros_render_as_the_oracle_scores_them(tmp_path, leader_values):
         data = {**game.data, "L": PlayerData(objective, leader.risk)}
         game = make_wgame(game.model, game.players, data, game.leaders)
     path = tmp_path / "zeros.json"
-    path.write_text(json.dumps(export_custom(game)))
+    path.write_text(json.dumps(renamed(export_custom(game), names)))
+    game = load_game(str(path))
+    follower = names.get("F", "F")
     for mode in MODES:
         expected = reference_equilibria(game, oracle.Oracle(game).nash_stackelberg(mode))
-        assert [rec["values"]["F"] for rec in expected] == ["0", "-0", "0", "-0"]
+        assert [rec["values"][follower] for rec in expected] == ["0", "-0", "0", "-0"]
         args = ["nash-stackelberg", "--mode", mode.describe(), "--game", str(path)]
         out = tmp_path / "report"
         assert main([*args, "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["results"]["equilibria"] == expected
+        text = out.read_text(encoding="utf-8")
+        written = json.loads(text)
+        assert written["results"]["equilibria"] == expected
+        assert text == json.dumps(written, indent=2) + "\n"
+        reference = {**written, "results": {**written["results"], "equilibria": expected}}
+        assert text == json.dumps(reference, indent=2) + "\n"
         assert main([*args, "--format", "text", "--out", str(out)]) == 0
-        listed = [line for line in out.read_text().splitlines() if line.startswith("  [")]
+        # Not splitlines(), which also breaks at the names' \x1f and \u2028.
+        listed = [
+            line for line in out.read_text(encoding="utf-8").split("\n") if line.startswith("  [")
+        ]
         assert listed == [
-            "  [L: {}; F: {}] values: L={}, F={}".format(
-                rec["profile"]["L"], rec["profile"]["F"], rec["values"]["L"], rec["values"]["F"]
+            "  [{}] values: {}".format(
+                "; ".join(f"{p}: {s}" for p, s in rec["profile"].items()),
+                ", ".join(f"{p}={v}" for p, v in rec["values"].items()),
             )
             for rec in expected
         ]
@@ -625,31 +667,103 @@ def test_report_dicts_match_the_record_by_record_rule(seed):
     agents per player, every mode of ``MODES``), the ``nash`` and
     ``nash-stackelberg`` equilibria and the ``stackelberg`` leader profiles
     of ``cli.run`` equal the reference dicts, as objects, as ``json.dumps``
-    bytes and as ``_dumps`` bytes."""
+    bytes and as ``_dumps`` bytes.  The ``--out`` file of ``cli.main``, whose
+    writer is handed the equilibrium records' texts, is ``json.dumps(indent=2)``
+    of ``cli.run``'s report and of the report with the reference dicts."""
     game = random_game(random.Random(seed))
     cases = [("nash", None, lambda mode: nash_equilibria(game))]
     for mode in MODES:
         cases.append(("stackelberg", mode, lambda mode: stackelberg_strategies(game, mode)))
         cases.append(("nash-stackelberg", mode, lambda mode: nash_stackelberg(game, mode)))
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
         mp.setattr(cli, "load_game", lambda path, cap: game)
+        out = Path(tmp) / "report.json"
         for command, mode, solve in cases:
+            options = {} if mode is None else {"mode": mode.describe()}
+            argv = [command, "--game", "game.json", *(["--mode", mode.describe()] if mode else [])]
+            out.unlink(missing_ok=True)
             try:
                 solved = solve(mode)
             except (GameError, ValueError) as exc:
                 with pytest.raises(type(exc), match=re.escape(str(exc))):
-                    cli.run(command, "game.json", {}, DEFAULT_CAP, mode)
+                    cli.run(command, "game.json", options, DEFAULT_CAP, mode)
+                code = cli.EXIT_CAPACITY if isinstance(exc, CapacityExceeded) else cli.EXIT_VALIDATION
+                assert main([*argv, "--out", str(out)]) == code
+                assert not out.exists()
                 continue
-            results = cli.run(command, "game.json", {}, DEFAULT_CAP, mode)[0]["results"]
+            report, code = cli.run(command, "game.json", options, DEFAULT_CAP, mode)
+            results = report["results"]
+            key = "leader_profiles" if command == "stackelberg" else "equilibria"
+            listed = results[key]
             if command == "stackelberg":
-                listed = results["leader_profiles"]
                 expected = [{p: reference_label(game, ps) for p, ps in lp} for lp in solved[0]]
             else:
-                listed = results["equilibria"]
                 expected = reference_equilibria(game, solved)
             assert listed == expected
             assert json.dumps(listed) == json.dumps(expected)
             assert _dumps(listed) == json.dumps(expected, indent=2)
+            assert main([*argv, "--out", str(out)]) == code
+            written = out.read_text(encoding="utf-8")
+            assert written == json.dumps(report, indent=2) + "\n"
+            reference = {**report, "results": {**results, key: expected}}
+            assert written == json.dumps(reference, indent=2) + "\n"
+
+
+def tied_game(actions: int) -> dict:
+    """A leader with two actions and a follower with ``actions`` who sees
+    nothing, every outcome costing both nothing: every profile is a Nash
+    equilibrium, and every Stackelberg mode ties all of them too."""
+    return {
+        "version": 1,
+        "custom": {
+            "factors": [
+                {"id": "w", "kind": "nature-exogenous", "elements": ["only"]},
+                {"id": "ul", "kind": "action", "elements": ["a", "b"]},
+                {"id": "uf", "kind": "action", "elements": [f"f{i}" for i in range(actions)]},
+            ],
+            "agents": [
+                {"player": "l", "action": "ul", "info": {"cylinder": []}},
+                {"player": "f", "action": "uf", "info": {"cylinder": []}},
+            ],
+            "players": [
+                {
+                    "id": p,
+                    "role": role,
+                    "objective": {"sense": "cost", "values": [0] * (2 * actions)},
+                    "belief": {"product": [[1.0]]},
+                }
+                for p, role in (("l", "leader"), ("f", "follower"))
+            ],
+        },
+    }
+
+
+@pytest.mark.parametrize("command", ["nash", "nash-stackelberg"])
+def test_tied_records_are_written_without_walking_them(tmp_path, command, monkeypatch):
+    """A report's equilibrium records reach the writer as one composed text,
+    so the writer's calls of ``_encode`` do not grow with the record count:
+    doubling the records (300 to 600) adds fewer calls than a tenth of the
+    added records."""
+    encoded = 0
+    encode = cli._encode
+
+    def counted(*args):
+        nonlocal encoded
+        encoded += 1
+        return encode(*args)
+
+    monkeypatch.setattr(cli, "_encode", counted)
+    calls, records = [], []
+    for actions in (150, 300):
+        path = tmp_path / f"tied{actions}.json"
+        path.write_text(json.dumps(tied_game(actions)))
+        out = tmp_path / "report.json"
+        encoded = 0
+        assert main([command, "--game", str(path), "--out", str(out)]) == 0
+        calls.append(encoded)
+        records.append(len(json.loads(out.read_text())["results"]["equilibria"]))
+    assert records == [300, 600]
+    assert calls[1] - calls[0] < (records[1] - records[0]) / 10
 
 
 # The sha256 of each JSON ``--out`` report of the CI "Report byte identity"
