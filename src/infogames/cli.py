@@ -26,14 +26,11 @@ distinct strategy once (:func:`~infogames.normal_form.strategy_labeller`),
 calls :func:`~infogames.normal_form.fmt_value` once per distinct value (zeros
 excepted, since ``0.0 == -0.0`` but they render as "0" and "-0"), and
 records whose values render alike share one ``values`` dict.  Walking
-thousands of such records costs more than finding them, so when :func:`main`
-writes a JSON report, each record's text is composed where its dict is
-built, from one text per distinct strategy and per shared ``values`` dict,
-with the writer's own separators (:func:`_level`) and string escaping.  The
-list's text is handed to the writer as a seeded entry of its memo, and
-``_dumps`` writes it with one lookup.  ``_dumps(x)`` with nothing seeded
-stays exactly ``json.dumps(x, indent=2)``, the reference the tests compare
-both with.
+thousands of records costs more than finding them, so every :func:`run`
+composes each record's text where its dict is built, with the separators of
+:func:`_level` and the writer's escaping, and the ``equilibria`` list
+(:class:`_EncodedList`) carries the joined text, which :func:`_encode`
+writes as is.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ import functools
 import json
 import sys
 from collections.abc import Callable
-from contextvars import ContextVar
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .equilibria import (
@@ -189,24 +185,19 @@ def _value_renderer() -> Callable[[float], str]:
     return render
 
 
-# The JSON writer's memo (see :func:`_encode`) of the report that main() is
-# building, None when no JSON report will be written: when run() is called
-# on its own or the format is text.
-_WRITER_MEMO: ContextVar[dict | None] = ContextVar("_WRITER_MEMO", default=None)
+class _EncodedList(list):
+    """A list carrying its JSON text at one report depth (see :func:`_encode`)."""
+    __slots__ = ("depth", "text")
 
 
 def _equilibrium_results(label, render, report) -> dict:
-    # Records whose values render alike share one "values" dict.  Each
-    # distinct player strategy is labelled once and each distinct "values"
-    # dict built once.  For a JSON report, each also gets its text once,
-    # each record's text is composed from them at its depth in the report
-    # (3), and the list's text seeds the writer's memo at depth 2.
-    memo = _WRITER_MEMO.get()
-    compose = memo is not None
-    entries: dict[tuple, tuple[str, str | None]] = {}
-    shared: dict[tuple, tuple[dict, str | None]] = {}
-    # The line breaks of the list, of a record and of its two dicts.  Both
-    # dicts list every player, so neither is empty.
+    # Each distinct player strategy is labelled once and each distinct
+    # "values" dict built once, each with its text, from which each record's
+    # text is composed at its depth in the report (3); the list's is at 2.
+    entries: dict[tuple, tuple[str, str]] = {}
+    shared: dict[tuple, tuple[dict, str]] = {}
+    # The line breaks of the list, of a record and of its profile, which
+    # lists every player, so is never empty.
     _, list_close, list_item = _level(2)
     _, close, item = _level(3)
     _, inner_close, inner_item = _level(4)
@@ -214,31 +205,25 @@ def _equilibrium_results(label, render, report) -> dict:
     head = "{" + item + _key("profile") + ": {" + inner_item
     middle = inner_close + "}," + item + _key("values") + ": "
     tail = close + "}"
-    out, texts = [], []
+    out, texts = _EncodedList(), []
     for rec in report.profiles:
         profile, parts = {}, []
         for key in rec.by_player:
             entry = entries.get(key)
             if entry is None:
                 text = label(key[1])
-                entry = entries[key] = (
-                    text, _key(key[0]) + ": " + encode_basestring_ascii(text) if compose else None
-                )
+                entry = entries[key] = text, _key(key[0]) + ": " + encode_basestring_ascii(text)
             profile[key[0]] = entry[0]
             parts.append(entry[1])
         rendered = tuple([(p, render(v)) for p, v in rec.values])
         values = shared.get(rendered)
         if values is None:
             doc = dict(rendered)
-            text = "{" + inner_item + separator.join(
-                [_key(p) + ": " + encode_basestring_ascii(v) for p, v in doc.items()]
-            ) + inner_close + "}" if compose else None
-            values = shared[rendered] = doc, text
+            values = shared[rendered] = doc, _encode(doc, 4, {})
         out.append({"profile": profile, "values": values[0]})
-        if compose:
-            texts.append(head + separator.join(parts) + middle + values[1] + tail)
-    if texts:
-        memo[id(out)] = 2, "[" + list_item + ("," + list_item).join(texts) + list_close + "]"
+        texts.append(head + separator.join(parts) + middle + values[1] + tail)
+    out.depth = 2
+    out.text = "[" + list_item + ("," + list_item).join(texts) + list_close + "]"
     return {"count": len(out), "equilibria": out}
 
 
@@ -317,8 +302,9 @@ def run(command: str, game_path: str, options: dict, cap: int, mode=None) -> tup
             "cells": cells,
         }
         if options.get("csv"):
+            csv = _writable(matrix_to_csv(matrix))
             with open(options["csv"], "w", encoding="utf-8", newline="") as fh:
-                fh.write(matrix_to_csv(matrix))
+                fh.write(csv)
     elif command == "nash":
         eq = nash_equilibria(game, evaluator=evaluator, cap=cap)
         results = _equilibrium_results(label, render, eq)
@@ -399,8 +385,6 @@ def render_text(report: dict) -> str:
             )
     elif "valid" in results:
         lines.append("valid: true")
-    elif "document" in results:
-        lines.append(_dumps(results["document"]))
     timing = report["timing"]
     lines.append(f"normal-form evaluations: {timing['normal_form_evaluations']}")
     diag = report["diagnostics"]
@@ -447,20 +431,18 @@ def _key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
-def _dumps(obj, memo: dict[int, tuple[int, str]] | None = None) -> str:
+def _dumps(obj) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte (see the module
-    docstring).  ``memo`` may come seeded with the texts of containers in
-    ``obj`` (see :func:`_encode`)."""
+    docstring)."""
     if isinstance(obj, _CONTAINERS):
-        return _encode(obj, 0, {} if memo is None else memo)
+        return _encode(obj, 0, {})
     return _scalar(obj)
 
 
 def _encode(o, depth: int, memo: dict[int, tuple[int, str]]) -> str:
     """The container ``o`` at ``depth``.  ``memo`` maps the id of each flat
-    container encoded so far in this report, and of each container whose
-    text the caller seeded, to its depth and text; each lives as long as the
-    report, so no id is reused."""
+    container encoded so far in this report to its depth and text; each
+    lives as long as the report, so no id is reused."""
     is_dict = isinstance(o, dict)
     if not o:
         return "{}" if is_dict else "[]"
@@ -483,19 +465,27 @@ def _encode(o, depth: int, memo: dict[int, tuple[int, str]]) -> str:
             for k, v in o.items()
         ]
         return "{" + item + ("," + item).join(parts) + close + "}"
+    if type(o) is _EncodedList and o.depth == depth:
+        return o.text
     parts = [_encode(v, sub, memo) if isinstance(v, _CONTAINERS) else _scalar(v) for v in o]
     return "[" + item + ("," + item).join(parts) + close + "]"
 
 
-def _emit(report: dict, fmt: str, out: str | None, memo: dict | None):
+def _writable(text: str) -> str:
+    """``text`` with what UTF-8 cannot encode, such as a lone surrogate in a
+    name or in an undecodable path, escaped with backslashes."""
+    return text.encode("utf-8", "backslashreplace").decode("utf-8")
+
+
+def _emit(report: dict, fmt: str, out: str | None):
     if report["command"] == "export":
         # The useful artifact is the game document itself, directly loadable
         # with --game.
         text = _dumps(report["results"]["document"]) + "\n"
     elif fmt == "json":
-        text = _dumps(report, memo) + "\n"
+        text = _dumps(report) + "\n"
     else:
-        text = render_text(report)
+        text = _writable(render_text(report))
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -558,11 +548,9 @@ def main(argv=None) -> int:
     elif args.command == "normal-form" and args.csv:
         options["csv"] = args.csv
 
-    memo = {} if args.format == "json" else None
-    token = _WRITER_MEMO.set(memo)
     try:
         report, code = run(args.command, args.game, options, args.cap, mode)
-        _emit(report, args.format, args.out, memo)
+        _emit(report, args.format, args.out)
     except CapacityExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
@@ -572,8 +560,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    finally:
-        _WRITER_MEMO.reset(token)
     return code
 
 

@@ -21,10 +21,12 @@ arithmetic (``Objective.from_terms``), after the build cap has been checked.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .model import DEFAULT_CAP, AgentId, build_wmodel, count_profiles
+from .errors import CapacityExceeded
+from .model import DEFAULT_CAP, AgentId, build_wmodel
 from .normal_form import fmt_value
 from .preferences import (
     Belief,
@@ -263,6 +265,8 @@ class ThaiParams:
                 raise ValueError("utility curvature c2 must be nonnegative")
         if not self.followers or len(set(self.followers)) != len(self.followers):
             raise ValueError("followers must be non-empty and unique")
+        if "leader" in self.followers:
+            raise ValueError("a follower cannot be named 'leader', the utility's player id")
         if self.exogenous is not None and len(self.exogenous) not in (1, self.horizon):
             raise ValueError("exogenous grids must have length 1 or horizon")
         if self.info_mode not in ("open-loop", "current-stage", "full-history"):
@@ -351,7 +355,20 @@ def _build_thai(params: ThaiParams, include_exo: bool, staged: bool, cap: int) -
 
     info_specs = {a: visible(a) for a in agents}
 
-    model = build_wmodel(nature, agents, action_factors, info_specs)
+    # The cap is checked before anything configuration-sized is built: an
+    # agent's atoms are the joint values of the factors he sees.  A count of
+    # over 2**23 bits takes seconds to form, longer than building a game that
+    # large takes to run out of memory, so it is formed after the build.
+    sizes = {f.id: f.size for f in (*nature, *action_factors.values())}
+    counts = [(action_factors[a].size, math.prod(sizes[v] for v in {*info_specs[a]})) for a in agents]
+    late = sum(m * math.log2(k) for k, m in counts) > 1 << 23
+    if late:
+        model = build_wmodel(nature, agents, action_factors, info_specs)
+    needed = math.prod(k**m for k, m in counts)
+    if needed > cap:
+        raise CapacityExceeded(needed, cap, "strategy profiles of the built game")
+    if not late:
+        model = build_wmodel(nature, agents, action_factors, info_specs)
 
     def reward_shares(B: float, u: float, xs) -> list[float]:
         """Per-follower reward base at one stage (units of effective reduction)."""
@@ -391,7 +408,6 @@ def _build_thai(params: ThaiParams, include_exo: bool, staged: bool, cap: int) -
         for a in follower_agents[f]:
             assignment[a] = f
     players = PlayerPartition(player_ids, assignment)
-    count_profiles(model, model.agents, cap, "strategy profiles of the built game")
 
     # Per-stage term tables over (exo_t, type, target_t, every x_t), built in
     # the order the objectives sum them: stage, then follower.

@@ -72,21 +72,18 @@ def strategy_labeller(game: WGame) -> Callable[[PlayerStrategy], str]:
     when she has a single agent and the agent's (player.stage) otherwise,
     and ``actions`` joins by ``|`` the action elements the agent's table
     plays at his atoms.  Each agent's name and action elements are read
-    once, and each distinct :class:`Strategy` is labelled once."""
+    once; each call builds its label, so a caller that meets a strategy
+    many times keeps the label it got."""
     assignment = game.players.assignment
     agents = {}
     for a in game.model.agents:
         player = assignment[a]
         name = player if len(game.agents_of(player)) == 1 else str(a)
         agents[a] = (name + ":", game.model.action_factors[a].elements)
-    labels: dict[Strategy, str] = {}
 
     def strategy_label(s: Strategy) -> str:
-        text = labels.get(s)
-        if text is None:
-            prefix, elements = agents[s.agent]
-            text = labels[s] = prefix + "|".join([elements[i] for i in s.table])
-        return text
+        prefix, elements = agents[s.agent]
+        return prefix + "|".join([elements[i] for i in s.table])
 
     def label(ps: PlayerStrategy) -> str:
         return " ".join(map(strategy_label, ps))

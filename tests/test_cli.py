@@ -766,6 +766,47 @@ def test_tied_records_are_written_without_walking_them(tmp_path, command, monkey
     assert calls[1] - calls[0] < (records[1] - records[0]) / 10
 
 
+@pytest.mark.parametrize("command", ["nash", "nash-stackelberg"])
+def test_run_alone_composes_the_records(command):
+    """``cli.run`` called on its own returns the equilibrium list with its
+    text, which equals a list and is written as ``json.dumps`` writes it."""
+    report, code = cli.run(command, str(GAMES_DIR / "tou_pricing.json"), {}, DEFAULT_CAP, cli.OPTIMISTIC)
+    listed = report["results"]["equilibria"]
+    assert code == 0 and len(listed) > 1
+    assert listed == json.loads(json.dumps(listed))
+    assert (listed.depth, listed.text) == (2, json.dumps(listed, indent=2).replace("\n", "\n    "))
+    assert _dumps(report) == json.dumps(report, indent=2)
+
+
+# A lone surrogate is valid in a JSON game file but cannot be encoded as
+# UTF-8; the text outputs write it backslash-escaped, as JSON escapes it.
+SURROGATE = "x\ud800"
+
+
+def test_text_outputs_escape_what_utf8_cannot_encode(tmp_path):
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(renamed(tied_game(2), {"f0": SURROGATE})))
+    out, csv = tmp_path / "report.txt", tmp_path / "matrix.csv"
+    assert main(["nash", "--game", str(path), "--format", "text", "--out", str(out)]) == 0
+    assert "  [l: l:a; f: f:x\\ud800] values: l=0, f=0\n" in out.read_text(encoding="utf-8")
+    assert main(["normal-form", "--game", str(path), "--csv", str(csv)]) == 0
+    assert csv.read_text(encoding="utf-8").split("\n")[0] == ",f:x\\ud800,f:f1"
+    # The JSON report is json.dumps of the report, which escapes it alike.
+    assert main(["nash", "--game", str(path), "--out", str(out)]) == 0
+    report, _ = cli.run("nash", str(path), {}, DEFAULT_CAP)
+    assert out.read_text(encoding="utf-8") == json.dumps(report, indent=2) + "\n"
+    assert '"f": "f:x\\ud800"' in out.read_text(encoding="utf-8")
+
+
+def test_undecodable_game_path_reaches_the_text_report(tmp_path):
+    # How a path whose bytes are not UTF-8 reaches sys.argv on POSIX.
+    path = tmp_path / "game\udcff.json"
+    path.write_text((GAMES_DIR / "prisoners_dilemma.json").read_text())
+    out = tmp_path / "report.txt"
+    assert main(["validate", "--game", str(path), "--format", "text", "--out", str(out)]) == 0
+    assert f"game: {tmp_path}/game\\udcff.json\n" in out.read_text(encoding="utf-8")
+
+
 # The sha256 of each JSON ``--out`` report of the CI "Report byte identity"
 # loop on the shipped games, run from the repository root with a relative
 # ``--game`` path (``None``: the run writes no report).  Unlike the

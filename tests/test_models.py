@@ -29,6 +29,8 @@ from infogames import (
     normal_form_matrix,
     player_strategies,
 )
+from infogames.errors import render_count
+from infogames.model import DEFAULT_CAP, build_wmodel
 from infogames.models import GridSpec, ThaiParams, TouParams
 from infogames.normal_form import assemble_profile
 import oracle
@@ -359,6 +361,57 @@ class TestThaiMultiStage:
         assert str(info.value) == str(
             CapacityExceeded(needed, needed - 1, "strategy profiles of the built game")
         )
+
+    @pytest.mark.parametrize(
+        "params, needed",
+        [
+            # 16 one-atom agents with 3 actions each: every configuration-
+            # sized table of this game would hold 3**16 points at least.
+            (thai_params(horizon=8, info_mode="open-loop"), 3**16),
+            (thai_params(horizon=3, info_mode="full-history"), None),
+        ],
+        ids=["open-loop-8", "full-history-3"],
+    )
+    def test_capacity_checked_before_the_model_is_built(self, params, needed, monkeypatch):
+        if needed is None:
+            model = build_thai_slsf_mt(params, cap=math.inf).model
+            needed = math.prod(count_strategies(model, a) for a in model.agents)
+
+        def no_build(*args):
+            raise AssertionError("an over-cap game built its model")
+
+        monkeypatch.setattr("infogames.models.build_wmodel", no_build)
+        with pytest.raises(CapacityExceeded) as info:
+            build_thai_slsf_mt(params)
+        assert str(info.value) == (
+            f"strategy profiles of the built game needs {render_count(needed)} items, "
+            f"cap is {DEFAULT_CAP}"
+        )
+
+    def test_counts_too_large_to_form_are_checked_after_the_build(self, monkeypatch):
+        params = thai_params(horizon=3, info_mode="full-history")
+        model = build_thai_slsf_mt(params, cap=math.inf).model
+        needed = math.prod(count_strategies(model, a) for a in model.agents)
+        built = []
+
+        def build(*args):
+            built.append(build_wmodel(*args))
+            return built[-1]
+
+        monkeypatch.setattr("infogames.models.build_wmodel", build)
+        # Every count reads as more bits than are worth forming before the build.
+        monkeypatch.setattr(math, "log2", lambda k: math.inf)
+        with pytest.raises(CapacityExceeded) as info:
+            build_thai_slsf_mt(params)
+        assert len(built) == 1
+        assert str(info.value) == str(
+            CapacityExceeded(needed, DEFAULT_CAP, "strategy profiles of the built game")
+        )
+
+    def test_follower_named_leader_rejected(self):
+        # Before the cap: the game below is also over it.
+        with pytest.raises(ValueError, match="a follower cannot be named 'leader'"):
+            build_thai_slsf_mt(thai_params(horizon=8, followers=("leader",)))
 
 
 def documented_visible(game, params: ThaiParams, agent) -> set[str]:
