@@ -26,11 +26,12 @@ distinct strategy once (:func:`~infogames.normal_form.strategy_labeller`),
 calls :func:`~infogames.normal_form.fmt_value` once per distinct value (zeros
 excepted, since ``0.0 == -0.0`` but they render as "0" and "-0"), and
 records whose values render alike share one ``values`` dict.  Walking
-thousands of records costs more than finding them, so every :func:`run`
-composes each record's text where its dict is built, with the separators of
-:func:`_level` and the writer's escaping, and the ``equilibria`` list
-(:class:`_EncodedList`) carries the joined text, which :func:`_encode`
-writes as is.
+thousands of records or playability failures costs more than finding them,
+so every :func:`run` composes each record's and each failure's text where
+its dict is built, with the separators of :func:`_level` and the writer's
+escaping, and the ``equilibria`` and ``failures`` lists
+(:class:`_EncodedList`) carry the joined text, which :func:`_encode` writes
+as is.
 """
 
 from __future__ import annotations
@@ -190,22 +191,29 @@ class _EncodedList(list):
     __slots__ = ("depth", "text")
 
 
+def _encoded_list(items: list, texts: list[str], depth: int) -> _EncodedList:
+    """``items`` at ``depth``, carrying the text :func:`_joined` from
+    ``texts``, the items' texts at ``depth + 1``."""
+    out = _EncodedList(items)
+    out.depth, out.text = depth, _joined(texts, depth)
+    return out
+
+
 def _equilibrium_results(label, render, report) -> dict:
     # Each distinct player strategy is labelled once and each distinct
     # "values" dict built once, each with its text, from which each record's
     # text is composed at its depth in the report (3); the list's is at 2.
     entries: dict[tuple, tuple[str, str]] = {}
     shared: dict[tuple, tuple[dict, str]] = {}
-    # The line breaks of the list, of a record and of its profile, which
-    # lists every player, so is never empty.
-    _, list_close, list_item = _level(2)
+    # The line breaks of a record and of its profile, which lists every
+    # player, so is never empty.
     _, close, item = _level(3)
     _, inner_close, inner_item = _level(4)
     separator = "," + inner_item
     head = "{" + item + _key("profile") + ": {" + inner_item
     middle = inner_close + "}," + item + _key("values") + ": "
     tail = close + "}"
-    out, texts = _EncodedList(), []
+    records, texts = [], []
     for rec in report.profiles:
         profile, parts = {}, []
         for key in rec.by_player:
@@ -220,11 +228,56 @@ def _equilibrium_results(label, render, report) -> dict:
         if values is None:
             doc = dict(rendered)
             values = shared[rendered] = doc, _encode(doc, 4, {})
-        out.append({"profile": profile, "values": values[0]})
+        records.append({"profile": profile, "values": values[0]})
         texts.append(head + separator.join(parts) + middle + values[1] + tail)
-    out.depth = 2
-    out.text = "[" + list_item + ("," + list_item).join(texts) + list_close + "]"
-    return {"count": len(out), "equilibria": out}
+    return {"count": len(records), "equilibria": _encoded_list(records, texts, 2)}
+
+
+def _failure_list(model, failures) -> _EncodedList:
+    # Failures repeat points, strategies, profiles and solution sets: each
+    # distinct one is built once, with its text at its depth in the report,
+    # and each failure's text is composed from those at 3; the list's is at 2.
+    def flat(labels, depth: int) -> tuple[list, str]:
+        doc = list(labels)
+        return doc, _encode(doc, depth, {})
+
+    nature = functools.cache(lambda w: flat(model.nature_space.point_labels(w), 4))
+    point = functools.cache(lambda x: flat(model.configuration.point_labels(x), 5))
+
+    @functools.cache
+    def witnesses(solutions):
+        points = [point(x) for x in solutions]
+        return [doc for doc, _ in points], _joined([text for _, text in points], 4)
+
+    # Strategies and profiles hash in Python, so they are looked up by id:
+    # the failures hold them, and a report's equal strategies are one object.
+    # A profile lists its strategies in model agent order, each as its
+    # '"agent": [table]' part.  Agents whose names print alike, such as
+    # player "p.1" and stage 1 of player "p", share one key of the dict.
+    names = [str(a) for a in model.agents]
+    keys = [_key(name) + ": " for name in names]
+    distinct = len(set(names)) == len(names)
+    strategies, profiles = {}, {}
+    template = _joined([_key(k) + ": %s" for k in ("nature", "profile", "solutions", "witnesses")], 3, "{}")
+    profile_template = _joined(["%s"] * len(names), 4, "{}")
+    docs, texts = [], []
+    for f in failures:
+        p = profiles.get(id(f.profile))
+        if p is None:
+            doc, parts = {}, []
+            for name, key, s in zip(names, keys, f.profile.strategies):
+                part = strategies.get(id(s))
+                if part is None:
+                    table, text = flat(s.table, 5)
+                    part = strategies[id(s)] = table, key + text
+                doc[name] = part[0]
+                parts.append(part[1])
+            text = profile_template % tuple(parts) if distinct else _encode(doc, 4, {})
+            p = profiles[id(f.profile)] = doc, text
+        w, x = nature(f.nature_point), witnesses(f.solutions)
+        docs.append({"nature": w[0], "profile": p[0], "solutions": f.solution_count, "witnesses": x[0]})
+        texts.append(template % (w[1], p[1], f.solution_count, x[1]))
+    return _encoded_list(docs, texts, 2)
 
 
 def _diag_section(cap: int, diag=None) -> dict:
@@ -266,27 +319,8 @@ def run(command: str, game_path: str, options: dict, cap: int, mode=None) -> tup
             "mode": pr.mode,
             "profiles_checked": pr.profiles_checked,
         }
-        # Failures repeat profiles, strategies, points and solution sets:
-        # each distinct one is rendered once and shared, so _dumps encodes
-        # each shared table and point once.
-        nature = functools.cache(lambda w: list(game.model.nature_space.point_labels(w)))
-        point = functools.cache(lambda x: list(game.model.configuration.point_labels(x)))
-        table = functools.cache(lambda s: list(s.table))
-        profile = functools.cache(
-            lambda prof: {str(s.agent): table(s) for s in prof.strategies}
-        )
-        witnesses = functools.cache(lambda sols: [point(x) for x in sols])
-        failures = [
-            {
-                "nature": nature(f.nature_point),
-                "profile": profile(f.profile),
-                "solutions": f.solution_count,
-                "witnesses": witnesses(f.solutions),
-            }
-            for f in pr.failures
-        ]
         results = dict(playability_doc)
-        results["failures"] = failures
+        results["failures"] = _failure_list(game.model, pr.failures)
         if not pr.playable:
             exit_code = EXIT_VALIDATION
     elif command == "normal-form":
@@ -464,11 +498,19 @@ def _encode(o, depth: int, memo: dict[int, tuple[int, str]]) -> str:
             _key(k) + ": " + (_encode(v, sub, memo) if isinstance(v, _CONTAINERS) else _scalar(v))
             for k, v in o.items()
         ]
-        return "{" + item + ("," + item).join(parts) + close + "}"
+        return _joined(parts, depth, "{}")
     if type(o) is _EncodedList and o.depth == depth:
         return o.text
-    parts = [_encode(v, sub, memo) if isinstance(v, _CONTAINERS) else _scalar(v) for v in o]
-    return "[" + item + ("," + item).join(parts) + close + "]"
+    return _joined([_encode(v, sub, memo) if isinstance(v, _CONTAINERS) else _scalar(v) for v in o], depth)
+
+
+def _joined(texts: list[str], depth: int, brackets: str = "[]") -> str:
+    """The text of a list (or, with ``brackets`` ``"{}"``, a dict) at
+    ``depth`` whose items (``"key": value`` pairs) have the texts ``texts``."""
+    if not texts:
+        return brackets
+    _, close, item = _level(depth)
+    return brackets[0] + item + ("," + item).join(texts) + close + brackets[1]
 
 
 def _writable(text: str) -> str:

@@ -340,8 +340,10 @@ def _digit_masks(model: WModel) -> list[list[int]]:
     full = (1 << size) - 1
     digits = []
     for a, (atom_of, stride, count) in model.columns.items():
-        coords = [i // stride % count for i in range(size)]
-        on_action = [_bits(c == j for c in coords) for j in range(count)]
+        # Action j's points are runs of ``stride`` indices at j * stride,
+        # every ``stride * count``: one run times the repunit of that period.
+        repunit = full // ((1 << stride * count) - 1)
+        on_action = [(((1 << stride) - 1) << j * stride) * repunit for j in range(count)]
         for atom in range(model.info[a].atom_count):
             outside = full ^ _bits(t == atom for t in atom_of)
             digits.append([outside | on for on in on_action])

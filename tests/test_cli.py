@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 from infogames import (
     CapacityExceeded,
     GameError,
+    PlayerPartition,
+    RiskMeasure,
+    Sense,
     StrategyProfile,
     check_playability,
     joint_strategies,
@@ -33,6 +36,7 @@ from infogames.normal_form import fmt_value, strategy_labeller
 from infogames.preferences import Objective, PlayerData, make_wgame
 import oracle
 from test_context_tables import MODES, random_game, signed_zero_game
+from test_model import random_nonsequential_model
 
 GAMES_DIR = Path(__file__).resolve().parent.parent / "games"
 
@@ -773,6 +777,176 @@ def test_run_alone_composes_the_records(command):
     report, code = cli.run(command, str(GAMES_DIR / "tou_pricing.json"), {}, DEFAULT_CAP, cli.OPTIMISTIC)
     listed = report["results"]["equilibria"]
     assert code == 0 and len(listed) > 1
+    assert listed == json.loads(json.dumps(listed))
+    assert (listed.depth, listed.text) == (2, json.dumps(listed, indent=2).replace("\n", "\n    "))
+    assert _dumps(report) == json.dumps(report, indent=2)
+
+
+def pennies_game() -> dict:
+    """Matching pennies: the first player pays when the actions differ, the
+    second when they match, so there is no pure Nash equilibrium."""
+    return {
+        "version": 1,
+        "custom": {
+            "factors": [
+                {"id": "w", "kind": "nature-exogenous", "elements": ["only"]},
+                {"id": "ua", "kind": "action", "elements": ["h", "t"]},
+                {"id": "ub", "kind": "action", "elements": ["h", "t"]},
+            ],
+            "agents": [
+                {"player": "a", "action": "ua", "info": {"cylinder": []}},
+                {"player": "b", "action": "ub", "info": {"cylinder": []}},
+            ],
+            "players": [
+                {"id": p, "objective": {"sense": "cost", "values": values}, "belief": {"product": [[1.0]]}}
+                for p, values in (("a", [0, 1, 1, 0]), ("b", [1, 0, 0, 1]))
+            ],
+        },
+    }
+
+
+def test_empty_lists_carry_the_empty_text(tmp_path):
+    """An empty equilibrium or failure list carries ``[]``, the text
+    ``json.dumps`` gives it, not an opening and a closing line."""
+    path = tmp_path / "pennies.json"
+    path.write_text(json.dumps(pennies_game()))
+    nash, code = cli.run("nash", str(path), {}, DEFAULT_CAP)
+    assert (code, nash["results"]["count"]) == (0, 0)
+    playable, code = cli.run("playability", str(GAMES_DIR / "nature_orders.json"), {"mode": "all"}, DEFAULT_CAP, "all")
+    assert (code, playable["results"]["playable"]) == (0, True)
+    for listed in (nash["results"]["equilibria"], playable["results"]["failures"]):
+        assert (listed, listed.depth, listed.text) == ([], 2, "[]")
+
+
+# --- Playability failures against the failure-by-failure rule ----------------
+#
+# ``cli.run`` builds each distinct point, strategy, profile and solution set of
+# a playability report once, with its text, and composes each failure's text
+# from them.  The reference below builds each failure's dict on its own.
+
+
+def reference_failures(model, report) -> list[dict]:
+    labels = model.configuration.point_labels
+    return [
+        {
+            "nature": list(model.nature_space.point_labels(f.nature_point)),
+            "profile": {str(s.agent): list(s.table) for s in f.profile.strategies},
+            "solutions": f.solution_count,
+            "witnesses": [list(labels(x)) for x in f.solutions],
+        }
+        for f in report.failures
+    ]
+
+
+def escaped(doc: dict) -> dict:
+    """The custom game document ``doc`` with every element and player id
+    suffixed by characters that the JSON writer escapes."""
+    suffix = '"\\\x00\té\U0001f600 {"a": [1]}'
+    custom = doc["custom"]
+    names = {e: e + suffix for f in custom["factors"] for e in f["elements"]}
+    names.update({p["id"]: p["id"] + suffix for p in custom["players"]})
+    return renamed(doc, names)
+
+
+def playability_game(model):
+    """``model`` as the game of one player, owning every agent of
+    ``random_nonsequential_model`` and paying nothing."""
+    size = model.configuration.size
+    data = {"p": PlayerData(Objective("p", Sense.COST, (0.0,) * size), RiskMeasure.worst_case())}
+    return make_wgame(model, PlayerPartition(("p",), {a: "p" for a in model.agents}), data)
+
+
+def assert_failures_match_the_reference(directory: Path, doc: dict, modes) -> set[int]:
+    """For each playability mode, the failures of ``cli.run`` on the game
+    ``doc`` equal the reference dicts; ``_dumps`` of the report is
+    ``json.dumps`` of it and of the report holding the reference dicts, and
+    the ``--out`` file is that text and a newline.  Returns the solution
+    counts listed."""
+    path = directory / "game.json"
+    path.write_text(json.dumps(doc))
+    model = load_game(str(path)).model
+    out = directory / "report.json"
+    counts = set()
+    for raw in modes:
+        mode = cli._parse_playability_mode(raw)
+        expected = reference_failures(model, check_playability(model, mode))
+        report, code = cli.run("playability", str(path), {"mode": raw}, DEFAULT_CAP, mode)
+        listed = report["results"]["failures"]
+        assert listed == expected
+        assert code == (cli.EXIT_VALIDATION if expected else cli.EXIT_OK)
+        text = _dumps(report)
+        assert text == json.dumps(report, indent=2)
+        reference = {**report, "results": {**report["results"], "failures": expected}}
+        assert text == json.dumps(reference, indent=2)
+        out.unlink(missing_ok=True)
+        assert main(["playability", "--mode", raw, "--game", str(path), "--out", str(out)]) == code
+        assert out.read_text(encoding="utf-8") == text + "\n"
+        counts.update(f["solutions"] for f in expected)
+    return counts
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(0, 999))
+def test_playability_reports_match_the_failure_by_failure_rule(seed, n, sample_seed):
+    """On a random model without a sequential order
+    (``random_nonsequential_model``: explicit and cylinder information, one
+    to three actions per agent) whose element and player names need
+    escaping, in ``all`` and ``sample`` modes."""
+    model = random_nonsequential_model(random.Random(seed))
+    doc = escaped(export_custom(playability_game(model)))
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_failures_match_the_reference(Path(tmp), doc, ["all", f"sample={n},seed={sample_seed}"])
+
+
+def test_cyclic_failures_with_no_and_with_several_solutions_match_the_reference(tmp_path):
+    doc = escaped(json.loads((GAMES_DIR / "cyclic_three_agents.json").read_text()))
+    counts = assert_failures_match_the_reference(tmp_path, doc, ["all", "sample=300,seed=7"])
+    assert {0, 2} <= counts
+
+
+def test_failures_are_written_without_walking_them(tmp_path, monkeypatch):
+    """A report's playability failures reach the writer as one composed
+    text, so the writer's calls of ``_encode`` do not grow with the failure
+    count.  The first 1000 profiles sampled are those of a 1000-profile
+    sample, so doubling the sample adds failures."""
+    encoded = 0
+    encode = cli._encode
+
+    def counted(*args):
+        nonlocal encoded
+        encoded += 1
+        return encode(*args)
+
+    monkeypatch.setattr(cli, "_encode", counted)
+    path = str(GAMES_DIR / "cyclic_three_agents.json")
+    out = tmp_path / "report.json"
+    calls, failures = [], []
+    for n in (1000, 2000):
+        encoded = 0
+        assert main(["playability", "--mode", f"sample={n},seed=7", "--game", path, "--out", str(out)]) == 2
+        calls.append(encoded)
+        failures.append(len(json.loads(out.read_text())["results"]["failures"]))
+    assert failures[1] - failures[0] > 200
+    assert calls[1] - calls[0] < (failures[1] - failures[0]) / 10
+
+
+@pytest.mark.parametrize(
+    "game,mode",
+    [
+        ("cyclic_three_agents.json", "all"),
+        ("cyclic_three_agents.json", "sample=300,seed=7"),
+        ("nature_orders.json", "all"),
+        ("prisoners_dilemma.json", "all"),
+    ],
+)
+def test_run_alone_composes_the_failures(game, mode):
+    """``cli.run`` called on its own returns the failure list with its text,
+    which equals a list and is written as ``json.dumps`` writes it; a
+    playable game's list is empty."""
+    path = str(GAMES_DIR / game)
+    report, code = cli.run("playability", path, {"mode": mode}, DEFAULT_CAP, cli._parse_playability_mode(mode))
+    listed = report["results"]["failures"]
+    assert (code, bool(listed)) == ((2, True) if game.startswith("cyclic") else (0, False))
     assert listed == json.loads(json.dumps(listed))
     assert (listed.depth, listed.text) == (2, json.dumps(listed, indent=2).replace("\n", "\n    "))
     assert _dumps(report) == json.dumps(report, indent=2)

@@ -36,7 +36,7 @@ from infogames import (
 )
 from infogames.errors import render_count
 from infogames.gamefile import load_game
-from infogames.model import fixed_point_outcomes
+from infogames.model import _bits, fixed_point_outcomes
 from infogames.spaces import Partition
 from conftest import (
     copy_strategy,
@@ -807,6 +807,27 @@ class TestSampledProfiles:
             assert 1 in counts
             full = (1 << model.configuration.size) - 1
             assert all(masks == [full] for masks in digits if len(masks) == 1)
+
+    @given(st.randoms(use_true_random=False), st.sampled_from(["parts", "one-action", "one-to-five"]))
+    @settings(max_examples=80, deadline=None)
+    def test_masks_match_their_point_by_point_definition(self, rng, builder):
+        sequential = rng.random() < 0.5
+        if builder == "parts":
+            model = build_wmodel(*random_information_parts(rng, sequential)[:4])
+        elif builder == "one-action":
+            model = random_model_with_one_action_agents(rng)
+        else:
+            model = random_model_with_one_to_five_actions(rng, sequential)
+        points = [model.configuration.point_at(i) for i in range(model.configuration.size)]
+        expected = []
+        for a in model.agents:
+            axis, atom_of = model.agent_axis(a), model.info[a].atom_of
+            for atom in range(model.info[a].atom_count):
+                expected.append([
+                    _bits(t != atom or point[axis] == j for t, point in zip(atom_of, points))
+                    for j in range(model.action_factors[a].size)
+                ])
+        assert model._masks[0] == expected
 
 
 class TestHashing:
