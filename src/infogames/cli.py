@@ -17,9 +17,7 @@ equilibrium lists that cost more than solving the game.  ``_dumps`` walks
 dicts and lists in Python and hands each flat container, one whose items are
 all str, int, float, bool or None (strategy tables, witness points, label
 lists), to the C encoder in one call, with the item separator carrying the
-line break and indentation of its depth.  A flat container that occurs more
-than once in a report, such as a strategy table shared by many failures, is
-encoded once per depth.
+line break and indentation of its depth.
 
 Tied equilibria repeat most of what they show, so a report labels each
 distinct strategy once (:func:`~infogames.normal_form.strategy_labeller`),
@@ -205,14 +203,10 @@ def _equilibrium_results(label, render, report) -> dict:
     # text is composed at its depth in the report (3); the list's is at 2.
     entries: dict[tuple, tuple[str, str]] = {}
     shared: dict[tuple, tuple[dict, str]] = {}
-    # The line breaks of a record and of its profile, which lists every
-    # player, so is never empty.
-    _, close, item = _level(3)
-    _, inner_close, inner_item = _level(4)
-    separator = "," + inner_item
-    head = "{" + item + _key("profile") + ": {" + inner_item
-    middle = inner_close + "}," + item + _key("values") + ": "
-    tail = close + "}"
+    # A record's profile lists every player, so is never empty: its text is
+    # its parts joined at depth 4.
+    separator = "," + _level(4)[2]
+    template = _joined([_key("profile") + ": " + _joined(["%s"], 4, "{}"), _key("values") + ": %s"], 3, "{}")
     records, texts = [], []
     for rec in report.profiles:
         profile, parts = {}, []
@@ -227,9 +221,9 @@ def _equilibrium_results(label, render, report) -> dict:
         values = shared.get(rendered)
         if values is None:
             doc = dict(rendered)
-            values = shared[rendered] = doc, _encode(doc, 4, {})
+            values = shared[rendered] = doc, _encode(doc, 4)
         records.append({"profile": profile, "values": values[0]})
-        texts.append(head + separator.join(parts) + middle + values[1] + tail)
+        texts.append(template % (separator.join(parts), values[1]))
     return {"count": len(records), "equilibria": _encoded_list(records, texts, 2)}
 
 
@@ -239,7 +233,7 @@ def _failure_list(model, failures) -> _EncodedList:
     # and each failure's text is composed from those at 3; the list's is at 2.
     def flat(labels, depth: int) -> tuple[list, str]:
         doc = list(labels)
-        return doc, _encode(doc, depth, {})
+        return doc, _encode(doc, depth)
 
     nature = functools.cache(lambda w: flat(model.nature_space.point_labels(w), 4))
     point = functools.cache(lambda x: flat(model.configuration.point_labels(x), 5))
@@ -252,11 +246,9 @@ def _failure_list(model, failures) -> _EncodedList:
     # Strategies and profiles hash in Python, so they are looked up by id:
     # the failures hold them, and a report's equal strategies are one object.
     # A profile lists its strategies in model agent order, each as its
-    # '"agent": [table]' part.  Agents whose names print alike, such as
-    # player "p.1" and stage 1 of player "p", share one key of the dict.
+    # '"agent": [table]' part; no two agents of a model print alike.
     names = [str(a) for a in model.agents]
     keys = [_key(name) + ": " for name in names]
-    distinct = len(set(names)) == len(names)
     strategies, profiles = {}, {}
     template = _joined([_key(k) + ": %s" for k in ("nature", "profile", "solutions", "witnesses")], 3, "{}")
     profile_template = _joined(["%s"] * len(names), 4, "{}")
@@ -272,8 +264,7 @@ def _failure_list(model, failures) -> _EncodedList:
                     part = strategies[id(s)] = table, key + text
                 doc[name] = part[0]
                 parts.append(part[1])
-            text = profile_template % tuple(parts) if distinct else _encode(doc, 4, {})
-            p = profiles[id(f.profile)] = doc, text
+            p = profiles[id(f.profile)] = doc, profile_template % tuple(parts)
         w, x = nature(f.nature_point), witnesses(f.solutions)
         docs.append({"nature": w[0], "profile": p[0], "solutions": f.solution_count, "witnesses": x[0]})
         texts.append(template % (w[1], p[1], f.solution_count, x[1]))
@@ -469,39 +460,32 @@ def _dumps(obj) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte (see the module
     docstring)."""
     if isinstance(obj, _CONTAINERS):
-        return _encode(obj, 0, {})
+        return _encode(obj, 0)
     return _scalar(obj)
 
 
-def _encode(o, depth: int, memo: dict[int, tuple[int, str]]) -> str:
-    """The container ``o`` at ``depth``.  ``memo`` maps the id of each flat
-    container encoded so far in this report to its depth and text; each
-    lives as long as the report, so no id is reused."""
+def _encode(o, depth: int) -> str:
+    """The container ``o`` at ``depth``."""
     is_dict = isinstance(o, dict)
     if not o:
         return "{}" if is_dict else "[]"
-    hit = memo.get(id(o))
-    if hit is not None and hit[0] == depth:
-        return hit[1]
     flat, close, item = _level(depth)
     if _SCALAR_TYPES.issuperset(map(type, o.values() if is_dict else o)):
         # The C encoder writes "[a,<item>b]": open the first line and close
         # the last one.  Items of other types, scalar subclasses included,
         # take the walk below, which gives the same bytes.
         text = "".join(flat(o, 0))
-        text = text[0] + item + text[1:-1] + close + text[-1]
-        memo[id(o)] = depth, text
-        return text
+        return text[0] + item + text[1:-1] + close + text[-1]
     sub = depth + 1
     if is_dict:
         parts = [
-            _key(k) + ": " + (_encode(v, sub, memo) if isinstance(v, _CONTAINERS) else _scalar(v))
+            _key(k) + ": " + (_encode(v, sub) if isinstance(v, _CONTAINERS) else _scalar(v))
             for k, v in o.items()
         ]
         return _joined(parts, depth, "{}")
     if type(o) is _EncodedList and o.depth == depth:
         return o.text
-    return _joined([_encode(v, sub, memo) if isinstance(v, _CONTAINERS) else _scalar(v) for v in o], depth)
+    return _joined([_encode(v, sub) if isinstance(v, _CONTAINERS) else _scalar(v) for v in o], depth)
 
 
 def _joined(texts: list[str], depth: int, brackets: str = "[]") -> str:

@@ -281,7 +281,9 @@ class _Session:
     Every solver is :meth:`nash` on some group of players.  With a Stackelberg
     ``mode``, a leader is judged by her anticipated value over the followers'
     joint best responses to the leaders' profile; followers, and every player
-    of a session without a mode, by the normal-form value.
+    of a session without a mode, by the normal-form value.  No anticipation
+    is kept: the search asks for one at most twice, and the second time its
+    values are in the evaluator's memo.
 
     Normal-form values are scored from the evaluator's contexts, in every
     model (see :class:`~infogames.normal_form.Evaluator`).  A player deviates
@@ -335,7 +337,6 @@ class _Session:
         self._slots = {p: tuple(map(agents.index, game.agents_of(p))) for p in game.players.players}
         self._spaces: dict[str, list[PlayerStrategy]] = {}
         self._responses: dict = {}
-        self._anticipated: dict = {}
         self._followers_nash: dict = {}
 
     def space(self, player: str) -> list[PlayerStrategy]:
@@ -468,23 +469,20 @@ class _Session:
         if self.mode is None or player not in self.game.leaders:
             return self.value(player, assignment)
         leaders = {ld: assignment[ld] for ld in self.game.leaders}
-        key = (player, tuple(leaders.values()))
-        if key not in self._anticipated:
-            if self._keyed_follower is not None:
-                self.count(self.game.followers)
-                rs = self.responses(self._keyed_follower, leaders)
-                multiset = self.mode.kind == "leader-risk"
-                values = rs.leader_values(self.evaluator, player, multiset)
-            elif not self.game.followers:
-                self.followers_nash(leaders)
-                values = [self.value(player, leaders)]
-            else:
-                values = []
-                for fixed, candidates in self.runs(leaders):
-                    values += self.scores(player, self.deviator, fixed, candidates)
-            sense = self.game.data[player].objective.sense
-            self._anticipated[key] = _anticipate(values, sense, self.mode) if values else None
-        return self._anticipated[key]
+        # The followers' joint profiles are capped, as their search would be.
+        self.count(self.game.followers)
+        if self._keyed_follower is not None:
+            rs = self.responses(self._keyed_follower, leaders)
+            multiset = self.mode.kind == "leader-risk"
+            values = rs.leader_values(self.evaluator, player, multiset)
+        elif not self.game.followers:
+            values = [self.value(player, leaders)]
+        else:
+            values = []
+            for fixed, candidates in self.runs(leaders):
+                values += self.scores(player, self.deviator, fixed, candidates)
+        sense = self.game.data[player].objective.sense
+        return _anticipate(values, sense, self.mode) if values else None
 
     def judged_all(
         self, player: str, fixed: Mapping[str, PlayerStrategy]

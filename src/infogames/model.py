@@ -155,7 +155,9 @@ def build_wmodel(
     ``info_specs`` maps each agent either to an iterable of visible factor
     ids (cylinder form) or to an explicit :class:`Partition` over the
     configuration space.  Raises :class:`SelfInformationViolation` with a
-    witness pair when an agent's information depends on his own action.
+    witness pair when an agent's information depends on his own action, and
+    ``ValueError`` when two agents print alike, such as player ``"p.1"`` and
+    stage 1 of player ``"p"``.
     """
     nature_factors = tuple(nature_factors)
     agents = tuple(agents)
@@ -163,6 +165,11 @@ def build_wmodel(
         raise ValueError("a model needs at least one agent")
     if len(set(agents)) != len(agents):
         raise ValueError("duplicate (player, stage) agent id")
+    # Reports key agents by name, so two that print alike would merge.
+    printed: dict[str, AgentId] = {}
+    for a in agents:
+        if printed.setdefault(str(a), a) != a:
+            raise ValueError(f"agents {printed[str(a)]!r} and {a!r} both print as {str(a)!r}")
     for f in nature_factors:
         if f.kind == "action":
             raise ValueError(f"nature factor {f.id!r} has kind 'action'")

@@ -188,3 +188,22 @@ def rescale_player(game: WGame, player: str, a: float, b: float) -> WGame:
 @pytest.fixture
 def rng():
     return random.Random(20240811)
+
+
+def assert_same_text(actual: str, expected: str, what: str = "texts") -> None:
+    """Fail unless ``actual == expected``, exactly, naming the first offset
+    where they differ with about 200 characters of each on either side.
+    A plain ``assert`` would have pytest diff the whole texts, which takes
+    minutes on reports of a few hundred kilobytes."""
+    if actual == expected:
+        return
+    at = next(
+        (i for i, (a, e) in enumerate(zip(actual, expected)) if a != e),
+        min(len(actual), len(expected)),
+    )
+    start, end = max(0, at - 200), at + 200
+    pytest.fail(
+        f"{what} differ at offset {at} (lengths {len(actual)} and {len(expected)}):\n"
+        f"  actual:   {actual[start:end]!r}\n"
+        f"  expected: {expected[start:end]!r}"
+    )

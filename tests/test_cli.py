@@ -35,6 +35,7 @@ from infogames.model import DEFAULT_CAP
 from infogames.normal_form import fmt_value, strategy_labeller
 from infogames.preferences import Objective, PlayerData, make_wgame
 import oracle
+from conftest import assert_same_text
 from test_context_tables import MODES, random_game, signed_zero_game
 from test_model import random_nonsequential_model
 
@@ -121,6 +122,25 @@ class TestExitCodes:
         res = run_cli("validate", "--game", str(path))
         assert res.returncode == 2
         assert "observes his own action" in res.stderr
+
+    @pytest.mark.parametrize("command", ["validate", "playability --mode all"])
+    def test_agents_printing_alike_exit_2(self, tmp_path, capsys, command):
+        """Player "p.1" and stage 1 of player "p" would share one key of
+        every failure's profile, so the game is rejected."""
+        doc = json.loads(Path(write_mutual_observation(tmp_path)).read_text())
+        custom = doc["custom"]
+        custom["agents"][0]["player"] = custom["players"][0]["id"] = "p.1"
+        custom["agents"][1].update(player="p", stage=1)
+        custom["players"][1]["id"] = "p"
+        path = tmp_path / "alike.json"
+        path.write_text(json.dumps(doc))
+        assert main([*command.split(), "--game", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: agents AgentId(player='p.1', stage=None) and "
+            "AgentId(player='p', stage=1) both print as 'p.1'\n"
+        )
 
     def test_non_playable_exit_2_with_witness(self, tmp_path):
         path = write_mutual_observation(tmp_path)
@@ -664,6 +684,16 @@ def test_signed_zeros_render_as_the_oracle_scores_them(tmp_path, leader_values, 
         ]
 
 
+def test_same_text_check_is_exact_and_names_the_first_difference():
+    """``assert_same_text`` passes equal texts only, and a failure names the
+    first differing offset at once, whatever the texts' length."""
+    big = "x" * 500_000
+    assert_same_text(big, "x" * 500_000)
+    for actual, expected, at in ((big + "y", big + "z", 500_000), (big, big + "\n", 500_000), ("a" + big, "b" + big, 0)):
+        with pytest.raises(pytest.fail.Exception, match=f"texts differ at offset {at} "):
+            assert_same_text(actual, expected)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_report_dicts_match_the_record_by_record_rule(seed):
@@ -704,13 +734,13 @@ def test_report_dicts_match_the_record_by_record_rule(seed):
             else:
                 expected = reference_equilibria(game, solved)
             assert listed == expected
-            assert json.dumps(listed) == json.dumps(expected)
-            assert _dumps(listed) == json.dumps(expected, indent=2)
+            assert_same_text(json.dumps(listed), json.dumps(expected))
+            assert_same_text(_dumps(listed), json.dumps(expected, indent=2))
             assert main([*argv, "--out", str(out)]) == code
             written = out.read_text(encoding="utf-8")
-            assert written == json.dumps(report, indent=2) + "\n"
+            assert_same_text(written, json.dumps(report, indent=2) + "\n")
             reference = {**report, "results": {**results, key: expected}}
-            assert written == json.dumps(reference, indent=2) + "\n"
+            assert_same_text(written, json.dumps(reference, indent=2) + "\n")
 
 
 def tied_game(actions: int) -> dict:
@@ -778,8 +808,9 @@ def test_run_alone_composes_the_records(command):
     listed = report["results"]["equilibria"]
     assert code == 0 and len(listed) > 1
     assert listed == json.loads(json.dumps(listed))
-    assert (listed.depth, listed.text) == (2, json.dumps(listed, indent=2).replace("\n", "\n    "))
-    assert _dumps(report) == json.dumps(report, indent=2)
+    assert listed.depth == 2
+    assert_same_text(listed.text, json.dumps(listed, indent=2).replace("\n", "\n    "))
+    assert_same_text(_dumps(report), json.dumps(report, indent=2))
 
 
 def pennies_game() -> dict:
@@ -875,12 +906,12 @@ def assert_failures_match_the_reference(directory: Path, doc: dict, modes) -> se
         assert listed == expected
         assert code == (cli.EXIT_VALIDATION if expected else cli.EXIT_OK)
         text = _dumps(report)
-        assert text == json.dumps(report, indent=2)
+        assert_same_text(text, json.dumps(report, indent=2))
         reference = {**report, "results": {**report["results"], "failures": expected}}
-        assert text == json.dumps(reference, indent=2)
+        assert_same_text(text, json.dumps(reference, indent=2))
         out.unlink(missing_ok=True)
         assert main(["playability", "--mode", raw, "--game", str(path), "--out", str(out)]) == code
-        assert out.read_text(encoding="utf-8") == text + "\n"
+        assert_same_text(out.read_text(encoding="utf-8"), text + "\n")
         counts.update(f["solutions"] for f in expected)
     return counts
 
@@ -948,8 +979,9 @@ def test_run_alone_composes_the_failures(game, mode):
     listed = report["results"]["failures"]
     assert (code, bool(listed)) == ((2, True) if game.startswith("cyclic") else (0, False))
     assert listed == json.loads(json.dumps(listed))
-    assert (listed.depth, listed.text) == (2, json.dumps(listed, indent=2).replace("\n", "\n    "))
-    assert _dumps(report) == json.dumps(report, indent=2)
+    assert listed.depth == 2
+    assert_same_text(listed.text, json.dumps(listed, indent=2).replace("\n", "\n    "))
+    assert_same_text(_dumps(report), json.dumps(report, indent=2))
 
 
 # A lone surrogate is valid in a JSON game file but cannot be encoded as

@@ -9,9 +9,11 @@ must return the same results with either evaluator and as the oracle.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
+import re
 from collections import Counter
 
 from pathlib import Path
@@ -319,6 +321,62 @@ def test_nash_recheck_scores_each_context_once(monkeypatch):
     report = nash_equilibria(game)
     assert len(report.profiles) == 216
     assert len(scored) <= 1296 + 216
+
+
+def _tables(group) -> tuple:
+    return tuple((p, tuple(s.table for s in ps)) for p, ps in group)
+
+
+def _solved_digest(result) -> str:
+    """The first 16 hex digits of the sha256 of a Stackelberg solver's
+    result, written as strategy tables, floats and diagnostics."""
+    if isinstance(result, tuple):
+        leader_set, diag = result
+        summary = (tuple(map(_tables, leader_set)), diag)
+    else:
+        summary = (tuple((_tables(r.by_player), r.values) for r in result.profiles), result.diagnostics)
+    return hashlib.sha256(repr(summary).encode()).hexdigest()[:16]
+
+
+# Per seed and mode: evaluations and result digest of stackelberg_strategies,
+# then of nash_stackelberg, each with a fresh evaluator.  Seed 17 draws two
+# one-agent leaders and a one-agent follower; seed 39 two leaders, one with
+# two agents, and no followers.  Several leaders meet a leaders' profile more
+# than once, and no memo beyond the evaluator's may change what is scored.
+SEVERAL_LEADER_PINS = {
+    17: {
+        "optimistic": (132, "65204a823cfe31cb", 132, "31981deb40abed27"),
+        "pessimistic": (132, "2f5224686845d228", 132, "9326ef633b810dda"),
+        "theta=0.25": (120, "1da0950ee838c830", 120, "f945878ecde38c4d"),
+        "leader-risk=expectation-uniform": (120, "e4651430f53e224f", 120, "84a7e66c1421dd53"),
+        "leader-risk=worst-case": (132, "2f5224686845d228", 132, "9326ef633b810dda"),
+        "leader-risk=cvar:0.5": (132, "2f5224686845d228", 132, "9326ef633b810dda"),
+    },
+    39: {mode.describe(): (198, "5f29eb384e787015", 213, "d305da5398da7e62") for mode in MODES},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SEVERAL_LEADER_PINS))
+def test_several_leader_evaluations_are_pinned(seed):
+    game = random_game(random.Random(seed))
+    assert len(game.leaders) == 2
+    for mode in MODES:
+        row = []
+        for solve in (stackelberg_strategies, nash_stackelberg):
+            evaluator = Evaluator(game)
+            digest = _solved_digest(solve(game, mode, evaluator=evaluator))
+            row += [evaluator.evaluations, digest]
+        assert tuple(row) == SEVERAL_LEADER_PINS[seed][mode.describe()], mode.describe()
+
+
+def test_leader_value_caps_the_followers_profiles_without_followers():
+    """A leader's value counts the followers' joint profiles against the
+    cap, and with no followers there is one, the empty profile."""
+    game = random_game(random.Random(39))
+    leaders = {p: player_strategies(game, p)[0] for p in game.leaders}
+    assert leader_value(game, game.leaders[0], leaders, OPTIMISTIC, cap=1) == -3.0
+    with pytest.raises(CapacityExceeded, match=re.escape("profiles of players [] needs 1 items, cap is 0")):
+        leader_value(game, game.leaders[0], leaders, OPTIMISTIC, cap=0)
 
 
 def test_generator_covers_the_cases():

@@ -6,6 +6,7 @@ import itertools
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -91,6 +92,16 @@ class TestBuild:
         assert model.configuration.size == 8
         assert model.info[a].atom_count == 1
         assert model.info[b].atom_count == 2
+
+    @pytest.mark.parametrize("first, second", [(("p.1", None), ("p", 1)), (("p", 1), ("p.1", None))])
+    def test_agents_printing_alike_rejected(self, first, second):
+        """Reports key agents by name: player "p.1" and stage 1 of player
+        "p" would share one key, and a failure would list one table."""
+        w = small_factor("w", 1)
+        a, b = AgentId(*first), AgentId(*second)
+        ua, ub = small_factor("ua", 2, "action"), small_factor("ub", 2, "action")
+        with pytest.raises(ValueError, match=re.escape(f"agents {a!r} and {b!r} both print as 'p.1'")):
+            build_wmodel([w], [a, b], {a: ua, b: ub}, {a: ("ub",), b: ("ua",)})
 
     def test_observing_own_action_rejected(self):
         w = small_factor("w", 2)
