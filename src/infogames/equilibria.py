@@ -269,8 +269,7 @@ class _Responses:
         for t in self.tables(positions):
             key = key_of(t)
             if key not in scored:
-                table = _spread(size, positions, t)
-                scored[key] = evaluator.value(leader, ctx, Strategy(ctx.agent, table))
+                scored[key] = evaluator.value(leader, ctx, _spread(size, positions, t))
             out.append(scored[key])
         return out if multiset else list(scored.values())
 
@@ -289,9 +288,11 @@ class _Session:
     model (see :class:`~infogames.normal_form.Evaluator`).  A player deviates
     through her last agent; the session places the other players' strategies
     and her other agents' by agent slot and looks the context up in the
-    evaluator, its only cache, once per run of candidates sharing those, so
-    no profile is assembled per candidate (:meth:`_walk`, which
-    :meth:`scores` and :meth:`records` share).
+    evaluator, its only cache, by that list, once per run of candidates
+    sharing those, so no profile is built to look a context up
+    (:meth:`_walk`, which :meth:`scores` and :meth:`records` share).  A
+    deviation is scored by its table, and a keyed player's context is looked
+    up with her own slot left empty, so no strategy is built to score a key.
 
     :meth:`responses` returns a player's best-response set in a context.  A
     one-agent player judged by the normal-form value is *keyed*: her set
@@ -363,17 +364,13 @@ class _Session:
                     placed[slot] = s
         return placed
 
-    def _profile(self, placed: list, player: str, ps: PlayerStrategy) -> StrategyProfile:
-        """The ``placed`` profile where ``player`` plays ``ps``, which this
-        writes into ``placed`` at her slots."""
-        for slot, s in zip(self._slots[player], ps):
-            placed[slot] = s
-        return StrategyProfile(tuple(placed))
-
     def _context(self, placed: list, deviator: str, candidate: PlayerStrategy) -> Context:
         """The evaluator's context of ``deviator``'s last agent when her
-        agents play ``candidate``'s strategies in the ``placed`` profile."""
-        return self.evaluator._context(candidate[-1].agent, self._profile(placed, deviator, candidate))
+        agents play ``candidate``'s strategies in the ``placed`` profile,
+        which this writes into ``placed`` at her slots."""
+        for slot, s in zip(self._slots[deviator], candidate):
+            placed[slot] = s
+        return self.evaluator._context(candidate[-1].agent, placed)
 
     def _walk(
         self, deviator: str, fixed: Mapping[str, PlayerStrategy], candidates
@@ -401,7 +398,7 @@ class _Session:
         ``candidates`` against the other players' strategies in ``fixed``."""
         value = self.evaluator.value
         walk = self._walk(deviator, fixed, candidates)
-        return [value(player, ctx, c[-1]) for ctx, run in walk for c in run]
+        return [value(player, ctx, c[-1].table) for ctx, run in walk for c in run]
 
     def records(
         self,
@@ -432,7 +429,7 @@ class _Session:
                     ProfileRecord(
                         before + ((deviator, c),) + after,
                         ctx.splice(s),
-                        tuple([(p, value(p, ctx, s)) for p in players]),
+                        tuple([(p, value(p, ctx, s.table)) for p in players]),
                     )
                 )
         return out
@@ -441,7 +438,7 @@ class _Session:
         """The player's normal-form value at the full ``assignment``."""
         c = assignment[player]
         ctx = self._context(self._place(assignment, player), player, c)
-        return self.evaluator.value(player, ctx, c[-1])
+        return self.evaluator.value(player, ctx, c[-1].table)
 
     def runs(self, leaders: Mapping[str, PlayerStrategy]) -> list[tuple[dict, Sequence]]:
         """The full profiles over the followers' joint best responses to
@@ -511,17 +508,11 @@ class _Session:
             rs = _Responses(best, best == sense.adverse, values.count(None), members, flags)
         else:
             (agent,) = self.game.agents_of(player)
-            size = self.game.model.info[agent].atom_count
             count = self.game.model.action_factors[agent].size
-            zeros = Strategy(agent, (0,) * size)
-            ctx = self._context(self._place(fixed, player), player, (zeros,))
-            atoms = ctx.key_atoms(self.game.data[player].risk)
+            ctx = self.evaluator._context(agent, self._place(fixed, player))
+            atoms, size = ctx.key_atoms(self.game.data[player].risk), ctx.atom_count
             keys = list(itertools.product(range(count), repeat=len(atoms)))
-            values = []
-            for key in keys:
-                # keys[0] is all zeros, the table the context was built with.
-                rep = Strategy(agent, _spread(size, atoms, key)) if any(key) else zeros
-                values.append(self.evaluator.value(player, ctx, rep))
+            values = [self.evaluator.value(player, ctx, _spread(size, atoms, key)) for key in keys]
             best, flags = sense.ties(values)
             keys = list(itertools.compress(keys, flags))
             rs = _Responses(best, best == sense.adverse, ctx=ctx, count=count, atoms=atoms, keys=keys)
@@ -669,9 +660,12 @@ def _verify_no_improving_deviation(session: _Session, found: Sequence[GroupProfi
     for p in game.players.players:
         data = game.data[p]
         values, sense = data.objective.values, data.objective.sense
+        slots = session._slots[p]
 
         def score(placed: list, ps: PlayerStrategy) -> float:
-            indices = outcome_indices(game.model, session._profile(placed, p, ps))
+            for slot, s in zip(slots, ps):
+                placed[slot] = s
+            indices = outcome_indices(game.model, StrategyProfile(tuple(placed)))
             return apply_risk(data.risk, [values[i] for i in indices], sense)
 
         bests: dict = {}

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from typing import Any
 
 from .errors import ParseError, SchemaError
@@ -69,7 +70,7 @@ def parse_extended(v, path: str) -> float:
     if isinstance(v, bool):
         raise SchemaError(path, "expected a number or 'inf'/'-inf'")
     if isinstance(v, (int, float)):
-        return float(v)
+        return _number(v, path)
     if v == "inf":
         return math.inf
     if v == "-inf":
@@ -88,7 +89,10 @@ def render_extended(v: float):
 def _number(v, path: str) -> float:
     """An int or float that is not a bool, as a float."""
     _expect(isinstance(v, (int, float)) and not isinstance(v, bool), path, "expected a number")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise SchemaError(path, "number too large for a float") from None
 
 
 def _number_list(raw, path: str) -> tuple[float, ...]:
@@ -175,15 +179,18 @@ def _load_builtin(section: dict, path: str, cap: int) -> WGame:
                 exogenous = tuple(
                     _grid_spec(g, f"{p}.exogenous[{i}]") for i, g in enumerate(exo_raw)
                 )
+            horizon = _get(params, "horizon", p, int, required=False)
+            # A horizon counts stages, so it must fit a list length.
+            _expect(horizon is None or horizon <= sys.maxsize, f"{p}.horizon", "horizon too large")
             fields = dict(
                 baselines=_number_list(_get(params, "baselines", p, list), f"{p}.baselines"),
                 prices=_number_list(_get(params, "prices", p, list), f"{p}.prices"),
-                reward=float(_get(params, "reward", p, (int, float))),
+                reward=_number(_get(params, "reward", p, (int, float)), f"{p}.reward"),
                 targets=_number_list(_get(params, "targets", p, list), f"{p}.targets"),
                 consumptions=_number_list(
                     _get(params, "consumptions", p, list), f"{p}.consumptions"
                 ),
-                horizon=_get(params, "horizon", p, int, required=False),
+                horizon=horizon,
                 followers=None if followers is None else tuple(followers),
                 leader_coeffs=_grid_spec(
                     _get(params, "leader_coeffs", p, dict), f"{p}.leader_coeffs", pairs=True
@@ -369,9 +376,9 @@ def _load_custom(section: dict, path: str) -> WGame:
             elif kind == "worst-case":
                 risk = RiskMeasure.worst_case(belief)
             elif kind == "cvar":
-                alpha = _get(risk_raw, "alpha", rp, (int, float))
+                alpha = _number(_get(risk_raw, "alpha", rp, (int, float)), f"{rp}.alpha")
                 _expect(belief is not None, rp, "cvar risk needs a belief")
-                risk = RiskMeasure.cvar(float(alpha), belief)
+                risk = RiskMeasure.cvar(alpha, belief)
             else:
                 raise SchemaError(f"{rp}.kind", f"unknown risk kind {kind!r}")
         except ValueError as exc:

@@ -565,7 +565,7 @@ def outcome_indices(model: WModel, profile: StrategyProfile) -> list[int]:
         return fixed_point_outcomes(model, profile)
     last = model.sequential_order[-1]
     table = profile.strategies[model.agents.index(last)].table
-    atoms, rows = deviation_table(model, last, profile)
+    atoms, rows = deviation_table(model, last, profile.strategies)
     return [row[table[atom]] for atom, row in zip(atoms, rows)]
 
 
@@ -604,11 +604,12 @@ def _plan(model: WModel, agent: AgentId) -> tuple:
 
 
 def deviation_table(
-    model: WModel, agent: AgentId, profile: StrategyProfile
+    model: WModel, agent: AgentId, strategies: Sequence[Strategy | None]
 ) -> tuple[list[int], list[Sequence[int]]] | tuple[None, None]:
     """The outcomes of every action of ``agent`` while the other agents play
-    ``profile`` (his own entry is ignored), along the model's sequential
-    order; ``(None, None)`` when the model has none.
+    ``strategies``, one per agent in model agent order (his own entry is
+    ignored and may be ``None``), along the model's sequential order;
+    ``(None, None)`` when the model has none.
 
     Returns, per nature state in nature order, the agent's information atom
     and the sequence whose entry ``a`` is the flat outcome index when he plays
@@ -631,7 +632,6 @@ def deviation_table(
     if plans is None:
         return None, None
     folded, before, after, own_atom_of, own_stride, span, size, block = plans[agent]
-    strategies = profile.strategies
     offset = 0
     for slot, stride in folded:
         offset += strategies[slot].table[0] * stride

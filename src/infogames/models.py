@@ -296,13 +296,17 @@ def _phi(coeffs: tuple[float, float], scale: float, x: float) -> float:
     return scale * (a1 * x - a2 * x * x)
 
 
-def _build_thai(params: ThaiParams, include_exo: bool, staged: bool, cap: int) -> WGame:
+def _build_thai(params: ThaiParams, staged: bool, cap: int) -> WGame:
+    """The demand-response game of ``params``.  ``staged`` gives every
+    player one agent per stage and Nature one exogenous factor per stage;
+    otherwise each player has one unstaged agent and Nature no exogenous
+    factor."""
     T = params.horizon
     followers = params.followers
     stages = list(range(1, T + 1))
 
     nature = []
-    if include_exo:
+    if staged:
         for t in stages:
             nature.append(
                 _grid_factor(f"exo_{t}", f"exogenous factor t{t}", "nature-exogenous",
@@ -338,7 +342,7 @@ def _build_thai(params: ThaiParams, include_exo: bool, staged: bool, cap: int) -
             fid = f"{f}_x_{stage_of(a)}" if staged else "consumption"
             action_factors[a] = _grid_factor(fid, "consumption", "action", params.consumptions)
 
-    exo_ids = [f"exo_{t}" for t in stages] if include_exo else []
+    exo_ids = [f"exo_{t}" for t in stages] if staged else []
 
     def visible(a: AgentId) -> list[str]:
         """The factors agent ``a`` observes under ``params.info_mode``."""
@@ -385,7 +389,7 @@ def _build_thai(params: ThaiParams, include_exo: bool, staged: bool, cap: int) -
             return [0.0 for _ in reds]
         return [eff * w / wsum for w in weights]
 
-    exo_mass = [params.exogenous_at(t).mass_vector() for t in stages] if include_exo else []
+    exo_mass = [params.exogenous_at(t).mass_vector() for t in stages] if staged else []
     beliefs = {
         "leader": Belief.product(
             model.nature_space,
@@ -417,7 +421,7 @@ def _build_thai(params: ThaiParams, include_exo: bool, staged: bool, cap: int) -
     terms: dict[str, list] = {pl: [] for pl in player_ids}
     for t in stages:
         p, B = params.price_at(t), params.baseline_at(t)
-        exo_axes, scales = ((t - 1,), params.exogenous_at(t).values) if include_exo else ((), (1.0,))
+        exo_axes, scales = ((t - 1,), params.exogenous_at(t).values) if staged else ((), (1.0,))
         stage_axes = (model.agent_axis(leader_agents[t - 1]),) + tuple(
             model.agent_axis(follower_agents[f][t - 1]) for f in followers
         )
@@ -464,19 +468,19 @@ def build_thai_slsf_st(params: ThaiParams, cap: int = DEFAULT_CAP) -> WGame:
             "(own type; follower also sees the target); use the multi-stage "
             "builder for other info modes"
         )
-    return _build_thai(params, include_exo=False, staged=False, cap=cap)
+    return _build_thai(params, staged=False, cap=cap)
 
 
 def build_thai_slsf_mt(params: ThaiParams, cap: int = DEFAULT_CAP) -> WGame:
     """Single follower over a horizon; objectives additive in time."""
     if len(params.followers) != 1:
         raise ValueError("single-follower builder requires exactly one follower")
-    return _build_thai(params, include_exo=True, staged=True, cap=cap)
+    return _build_thai(params, staged=True, cap=cap)
 
 
 def build_thai_slmf_mt(params: ThaiParams, cap: int = DEFAULT_CAP) -> WGame:
     """Multiple followers over a horizon; the leader's per-stage target is
     met against the followers' total reduction ("aggregate") or per follower
     ("literal")."""
-    return _build_thai(params, include_exo=True, staged=True, cap=cap)
+    return _build_thai(params, staged=True, cap=cap)
 

@@ -173,7 +173,8 @@ class Evaluator:
     builds each context once per (deviating agent, strategies of every other
     agent) and is the only cache of contexts: solvers look every context up
     there.  ``evaluations`` counts the ``apply_risk`` calls actually made,
-    not memo hits.
+    not memo hits.  A context is read from strategies placed by agent slot,
+    and a deviation is given as its agent's strategy table.
     """
 
     def __init__(self, game: WGame):
@@ -197,19 +198,20 @@ class Evaluator:
         indices = self._outcomes[profile] = outcome_indices(self.game.model, profile)
         return indices
 
-    def _context(self, agent: AgentId, profile: StrategyProfile) -> Context:
-        """The context of ``agent`` against the other strategies of
-        ``profile`` (his own entry is ignored), with a deviation table when
-        the model is sequential.  The strategies are not checked: the
-        solvers check them at entry or enumerate them."""
-        strategies = profile.strategies
+    def _context(self, agent: AgentId, strategies: Sequence[Strategy | None]) -> Context:
+        """The context of ``agent`` against ``strategies``, one per agent in
+        model agent order (his own entry is ignored and may be ``None``), with
+        a deviation table when the model is sequential.  The entries before
+        and after his are kept as tuple copies, so a caller may reuse its
+        list.  The strategies are not checked: the solvers check them at
+        entry or enumerate them."""
         at = self._slots[agent]
-        head, tail = strategies[:at], strategies[at + 1:]
+        head, tail = tuple(strategies[:at]), tuple(strategies[at + 1:])
         key = (agent, head, tail)
         ctx = self._contexts.get(key)
         if ctx is None:
             model = self.game.model
-            atoms, outcomes = deviation_table(model, agent, profile)
+            atoms, outcomes = deviation_table(model, agent, strategies)
             size = model.info[agent].atom_count
             ctx = self._contexts[key] = Context(agent, head, tail, size, atoms, outcomes)
         return ctx
@@ -218,11 +220,11 @@ class Evaluator:
         self,
         player: str,
         profile: StrategyProfile | Context,
-        deviation: Strategy | None = None,
+        deviation: Sequence[int] | None = None,
     ) -> float:
         """The player's normal-form value at a full ``profile``, or, given a
-        ``deviation``, at the profile where the :class:`Context`'s deviating
-        agent plays it."""
+        ``deviation`` table, at the profile where the :class:`Context`'s
+        deviating agent plays it."""
         data = self.game.data[player]
         if deviation is None:
             key = (player, profile)
@@ -238,18 +240,18 @@ class Evaluator:
                 if profile.outcomes is None:
                     # No table (non-sequential model): score the full profile,
                     # unchecked: its strategies were checked at entry.
-                    full = profile.splice(deviation)
+                    full = profile.splice(Strategy(profile.agent, deviation))
                     if full not in self._outcomes:
                         self._outcomes[full] = outcome_indices(self.game.model, full)
                     return self.value(player, full)
                 entry = profile.memo[player] = (itemgetter(*profile.key_atoms(data.risk)), {})
             getter, memo = entry
-            key = getter(deviation.table)
+            key = getter(deviation)
             cached = memo.get(key)
             if cached is not None:
                 return cached
-            table, values = deviation.table, data.objective.values
-            composed = [values[row[table[a]]] for row, a in zip(profile.outcomes, profile.atoms)]
+            values = data.objective.values
+            composed = [values[row[deviation[a]]] for row, a in zip(profile.outcomes, profile.atoms)]
         v = apply_risk(data.risk, composed, data.objective.sense)
         memo[key] = v
         self.evaluations += 1

@@ -73,7 +73,7 @@ class ProductSpace:
         object.__setattr__(self, "size", acc)
 
     @functools.cached_property
-    def _axis_indexes(self) -> dict[tuple[int, ...], list[int]]:
+    def _axis_indexes(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """The memo of :meth:`axis_index`, keyed by axes without size-1
         factors; kept while the space lives, out of equality and hashing."""
         return {}
@@ -109,13 +109,13 @@ class ProductSpace:
             index %= stride
         return tuple(coords)
 
-    def axis_index(self, axes: Sequence[int]) -> list[int]:
+    def axis_index(self, axes: Sequence[int]) -> tuple[int, ...]:
         """For every flat point, the row-major index of its coordinates on
         ``axes`` (distinct factor positions in any order, the last fastest).
 
         A size-1 factor adds nothing to the index, so each index is built
         once per space under its axes without those factors, kept while the
-        space lives, and returned as a fresh list."""
+        space lives, and returned as that one shared tuple on every call."""
         if len(set(axes)) != len(axes):
             raise ValueError("axes must be distinct")
         n = len(self.factors)
@@ -138,8 +138,8 @@ class ProductSpace:
                     head = [i + s for i in head for s in steps]
                 else:
                     tail = [i + s for i in tail for s in steps]
-            index = self._axis_indexes[key] = [h + t for h in head for t in tail]
-        return list(index)
+            index = self._axis_indexes[key] = tuple([h + t for h in head for t in tail])
+        return index
 
     def point_labels(self, point: Sequence[int]) -> tuple[str, ...]:
         return tuple(f.elements[c] for f, c in zip(self.factors, point))
@@ -202,7 +202,7 @@ def cylinder_partition(space: ProductSpace, visible: Iterable[str]) -> Partition
     # First-occurrence labels in row-major order are the mixed-radix indices
     # of the visible coordinates.
     count = math.prod(space.factors[i].size for i in axes)
-    return Partition(space, tuple(space.axis_index(axes)), count)
+    return Partition(space, space.axis_index(axes), count)
 
 
 def axis_witnesses(partition: Partition) -> Iterator[tuple[int, int, int]]:

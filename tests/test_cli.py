@@ -40,6 +40,8 @@ from test_context_tables import MODES, random_game, signed_zero_game
 from test_model import random_nonsequential_model
 
 GAMES_DIR = Path(__file__).resolve().parent.parent / "games"
+# An integer literal too large for a float.
+BIG = 10**400
 
 
 def run_cli(*args):
@@ -141,6 +143,53 @@ class TestExitCodes:
             "error: agents AgentId(player='p.1', stage=None) and "
             "AgentId(player='p', stage=1) both print as 'p.1'\n"
         )
+
+    @pytest.mark.parametrize(
+        "name, keys, value, field",
+        [
+            ("tou_pricing.json", ("builtin", "params", "peak_prices", 1), BIG, "$.builtin.params.peak_prices[1]"),
+            ("thai_dr_single.json", ("builtin", "params", "reward"), BIG, "$.builtin.params.reward"),
+            (
+                "thai_dr_single.json",
+                ("builtin", "params", "leader_coeffs", "values", 0, 1),
+                BIG,
+                "$.builtin.params.leader_coeffs.values[0][1]",
+            ),
+            ("thai_two_consumers.json", ("builtin", "params", "horizon"), BIG, "$.builtin.params.horizon"),
+            (
+                "nature_orders.json",
+                ("custom", "players", 0, "objective", "values", 2),
+                BIG,
+                "$.custom.players[0].objective.values[2]",
+            ),
+            (
+                "nature_orders.json",
+                ("custom", "players", 0, "belief", "product", 0, 0),
+                BIG,
+                "$.custom.players[0].belief.product[0][0]",
+            ),
+            (
+                "nature_orders.json",
+                ("custom", "players", 0, "risk"),
+                {"kind": "cvar", "alpha": BIG},
+                "$.custom.players[0].risk.alpha",
+            ),
+        ],
+    )
+    def test_numbers_too_large_for_a_float_exit_2(self, tmp_path, capsys, name, keys, value, field):
+        """A 400-digit integer where the game reads a float, or a horizon,
+        is a one-line schema error at its field, not an OverflowError."""
+        doc = json.loads((GAMES_DIR / name).read_text())
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--game", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
 
     def test_non_playable_exit_2_with_witness(self, tmp_path):
         path = write_mutual_observation(tmp_path)

@@ -84,7 +84,7 @@ class PlainEvaluator(Evaluator):
 
     def value(self, player, profile, deviation=None):
         if deviation is not None:
-            profile = profile.splice(deviation)
+            profile = profile.splice(Strategy(profile.agent, deviation))
         self.evaluations += 1
         return oracle.value(self.game, player, profile)
 
@@ -213,15 +213,38 @@ def test_deviation_values_match_the_profile_path(seed):
     plain = PlainEvaluator(game)
     base = random_profile(game.model, rng)
     for agent in game.model.agents:
-        ctx = ev._context(agent, base)
+        ctx = ev._context(agent, base.strategies)
         deviations = list(enumerate_strategies(game.model, agent))
         rng.shuffle(deviations)
         for deviation in deviations:
             profile = ctx.splice(deviation)
             for p in game.players.players:
-                kernel = _outcome(lambda: ev.value(p, ctx, deviation))
+                kernel = _outcome(lambda: ev.value(p, ctx, deviation.table))
                 _assert_same(kernel, _outcome(lambda: plain.value(p, profile)))
                 _assert_same(kernel, _outcome(lambda: Evaluator(game).value(p, profile)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_context_ignores_the_agents_own_slot(seed):
+    """``Evaluator._context`` reads every slot but the deviating agent's: with
+    ``None`` there or any of his strategies it returns the same context, and
+    it keeps copies of the other entries, so the caller may reuse its list."""
+    rng = random.Random(seed)
+    game = random_game(rng)
+    ev = Evaluator(game)
+    strategies = random_profile(game.model, rng).strategies
+    for at, agent in enumerate(game.model.agents):
+        placed = list(strategies)
+        placed[at] = None
+        ctx = ev._context(agent, placed)
+        for s in itertools.islice(enumerate_strategies(game.model, agent), 64):
+            placed[at] = s
+            assert ev._context(agent, placed) is ctx
+        assert ev._context(agent, strategies) is ctx
+        placed[:] = [None] * len(placed)
+        assert (ctx.head, ctx.tail) == (strategies[:at], strategies[at + 1:])
+        assert type(ctx.head) is type(ctx.tail) is tuple
 
 
 @settings(max_examples=60, deadline=None)
@@ -445,8 +468,8 @@ def context_scorer(game):
 
     def score(p, assignment, deviator):
         own = assignment[deviator][-1]
-        ctx = ev._context(own.agent, assemble_profile(game, assignment))
-        return ev.value(p, ctx, own)
+        ctx = ev._context(own.agent, assemble_profile(game, assignment).strategies)
+        return ev.value(p, ctx, own.table)
 
     return ev, score
 
@@ -468,7 +491,7 @@ def _key_atoms(game, player, others):
     (agent,) = game.agents_of(player)
     ev = Evaluator(game)
     zeros = (next(enumerate_strategies(game.model, agent)),)
-    ctx = ev._context(agent, assemble_profile(game, {**others, player: zeros}))
+    ctx = ev._context(agent, assemble_profile(game, {**others, player: zeros}).strategies)
     return ctx.key_atoms(game.data[player].risk), game.model.info[agent].atom_count
 
 
@@ -575,14 +598,16 @@ def test_leader_follower_generator_covers_the_cases():
 @pytest.mark.parametrize("name", ["tou_pricing.json", "nature_orders.json"])
 def test_stackelberg_builds_follower_strategies_only_to_score_keys(monkeypatch, name):
     """``stackelberg`` on a shipped game with a one-agent follower never
-    enumerates the follower's strategies: every follower strategy it builds
-    is the one representative scored for a memo key, and none outside the
-    response sets is listed.  ``nature_orders.json`` has no sequential
-    order, so each of its keys is a whole table."""
+    enumerates the follower's strategies: every follower table it builds
+    (:func:`~infogames.equilibria._spread`) is the one representative scored
+    for a memo key, and it builds no follower :class:`Strategy`; only
+    ``nash-stackelberg`` lists members, one per reported response.
+    ``nature_orders.json`` has no sequential order, so each of its keys is a
+    whole table."""
     game = load_game(str(GAMES_DIR / name))
     (follower,) = game.followers
     (agent,) = game.agents_of(follower)
-    built, enumerated = [], []
+    built, spreads, enumerated = [], [], []
 
     def strategy(a, table):
         s = Strategy(a, table)
@@ -590,23 +615,32 @@ def test_stackelberg_builds_follower_strategies_only_to_score_keys(monkeypatch, 
             built.append(s)
         return s
 
+    def spread(size, positions, actions):
+        table = equilibria_spread(size, positions, actions)
+        spreads.append(table)
+        return table
+
     def strategies(g, player, cap):
         enumerated.append(player)
         return player_strategies(g, player, cap)
 
+    equilibria_spread = equilibria._spread
     monkeypatch.setattr(equilibria, "Strategy", strategy)
+    monkeypatch.setattr(equilibria, "_spread", spread)
     monkeypatch.setattr(equilibria, "player_strategies", strategies)
     for mode in MODES:
         built.clear()
+        spreads.clear()
         ev = Evaluator(game)
         assert stackelberg_strategies(game, mode, evaluator=ev)[0]
-        # Each follower strategy built is scored once, as an evaluation.
-        assert len(built) == ev.evaluations
+        # Each follower table built is scored once, as an evaluation.
+        assert (len(spreads), len(built)) == (ev.evaluations, 0)
         built.clear()
+        spreads.clear()
         ev = Evaluator(game)
         report = nash_stackelberg(game, mode, evaluator=ev)
-        # ... and nash-stackelberg lists each reported response once more.
-        assert len(built) == ev.evaluations + len(report.profiles)
+        # ... and nash-stackelberg builds each reported response once.
+        assert (len(spreads), len(built)) == (ev.evaluations, len(report.profiles))
     assert follower not in enumerated
 
 
@@ -943,7 +977,7 @@ def test_deviation_table_matches_plain_substitution(seed):
     order = check_sequential(model)
     profile = random_profile(model, rng)
     for agent in model.agents:
-        atoms, rows = deviation_table(model, agent, profile)
+        atoms, rows = deviation_table(model, agent, profile.strategies)
         assert (atoms, [list(row) for row in rows]) == plain_deviation_table(
             model, agent, profile, order
         )
@@ -973,7 +1007,7 @@ def test_deviation_plans_are_built_once_per_agent(seed):
     calls = [(agent, profile) for profile in profiles for agent in model.agents]
     rng.shuffle(calls)
     for agent, profile in calls:
-        atoms, rows = deviation_table(model, agent, profile)
+        atoms, rows = deviation_table(model, agent, profile.strategies)
         assert (atoms, [list(row) for row in rows]) == plain_deviation_table(
             model, agent, profile, order
         )
@@ -992,7 +1026,7 @@ def test_deviation_plans_are_built_once_per_agent(seed):
     for profile in profiles:
         evaluator = Evaluator(game)
         for agent in model.agents:
-            ctx = evaluator._context(agent, profile)
+            ctx = evaluator._context(agent, profile.strategies)
             assert (ctx.atoms, [list(row) for row in ctx.outcomes]) == plain_deviation_table(
                 model, agent, profile, order
             )

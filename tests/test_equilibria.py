@@ -178,8 +178,8 @@ class TestNash:
 
         def corrupt(player, assignment):
             (deviation,) = assignment[player]
-            ctx = ev._context(deviation.agent, assemble_profile(game, assignment))
-            ev.value(player, ctx, deviation)
+            ctx = ev._context(deviation.agent, assemble_profile(game, assignment).strategies)
+            ev.value(player, ctx, deviation.table)
             getter, memo = ctx.memo[player]
             memo[getter(deviation.table)] = 100.0
 

@@ -123,7 +123,7 @@ class TestStrideBuilt:
         sizes, order, k = spec
         space = space_of(*sizes)
         axes = list(order[:k])
-        assert space.axis_index(axes) == [row_major(pt, axes, sizes) for pt in space.points()]
+        assert space.axis_index(axes) == tuple(row_major(pt, axes, sizes) for pt in space.points())
 
     def test_axis_index_rejects_repeated_axes(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -146,14 +146,17 @@ class TestStrideBuilt:
         with pytest.raises(ValueError, match="out of range"):
             Objective.from_terms(space_of(2, 3), "p", Sense.COST, [((5,), [1.0])])
 
-    def test_axis_index_returns_a_fresh_list(self):
-        space = space_of(2, 3)
-        first = space.axis_index([1, 0])
-        expected = list(first)
-        first[0] = 99
-        first.append(7)
-        assert space.axis_index([1, 0]) == expected
-        assert space.axis_index([1, 0]) is not space.axis_index([1, 0])
+    def test_axis_index_is_one_shared_tuple(self):
+        # Built once per space and axes, immutable, and held by the cylinder
+        # partition over those axes without a copy.
+        space = space_of(2, 1, 3)
+        first = space.axis_index([0, 2])
+        assert first == (0, 1, 2, 3, 4, 5)
+        assert space.axis_index([0, 2]) is first
+        assert space.axis_index([0, 1, 2]) is first
+        assert cylinder_partition(space, ["f2", "f0"]).atom_of is first
+        with pytest.raises(TypeError):
+            first[0] = 99
 
     @given(factor_sizes.flatmap(lambda sizes: st.tuples(
         st.just(sizes), st.permutations(range(len(sizes))), st.integers(0, len(sizes)))))
@@ -163,7 +166,7 @@ class TestStrideBuilt:
         space = space_of(*sizes)
         axes = list(order[:k])
         kept = [a for a in axes if sizes[a] > 1]
-        expected = [row_major(pt, kept, sizes) for pt in space.points()]
+        expected = tuple(row_major(pt, kept, sizes) for pt in space.points())
         # Each order of the calls: the memo entry is built by either form.
         assert space.axis_index(axes) == expected
         assert space.axis_index(kept) == expected
