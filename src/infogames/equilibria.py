@@ -7,17 +7,20 @@ unilateral deviation before emission.  Extended-real values participate
 in the argmin/argmax directly; a best-response set whose every member sits at
 the adverse infinity is returned in full with a diagnostic flag.
 
-The search enumerates strategies, except for a one-agent player judged by her
-normal-form value: her value in a context reads her actions only at her
-memo-key atoms, so her best-response set is built by scoring each key once
-(see :class:`_Session`), with the same values, members, order, evaluations and
-caps as enumeration.  Every normal-form value is read from an evaluator
-context, in sequential and non-sequential models alike, and every reported
-profile's values from the contexts of the last follower (see
-:meth:`_Session.records`).  The joint profiles of several players are walked
-by strategy index, each member's statuses read once per context of hers (see
-:meth:`_Session.nash`), so no profile is built to be checked.  Player
-strategies given to a public solver are checked once, at entry.
+The search enumerates strategies only for leaders judged by anticipation.
+A player judged by her normal-form value, with one agent or several, has a
+value in a context that reads her actions only at her key digits (the
+(agent, atom) pairs she reaches at her positive-mass states), so her
+best-response set is built by scoring each key once (see :class:`_Session`),
+with the same values, members, order and caps as enumeration, and the
+evaluations of enumeration scored through her context.  Every normal-form
+value is read from an evaluator context, one per (player, strategies of the
+other players), in sequential and non-sequential models alike, and every
+reported value where the search scored it (see :meth:`_Session.records`).
+The joint profiles of several players are walked by strategy index, each
+member's statuses read once per context of hers (see :meth:`_Session.nash`),
+so no profile is built to be checked.  Player strategies given to a public
+solver are checked once, at entry.
 
 Optimistic, pessimistic and theta leader anticipation are interpreted with
 respect to the leader's objective sense: optimistic picks the follower best
@@ -36,7 +39,6 @@ from typing import Mapping, Sequence
 from .errors import EmptyFollowerResponse, IndeterminateValue
 from .model import (
     DEFAULT_CAP,
-    Strategy,
     StrategyProfile,
     count_profiles,
     outcome_indices,
@@ -175,12 +177,21 @@ def best_responses(
 
 
 def _spread(size: int, positions: Sequence[int], actions: Sequence[int]) -> tuple[int, ...]:
-    """The table of ``size`` atoms playing ``actions`` at ``positions`` and
-    action 0 elsewhere."""
+    """The digits of ``size`` positions playing ``actions`` at ``positions``
+    (ascending) and action 0 elsewhere."""
+    if len(positions) == size:
+        return tuple(actions)
     table = [0] * size
     for pos, a in zip(positions, actions):
         table[pos] = a
     return tuple(table)
+
+
+def _digits(strategy: PlayerStrategy) -> tuple[int, ...]:
+    """A player strategy's digits: its agents' tables, concatenated."""
+    if len(strategy) == 1:
+        return strategy[0].table
+    return tuple(itertools.chain.from_iterable(s.table for s in strategy))
 
 
 @dataclass(eq=False, slots=True)
@@ -192,16 +203,16 @@ class _Responses:
     counts her strategies without a judged value.
 
     A keyed player's set is built from her memo key
-    (:meth:`~infogames.normal_form.Context.key_atoms`) in her context ``ctx``.
-    Her value reads her actions only at the key ``atoms``, so each key is
-    scored once, on the lexicographically smallest table carrying it (zeros
-    elsewhere), which is the table enumeration meets first.  ``keys`` are the
-    keys scoring ``value``, in lexicographic order.  A table of the agent's
-    ``ctx.atom_count`` atoms and ``count`` actions is a member iff its
-    actions at ``atoms`` form one of ``keys``; every action is allowed at the
-    other atoms.  Without a sequential order a key is a whole table.  Any
-    other player's set lists its ``members`` and keeps the tie ``flags`` of
-    all her strategies.
+    (:meth:`~infogames.normal_form.Context.entry`) in her context
+    ``ctx``.  Her value reads her actions only at the key ``digits`` (agent,
+    atom pairs), so each key is scored once, on the lexicographically
+    smallest digits carrying it (zeros elsewhere), which is the strategy
+    enumeration meets first.  ``keys`` are the keys scoring ``value``, in
+    lexicographic order.  A strategy is a member iff its actions at
+    ``digits`` form one of ``keys``; every action is allowed at the other
+    digits.  Without a sequential order a key is all her digits.  A leader
+    judged by anticipation lists her ``members`` and keeps the tie ``flags``
+    of all her strategies.
     """
 
     value: float | None
@@ -210,13 +221,12 @@ class _Responses:
     members: tuple[PlayerStrategy, ...] | None = None
     flags: Sequence[bool | None] = ()
     ctx: Context | None = None
-    count: int = 0
-    atoms: tuple[int, ...] = ()
+    digits: tuple[int, ...] = ()
     keys: Sequence[tuple[int, ...]] = ()
 
     def tables(self, positions: Sequence[int]) -> list[tuple[int, ...]]:
-        """The members' actions at ``positions`` (ascending, containing the
-        key atoms), each once, in lexicographic order."""
+        """The members' actions at ``positions`` (ascending digits,
+        containing the key digits), each once, in lexicographic order."""
         trie: dict = {}
         for key in self.keys:
             node = trie
@@ -224,46 +234,37 @@ class _Responses:
                 node = node.setdefault(a, {})
         # Keys are inserted in lexicographic order, so every node lists its
         # children in ascending order.
-        in_key = set(self.atoms)
-        actions = range(self.count)
+        in_key = set(self.digits)
+        radix = self.ctx.radix
         level: list = [((), trie)]
         for pos in positions:
             if pos in in_key:
                 level = [(t + (a,), sub) for t, node in level for a, sub in node.items()]
             else:
+                actions = range(radix[pos])
                 level = [(t + (a,), node) for t, node in level for a in actions]
         return [t for t, _ in level]
-
-    def statuses(self, space: Sequence[PlayerStrategy]) -> list[bool | None]:
-        """Whether each strategy of ``space`` (all of the player's, in
-        enumeration order) is a member, or ``None`` when it has no judged
-        value."""
-        if self.members is not None:
-            return self.flags
-        keys = set(self.keys)
-        atoms = self.atoms
-        return [tuple([s.table[a] for a in atoms]) in keys for (s,) in space]
 
     def strategies(self) -> tuple[PlayerStrategy, ...]:
         """Every member, in enumeration order."""
         if self.members is not None:
             return self.members
-        agent = self.ctx.agent
-        return tuple((Strategy(agent, t),) for t in self.tables(range(self.ctx.atom_count)))
+        return tuple(self.ctx.strategies(self.tables(range(len(self.ctx.radix)))))
 
     def leader_values(self, evaluator: Evaluator, leader: str, multiset: bool) -> list[float]:
         """The leader's values at the members, scored from the context once
         per distinct leader memo key in member order: every member's value
         in member order with ``multiset``, else each distinct key's once.
 
-        The first member carrying a leader key has zeros off the key atoms of
-        both players, so walking the members' actions at those atoms meets
-        the keys in member order, each at the table enumeration scores."""
+        The first member carrying a leader key has zeros off the key digits
+        of both players, so walking the members' actions at those digits
+        meets the keys in member order, each scored at the digits
+        enumeration scores."""
         ctx = self.ctx
-        size = ctx.atom_count
-        lead = ctx.key_atoms(evaluator.game.data[leader].risk)
-        positions = range(size) if multiset else sorted({*self.atoms, *lead})
-        key_of = itemgetter(*(positions.index(a) for a in lead))
+        size = len(ctx.radix)
+        lead = ctx.entry(leader, evaluator.game.data[leader].risk)[0]
+        positions = range(size) if multiset else sorted({*self.digits, *lead})
+        key_of = itemgetter(*(positions.index(d) for d in lead))
         scored: dict = {}
         out = []
         for t in self.tables(positions):
@@ -284,30 +285,27 @@ class _Session:
     is kept: the search asks for one at most twice, and the second time its
     values are in the evaluator's memo.
 
-    Normal-form values are scored from the evaluator's contexts, in every
-    model (see :class:`~infogames.normal_form.Evaluator`).  A player deviates
-    through her last agent; the session places the other players' strategies
-    and her other agents' by agent slot and looks the context up in the
-    evaluator, its only cache, by that list, once per run of candidates
-    sharing those, so no profile is built to look a context up
-    (:meth:`_walk`, which :meth:`scores` and :meth:`records` share).  A
-    deviation is scored by its table, and a keyed player's context is looked
-    up with her own slot left empty, so no strategy is built to score a key.
+    Normal-form values are scored from the evaluator's contexts, one per
+    (player, strategies of the other players), in every model (see
+    :class:`~infogames.normal_form.Evaluator`).  The session places the other
+    players' strategies by agent slot and looks the context up in the
+    evaluator, its only cache, so no profile is built to look a context up.
+    A deviation is scored by its digits, so no strategy is built to score a
+    key.
 
     :meth:`responses` returns a player's best-response set in a context.  A
-    one-agent player judged by the normal-form value is *keyed*: her set
-    scores each of her memo keys once instead of each of her strategies, and
-    lists members only when a caller needs them.  A leader's anticipation
-    over a single keyed follower's set scores that context once per distinct
-    leader memo key.  Everything else (leaders judged by anticipation,
-    multi-agent players, and the joint profiles of several players)
-    enumerates strategies.  :meth:`nash` walks the joint profiles by strategy
+    player judged by the normal-form value is *keyed*: her set scores each
+    of her memo keys once instead of each of her strategies, and lists
+    members only when a caller needs them.  A leader's anticipation over a
+    single follower's set scores that context once per distinct leader memo
+    key.  Only leaders judged by anticipation enumerate their strategies.
+    :meth:`nash` walks the joint profiles of several players by strategy
     index and reads each member's status in her context from her response
     set, built on the first visit.
 
-    :meth:`records` reads every player's value from the contexts of one
-    ``deviator``, the last follower (the last player when there are none),
-    whose contexts the search has built, one run (:meth:`runs`) at a time.
+    :meth:`records` reads each value where the search scored it: a player
+    judged by her normal-form value from her own context, and a leader who
+    anticipates followers from the last follower's.
     """
 
     def __init__(
@@ -321,22 +319,20 @@ class _Session:
         self.evaluator = evaluator if evaluator is not None else Evaluator(game)
         self.cap = cap
         self.mode = mode
-        self._keyed = frozenset(
-            p
-            for p in game.players.players
-            if len(game.agents_of(p)) == 1
-            and (mode is None or p not in game.leaders)
-        )
         followers = game.followers
-        # A single keyed follower: leader anticipation reads her response sets.
-        self._keyed_follower = (
-            followers[0] if len(followers) == 1 and followers[0] in self._keyed else None
-        )
         self.deviator = (followers or game.players.players)[-1]
-        agents = game.model.agents
-        # Each player's agents' positions in a profile.
-        self._slots = {p: tuple(map(agents.index, game.agents_of(p))) for p in game.players.players}
+        # The players whose record values are read from the deviator's
+        # contexts: she and, with followers, the anticipating leaders.
+        anticipating = game.leaders if mode is not None and followers else ()
+        self._at_deviator = {self.deviator, *anticipating}
+        # Whose first visit in :meth:`nash` asks for her judged value before
+        # her set: a leader's may be missing; without a sequential order a
+        # profile may be unplayable, and hers is the first one met.
+        judged_first = game.players.players if game.model.sequential_order is None else ()
+        self._judged_first = {*judged_first, *(game.leaders if mode is not None else ())}
+        self._slots = self.evaluator._slots
         self._spaces: dict[str, list[PlayerStrategy]] = {}
+        self._played: dict = {}
         self._responses: dict = {}
         self._followers_nash: dict = {}
 
@@ -364,28 +360,25 @@ class _Session:
                     placed[slot] = s
         return placed
 
-    def _context(self, placed: list, deviator: str, candidate: PlayerStrategy) -> Context:
-        """The evaluator's context of ``deviator``'s last agent when her
-        agents play ``candidate``'s strategies in the ``placed`` profile,
-        which this writes into ``placed`` at her slots."""
-        for slot, s in zip(self._slots[deviator], candidate):
-            placed[slot] = s
-        return self.evaluator._context(candidate[-1].agent, placed)
+    def statuses(self, player: str, rs: _Responses) -> Sequence[bool | None]:
+        """Whether each of the player's strategies, in enumeration order, is
+        a member of her set ``rs``, or ``None`` when it has no judged value.
+        Each strategy's actions at a set's key digits are read once per
+        session."""
+        if rs.members is not None:
+            return rs.flags
+        played = self._played.get((player, rs.digits))
+        if played is None:
+            spread = [_digits(c) for c in self.space(player)]
+            played = [tuple([d[i] for i in rs.digits]) for d in spread]
+            self._played[(player, rs.digits)] = played
+        keys = set(rs.keys)
+        return [key in keys for key in played]
 
-    def _walk(
-        self, deviator: str, fixed: Mapping[str, PlayerStrategy], candidates
-    ) -> list[tuple[Context, Sequence[PlayerStrategy]]]:
-        """Where ``deviator``'s ``candidates`` are scored against the other
-        players' strategies in ``fixed``, as runs ``(ctx, run)`` in candidate
-        order.  A run is the consecutive candidates sharing her other agents'
-        strategies and ``ctx`` her last agent's context, looked up once per
-        run."""
-        placed = self._place(fixed, deviator)
-        out = []
-        for _, group in itertools.groupby(candidates, key=itemgetter(slice(-1))):
-            run = list(group)
-            out.append((self._context(placed, deviator, run[0]), run))
-        return out
+    def _context(self, player: str, fixed: Mapping[str, PlayerStrategy]) -> Context:
+        """The evaluator's context of ``player`` against the other players'
+        strategies in ``fixed``."""
+        return self.evaluator._context(player, self._place(fixed, player))
 
     def scores(
         self,
@@ -397,48 +390,50 @@ class _Session:
         """Normal-form values of ``player`` when ``deviator`` plays each of
         ``candidates`` against the other players' strategies in ``fixed``."""
         value = self.evaluator.value
-        walk = self._walk(deviator, fixed, candidates)
-        return [value(player, ctx, c[-1].table) for ctx, run in walk for c in run]
+        ctx = self._context(deviator, fixed)
+        return [value(player, ctx, _digits(c)) for c in candidates]
 
     def records(
-        self,
-        deviator: str,
-        fixed: Mapping[str, PlayerStrategy],
-        candidates: Sequence[PlayerStrategy],
+        self, fixed: Mapping[str, PlayerStrategy], candidates: Sequence[PlayerStrategy]
     ) -> list[ProfileRecord]:
-        """The full profiles where ``deviator`` plays each of ``candidates``
-        against the other players' strategies in ``fixed``, with every
-        player's normal-form value.
+        """The full profiles where the ``deviator`` plays each of
+        ``candidates`` against the other players' strategies in ``fixed``,
+        with every player's normal-form value.
 
-        Each candidate's last-agent strategy is spliced into its run's
-        context (:meth:`~infogames.normal_form.Context.splice`), and each
-        player's value is read from the context: in a sequential model, the
-        context's memo entry for it, the member's own entry, not a set's
-        best, since tied keys compare equal but may differ in the sign of
-        zero."""
+        Each candidate is spliced into the deviator's context
+        (:meth:`~infogames.normal_form.Context.splice`), and each value is
+        read where the search scored it: the deviator's and the anticipating
+        leaders' from that context, every other player's from her own.  In a
+        sequential model that is the context's memo entry for the member, not
+        a set's best, since tied keys compare equal but may differ in the
+        sign of zero."""
+        deviator = self.deviator
         value = self.evaluator.value
         players = self.game.players.players
         slot = players.index(deviator)
         before = tuple((p, fixed[p]) for p in players[:slot])
         after = tuple((p, fixed[p]) for p in players[slot + 1:])
+        at_deviator = self._at_deviator
+        own = not at_deviator.issuperset(players)
+        ctx = self._context(deviator, fixed)
         out = []
-        for ctx, run in self._walk(deviator, fixed, candidates):
-            for c in run:
-                s = c[-1]
-                out.append(
-                    ProfileRecord(
-                        before + ((deviator, c),) + after,
-                        ctx.splice(s),
-                        tuple([(p, value(p, ctx, s.table)) for p in players]),
-                    )
-                )
+        for c in candidates:
+            digits = _digits(c)
+            if own:
+                assignment = {**fixed, deviator: c}
+                values = [
+                    (p, value(p, ctx, digits) if p in at_deviator else self.value(p, assignment))
+                    for p in players
+                ]
+            else:
+                values = [(p, value(p, ctx, digits)) for p in players]
+            out.append(ProfileRecord(before + ((deviator, c),) + after, ctx.splice(c), tuple(values)))
         return out
 
     def value(self, player: str, assignment: Mapping[str, PlayerStrategy]) -> float:
         """The player's normal-form value at the full ``assignment``."""
-        c = assignment[player]
-        ctx = self._context(self._place(assignment, player), player, c)
-        return self.evaluator.value(player, ctx, c[-1].table)
+        ctx = self._context(player, assignment)
+        return self.evaluator.value(player, ctx, _digits(assignment[player]))
 
     def runs(self, leaders: Mapping[str, PlayerStrategy]) -> list[tuple[dict, Sequence]]:
         """The full profiles over the followers' joint best responses to
@@ -466,13 +461,14 @@ class _Session:
         if self.mode is None or player not in self.game.leaders:
             return self.value(player, assignment)
         leaders = {ld: assignment[ld] for ld in self.game.leaders}
+        followers = self.game.followers
         # The followers' joint profiles are capped, as their search would be.
-        self.count(self.game.followers)
-        if self._keyed_follower is not None:
-            rs = self.responses(self._keyed_follower, leaders)
+        self.count(followers)
+        if len(followers) == 1:
+            rs = self.responses(followers[0], leaders)
             multiset = self.mode.kind == "leader-risk"
             values = rs.leader_values(self.evaluator, player, multiset)
-        elif not self.game.followers:
+        elif not followers:
             values = [self.value(player, leaders)]
         else:
             values = []
@@ -480,16 +476,6 @@ class _Session:
                 values += self.scores(player, self.deviator, fixed, candidates)
         sense = self.game.data[player].objective.sense
         return _anticipate(values, sense, self.mode) if values else None
-
-    def judged_all(
-        self, player: str, fixed: Mapping[str, PlayerStrategy]
-    ) -> list[float | None]:
-        """Judged value of each of the player's strategies, in enumeration
-        order, against the other players' strategies in ``fixed``."""
-        space = self.space(player)
-        if self.mode is None or player not in self.game.leaders:
-            return self.scores(player, player, fixed, space)
-        return [self.judged(player, {**fixed, player: cand}) for cand in space]
 
     def responses(self, player: str, fixed: Mapping[str, PlayerStrategy]) -> _Responses:
         """The player's best-response set against the other players'
@@ -501,21 +487,21 @@ class _Session:
         if rs is not None:
             return rs
         sense = self.game.data[player].objective.sense
-        if player not in self._keyed:
-            values = self.judged_all(player, fixed)
+        if self.mode is not None and player in self.game.leaders:
+            space = self.space(player)
+            values = [self.judged(player, {**fixed, player: c}) for c in space]
             best, flags = sense.ties(values)
-            members = tuple(itertools.compress(self.space(player), flags))
+            members = tuple(itertools.compress(space, flags))
             rs = _Responses(best, best == sense.adverse, values.count(None), members, flags)
         else:
-            (agent,) = self.game.agents_of(player)
-            count = self.game.model.action_factors[agent].size
-            ctx = self.evaluator._context(agent, self._place(fixed, player))
-            atoms, size = ctx.key_atoms(self.game.data[player].risk), ctx.atom_count
-            keys = list(itertools.product(range(count), repeat=len(atoms)))
-            values = [self.evaluator.value(player, ctx, _spread(size, atoms, key)) for key in keys]
+            ctx = self._context(player, fixed)
+            digits = ctx.entry(player, self.game.data[player].risk)[0]
+            keys = list(itertools.product(*[range(ctx.radix[d]) for d in digits]))
+            size, value = len(ctx.radix), self.evaluator.value
+            values = [value(player, ctx, _spread(size, digits, key)) for key in keys]
             best, flags = sense.ties(values)
             keys = list(itertools.compress(keys, flags))
-            rs = _Responses(best, best == sense.adverse, ctx=ctx, count=count, atoms=atoms, keys=keys)
+            rs = _Responses(best, best == sense.adverse, ctx=ctx, digits=digits, keys=keys)
         self._responses[(player, others)] = rs
         return rs
 
@@ -543,7 +529,9 @@ class _Session:
         :meth:`judged` then :meth:`responses`, and fills the statuses from
         the response set; later visits read them, so no profile is built.
         A first visit without a judged value fills nothing, so the next one
-        repeats those calls, as a per-profile check would.
+        repeats those calls, as a per-profile check would.  In a sequential
+        model a player judged by her normal-form value has one, which her
+        set scores with every other key, so only her set is asked for.
         """
         total = self.count(players)
         if len(players) == 1:
@@ -569,11 +557,11 @@ class _Session:
                 if entry is None:
                     assignment = dict(fixed)
                     assignment.update(zip(players, combo(flat)))
-                    if self.judged(p, assignment) is None:
+                    if p in self._judged_first and self.judged(p, assignment) is None:
                         infeasible += 1
                         break
                     rs = self.responses(p, assignment)
-                    entry = seen[others] = (rs.statuses(space), rs.adverse)
+                    entry = seen[others] = (self.statuses(p, rs), rs.adverse)
                 statuses, best_adverse = entry
                 status = statuses[i]
                 if status is None:
@@ -638,7 +626,7 @@ def nash_equilibria(
     records = []
     for group in found:
         assignment = dict(group)
-        records += session.records(deviator, assignment, [assignment[deviator]])
+        records += session.records(assignment, [assignment[deviator]])
     diag = Diagnostics(
         profiles_enumerated=total,
         ties=max(0, len(records) - 1),
@@ -786,6 +774,6 @@ def nash_stackelberg(
         record
         for leaders in leader_set
         for fixed, candidates in session.runs(dict(leaders))
-        for record in session.records(session.deviator, fixed, candidates)
+        for record in session.records(fixed, candidates)
     ]
     return EquilibriumReport("nash-stackelberg", tuple(records), diag, mode=mode)

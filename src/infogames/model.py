@@ -137,11 +137,11 @@ class WModel:
         return check_sequential(self)
 
     @functools.cached_property
-    def _plans(self) -> dict[AgentId, tuple] | None:
-        """The deviation plan (:func:`_plan`) of each agent, or ``None``
-        without a sequential order.  Computed on first use and kept, like
-        :attr:`columns`."""
-        return None if self.sequential_order is None else {a: _plan(self, a) for a in self.agents}
+    def _plans(self) -> dict[tuple[AgentId, ...], tuple] | None:
+        """The deviation plans (:func:`_plan`) built so far, one per group of
+        deviating agents, or ``None`` without a sequential order.  Kept, like
+        :attr:`columns`, so every caller reads the same plans."""
+        return None if self.sequential_order is None else {}
 
 
 def build_wmodel(
@@ -565,7 +565,7 @@ def outcome_indices(model: WModel, profile: StrategyProfile) -> list[int]:
         return fixed_point_outcomes(model, profile)
     last = model.sequential_order[-1]
     table = profile.strategies[model.agents.index(last)].table
-    atoms, rows = deviation_table(model, last, profile.strategies)
+    atoms, rows = deviation_table(model, (last,), profile.strategies)
     return [row[table[atom]] for atom, row in zip(atoms, rows)]
 
 
@@ -580,80 +580,152 @@ def fixed_point_outcomes(model: WModel, profile: StrategyProfile) -> list[int]:
     return [(solved & block_mask).bit_length() - 1 for block_mask in model._masks[1]]
 
 
-def _plan(model: WModel, agent: AgentId) -> tuple:
-    """What :func:`deviation_table` needs of the model alone when ``agent``
-    deviates: the profile slot and stride of every other one-atom agent; the
-    slot, atom table and stride of each other agent before him, then after
-    him, in the sequential order; his atom table, his stride and the span of
-    his actions (count x stride); the size of the configuration space and of
-    each Nature state's block."""
+def dependents(model: WModel, agents: tuple[AgentId, ...]) -> set[AgentId]:
+    """The agents whose atom may depend on the action of one of ``agents``:
+    along the model's sequential order, those observing the axis of one of
+    them or of an earlier such agent."""
+    axes = {model.agent_axis(a) for a in agents}
+    found = set()
+    for a in model.sequential_order:
+        if axes.intersection(model.observed[a]):
+            found.add(a)
+            axes.add(model.agent_axis(a))
+    return found
+
+
+def _plan(model: WModel, agents: tuple[AgentId, ...]) -> tuple:
+    """What :func:`deviation_table` needs of the model alone when ``agents``
+    deviate: the profile slot and stride of every other one-atom agent; the
+    slot, atom table and stride of every other agent that is not one of
+    their :func:`dependents`, in the sequential order; per deviating agent in
+    the order, his atom table (``None`` when he has one atom), digit offset,
+    stride and action span (count x stride), and the slot, atom table and stride of the dependents after him
+    and before the next one; when there are no such dependents, the offset
+    of each branch from its state's base before each deviating agent and at
+    the end (a ``range`` when evenly spaced); the size of the configuration
+    space and of each Nature state's block."""
     slots = {a: i for i, a in enumerate(model.agents)}
-    folded, before, after = [], [], []
-    steps = before
+    offsets, offset = {}, 0
+    for a in agents:
+        offsets[a] = offset
+        offset += model.info[a].atom_count
+    dependent = dependents(model, agents)
+    folded, first, levels = [], [], []
     for a in model.sequential_order:
         atom_of, stride, count = model.columns[a]
-        if a == agent:
-            own = atom_of, stride, count * stride
-            steps = after
+        if a in offsets:
+            single = model.info[a].atom_count == 1
+            levels.append((None if single else atom_of, offsets[a], stride, count * stride, []))
         elif model.info[a].atom_count == 1:
             folded.append((slots[a], stride))
+        elif a in dependent:
+            levels[-1][-1].append((slots[a], atom_of, stride))
         else:
-            steps.append((slots[a], atom_of, stride))
+            first.append((slots[a], atom_of, stride))
+    prefixes: list | None = None
+    if not any(level[-1] for level in levels):
+        prefixes = [range(1)]
+        for _, _, stride, span, _ in levels:
+            ends = [p + k for p in prefixes[-1] for k in range(0, span, stride)]
+            step = ends[1] if len(ends) > 1 else 1
+            even = range(0, len(ends) * step, step)
+            prefixes.append(even if ends == list(even) else tuple(ends))
     size = model.configuration.size
-    return tuple(folded), tuple(before), tuple(after), *own, size, size // model.nature_space.size
+    levels = [(*level[:-1], tuple(level[-1])) for level in levels]
+    return tuple(folded), tuple(first), tuple(levels), prefixes, size, size // model.nature_space.size
+
+
+def _substitute(indices: Iterable[int], steps: Sequence[tuple]) -> list[int]:
+    """Each of ``indices`` with the action of each of ``steps`` (atom table,
+    strategy table, stride), in order, added at the atom it reads."""
+    out = []
+    for i in indices:
+        for atom_of, table, stride in steps:
+            i += table[atom_of[i]] * stride
+        out.append(i)
+    return out
+
+
+def _shifted(bases: Iterable[int], offsets: Sequence[int]) -> list[Sequence[int]]:
+    """Per base, the base plus each of ``offsets``."""
+    if isinstance(offsets, range):
+        return [range(b + offsets.start, b + offsets.stop, offsets.step) for b in bases]
+    return [[b + o for o in offsets] for b in bases]
 
 
 def deviation_table(
-    model: WModel, agent: AgentId, strategies: Sequence[Strategy | None]
-) -> tuple[list[int], list[Sequence[int]]] | tuple[None, None]:
-    """The outcomes of every action of ``agent`` while the other agents play
-    ``strategies``, one per agent in model agent order (his own entry is
-    ignored and may be ``None``), along the model's sequential order;
-    ``(None, None)`` when the model has none.
+    model: WModel, agents: tuple[AgentId, ...], strategies: Sequence[Strategy | None]
+) -> tuple[list, list[Sequence[int]]] | tuple[None, None]:
+    """The outcomes of every joint action of ``agents`` (in model order)
+    while the other agents play ``strategies``, one per agent in model agent
+    order (the entries of ``agents`` are ignored and may be ``None``), along
+    the model's sequential order; ``(None, None)`` when the model has none.
 
-    Returns, per nature state in nature order, the agent's information atom
-    and the sequence whose entry ``a`` is the flat outcome index when he plays
-    action ``a`` there.  Forward substitution starts at the state's block
-    base (every action 0) and adds ``action * stride`` per agent along the
-    order: up to the agent, then once per action for the agents after him.
+    Forward substitution starts at each Nature state's block base (every
+    action 0) and adds ``action * stride`` per agent along the order,
+    branching over each action of each of ``agents``.  A branch is numbered
+    by their actions so far, the earliest in the order most significant.
+    Returns, per Nature state in nature order, what they read and the flat
+    outcome index of each branch.  A single agent reads his atom.  Several
+    read *digits*: an agent's atom plus the offset of his table in the
+    concatenation of their tables, in model order; at a state, per agent in
+    the order, the tuple of the digits he reads on each branch so far.
 
-    Every other agent with a single information atom plays one action at
-    every state, so all of them are folded into one constant offset added to
-    each base.  That is sound wherever they stand in the order: an agent's
-    atom reads only Nature and the axes of agents earlier in the order, so
-    setting the axes of later agents early changes no atom read.
+    An agent's atom reads only Nature and the axes of agents earlier in the
+    order, so setting the axes of later agents early changes no atom read.
+    So every other agent that is not one of their :func:`dependents` plays
+    one action at a state on every branch, and is substituted before the
+    branching; those with a single information atom play one action at
+    every state, and all of them are folded into one constant offset added
+    to each base.  Without dependents, each branch then adds a constant
+    offset to its state's base.
 
-    What depends only on the model and ``agent`` (the slots, atom tables and
-    strides of the agents on each side, the folded agents, the Nature blocks)
-    is a plan (:func:`_plan`), one per agent, built on the first call and
-    kept in ``model._plans``, so each call reads only the given strategies.
+    What depends only on the model and ``agents`` is a plan (:func:`_plan`),
+    built on the first call and kept in ``model._plans``, so each call reads
+    only the given strategies.
     """
     plans = model._plans
     if plans is None:
         return None, None
-    folded, before, after, own_atom_of, own_stride, span, size, block = plans[agent]
+    plan = plans.get(agents)
+    if plan is None:
+        plan = plans[agents] = _plan(model, agents)
+    folded, first, levels, prefixes, size, block = plan
     offset = 0
     for slot, stride in folded:
         offset += strategies[slot].table[0] * stride
-    starts = range(offset, offset + size, block)
-    pre = [(atom_of, strategies[slot].table, stride) for slot, atom_of, stride in before]
-    post = [(atom_of, strategies[slot].table, stride) for slot, atom_of, stride in after]
-    atoms = []
-    outcomes: list[Sequence[int]] = []
-    for idx in starts:
-        for atom_of, table, stride in pre:
-            idx += table[atom_of[idx]] * stride
-        atoms.append(own_atom_of[idx])
-        row: Sequence[int] = range(idx, idx + span, own_stride)
-        if post:
-            substituted = []
-            for i in row:
-                for atom_of, table, stride in post:
-                    i += table[atom_of[i]] * stride
-                substituted.append(i)
-            row = substituted
-        outcomes.append(row)
-    return atoms, outcomes
+    pre = [(atom_of, strategies[slot].table, stride) for slot, atom_of, stride in first]
+    # Each state's base: its block start, with every agent before the
+    # branching substituted.
+    bases: Sequence[int] = range(offset, offset + size, block)
+    if pre:
+        bases = _substitute(bases, pre)
+    # Per agent, the branches of each state before him, ``n`` per state, and
+    # then those at the end; not listed before an agent with one atom, who
+    # reads it on every branch, nor before a single agent, read at the base.
+    several = len(levels) > 1
+    if prefixes is not None:
+        wanted = [several and atom_of is not None for atom_of, *_ in levels]
+        positions = [(len(p), _shifted(bases, p) if w else None) for p, w in zip(prefixes, [*wanted, True])]
+    else:
+        positions, flat, n = [], bases, 1
+        for atom_of, _, stride, span, post in levels:
+            at = [flat[k:k + n] for k in range(0, len(flat), n)] if several and atom_of is not None else None
+            positions.append((n, at))
+            flat = [i + k for i in flat for k in range(0, span, stride)]
+            n *= span // stride
+            if post:
+                flat = _substitute(flat, [(a, strategies[slot].table, s) for slot, a, s in post])
+        positions.append((n, [flat[k:k + n] for k in range(0, len(flat), n)]))
+    rows = positions[-1][1]
+    if not several:
+        atom_of = levels[0][0]
+        return [0] * len(rows) if atom_of is None else [atom_of[b] for b in bases], rows
+    reads = [
+        [(digit,) * n] * len(rows) if at is None else [tuple([digit + atom_of[i] for i in b]) for b in at]
+        for (atom_of, digit, *_), (n, at) in zip(levels, positions)
+    ]
+    return list(zip(*reads)), rows
 
 
 def solution_map(model: WModel, profile: StrategyProfile) -> dict[Point, Point]:

@@ -4,28 +4,28 @@ composed with the solution map, as a function of the strategy profile.
 An :class:`Evaluator` scores a full profile through the solution map
 (:func:`~infogames.model.outcome_indices`), memoized per (player, profile).
 Equilibrium search instead scores unilateral deviations, each from an
-internal :class:`Context`: the deviating agent against fixed strategies of
-every other agent, built once per (deviating agent, those strategies), in any
+internal :class:`Context`: the deviating player against fixed strategies of
+every other player, built once per (player, those strategies), in any
 model.  Contexts take strategies the solvers have already checked, so they
-check nothing themselves.
+check nothing themselves.  A deviation is given as her digits: her agents'
+tables, concatenated in model order.
 
-In a sequential model, fixing every agent but the deviator fixes, at each
-Nature state, his information atom and the outcome each of his actions leads
-to.  The context holds that table (:func:`~infogames.model.deviation_table`),
-built by |Nature| x |actions| forward substitutions along a plan: what the
-table needs of the model alone (each other agent's profile slot, atom table
-and stride, the one-atom agents folded into one offset, the Nature blocks),
-which the model builds once per deviating agent and keeps.  So every
-evaluator of a model, each with its own memos, reads the same plans.  A
-deviation's value is then the same ``apply_risk`` call on the same composed
-list as the profile path, so both paths agree bit for bit.  It is memoized
-per player under the deviator's actions at the atoms of the player's
-positive-mass states (every state when her risk has no belief): the other
-states are dropped by ``apply_risk``, so deviations that agree there share
-the value.  In any other model the context has no table, and a deviation is
-spliced into its profile and scored on the profile path.  Evaluation is
-pure, so every memo is a last-write-wins cache.  ``Evaluator.evaluations``
-counts the risk evaluations actually computed, on either path.
+In a sequential model, fixing every other player fixes, at each Nature
+state, what each of her agents reads on each branch of her earlier actions
+and the outcome of each of her joint actions.  The context holds that table
+(:func:`~infogames.model.deviation_table`), built along a plan the model
+builds once per group of deviating agents and keeps, so every evaluator of
+a model, each with its own memos, reads the same plans.  A deviation's value
+is then the same ``apply_risk`` call on the same composed list as the
+profile path, so both paths agree bit for bit.  It is memoized per player
+under what the deviation plays at her positive-mass states (every state
+when her risk has no belief): one agent's actions at the atoms read there,
+or the branch several agents end on there.  The other states are dropped by
+``apply_risk``, so deviations that agree there share the value.  In any
+other model the context has no table, and a deviation is spliced into its
+profile and scored on the profile path.  Evaluation is pure, so every memo
+is a last-write-wins cache.  ``Evaluator.evaluations`` counts the risk
+evaluations actually computed, on either path.
 """
 
 from __future__ import annotations
@@ -125,40 +125,93 @@ def assemble_profile(
 
 @dataclass(eq=False, slots=True)
 class Context:
-    """The deviating ``agent`` against fixed strategies of every other agent.
+    """The deviating ``player`` against fixed strategies of every other
+    player's agents.
 
-    ``head`` and ``tail`` are those strategies, the profile's entries before
-    and after the agent's slot, so :meth:`splice` builds a deviation's
-    profile.  ``atom_count`` is the agent's number of information atoms.  In
-    a sequential model, ``atoms[w]`` is the agent's information atom at
-    Nature state ``w`` and ``outcomes[w][a]`` the flat outcome index when he
-    plays action ``a`` there; in any other model both are ``None``.
-    ``memo`` maps a player to her memo key (a getter over strategy tables)
-    and the values memoized under it.
+    A deviation is given as her *digits*: her agents' strategy tables,
+    concatenated in model order, so digit ``d`` is one (agent, atom) pair
+    and ``radix[d]`` that agent's action count.  ``parts`` gives each of her
+    agents and the slice of the digits holding his table, and ``slots`` his
+    profile slot.  ``head`` and ``tail`` are the profile's strategies before
+    and after her first slot, ``None`` at her other slots, so :meth:`splice`
+    builds a deviation's profile.
+
+    In a sequential model, ``outcomes[w]`` is the flat outcome index of
+    each branch of her actions at Nature state ``w`` (see
+    :func:`~infogames.model.deviation_table`) and ``atoms[w]`` her atom
+    there: a one-agent player's information atom, and for several agents
+    the index in ``reads`` of what they read there: per agent in the
+    sequential order, his action count and the digit he reads on each
+    branch so far.  ``reads`` is ``None`` for one agent; in any other model
+    all three are.  States of one atom end on the same branch, so a
+    deviation's value reads the branch it ends on at each atom.  ``memo``
+    maps a player to her memo entry (:meth:`entry`).
     """
 
-    agent: AgentId
-    head: tuple[Strategy, ...]
-    tail: tuple[Strategy, ...]
-    atom_count: int
+    player: str
+    head: tuple[Strategy | None, ...]
+    tail: tuple[Strategy | None, ...]
+    slots: tuple[int, ...]
+    parts: tuple[tuple[AgentId, slice], ...]
+    radix: tuple[int, ...]
     atoms: list[int] | None
     outcomes: list[Sequence[int]] | None
-    memo: dict[str, tuple[Callable, dict]] = field(default_factory=dict)
+    reads: list | None
+    memo: dict[str, tuple[tuple[int, ...], Callable, dict]] = field(default_factory=dict)
 
-    def splice(self, deviation: Strategy) -> StrategyProfile:
-        """The full profile where the agent plays ``deviation``."""
-        return StrategyProfile(self.head + (deviation,) + self.tail)
+    def strategies(self, tables: Sequence[Sequence[int]]) -> list[PlayerStrategy]:
+        """Her strategy playing each of ``tables``, her digits."""
+        parts = self.parts
+        if len(parts) == 1:
+            agent = parts[0][0]
+            return [(Strategy(agent, tuple(t)),) for t in tables]
+        return [tuple([Strategy(agent, tuple(t[part])) for agent, part in parts]) for t in tables]
 
-    def key_atoms(self, risk: RiskMeasure) -> tuple[int, ...]:
-        """The atoms a deviation's value reads, ascending: those of the
-        positive-mass states of ``risk`` (its support; every state without a
-        belief), or every atom of the agent when the context has no table."""
-        atoms = self.atoms
-        if atoms is None:
-            return tuple(range(self.atom_count))
-        if risk.support is None:
-            return tuple(sorted(set(atoms)))
-        return tuple(sorted({atoms[w] for w in risk.support[0]}))
+    def splice(self, strategy: PlayerStrategy) -> StrategyProfile:
+        """The full profile where she plays ``strategy``."""
+        if len(strategy) == 1:
+            return StrategyProfile(self.head + strategy + self.tail)
+        placed = [*self.head, None, *self.tail]
+        for slot, s in zip(self.slots, strategy):
+            placed[slot] = s
+        return StrategyProfile(tuple(placed))
+
+    def entry(self, player: str, risk: RiskMeasure) -> tuple[tuple[int, ...], Callable, dict]:
+        """The memo entry of ``player``, whose risk is ``risk``, built on
+        first use: her key digits, the getter of a deviation's memo key and
+        the values memoized under it.
+
+        The key atoms are the atoms of the positive-mass states of ``risk``
+        (its support; every state without a belief).  The key digits are
+        the digits read there on any branch, ascending, or every digit when
+        the context has no table.  A deviation's memo key is the branch it
+        ends on at each key atom (:func:`_branches`): for one agent, his
+        action there."""
+        entry = self.memo.get(player)
+        if entry is None:
+            atoms, reads = self.atoms, self.reads
+            if atoms is None:
+                digits: tuple[int, ...] = tuple(range(len(self.radix)))
+                getter = None
+            else:
+                support = range(len(atoms)) if risk.support is None else risk.support[0]
+                key = tuple(sorted({atoms[w] for w in support}))
+                getter = itemgetter(*key)
+                digits = key if reads is None else tuple(sorted({d for a in key for _, read in reads[a] for d in read}))
+            entry = self.memo[player] = (digits, getter, {})
+        return entry
+
+
+def _branches(reads: Sequence, deviation: Sequence[int]) -> list[int]:
+    """The branch a deviation's digits end on at each of several agents'
+    atoms, given each atom's ``reads`` (see :class:`Context`)."""
+    out = []
+    for at in reads:
+        branch = 0
+        for count, read in at:
+            branch = branch * count + deviation[read[branch]]
+        out.append(branch)
+    return out
 
 
 class Evaluator:
@@ -167,19 +220,20 @@ class Evaluator:
     :meth:`value` scores a full :class:`StrategyProfile` through
     :meth:`outcome_indices`, memoized per (player, profile), or a deviation
     from a :class:`Context`.  In a sequential model that value is memoized in
-    the context per player under the deviator's actions at the atoms of her
-    positive-mass states (all states when her risk has no belief); in any
+    the context per player under its memo key (:meth:`Context.entry`); in any
     other model it is the value of the spliced profile.  :meth:`_context`
-    builds each context once per (deviating agent, strategies of every other
-    agent) and is the only cache of contexts: solvers look every context up
-    there.  ``evaluations`` counts the ``apply_risk`` calls actually made,
-    not memo hits.  A context is read from strategies placed by agent slot,
-    and a deviation is given as its agent's strategy table.
+    builds each context once per (deviating player, strategies of every
+    other player) and is the only cache of contexts: solvers look every
+    context up there.  ``evaluations`` counts the ``apply_risk`` calls
+    actually made, not memo hits.  A context is read from strategies placed
+    by agent slot, and a deviation is given as its digits.
     """
 
     def __init__(self, game: WGame):
         self.game = game
-        self._slots = {a: i for i, a in enumerate(game.model.agents)}
+        agents = game.model.agents
+        self._slots = {p: tuple(map(agents.index, game.agents_of(p))) for p in game.players.players}
+        self._layouts: dict[str, tuple] = {}
         self._outcomes: dict[StrategyProfile, list[int]] = {}
         self._values: dict[tuple[str, StrategyProfile], float] = {}
         self._contexts: dict[tuple, Context] = {}
@@ -198,22 +252,50 @@ class Evaluator:
         indices = self._outcomes[profile] = outcome_indices(self.game.model, profile)
         return indices
 
-    def _context(self, agent: AgentId, strategies: Sequence[Strategy | None]) -> Context:
-        """The context of ``agent`` against ``strategies``, one per agent in
-        model agent order (his own entry is ignored and may be ``None``), with
-        a deviation table when the model is sequential.  The entries before
-        and after his are kept as tuple copies, so a caller may reuse its
-        list.  The strategies are not checked: the solvers check them at
-        entry or enumerate them."""
-        at = self._slots[agent]
-        head, tail = tuple(strategies[:at]), tuple(strategies[at + 1:])
-        key = (agent, head, tail)
+    def _layout(self, player: str) -> tuple:
+        """The player's agents, the ``parts`` and ``radix`` of her contexts
+        (see :class:`Context`) and, for several agents in a sequential model,
+        their action counts in the sequential order; built on first use."""
+        layout = self._layouts.get(player)
+        if layout is None:
+            model = self.game.model
+            agents = self.game.agents_of(player)
+            parts, radix = [], []
+            for a in agents:
+                size = model.info[a].atom_count
+                parts.append((a, slice(len(radix), len(radix) + size)))
+                radix += [model.action_factors[a].size] * size
+            order = model.sequential_order
+            counts = None
+            if order is not None and len(agents) > 1:
+                counts = tuple(model.action_factors[a].size for a in order if a in agents)
+            layout = self._layouts[player] = (agents, tuple(parts), tuple(radix), counts)
+        return layout
+
+    def _context(self, player: str, strategies: Sequence[Strategy | None]) -> Context:
+        """The context of ``player`` against ``strategies``, one per agent in
+        model agent order (her own entries are ignored and may be ``None``),
+        with her deviation table when the model is sequential.  The other
+        entries are kept as a tuple copy, so a caller may reuse its list.
+        The strategies are not checked: the solvers check them at entry or
+        enumerate them."""
+        slots = self._slots[player]
+        others = list(strategies)
+        for slot in slots:
+            others[slot] = None
+        key = (player, tuple(others))
         ctx = self._contexts.get(key)
         if ctx is None:
-            model = self.game.model
-            atoms, outcomes = deviation_table(model, agent, strategies)
-            size = model.info[agent].atom_count
-            ctx = self._contexts[key] = Context(agent, head, tail, size, atoms, outcomes)
+            agents, parts, radix, counts = self._layout(player)
+            others, at = key[1], slots[0]
+            atoms, outcomes = deviation_table(self.game.model, agents, others)
+            reads = None
+            if counts is not None:
+                ids: dict = {}
+                atoms = [ids.setdefault(read, len(ids)) for read in atoms]
+                reads = [tuple(zip(counts, read)) for read in ids]
+            ctx = Context(player, others[:at], others[at + 1:], slots, parts, radix, atoms, outcomes, reads)
+            self._contexts[key] = ctx
         return ctx
 
     def value(
@@ -223,8 +305,8 @@ class Evaluator:
         deviation: Sequence[int] | None = None,
     ) -> float:
         """The player's normal-form value at a full ``profile``, or, given a
-        ``deviation`` table, at the profile where the :class:`Context`'s
-        deviating agent plays it."""
+        ``deviation``'s digits, at the profile where the :class:`Context`'s
+        deviating player plays it."""
         data = self.game.data[player]
         if deviation is None:
             key = (player, profile)
@@ -235,23 +317,22 @@ class Evaluator:
             values = data.objective.values
             composed = [values[i] for i in self.outcome_indices(profile)]
         else:
-            entry = profile.memo.get(player)
-            if entry is None:
-                if profile.outcomes is None:
-                    # No table (non-sequential model): score the full profile,
-                    # unchecked: its strategies were checked at entry.
-                    full = profile.splice(Strategy(profile.agent, deviation))
-                    if full not in self._outcomes:
-                        self._outcomes[full] = outcome_indices(self.game.model, full)
-                    return self.value(player, full)
-                entry = profile.memo[player] = (itemgetter(*profile.key_atoms(data.risk)), {})
-            getter, memo = entry
-            key = getter(deviation)
+            if profile.outcomes is None:
+                # No table (non-sequential model): score the full profile,
+                # unchecked: its strategies were checked at entry.
+                full = profile.splice(profile.strategies([deviation])[0])
+                if full not in self._outcomes:
+                    self._outcomes[full] = outcome_indices(self.game.model, full)
+                return self.value(player, full)
+            _, getter, memo = profile.memo.get(player) or profile.entry(player, data.risk)
+            reads = profile.reads
+            ends = deviation if reads is None else _branches(reads, deviation)
+            key = getter(ends)
             cached = memo.get(key)
             if cached is not None:
                 return cached
             values = data.objective.values
-            composed = [values[row[deviation[a]]] for row, a in zip(profile.outcomes, profile.atoms)]
+            composed = [values[row[ends[a]]] for row, a in zip(profile.outcomes, profile.atoms)]
         v = apply_risk(data.risk, composed, data.objective.sense)
         memo[key] = v
         self.evaluations += 1

@@ -86,8 +86,13 @@ class Objective:
     def from_terms(space: ProductSpace, player: str, sense: Sense, terms) -> "Objective":
         """Tabulate ``0.0 + term_1 + term_2 + ...`` at every point, in term
         order.  A term is ``(axes, table)`` with ``table`` indexed row-major
-        by the point's coordinates on ``axes``."""
-        values: list = [0.0] * space.size
+        by the point's coordinates on ``axes``.
+
+        The leading terms that share one axis index are summed on their own
+        table, whose broadcast is fused into the first configuration-size
+        add, so every point gets the same float operations in the same
+        order."""
+        checked = []
         for axes, table in terms:
             axes = tuple(axes)
             # Before the length check, which would read factors[axis]:
@@ -95,6 +100,19 @@ class Objective:
             index = space.axis_index(axes)
             if len(table) != math.prod(space.factors[a].size for a in axes):
                 raise ValueError("term table length does not match its axes")
+            checked.append((index, table))
+        if not checked:
+            return Objective(player, sense, (0.0,) * space.size)
+        (index, table), *rest = checked
+        small = [0.0 + v for v in table]
+        while rest and rest[0][0] is index:
+            small = list(map(operator.add, small, rest.pop(0)[1]))
+        broadcast = map(small.__getitem__, index)
+        if rest:
+            index, table = rest.pop(0)
+            broadcast = map(operator.add, broadcast, map(table.__getitem__, index))
+        values = list(broadcast)
+        for index, table in rest:
             values = list(map(operator.add, values, map(table.__getitem__, index)))
         return Objective(player, sense, tuple(values))
 

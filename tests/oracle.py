@@ -128,15 +128,14 @@ class Oracle:
 
     ``score(player, assignment, deviator)``, when given, replaces
     :func:`value` of the full ``assignment`` (player to player strategy),
-    scored as a deviation of ``deviator``: the last follower (the last player
-    when there are none) for anticipated values and records, the player
-    herself for her judged value.
+    scored as a deviation of ``deviator``: the last follower for a leader's
+    values anticipated over followers and her records, the player herself
+    for every other value.
     """
 
     def __init__(self, game, score=None):
         self.game = game
         self._score = score or (lambda p, a, _: value(game, p, assemble_profile(game, a)))
-        self.deviator = (game.followers or game.players.players)[-1]
         self._memo = {}
 
     def _memoized(self, key, compute):
@@ -159,10 +158,11 @@ class Oracle:
         if mode is None or player not in game.leaders:
             return self.score(player, assignment, player)
         leaders = {ld: assignment[ld] for ld in game.leaders}
+        deviator = game.followers[-1] if game.followers else player
 
         def anticipated():
             values = [
-                self.score(player, {**leaders, **dict(responses)}, self.deviator)
+                self.score(player, {**leaders, **dict(responses)}, deviator)
                 for responses in self.followers_nash(leaders)
             ]
             sense = game.data[player].objective.sense
@@ -217,12 +217,19 @@ class Oracle:
                 found.append(tuple(zip(players, combo)))
         return tuple(found), total, infeasible, all_adverse
 
-    def _record(self, assignment):
-        players = self.game.players.players
+    def _record(self, assignment, mode=None):
+        """The record of ``assignment``: each value scored where the search
+        scored it, as a deviation of the last follower for a leader who
+        anticipates followers under ``mode``, else of the player herself."""
+        game = self.game
+        anticipating = game.leaders if mode is not None and game.followers else ()
         return ProfileRecord(
-            tuple((p, assignment[p]) for p in players),
-            assemble_profile(self.game, assignment),
-            tuple((p, self.score(p, assignment, self.deviator)) for p in players),
+            tuple((p, assignment[p]) for p in game.players.players),
+            assemble_profile(game, assignment),
+            tuple(
+                (p, self.score(p, assignment, game.followers[-1] if p in anticipating else p))
+                for p in game.players.players
+            ),
         )
 
     def best_responses(self, player, others):
@@ -257,7 +264,7 @@ class Oracle:
     def nash_stackelberg(self, mode):
         leader_set, diag = self.stackelberg_strategies(mode)
         records = tuple(
-            self._record({**dict(leaders), **dict(responses)})
+            self._record({**dict(leaders), **dict(responses)}, mode)
             for leaders in leader_set
             for responses in self.followers_nash(dict(leaders))
         )

@@ -1103,7 +1103,7 @@ REPORT_SHA256 = [
     ("prisoners_dilemma.json", "strategies", 0, 'd381e60bb7c484c2b84d3ad94fafb600077d3e5c0e82c7134e16aaec2f75e942'),
     ("prisoners_dilemma.json", "playability --mode all", 0, '85d6226610f1674095d9f35cac4262fc3b63629b19bca028cfc246f885c6ebbb'),
     ("prisoners_dilemma.json", "playability --mode sample=5,seed=1", 0, '4b5181c940c9dac916752603f5649c85a643599beadfb5bca70a31d1a3081a39'),
-    ("prisoners_dilemma.json", "nash", 0, '76e58fb596c153479724c30d3c36e9591d5430275779be208229dd98dcd1c0ac'),
+    ("prisoners_dilemma.json", "nash", 0, '9e6095acd94b56b187d3d1c288d04c10f6c06f6ac21c52851ed4fe226efde96b'),
     ("prisoners_dilemma.json", "stackelberg --mode theta=0.5", 2, None),
     ("prisoners_dilemma.json", "stackelberg --mode pessimistic", 2, None),
     ("prisoners_dilemma.json", "nash-stackelberg --mode optimistic", 2, None),
@@ -1118,7 +1118,7 @@ REPORT_SHA256 = [
     ("thai_dr_single.json", "strategies", 0, '459faff3be9d8b2960c99aaf28f225e1d4a42f81b2ad1b1a6c50e1b458813ac9'),
     ("thai_dr_single.json", "playability --mode all", 0, '25979a2ea72515f1492618da13bb663d214e4d38bcd6f0dd8a0eced3533e9687'),
     ("thai_dr_single.json", "playability --mode sample=5,seed=1", 0, '464d6acf38bf9b2d12965e6194043a747bcc51b01296bbc9ceafc01f5937c557'),
-    ("thai_dr_single.json", "nash", 0, '85d4db2db4782f4f6537b18360a44646bc80014ddfa7ca61b7fa1a059d66cd84'),
+    ("thai_dr_single.json", "nash", 0, 'eb543483e2a0947e759f3b3aa1c7d8e31de82a72884ab1e2179a281b3572d36b'),
     ("thai_dr_single.json", "stackelberg --mode theta=0.5", 0, '6e66ac9bf8a05f8b1457f49f37b4946f356a9230de5a9de80c6c742bf5c1ec9d'),
     ("thai_dr_single.json", "stackelberg --mode pessimistic", 0, '069199b7ce74c4b260cad5c59c4e53a0fbed4900f3943e76636b4292333ac604'),
     ("thai_dr_single.json", "nash-stackelberg --mode optimistic", 0, 'f7bf0483d815317a4a1a39171138e9b67346fd9d3df0d6cf359c079b48c39ba8'),
@@ -1133,22 +1133,22 @@ REPORT_SHA256 = [
     ("thai_two_consumers.json", "strategies", 0, '5ee587ba9ef62eb66bae2d9120f69d61acd35c16bfba3828ebcc6a0a28dd7b24'),
     ("thai_two_consumers.json", "playability --mode all", 0, 'f9dc425e8510a9e786486fb5305a0a818fb6f4f40cd91be040aa1d383e899b8a'),
     ("thai_two_consumers.json", "playability --mode sample=5,seed=1", 0, 'a62980978824aad715b0f0fedd32606125805c42e1f23070443aa121b2cab8a3'),
-    ("thai_two_consumers.json", "nash", 0, '0f661f0007a6e2e60fd861bb001222264acd147576139b9544637704527f7bae'),
-    ("thai_two_consumers.json", "stackelberg --mode theta=0.5", 0, '3ba8280ed126311c35534521221e0afc35aeaaa65fed68dccfc6095ee6e4e4b4'),
-    ("thai_two_consumers.json", "stackelberg --mode pessimistic", 0, '032511e5945b3f19a5acda9e7534dd03e924340c0e560870071f4d5ab2f231b2'),
-    ("thai_two_consumers.json", "nash-stackelberg --mode optimistic", 0, 'aad77e503d11ad30e616c82a5288844830a2150dc9ddeafe7b30bb41667641b8'),
-    ("thai_two_consumers.json", "nash-stackelberg --mode pessimistic", 0, '7f6febee9abdb7136b9283eab043a809f43efb6d7fcadc599a39699d429aa2d7'),
-    ("thai_two_consumers.json", "nash-stackelberg --mode theta=0.5", 0, '23be8c8116ae2509ecbe7ae00318443986c9af13184baead5935af54c61972ef'),
-    ("thai_two_consumers.json", "nash-stackelberg --mode leader-risk=cvar:0.5", 0, 'f971a2f01a0b50f285570a7b0d1bddc3fb5311f7aea6dec647566e1aeeb3d41c'),
-    ("thai_two_consumers.json", "nash-stackelberg --mode leader-risk=expectation-uniform", 0, 'b099c3bab6b884285f823a4247e0df288a9ea33bba8ba88fd6903b67b8fc483b'),
-    ("thai_two_consumers.json", "nash-stackelberg --mode leader-risk=worst-case", 0, 'e92b5c0fa137712a872b5835f1ce295855536f20c7970f060056d8cda0aa3d3b'),
+    ("thai_two_consumers.json", "nash", 0, '198bb6037f25c134dcc480bb79f65dfce7e375c8893b8dad0ebb4e69c5c338e9'),
+    ("thai_two_consumers.json", "stackelberg --mode theta=0.5", 0, '67aa501ef9e05a87ae950ca4f729dc339fe317b10d6e39b34ba83df1d4d3e50d'),
+    ("thai_two_consumers.json", "stackelberg --mode pessimistic", 0, '0d86fac5d2dd8a64b73b661b17466ca23dd624dc04c1d05de6c6abf0aca01401'),
+    ("thai_two_consumers.json", "nash-stackelberg --mode optimistic", 0, 'eb50be6e2b01b15b4fe23a05da698d1ff0457385d377d85937eae041effa6158'),
+    ("thai_two_consumers.json", "nash-stackelberg --mode pessimistic", 0, '56e439518c382591860562181c9d09409166fcff9d122929b6515bf3cab8744e'),
+    ("thai_two_consumers.json", "nash-stackelberg --mode theta=0.5", 0, 'd05f0e1544ee7eb4d13dedbe4683d692d5e3bc6e5f3bbf08fc20c8c822ebb176'),
+    ("thai_two_consumers.json", "nash-stackelberg --mode leader-risk=cvar:0.5", 0, 'b3bbfd958ba5ccde939cea8e5580d9a1aa6f2afe2a8e999d3c88f419de8f585e'),
+    ("thai_two_consumers.json", "nash-stackelberg --mode leader-risk=expectation-uniform", 0, '7d573f627bd7dc083279f234d6b78f38ab7b3c14ffc28280f27675e3ec6eeeb0'),
+    ("thai_two_consumers.json", "nash-stackelberg --mode leader-risk=worst-case", 0, '5f15ea6a66318b326f6f75446bfb624401f4b2266b858fd65e95218c8fe154e1'),
     ("thai_two_consumers.json", "normal-form", 2, None),
     ("thai_two_consumers.json", "export", 0, 'f70fd49e86bad84c4927974293a35d55a1804fd33713e0b01e4161e577d591ec'),
     ("tou_pricing.json", "validate", 0, 'ca63b7ffb2f7f21d606371808b66724b17a1d250460abf8249869d175fdf9304'),
     ("tou_pricing.json", "strategies", 0, '531af368da9c35cf36c93066bc90fc1b12b3fdcd648344987689a664648e73fc'),
     ("tou_pricing.json", "playability --mode all", 0, 'df08ca76bcc37351de3586b4eb69464d45b39ff3498963830fc05618b42a1c33'),
     ("tou_pricing.json", "playability --mode sample=5,seed=1", 0, '4a0c9cf9cda354949afde1792131d10f11d526f811ed4d2936c728281f307784'),
-    ("tou_pricing.json", "nash", 0, '79845ae55adf183ecb37ffeabd5d10bf8de3c89616f570a7880fe646f9c6933d'),
+    ("tou_pricing.json", "nash", 0, '9d176c336e033e621d178d42996c54a705b3654d85c31f4daad0766ad99e4a02'),
     ("tou_pricing.json", "stackelberg --mode theta=0.5", 0, '8d096565351f6de74991ad0d71533acb2458415c90e04fb8b7d90c64d2a141d4'),
     ("tou_pricing.json", "stackelberg --mode pessimistic", 0, '60453bc61b7488c00274bebcc9c1f95c9f681880895126e9b2c645cd16f4040b'),
     ("tou_pricing.json", "nash-stackelberg --mode optimistic", 0, '032622475c55f2c813f8092d7c2fc9210698656fa2ba8dd1d5a17414213a7a12'),
@@ -1209,7 +1209,7 @@ TEXT_REPORT_SHA256 = [
     ("prisoners_dilemma.json", "strategies", 0, '9b4da4bb2c9eca58183afb42a611bdfd6121be4217a754f9499f78d8a4e286fd'),
     ("prisoners_dilemma.json", "playability --mode all", 0, '35a2d5039adb9ac411b5dbc72f02a3d1eb86e79b9bcb2099514f680f8a3e882e'),
     ("prisoners_dilemma.json", "playability --mode sample=5,seed=1", 0, '1382f2b492449356df7fe74059391ccdc72ab12916e65b6375ec642f908a1c23'),
-    ("prisoners_dilemma.json", "nash", 0, 'b616ebeede9b6e05188f1cf9e3f64364b07cc4935f5fc5253039498f43e1d103'),
+    ("prisoners_dilemma.json", "nash", 0, '2994cf9144beaa20da424825442ec3a3290df1cbbf41c8b978b9688addd70e3f'),
     ("prisoners_dilemma.json", "stackelberg --mode theta=0.5", 2, None),
     ("prisoners_dilemma.json", "stackelberg --mode pessimistic", 2, None),
     ("prisoners_dilemma.json", "nash-stackelberg --mode optimistic", 2, None),
@@ -1224,7 +1224,7 @@ TEXT_REPORT_SHA256 = [
     ("thai_dr_single.json", "strategies", 0, '37b2dd104be4d3d38b3e7faf54bd7a5e3b06d74dbb4b2e9c72cd60361a0809ff'),
     ("thai_dr_single.json", "playability --mode all", 0, 'a1ce00a327b41ac6084eb703eb29ddb598954befe4ee43ec47ee633c583a936d'),
     ("thai_dr_single.json", "playability --mode sample=5,seed=1", 0, '64a1cd289917f770a688591fea65dcb36ae2bdcce8d81d96742679e3a0fb1ffb'),
-    ("thai_dr_single.json", "nash", 0, 'cbc6b9f82982a6fb288a1e119e1641d372668f8cda6d82112484272a6138d34a'),
+    ("thai_dr_single.json", "nash", 0, 'cafe82f526a837746d76077d9d2726ef6fb2dd36c2cf8f750d5e878cbcc23cf4'),
     ("thai_dr_single.json", "stackelberg --mode theta=0.5", 0, '3cc0d9f268fc6cc6918ae34aa190837bcb3e5fb73b2583f0db58bc4541819cd7'),
     ("thai_dr_single.json", "stackelberg --mode pessimistic", 0, '1c08d18fc0bcf842ca9dbfea3eceda494f8ce8afb39c7bbb5aeed4f6eb2edd44'),
     ("thai_dr_single.json", "nash-stackelberg --mode optimistic", 0, 'd619e852b90ffe1ba2779c515064262539c886c20197e45360a3e412d17d03f8'),
@@ -1239,22 +1239,22 @@ TEXT_REPORT_SHA256 = [
     ("thai_two_consumers.json", "strategies", 0, 'a75c54a1aade1a5a22522784089fc4a2cef4540eb2be5c3f64a6e13c1b50398d'),
     ("thai_two_consumers.json", "playability --mode all", 0, '028116fb9a851ec153d80cb9f52c120193a11b4ede8a974bd7d7ef808959f451'),
     ("thai_two_consumers.json", "playability --mode sample=5,seed=1", 0, 'b402f0c719b8d584802fa686cf5ff5473a94861c63969ac2d44c51f1abee47d4'),
-    ("thai_two_consumers.json", "nash", 0, '72ebc7c492e74cb366ca90f4704ec0a000d5792e2e0458bf376e64621ab24388'),
-    ("thai_two_consumers.json", "stackelberg --mode theta=0.5", 0, '0194314308e824059d658399357b051773cc3f7d843b52e5a837f70e681946cb'),
-    ("thai_two_consumers.json", "stackelberg --mode pessimistic", 0, '5ec44b107e0e30294f0b6761a3e2eb76b7844b8e43e9874b8090cf517e806d7b'),
-    ("thai_two_consumers.json", "nash-stackelberg --mode optimistic", 0, '16da40b1216ef1000ea17fdc52d79115a6db4d33802a24284ae4ccf4434a5893'),
-    ("thai_two_consumers.json", "nash-stackelberg --mode pessimistic", 0, '00548c1afe1244f38b1822dd8770b1ea511246688bd99ee8871b377582a3894d'),
-    ("thai_two_consumers.json", "nash-stackelberg --mode theta=0.5", 0, 'c0143b7233780330446a3dd39c9b472c54176ca3a28a793fbdb006d50d23b236'),
-    ("thai_two_consumers.json", "nash-stackelberg --mode leader-risk=cvar:0.5", 0, 'd2dcdd84367bf2e6f4a1eea7194160627374cf606a609af03120646af31d2c7c'),
-    ("thai_two_consumers.json", "nash-stackelberg --mode leader-risk=expectation-uniform", 0, '0583c2cf5a3c2ed8cd1fe5df0dfe33b36e563900c1e798e3422d904843345be1'),
-    ("thai_two_consumers.json", "nash-stackelberg --mode leader-risk=worst-case", 0, 'b99a002ff28ad2be13fa6e7eb182b36b1e0b58ebb5da64993ab71f022da62709'),
+    ("thai_two_consumers.json", "nash", 0, 'eca965b5bbfc546b87cc87a4540ad805b874f2710555fe7edb0754bc97d0af12'),
+    ("thai_two_consumers.json", "stackelberg --mode theta=0.5", 0, '71e255de1950c59e68fde62991600711f531f2a5423108544d8ad4d0b0e2fef0'),
+    ("thai_two_consumers.json", "stackelberg --mode pessimistic", 0, 'c67b6a4440048617c83cabed7f3cbd431ecee62b0b5ef3311a7300afd1a2802a'),
+    ("thai_two_consumers.json", "nash-stackelberg --mode optimistic", 0, 'ccc2e56c166f0df383edeefa395201722fe51b62c6235a7a8fe5beb6e7e9d81d'),
+    ("thai_two_consumers.json", "nash-stackelberg --mode pessimistic", 0, '06e0538dfcb0094a2956b1491376bf6c5f5d95c2e00fd197d933ad4ec59312a6'),
+    ("thai_two_consumers.json", "nash-stackelberg --mode theta=0.5", 0, 'b05c084b2ee54ab0dae500a0dcc5588c91e8de4b856b5d4a8aee5b77cec6c19f'),
+    ("thai_two_consumers.json", "nash-stackelberg --mode leader-risk=cvar:0.5", 0, 'bac9983f4b299e86688f4bc3c59b8492f778527899e6ed6eae3d7f8584573693'),
+    ("thai_two_consumers.json", "nash-stackelberg --mode leader-risk=expectation-uniform", 0, 'f8a82053825866061d050edb2b7d521163e1325dc84d3c3e9d3d56937174654d'),
+    ("thai_two_consumers.json", "nash-stackelberg --mode leader-risk=worst-case", 0, '5f9a54c03492bb21bd2466bcaa232c4951402eac775c7aa429c0027b55382b96'),
     ("thai_two_consumers.json", "normal-form", 2, None),
     ("thai_two_consumers.json", "export", 0, 'f70fd49e86bad84c4927974293a35d55a1804fd33713e0b01e4161e577d591ec'),
     ("tou_pricing.json", "validate", 0, '859775e26dc5f1d9fb261c75a64f0b2a1c2c29a5a096a5a754e7b3099bf4c23d'),
     ("tou_pricing.json", "strategies", 0, '24a685a4cfcbf0f6550383c70458819c3623a70b4b051085ef3f20ed58e8bc3c'),
     ("tou_pricing.json", "playability --mode all", 0, '0976814574ecef6f5829e4da97055749a737863ad84fe856a9f75f8570873a59'),
     ("tou_pricing.json", "playability --mode sample=5,seed=1", 0, 'ff8fa260a5c5ab4a96d18fba6d0dc0cd391b8af006b56540a0508effdefbc076'),
-    ("tou_pricing.json", "nash", 0, 'e7dabbbc207c493515d2ff0d6344a62d2a415790e1baf8b5180dff8c955c4fdc'),
+    ("tou_pricing.json", "nash", 0, 'f96d32a2218b3ff440e07d6a6e207f26bef6a9414026c513ca756b15cb59efe1'),
     ("tou_pricing.json", "stackelberg --mode theta=0.5", 0, 'cef6d0b76345147c316f4a8da14ca342b209cadcfdea9629f1f677fb17098d79'),
     ("tou_pricing.json", "stackelberg --mode pessimistic", 0, '159c34a73bc77afbe4e80c6d74a93cf4ce14ec619e1bf49d30acf36714900dbf'),
     ("tou_pricing.json", "nash-stackelberg --mode optimistic", 0, '6c69eb5b608620e3dadf5156bf7fd21d0b0d05813bf6cb46c15aa7eccffdd100'),

@@ -23,6 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import infogames.model
+import infogames.normal_form
 from infogames import (
     OPTIMISTIC,
     AgentId,
@@ -42,7 +43,6 @@ from infogames import (
     build_wmodel,
     check_playability,
     count_profiles,
-    enumerate_strategies,
     followers_nash,
     leader_value,
     load_game,
@@ -57,6 +57,7 @@ from infogames import (
 from infogames import equilibria
 from infogames.model import (
     check_sequential,
+    dependents,
     deviation_table,
     fixed_point_outcomes,
     outcome_indices,
@@ -84,7 +85,7 @@ class PlainEvaluator(Evaluator):
 
     def value(self, player, profile, deviation=None):
         if deviation is not None:
-            profile = profile.splice(Strategy(profile.agent, deviation))
+            profile = profile.splice(profile.strategies([deviation])[0])
         self.evaluations += 1
         return oracle.value(self.game, player, profile)
 
@@ -191,6 +192,11 @@ def random_contexts(game, rng: random.Random):
     return [(p, {q: strategies[q] for q in players if q != p}) for p in players]
 
 
+def digits(strategy) -> tuple:
+    """A player strategy's digits: its agents' tables, concatenated."""
+    return tuple(j for s in strategy for j in s.table)
+
+
 def _outcome(fn):
     try:
         result = fn()
@@ -212,38 +218,44 @@ def test_deviation_values_match_the_profile_path(seed):
     ev = Evaluator(game)
     plain = PlainEvaluator(game)
     base = random_profile(game.model, rng)
-    for agent in game.model.agents:
-        ctx = ev._context(agent, base.strategies)
-        deviations = list(enumerate_strategies(game.model, agent))
+    for deviator in game.players.players:
+        ctx = ev._context(deviator, base.strategies)
+        deviations = player_strategies(game, deviator)
         rng.shuffle(deviations)
         for deviation in deviations:
             profile = ctx.splice(deviation)
+            assert ctx.strategies([digits(deviation)]) == [deviation]
             for p in game.players.players:
-                kernel = _outcome(lambda: ev.value(p, ctx, deviation.table))
+                kernel = _outcome(lambda: ev.value(p, ctx, digits(deviation)))
                 _assert_same(kernel, _outcome(lambda: plain.value(p, profile)))
                 _assert_same(kernel, _outcome(lambda: Evaluator(game).value(p, profile)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_context_ignores_the_agents_own_slot(seed):
-    """``Evaluator._context`` reads every slot but the deviating agent's: with
-    ``None`` there or any of his strategies it returns the same context, and
-    it keeps copies of the other entries, so the caller may reuse its list."""
+def test_context_ignores_the_players_own_slots(seed):
+    """``Evaluator._context`` reads every slot but the deviating player's:
+    with ``None`` there or any of her strategies it returns the same
+    context, and it keeps a copy of the other entries, so the caller may
+    reuse its list."""
     rng = random.Random(seed)
     game = random_game(rng)
     ev = Evaluator(game)
     strategies = random_profile(game.model, rng).strategies
-    for at, agent in enumerate(game.model.agents):
+    for player in game.players.players:
+        slots = [game.model.agents.index(a) for a in game.agents_of(player)]
         placed = list(strategies)
-        placed[at] = None
-        ctx = ev._context(agent, placed)
-        for s in itertools.islice(enumerate_strategies(game.model, agent), 64):
-            placed[at] = s
-            assert ev._context(agent, placed) is ctx
-        assert ev._context(agent, strategies) is ctx
+        for at in slots:
+            placed[at] = None
+        ctx = ev._context(player, placed)
+        for ps in itertools.islice(player_strategies(game, player), 64):
+            for at, s in zip(slots, ps):
+                placed[at] = s
+            assert ev._context(player, placed) is ctx
+        assert ev._context(player, strategies) is ctx
         placed[:] = [None] * len(placed)
-        assert (ctx.head, ctx.tail) == (strategies[:at], strategies[at + 1:])
+        others = tuple(None if i in slots else s for i, s in enumerate(strategies))
+        assert (ctx.head, ctx.tail) == (others[: slots[0]], others[slots[0] + 1:])
         assert type(ctx.head) is type(ctx.tail) is tuple
 
 
@@ -364,8 +376,10 @@ def _solved_digest(result) -> str:
 # Per seed and mode: evaluations and result digest of stackelberg_strategies,
 # then of nash_stackelberg, each with a fresh evaluator.  Seed 17 draws two
 # one-agent leaders and a one-agent follower; seed 39 two leaders, one with
-# two agents, and no followers.  Several leaders meet a leaders' profile more
-# than once, and no memo beyond the evaluator's may change what is scored.
+# two agents, and no followers, whose records read each leader's value from
+# her own context, where the search scored it, so nash_stackelberg scores
+# nothing more.  Several leaders meet a leaders' profile more than once, and
+# no memo beyond the evaluator's may change what is scored.
 SEVERAL_LEADER_PINS = {
     17: {
         "optimistic": (132, "65204a823cfe31cb", 132, "31981deb40abed27"),
@@ -375,7 +389,7 @@ SEVERAL_LEADER_PINS = {
         "leader-risk=worst-case": (132, "2f5224686845d228", 132, "9326ef633b810dda"),
         "leader-risk=cvar:0.5": (132, "2f5224686845d228", 132, "9326ef633b810dda"),
     },
-    39: {mode.describe(): (198, "5f29eb384e787015", 213, "d305da5398da7e62") for mode in MODES},
+    39: {mode.describe(): (198, "5f29eb384e787015", 198, "d305da5398da7e62") for mode in MODES},
 }
 
 
@@ -455,21 +469,20 @@ def test_generator_covers_the_cases():
 
 # --- Keyed best-response sets against brute force ----------------------------
 #
-# A one-agent player judged by her normal-form value has her best-response
-# set built from her memo keys, and a leader's anticipation over one such
-# follower scores each distinct leader key once.  The oracle enumerates every
-# strategy instead: with its own scoring, results must be equal; scoring
-# through :func:`context_scorer`, from ``Evaluator`` context tables as
-# enumeration did, the evaluation count must be equal too.
+# A player judged by her normal-form value has her best-response set built
+# from her memo keys, and a leader's anticipation over a single follower
+# scores each distinct leader key once.  The oracle enumerates every strategy
+# instead: with its own scoring, results must be equal; scoring through
+# :func:`context_scorer`, each strategy from the ``Evaluator`` context of
+# its player, the evaluation count must be equal too.
 
 
 def context_scorer(game):
     ev = Evaluator(game)
 
     def score(p, assignment, deviator):
-        own = assignment[deviator][-1]
-        ctx = ev._context(own.agent, assemble_profile(game, assignment).strategies)
-        return ev.value(p, ctx, own.table)
+        ctx = ev._context(deviator, assemble_profile(game, assignment).strategies)
+        return ev.value(p, ctx, digits(assignment[deviator]))
 
     return ev, score
 
@@ -486,13 +499,12 @@ def random_leader_follower_game(rng: random.Random):
     return make_wgame(game.model, game.players, game.data, leaders=(leader,))
 
 
-def _key_atoms(game, player, others):
-    """The player's memo-key atoms and atom count in the context of ``others``."""
-    (agent,) = game.agents_of(player)
-    ev = Evaluator(game)
-    zeros = (next(enumerate_strategies(game.model, agent)),)
-    ctx = ev._context(agent, assemble_profile(game, {**others, player: zeros}).strategies)
-    return ctx.key_atoms(game.data[player].risk), game.model.info[agent].atom_count
+def _key_digits(game, player, others):
+    """The player's memo-key digits and digit count in the context of
+    ``others``."""
+    zeros = player_strategies(game, player)[0]
+    ctx = Evaluator(game)._context(player, assemble_profile(game, {**others, player: zeros}).strategies)
+    return ctx.entry(player, game.data[player].risk)[0], len(ctx.radix)
 
 
 def _compare(ref, solve, query):
@@ -565,7 +577,6 @@ def test_leader_follower_generator_covers_the_cases():
         (leader,), (follower,) = game.leaders, game.followers
         if len(game.agents_of(follower)) > 1:
             seen.add("multi-agent follower")
-            continue
         if game.model.sequential_order is None:
             seen.add("keyed follower without a sequential order")
         risk = game.data[follower].risk
@@ -578,10 +589,11 @@ def test_leader_follower_generator_covers_the_cases():
         if game.data[follower].objective.sense.adverse in game.data[follower].objective.values:
             seen.add("adverse infinity")
         leaders = {leader: player_strategies(game, leader)[0]}
-        atoms, size = _key_atoms(game, follower, leaders)
-        if len(atoms) < size:
-            seen.add("atoms outside the key")
-        if len(followers_nash(game, leaders)) > 1:
+        key, size = _key_digits(game, follower, leaders)
+        if len(key) < size:
+            seen.add("digits outside the key")
+        responses = _outcome(lambda: followers_nash(game, leaders))
+        if responses[0] == "returns" and len(responses[1]) > 1:
             seen.add("tied responses")
     assert seen == {
         "multi-agent follower",
@@ -590,7 +602,7 @@ def test_leader_follower_generator_covers_the_cases():
         "zero-mass state",
         "cvar",
         "adverse infinity",
-        "atoms outside the key",
+        "digits outside the key",
         "tied responses",
     }
 
@@ -598,22 +610,30 @@ def test_leader_follower_generator_covers_the_cases():
 @pytest.mark.parametrize("name", ["tou_pricing.json", "nature_orders.json"])
 def test_stackelberg_builds_follower_strategies_only_to_score_keys(monkeypatch, name):
     """``stackelberg`` on a shipped game with a one-agent follower never
-    enumerates the follower's strategies: every follower table it builds
+    enumerates the follower's strategies: every follower deviation it builds
     (:func:`~infogames.equilibria._spread`) is the one representative scored
-    for a memo key, and it builds no follower :class:`Strategy`; only
-    ``nash-stackelberg`` lists members, one per reported response.
-    ``nature_orders.json`` has no sequential order, so each of its keys is a
-    whole table."""
+    for a memo key, and it builds no follower :class:`Strategy` outside
+    :meth:`Evaluator.value`; only ``nash-stackelberg`` lists members, one
+    per reported response.  ``nature_orders.json`` has no sequential order,
+    so each of its keys is a whole table, which :meth:`Evaluator.value`
+    splices into a profile to score it: those strategies are not counted."""
     game = load_game(str(GAMES_DIR / name))
     (follower,) = game.followers
     (agent,) = game.agents_of(follower)
-    built, spreads, enumerated = [], [], []
+    built, spreads, enumerated, scoring = [], [], [], []
 
     def strategy(a, table):
         s = Strategy(a, table)
-        if a == agent:
+        if a == agent and not scoring:
             built.append(s)
         return s
+
+    def value(ev, *args):
+        scoring.append(True)
+        try:
+            return evaluator_value(ev, *args)
+        finally:
+            scoring.pop()
 
     def spread(size, positions, actions):
         table = equilibria_spread(size, positions, actions)
@@ -624,8 +644,9 @@ def test_stackelberg_builds_follower_strategies_only_to_score_keys(monkeypatch, 
         enumerated.append(player)
         return player_strategies(g, player, cap)
 
-    equilibria_spread = equilibria._spread
-    monkeypatch.setattr(equilibria, "Strategy", strategy)
+    evaluator_value, equilibria_spread = Evaluator.value, equilibria._spread
+    monkeypatch.setattr(infogames.normal_form, "Strategy", strategy)
+    monkeypatch.setattr(Evaluator, "value", value)
     monkeypatch.setattr(equilibria, "_spread", spread)
     monkeypatch.setattr(equilibria, "player_strategies", strategies)
     for mode in MODES:
@@ -633,7 +654,7 @@ def test_stackelberg_builds_follower_strategies_only_to_score_keys(monkeypatch, 
         spreads.clear()
         ev = Evaluator(game)
         assert stackelberg_strategies(game, mode, evaluator=ev)[0]
-        # Each follower table built is scored once, as an evaluation.
+        # Each follower deviation built is scored once, as an evaluation.
         assert (len(spreads), len(built)) == (ev.evaluations, 0)
         built.clear()
         spreads.clear()
@@ -726,10 +747,9 @@ def test_records_are_their_profiles(seed):
     ``games/cyclic_three_agents.json``, which has no sequential order: one
     follower or several, followers with several agents, and leaders only.
 
-    Records read the values from the contexts of the last follower (the
-    last player when there are none).  The search has scored the deviator's
-    values there, and, when there are followers, the leaders'; with a single
-    follower that is every value, so the records score nothing."""
+    Records read each value where the search scored it, so they score
+    nothing: an anticipating leader's from the contexts of the last
+    follower, every other player's from her own."""
     if seed is None:
         base = load_game(str(GAMES_DIR / "cyclic_three_agents.json"))
     else:
@@ -754,8 +774,6 @@ def test_records_are_their_profiles(seed):
                 _assert_records_are_their_profiles(game, report[1])
             if not leaders:
                 continue
-            deviator = (game.followers or players)[-1]
-            scored = {deviator, *(leaders if game.followers else ())}
             for mode in MODES:
                 ev = CountingEvaluator(game)
                 searched.clear()
@@ -765,10 +783,33 @@ def test_records_are_their_profiles(seed):
                 if report[0] == "raises":
                     continue
                 _assert_records_are_their_profiles(game, report[1])
-                added = ev.by_player - searched.pop()
-                assert not scored & set(added)
-                if len(game.followers) == 1:
-                    assert not added
+                assert not ev.by_player - searched.pop()
+
+
+def test_records_add_no_evaluation(monkeypatch):
+    """Over the random games of seeds 0-299, building the records of
+    ``nash_equilibria`` and of ``nash_stackelberg`` in every mode adds no
+    evaluation and no context: each value is read where the search scored
+    it."""
+    records = equilibria._Session.records
+    added = []
+
+    def counted(session, *args):
+        ev = session.evaluator
+        before = (ev.evaluations, len(ev._contexts))
+        out = records(session, *args)
+        added.append((ev.evaluations, len(ev._contexts)) != before)
+        return out
+
+    monkeypatch.setattr(equilibria._Session, "records", counted)
+    for seed in range(300):
+        game = random_game(random.Random(seed))
+        _outcome(lambda: nash_equilibria(game))
+        if game.leaders:
+            for mode in MODES:
+                _outcome(lambda: nash_stackelberg(game, mode))
+    assert len(added) > 1000
+    assert not any(added)
 
 
 def signed_zero_game():
@@ -977,7 +1018,7 @@ def test_deviation_table_matches_plain_substitution(seed):
     order = check_sequential(model)
     profile = random_profile(model, rng)
     for agent in model.agents:
-        atoms, rows = deviation_table(model, agent, profile.strategies)
+        atoms, rows = deviation_table(model, (agent,), profile.strategies)
         assert (atoms, [list(row) for row in rows]) == plain_deviation_table(
             model, agent, profile, order
         )
@@ -989,12 +1030,14 @@ def test_deviation_table_matches_plain_substitution(seed):
             assert fixed_point_outcomes(model, played) == [row[action] for row in rows]
 
 
-def _one_player_game(model):
-    """The model with one player owning every agent, so that an
-    :class:`Evaluator` can be built on it."""
-    players = PlayerPartition(("P",), {a: "P" for a in model.agents})
-    objective = Objective("P", Sense.COST, (0.0,) * model.configuration.size)
-    return make_wgame(model, players, {"P": PlayerData(objective, RiskMeasure.worst_case())})
+def _one_agent_players_game(model):
+    """The model with one player per agent, named as the agent prints, so
+    that an :class:`Evaluator` can be built on it."""
+    names = tuple(map(str, model.agents))
+    players = PlayerPartition(names, {a: str(a) for a in model.agents})
+    zeros = (0.0,) * model.configuration.size
+    data = {p: PlayerData(Objective(p, Sense.COST, zeros), RiskMeasure.worst_case()) for p in names}
+    return make_wgame(model, players, data)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1007,7 +1050,7 @@ def test_deviation_plans_are_built_once_per_agent(seed):
     calls = [(agent, profile) for profile in profiles for agent in model.agents]
     rng.shuffle(calls)
     for agent, profile in calls:
-        atoms, rows = deviation_table(model, agent, profile.strategies)
+        atoms, rows = deviation_table(model, (agent,), profile.strategies)
         assert (atoms, [list(row) for row in rows]) == plain_deviation_table(
             model, agent, profile, order
         )
@@ -1019,14 +1062,14 @@ def test_deviation_plans_are_built_once_per_agent(seed):
             expected = [row[action] for row in rows]
             assert fixed_point_outcomes(model, played) == expected
             assert outcome_indices(model, played) == expected
-    assert set(model._plans) == set(model.agents)
+    assert set(model._plans) == {(a,) for a in model.agents}
     plans = dict(model._plans)
     # Evaluators share no memo, but read the plans the model already holds.
-    game = _one_player_game(model)
+    game = _one_agent_players_game(model)
     for profile in profiles:
         evaluator = Evaluator(game)
         for agent in model.agents:
-            ctx = evaluator._context(agent, profile.strategies)
+            ctx = evaluator._context(str(agent), profile.strategies)
             assert (ctx.atoms, [list(row) for row in ctx.outcomes]) == plain_deviation_table(
                 model, agent, profile, order
             )
@@ -1119,3 +1162,318 @@ def test_apply_risk_matches_the_pairs_formula(seed):
                 mine = _risk_outcome(lambda: apply_risk(risk, values, sense))
                 pairs = _risk_outcome(lambda: oracle.pairs_apply_risk(risk, values, sense))
                 _assert_same(mine, pairs)
+
+
+# --- Player contexts: one table per (player, others) ---------------------------
+#
+# A player with several agents is scored from one context per strategies of
+# the other players, keyed by her actions at every (agent, atom) pair she
+# reaches at her positive-mass states on any branch.  The games below make
+# her later agents read her earlier actions (directly or through another
+# player's agent between hers), and sometimes leave the model without a
+# sequential order.
+
+
+def random_multi_agent_game(rng: random.Random):
+    """A game of 2-3 players where ``P`` owns 2-3 agents; the other players
+    own one or two.  Agents act in a hidden order, declared shuffled; another
+    player's agent often sits between ``P``'s, and each agent sees Nature
+    and earlier actions at random, ``P``'s later agents often her earlier
+    ones.  One model in five adds an observation against the hidden order,
+    which usually leaves it without a sequential order (and some profiles
+    unplayable).  One game in eight is instead a causal model
+    (:func:`random_causal_model`), every profile playable, whose first two
+    agents ``P`` owns, and a third ``Q``.  Risks may leave states without mass; some players
+    lead."""
+    if rng.random() < 0.125:
+        model = random_causal_model(rng)
+        players = ["P", "Q"][: len(model.agents) - 1]
+        assignment = {a: "P" if a.stage <= 2 else "Q" for a in model.agents}
+        return _random_players_data(rng, model, players, assignment)
+    nature = [small_factor("n0", rng.randint(1, 3))]
+    if rng.random() < 0.4:
+        nature.append(small_factor("n1", 2, "nature-type"))
+    players = ["P", "Q"] + (["R"] if rng.random() < 0.3 else [])
+    own = {"P": rng.randint(2, 3), "Q": rng.randint(1, 2), "R": 1}
+    agents = [AgentId(p, t) for p in players for t in range(1, own[p] + 1)]
+    # A random interleaving, each player's agents in stage order.
+    staged = {p: iter([a for a in agents if a.player == p]) for p in players}
+    order = [next(staged[a.player]) for a in rng.sample(agents, len(agents))]
+    actions = {a: small_factor(f"u_{a.player}{a.stage}", 2 if rng.random() < 0.8 else 3, "action") for a in order}
+    info = {}
+    for i, a in enumerate(order):
+        visible = [f.id for f in nature if rng.random() < 0.5]
+        for b in order[:i]:
+            p_own = a.player == "P" and b.player == "P"
+            if rng.random() < (0.7 if p_own else 0.4):
+                visible.append(actions[b].id)
+        info[a] = visible
+    if rng.random() < 0.2:
+        early, late = sorted(rng.sample(range(len(order)), 2))
+        info[order[early]] = info[order[early]] + [actions[order[late]].id]
+    while True:
+        model = build_wmodel(nature, rng.sample(order, len(order)), actions, info)
+        if count_profiles(model, model.agents) <= PROFILE_LIMIT:
+            break
+        # Too many strategies: drop an observation and retry.
+        a = rng.choice([a for a in order if info[a]])
+        info[a] = info[a][:-1]
+    return _random_players_data(rng, model, players, {a: a.player for a in model.agents})
+
+
+def _random_players_data(rng: random.Random, model, players, assignment):
+    """The game of ``players`` owning the model's agents by ``assignment``,
+    each with a random objective (sometimes at the adverse infinity) and
+    risk; some players lead."""
+    data = {}
+    for p in players:
+        sense = rng.choice((Sense.COST, Sense.PAYOFF))
+        values = tuple(
+            sense.adverse if rng.random() < 0.1 else float(rng.randint(-4, 4))
+            for _ in range(model.configuration.size)
+        )
+        data[p] = PlayerData(Objective(p, sense, values), _random_risk(rng, model.nature_space))
+    leaders = tuple(p for p in players if rng.random() < 0.35)
+    return make_wgame(model, PlayerPartition(tuple(players), assignment), data, leaders)
+
+
+
+def plain_player_table(model, agents, profile):
+    """Forward substitution along the sequential order through every agent,
+    once per joint action of ``agents`` (the earliest in the order most
+    significant), recording per state the digit each of them reads on each
+    branch so far and the outcome of each joint action."""
+    order = model.sequential_order
+    mine = [a for a in order if a in agents]
+    offsets = dict(zip(agents, itertools.accumulate((model.info[a].atom_count for a in agents), initial=0)))
+    tables = {s.agent: s.table for s in profile.strategies}
+    counts = [model.action_factors[a].size for a in mine]
+    size = model.configuration.size
+    reads, outcomes = [], []
+    for base in range(0, size, size // model.nature_space.size):
+        read = [{} for _ in mine]
+        row = []
+        for joint in itertools.product(*map(range, counts)):
+            idx = base
+            for b in order:
+                atom_of, stride, _ = model.columns[b]
+                if b in agents:
+                    j = mine.index(b)
+                    read[j].setdefault(joint[:j], offsets[b] + atom_of[idx])
+                    idx += joint[j] * stride
+                else:
+                    idx += tables[b][atom_of[idx]] * stride
+            row.append(idx)
+        reads.append([list(r.values()) for r in read])
+        outcomes.append(row)
+    return reads, outcomes
+
+
+def _per_state(agents, atoms, outcomes):
+    """``deviation_table``'s reads and outcomes in the form of
+    :func:`plain_player_table`."""
+    reads = [[[a]] for a in atoms] if len(agents) == 1 else [[list(read) for read in at] for at in atoms]
+    return reads, [list(row) for row in outcomes]
+
+
+def _groups(model, rng: random.Random):
+    """Every agent alone, and a few random groups of agents, in model order."""
+    groups = [(a,) for a in model.agents]
+    for _ in range(3):
+        k = rng.randint(2, len(model.agents)) if len(model.agents) > 1 else 1
+        chosen = rng.sample(model.agents, k)
+        groups.append(tuple(a for a in model.agents if a in chosen))
+    return groups
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_player_tables_match_plain_substitution(seed):
+    """The table of any group of agents, against random strategies of the
+    others: the digits read on each branch and the outcome of each joint
+    action, with and without agents of the group reading earlier ones."""
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        model = random_model_with_one_atom_agents(rng)
+    else:
+        model = random_multi_agent_game(rng).model
+        if model.sequential_order is None:
+            return
+    profile = random_profile(model, rng)
+    for agents in _groups(model, rng):
+        atoms, outcomes = deviation_table(model, agents, profile.strategies)
+        assert _per_state(agents, atoms, outcomes) == plain_player_table(model, agents, profile)
+
+
+def test_player_table_generator_covers_the_cases():
+    """The table test meets groups whose agents branch and groups whose do
+    not, with other agents between theirs that read them or not."""
+    seen = set()
+    for seed in range(100):
+        rng = random.Random(seed)
+        if rng.random() < 0.5:
+            model = random_model_with_one_atom_agents(rng)
+        else:
+            model = random_multi_agent_game(rng).model
+            if model.sequential_order is None:
+                continue
+        random_profile(model, rng)
+        for agents in _groups(model, rng):
+            if len(agents) == 1:
+                continue
+            moved = dependents(model, agents)
+            seen.add("branching" if not moved.isdisjoint(agents) else "not branching")
+            if moved - set(agents):
+                seen.add("another agent reads theirs")
+    assert seen == {"branching", "not branching", "another agent reads theirs"}
+
+
+def _compare_solvers(ref, game, rng):
+    """Every solver on ``game`` against the oracle ``ref`` (:func:`_compare`):
+    each player's best responses to a random profile, Nash, and with leaders
+    the followers' Nash at each leaders' profile, each leader's value and the
+    Stackelberg and Nash-Stackelberg sets, in every mode."""
+    for player, others in random_contexts(game, rng):
+        _compare(ref, lambda ev: best_responses(game, player, others, evaluator=ev),
+                 lambda ref: ref.best_responses(player, others))
+    _compare(ref, lambda ev: nash_equilibria(game, evaluator=ev), lambda ref: ref.nash_equilibria())
+    if not game.leaders:
+        return
+    for leaders in oracle.leaders_profiles(game):
+        _compare(ref, lambda ev: followers_nash(game, leaders, evaluator=ev),
+                 lambda ref: ref.followers_nash(leaders))
+        for mode in MODES:
+            for leader in game.leaders:
+                _compare(ref, lambda ev: leader_value(game, leader, leaders, mode, evaluator=ev),
+                         lambda ref: ref.leader_value(leader, leaders, mode))
+    for mode in MODES:
+        _compare(ref, lambda ev: stackelberg_strategies(game, mode, evaluator=ev),
+                 lambda ref: ref.stackelberg_strategies(mode))
+        _compare(ref, lambda ev: nash_stackelberg(game, mode, evaluator=ev),
+                 lambda ref: ref.nash_stackelberg(mode))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_player_contexts_match_the_oracle(seed):
+    """Values, members and their order, errors and evaluation counts of every
+    solver on games with multi-agent players, against the oracle."""
+    rng = random.Random(seed)
+    game = random_multi_agent_game(rng)
+    _compare_solvers(oracle.Oracle(game), game, rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_player_contexts_match_the_profile_path(seed):
+    """Every player's value at each strategy of each deviating player, scored
+    from the deviator's context, and every solver, against the full-profile
+    path, on games with multi-agent players."""
+    rng = random.Random(seed)
+    game = random_multi_agent_game(rng)
+    ev = Evaluator(game)
+    base = random_profile(game.model, rng)
+    for deviator in game.players.players:
+        ctx = ev._context(deviator, base.strategies)
+        for deviation in player_strategies(game, deviator):
+            profile = ctx.splice(deviation)
+            for p in game.players.players:
+                kernel = _outcome(lambda: ev.value(p, ctx, digits(deviation)))
+                _assert_same(kernel, _outcome(lambda: PlainEvaluator(game).value(p, profile)))
+                _assert_same(kernel, _outcome(lambda: Evaluator(game).value(p, profile)))
+
+    def both(solve):
+        _assert_same(_outcome(lambda: solve(Evaluator(game))), _outcome(lambda: solve(PlainEvaluator(game))))
+
+    both(lambda ev: nash_equilibria(game, evaluator=ev))
+    if game.leaders:
+        for mode in MODES:
+            both(lambda ev: stackelberg_strategies(game, mode, evaluator=ev))
+            both(lambda ev: nash_stackelberg(game, mode, evaluator=ev))
+
+
+def test_multi_agent_generator_covers_the_cases():
+    seen = set()
+    for seed in range(200):
+        game = random_multi_agent_game(random.Random(seed))
+        model = game.model
+        order = model.sequential_order
+        hers = game.agents_of("P")
+        if order is None:
+            playable = check_playability(model, "all").playable
+            seen.add("no sequential order, " + ("playable" if playable else "not playable"))
+        else:
+            at = sorted(order.index(a) for a in hers)
+            if any(order[i] not in hers for i in range(at[0], at[-1])):
+                seen.add("another agent between hers")
+            moved = dependents(model, hers)
+            seen.add("her agents branch" if not moved.isdisjoint(hers) else "her agents do not branch")
+            if moved - set(hers):
+                seen.add("another agent reads hers")
+        risk = game.data["P"].risk
+        if risk.belief is not None and 0.0 in risk.belief.masses:
+            seen.add("zero-mass state")
+        seen.add(f"{len(game.players.players)} players")
+        if game.leaders:
+            seen.add("leaders")
+    assert seen == {
+        "no sequential order, playable",
+        "no sequential order, not playable",
+        "another agent between hers",
+        "her agents branch",
+        "her agents do not branch",
+        "another agent reads hers",
+        "zero-mass state",
+        "1 players",
+        "2 players",
+        "3 players",
+        "leaders",
+    }
+
+
+def test_current_stage_thai_follower_scores_four_keys():
+    """In ``games/thai_two_consumers.json`` (current stage: a consumer sees
+    her own type and each stage's target) each consumer's two agents have
+    two atoms each, but the leader's strategy fixes the target of each
+    stage, so a best-response set reads one atom per agent: 4 keys of her
+    16 strategies, each scored once."""
+    game = load_game(str(GAMES_DIR / "thai_two_consumers.json"))
+    rng = random.Random(0)
+    for player, others in random_contexts(game, rng):
+        if player == "leader":
+            continue
+        assert count_profiles(game.model, game.agents_of(player)) == 16
+        ev = Evaluator(game)
+        best_responses(game, player, others, evaluator=ev)
+        assert ev.evaluations == 4
+
+
+def test_contexts_are_built_once_per_player_and_others(monkeypatch):
+    """Solving ``games/thai_two_consumers.json``, where every player owns two
+    agents, builds one deviation table per deviating player and strategies
+    of the other players, each once."""
+    game = load_game(str(GAMES_DIR / "thai_two_consumers.json"))
+    slots = {p: {game.model.agents.index(a) for a in game.agents_of(p)} for p in game.players.players}
+    built = []
+    table = infogames.normal_form.deviation_table
+
+    def counted(model, agents, strategies):
+        player = game.players.assignment[agents[0]]
+        assert set(agents) == set(game.agents_of(player))
+        others = tuple(s for i, s in enumerate(strategies) if i not in slots[player])
+        built.append((player, others))
+        return table(model, agents, strategies)
+
+    monkeypatch.setattr(infogames.normal_form, "deviation_table", counted)
+    # Nash deviates every player; Nash-Stackelberg the followers, the leader
+    # being judged by anticipation.
+    cases = [
+        (lambda ev: nash_equilibria(game, evaluator=ev), game.players.players),
+        (lambda ev: nash_stackelberg(game, OPTIMISTIC, evaluator=ev), game.followers),
+    ]
+    for solve, deviating in cases:
+        built.clear()
+        ev = Evaluator(game)
+        solve(ev)
+        assert len(built) == len(set(built)) == len(ev._contexts)
+        assert {p for p, _ in built} == set(deviating)

@@ -178,9 +178,9 @@ class TestNash:
 
         def corrupt(player, assignment):
             (deviation,) = assignment[player]
-            ctx = ev._context(deviation.agent, assemble_profile(game, assignment).strategies)
+            ctx = ev._context(player, assemble_profile(game, assignment).strategies)
             ev.value(player, ctx, deviation.table)
-            getter, memo = ctx.memo[player]
+            _, getter, memo = ctx.memo[player]
             memo[getter(deviation.table)] = 100.0
 
         corrupt("row", {"row": d_row, "col": c_col})

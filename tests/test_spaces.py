@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import struct
 
 import pytest
 from hypothesis import example, given, settings
@@ -193,6 +194,62 @@ class TestStrideBuilt:
             oracle.append(total)
         got = Objective.from_terms(space, "p", Sense.COST, terms).values
         assert [v.hex() for v in got] == [v.hex() for v in oracle]
+
+    @given(st.data())
+    @example(data=None)
+    @settings(max_examples=150, deadline=None)
+    def test_from_terms_matches_the_per_point_sum(self, data):
+        """Every entry is the per-point left-to-right sum ``0.0 + term_1 +
+        ...``, bit for bit, signed zeros included, when leading terms share
+        their axes (summed on their own table) and when they do not; with a
+        leading -0.0, the adverse infinity and sometimes the favorable one.
+        Invalid axes and table lengths raise as a term-by-term check does.
+        Without ``data``: two terms on the same axes, tables of -0.0."""
+        if data is None:
+            sizes, sense = [2], Sense.COST
+            terms = [((0,), [-0.0, -0.0]), ((0,), [-0.0, 1.0])]
+        else:
+            sizes = data.draw(factor_sizes)
+            sense = data.draw(st.sampled_from(Sense))
+            pool = [data.draw(st.permutations(range(len(sizes)))) for _ in range(2)]
+            pool = [p[: data.draw(st.integers(0, len(sizes)))] for p in pool]
+            pool.append([len(sizes)] if data.draw(st.booleans()) else [0, 0])
+            value = st.sampled_from([-0.0, 0.0, 1.5, -2.0, 3, 1e16, -1e16, sense.adverse])
+            if data.draw(st.integers(0, 9)) == 0:
+                value = st.one_of(value, st.just(-sense.adverse))
+            terms = []
+            for k in range(data.draw(st.integers(0, 4))):
+                weights = [10, 10, 1] if k == 0 else [10, 10, 0]
+                axes = data.draw(st.sampled_from([p for p, w in zip(pool, weights) for _ in range(w)]))
+                n = math.prod(sizes[a] for a in axes) if all(0 <= a < len(sizes) for a in axes) else 1
+                n += data.draw(st.sampled_from([0] * 20 + [1]))
+                table = data.draw(st.lists(value, min_size=n, max_size=n))
+                if k == 0 and table and data.draw(st.booleans()):
+                    table[0] = -0.0
+                terms.append((axes, table))
+        space = space_of(*sizes)
+
+        def per_point():
+            for axes, table in terms:
+                space.axis_index(axes)
+                if len(table) != math.prod(sizes[a] for a in axes):
+                    raise ValueError("term table length does not match its axes")
+            sums = []
+            for pt in space.points():
+                total = 0.0
+                for axes, table in terms:
+                    total += table[row_major(pt, axes, sizes)]
+                sums.append(total)
+            return Objective("p", sense, tuple(sums))
+
+        def outcome(build):
+            try:
+                return [struct.pack("d", v) for v in build().values]
+            except ValueError as exc:
+                return str(exc)
+
+        fused = outcome(lambda: Objective.from_terms(space, "p", sense, terms))
+        assert fused == outcome(per_point)
 
     def test_from_terms_single_term_over_all_axes(self):
         space = space_of(2, 3)
