@@ -41,6 +41,7 @@ from .model import (
     DEFAULT_CAP,
     StrategyProfile,
     count_profiles,
+    digits_of,
     outcome_indices,
     validate_strategy,
 )
@@ -185,13 +186,6 @@ def _spread(size: int, positions: Sequence[int], actions: Sequence[int]) -> tupl
     for pos, a in zip(positions, actions):
         table[pos] = a
     return tuple(table)
-
-
-def _digits(strategy: PlayerStrategy) -> tuple[int, ...]:
-    """A player strategy's digits: its agents' tables, concatenated."""
-    if len(strategy) == 1:
-        return strategy[0].table
-    return tuple(itertools.chain.from_iterable(s.table for s in strategy))
 
 
 @dataclass(eq=False, slots=True)
@@ -369,7 +363,7 @@ class _Session:
             return rs.flags
         played = self._played.get((player, rs.digits))
         if played is None:
-            spread = [_digits(c) for c in self.space(player)]
+            spread = [digits_of(c) for c in self.space(player)]
             played = [tuple([d[i] for i in rs.digits]) for d in spread]
             self._played[(player, rs.digits)] = played
         keys = set(rs.keys)
@@ -379,19 +373,6 @@ class _Session:
         """The evaluator's context of ``player`` against the other players'
         strategies in ``fixed``."""
         return self.evaluator._context(player, self._place(fixed, player))
-
-    def scores(
-        self,
-        player: str,
-        deviator: str,
-        fixed: Mapping[str, PlayerStrategy],
-        candidates: Sequence[PlayerStrategy],
-    ) -> list[float]:
-        """Normal-form values of ``player`` when ``deviator`` plays each of
-        ``candidates`` against the other players' strategies in ``fixed``."""
-        value = self.evaluator.value
-        ctx = self._context(deviator, fixed)
-        return [value(player, ctx, _digits(c)) for c in candidates]
 
     def records(
         self, fixed: Mapping[str, PlayerStrategy], candidates: Sequence[PlayerStrategy]
@@ -418,7 +399,7 @@ class _Session:
         ctx = self._context(deviator, fixed)
         out = []
         for c in candidates:
-            digits = _digits(c)
+            digits = digits_of(c)
             if own:
                 assignment = {**fixed, deviator: c}
                 values = [
@@ -433,7 +414,7 @@ class _Session:
     def value(self, player: str, assignment: Mapping[str, PlayerStrategy]) -> float:
         """The player's normal-form value at the full ``assignment``."""
         ctx = self._context(player, assignment)
-        return self.evaluator.value(player, ctx, _digits(assignment[player]))
+        return self.evaluator.value(player, ctx, digits_of(assignment[player]))
 
     def runs(self, leaders: Mapping[str, PlayerStrategy]) -> list[tuple[dict, Sequence]]:
         """The full profiles over the followers' joint best responses to
@@ -442,12 +423,8 @@ class _Session:
         Responses vary the last follower fastest, so each run is scored from
         one context.  A single follower's joint best responses are her
         best-response set, one run."""
-        followers = self.game.followers
-        if not followers:
+        if not self.game.followers:
             return [(leaders, (leaders[self.deviator],))]
-        if len(followers) == 1:
-            self.count(followers)
-            return [(leaders, self.responses(self.deviator, leaders).strategies())]
         return [
             ({**leaders, **dict(head)}, [fp[-1][1] for fp in group])
             for head, group in itertools.groupby(
@@ -471,9 +448,10 @@ class _Session:
         elif not followers:
             values = [self.value(player, leaders)]
         else:
-            values = []
+            value, values = self.evaluator.value, []
             for fixed, candidates in self.runs(leaders):
-                values += self.scores(player, self.deviator, fixed, candidates)
+                ctx = self._context(self.deviator, fixed)
+                values += [value(player, ctx, digits_of(c)) for c in candidates]
         sense = self.game.data[player].objective.sense
         return _anticipate(values, sense, self.mode) if values else None
 

@@ -15,14 +15,16 @@ the sequential fast path.  That ordering depends on the information fields
 alone, so a model finds it once (``WModel.sequential_order``) and every
 caller reads it there; no function takes an order.
 
-Fixed-point search treats a profile as one digit per strategy-table entry:
-agents in model order, atoms in table order, one-action agents included, so a
-profile's digits are its tables, concatenated.  Each digit's action has a
-bitmask over flat configuration indices keeping the points consistent with it
-(a one-action digit's only mask has every bit set), and a profile's fixed
-points are the AND of the masks its digits pick.  Every search reads the one
-mask table a model builds on first use and keeps (digits x actions masks of
-configuration-size bits).  Checking every joint profile runs an odometer over
+A group of agents' strategies has one layout, :func:`digit_parts`: one
+*digit* per (agent, atom), the agents' tables concatenated in the group's
+order (:func:`digits_of`).  The mask table, the deviation plans and the
+evaluator's contexts all read it.  Fixed-point search treats a profile as the
+digits of every agent in model order, one-action agents included.  Each
+digit's action has a bitmask over flat configuration indices keeping the
+points consistent with it (a one-action digit's only mask has every bit set),
+and a profile's fixed points are the AND of the masks its digits pick.  Every
+search reads the one mask table a model builds on first use and keeps (digits
+x actions masks of configuration-size bits).  Checking every joint profile runs an odometer over
 the digits with two actions or more (last fastest), in
 :func:`joint_strategies` order, taking each AND from a stack of prefix ANDs.
 A sample of ``n`` profiles from seed ``s`` draws each digit with one
@@ -246,6 +248,26 @@ class StrategyProfile:
     strategies: tuple[Strategy, ...]
 
 
+def digit_parts(model: WModel, agents: Sequence[AgentId]) -> tuple[tuple[AgentId, slice], ...]:
+    """Each of ``agents`` with the slice of the group's digits holding his
+    strategy table: the digits are the agents' tables concatenated in the
+    given order, one per (agent, atom).  The one layout of a group's
+    strategies, read by the mask table, deviation plans and contexts."""
+    parts, stop = [], 0
+    for a in agents:
+        start, stop = stop, stop + model.info[a].atom_count
+        parts.append((a, slice(start, stop)))
+    return tuple(parts)
+
+
+def digits_of(strategies: Sequence[Strategy]) -> tuple[int, ...]:
+    """The digits of ``strategies`` (see :func:`digit_parts`): their tables,
+    concatenated; a single strategy's table itself."""
+    if len(strategies) == 1:
+        return strategies[0].table
+    return tuple(itertools.chain.from_iterable(s.table for s in strategies))
+
+
 def validate_strategy(model: WModel, strategy: Strategy):
     part = model.info[strategy.agent]
     size = model.action_factors[strategy.agent].size
@@ -339,10 +361,10 @@ def _bits(flags: Iterable[bool]) -> int:
 
 def _digit_masks(model: WModel) -> list[list[int]]:
     """Consistency bitmasks over flat configuration indices, one list per
-    strategy-table entry: agents in model order, atoms in table order within
-    each, one-action agents included.  Entry ``j`` of digit ``(a, atom)`` has
-    every bit set except those of the atom's points whose ``a``-coordinate is
-    not ``j``, so a one-action digit's only mask has every bit set."""
+    digit of every agent (``digit_parts(model, model.agents)``), one-action
+    agents included.  Entry ``j`` of digit ``(a, atom)`` has every bit set
+    except those of the atom's points whose ``a``-coordinate is not ``j``, so
+    a one-action digit's only mask has every bit set."""
     size = model.configuration.size
     full = (1 << size) - 1
     digits = []
@@ -372,11 +394,6 @@ class PlayabilityReport:
     profiles_checked: int
     failures: tuple[PlayabilityFailure, ...]
     sequential_order: tuple[AgentId, ...] | None = None
-
-
-def _digits(profile: StrategyProfile) -> list[int]:
-    """The digit choice of ``profile``: its strategy tables, concatenated."""
-    return [j for s in profile.strategies for j in s.table]
 
 
 def _solved(model: WModel, choice: Iterable[int]) -> int:
@@ -415,19 +432,15 @@ def _failures(
 def _recorder(model: WModel):
     """A ``record(choice, solved)`` appending to the returned list the
     failures of the profile whose digit choice is ``choice`` and whose flat
-    solutions are the bits of ``solved``; each agent's strategy is the slice
-    of ``choice`` holding its table.  Equal strategies and solution tuples
+    solutions are the bits of ``solved``; each agent's strategy is his part
+    of ``choice`` (:func:`digit_parts`).  Equal strategies and solution tuples
     are built once per recorder, so the failures of one check share them."""
     failures: list[PlayabilityFailure] = []
     made: dict[tuple[AgentId, tuple[int, ...]], Strategy] = {}
     decoded: dict[int, tuple[Point, ...]] = {}
-    parts = []
-    stop = 0
-    for a in model.agents:
-        start, stop = stop, stop + model.info[a].atom_count
-        parts.append((a, slice(start, stop)))
+    parts = digit_parts(model, model.agents)
 
-    def record(choice: list[int], solved: int):
+    def record(choice: Sequence[int], solved: int):
         strategies = []
         for a, part in parts:
             key = (a, tuple(choice[part]))
@@ -440,7 +453,7 @@ def _recorder(model: WModel):
     return record, failures
 
 
-def _check_choices(model: WModel, choices: Iterable[list[int]]) -> list[PlayabilityFailure]:
+def _check_choices(model: WModel, choices: Iterable[Sequence[int]]) -> list[PlayabilityFailure]:
     """The playability failures of the profiles with the given digit
     choices, in order: a choice is recorded when some Nature block of the
     AND of its masks has not exactly one bit."""
@@ -548,7 +561,7 @@ def check_playability(
     selected = list(profiles)  # type: ignore[arg-type]
     for p in selected:
         _require_profile(model, p)
-    failures = _check_choices(model, map(_digits, selected))
+    failures = _check_choices(model, (digits_of(p.strategies) for p in selected))
     return PlayabilityReport(not failures, "explicit", len(selected), tuple(failures))
 
 
@@ -573,7 +586,7 @@ def fixed_point_outcomes(model: WModel, profile: StrategyProfile) -> list[int]:
     """The outcomes of :func:`outcome_indices` by fixed-point search, on any
     model: the bits of :func:`_solved`, one per Nature block.  Raises
     :class:`NotPlayable` at the first nature state with zero or several."""
-    solved = _solved(model, _digits(profile))
+    solved = _solved(model, digits_of(profile.strategies))
     failures = _failures(model, profile, solved, {})
     if failures:
         raise NotPlayable(failures[0].nature_point, failures[0].solution_count)
@@ -605,10 +618,7 @@ def _plan(model: WModel, agents: tuple[AgentId, ...]) -> tuple:
     the end (a ``range`` when evenly spaced); the size of the configuration
     space and of each Nature state's block."""
     slots = {a: i for i, a in enumerate(model.agents)}
-    offsets, offset = {}, 0
-    for a in agents:
-        offsets[a] = offset
-        offset += model.info[a].atom_count
+    offsets = {a: part.start for a, part in digit_parts(model, agents)}
     dependent = dependents(model, agents)
     folded, first, levels = [], [], []
     for a in model.sequential_order:
@@ -667,9 +677,9 @@ def deviation_table(
     by their actions so far, the earliest in the order most significant.
     Returns, per Nature state in nature order, what they read and the flat
     outcome index of each branch.  A single agent reads his atom.  Several
-    read *digits*: an agent's atom plus the offset of his table in the
-    concatenation of their tables, in model order; at a state, per agent in
-    the order, the tuple of the digits he reads on each branch so far.
+    read *digits* (:func:`digit_parts` of ``agents``): an agent's atom plus
+    the start of his part; at a state, per agent in the order, the tuple of
+    the digits he reads on each branch so far.
 
     An agent's atom reads only Nature and the axes of agents earlier in the
     order, so setting the axes of later agents early changes no atom read.

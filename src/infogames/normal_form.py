@@ -8,7 +8,7 @@ internal :class:`Context`: the deviating player against fixed strategies of
 every other player, built once per (player, those strategies), in any
 model.  Contexts take strategies the solvers have already checked, so they
 check nothing themselves.  A deviation is given as her digits: her agents'
-tables, concatenated in model order.
+tables, concatenated in model order (:func:`~infogames.model.digit_parts`).
 
 In a sequential model, fixing every other player fixes, at each Nature
 state, what each of her agents reads on each branch of her earlier actions
@@ -46,6 +46,7 @@ from .model import (
     _require_profile,
     count_profiles,
     deviation_table,
+    digit_parts,
     joint_strategies,
     outcome_indices,
     solution_map,  # noqa: F401  (bench/ and its self-tests look it up here)
@@ -125,14 +126,14 @@ def assemble_profile(
 
 @dataclass(eq=False, slots=True)
 class Context:
-    """The deviating ``player`` against fixed strategies of every other
-    player's agents.
+    """A deviating player against fixed strategies of every other player's
+    agents.
 
     A deviation is given as her *digits*: her agents' strategy tables,
     concatenated in model order, so digit ``d`` is one (agent, atom) pair
-    and ``radix[d]`` that agent's action count.  ``parts`` gives each of her
-    agents and the slice of the digits holding his table, and ``slots`` his
-    profile slot.  ``head`` and ``tail`` are the profile's strategies before
+    and ``radix[d]`` that agent's action count.  ``parts`` is
+    :func:`~infogames.model.digit_parts` of her agents, and ``slots`` their
+    profile slots.  ``head`` and ``tail`` are the profile's strategies before
     and after her first slot, ``None`` at her other slots, so :meth:`splice`
     builds a deviation's profile.
 
@@ -148,7 +149,6 @@ class Context:
     maps a player to her memo entry (:meth:`entry`).
     """
 
-    player: str
     head: tuple[Strategy | None, ...]
     tail: tuple[Strategy | None, ...]
     slots: tuple[int, ...]
@@ -231,9 +231,20 @@ class Evaluator:
 
     def __init__(self, game: WGame):
         self.game = game
-        agents = game.model.agents
-        self._slots = {p: tuple(map(agents.index, game.agents_of(p))) for p in game.players.players}
+        model, order = game.model, game.model.sequential_order
+        self._slots = {p: tuple(map(model.agents.index, game.agents_of(p))) for p in game.players.players}
+        # Per player: her agents, the ``parts`` and ``radix`` of her contexts
+        # (see :class:`Context`) and, for several agents in a sequential
+        # model, their action counts in the sequential order.
         self._layouts: dict[str, tuple] = {}
+        for p in game.players.players:
+            agents = game.agents_of(p)
+            parts = digit_parts(model, agents)
+            radix = tuple(model.action_factors[a].size for a, part in parts for _ in range(part.start, part.stop))
+            counts = None
+            if order is not None and len(agents) > 1:
+                counts = tuple(model.action_factors[a].size for a in order if a in agents)
+            self._layouts[p] = (agents, parts, radix, counts)
         self._outcomes: dict[StrategyProfile, list[int]] = {}
         self._values: dict[tuple[str, StrategyProfile], float] = {}
         self._contexts: dict[tuple, Context] = {}
@@ -252,26 +263,6 @@ class Evaluator:
         indices = self._outcomes[profile] = outcome_indices(self.game.model, profile)
         return indices
 
-    def _layout(self, player: str) -> tuple:
-        """The player's agents, the ``parts`` and ``radix`` of her contexts
-        (see :class:`Context`) and, for several agents in a sequential model,
-        their action counts in the sequential order; built on first use."""
-        layout = self._layouts.get(player)
-        if layout is None:
-            model = self.game.model
-            agents = self.game.agents_of(player)
-            parts, radix = [], []
-            for a in agents:
-                size = model.info[a].atom_count
-                parts.append((a, slice(len(radix), len(radix) + size)))
-                radix += [model.action_factors[a].size] * size
-            order = model.sequential_order
-            counts = None
-            if order is not None and len(agents) > 1:
-                counts = tuple(model.action_factors[a].size for a in order if a in agents)
-            layout = self._layouts[player] = (agents, tuple(parts), tuple(radix), counts)
-        return layout
-
     def _context(self, player: str, strategies: Sequence[Strategy | None]) -> Context:
         """The context of ``player`` against ``strategies``, one per agent in
         model agent order (her own entries are ignored and may be ``None``),
@@ -286,7 +277,7 @@ class Evaluator:
         key = (player, tuple(others))
         ctx = self._contexts.get(key)
         if ctx is None:
-            agents, parts, radix, counts = self._layout(player)
+            agents, parts, radix, counts = self._layouts[player]
             others, at = key[1], slots[0]
             atoms, outcomes = deviation_table(self.game.model, agents, others)
             reads = None
@@ -294,7 +285,7 @@ class Evaluator:
                 ids: dict = {}
                 atoms = [ids.setdefault(read, len(ids)) for read in atoms]
                 reads = [tuple(zip(counts, read)) for read in ids]
-            ctx = Context(player, others[:at], others[at + 1:], slots, parts, radix, atoms, outcomes, reads)
+            ctx = Context(others[:at], others[at + 1:], slots, parts, radix, atoms, outcomes, reads)
             self._contexts[key] = ctx
         return ctx
 

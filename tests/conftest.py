@@ -139,38 +139,56 @@ def random_lf_game(rng: random.Random) -> WGame:
     """A random sequential leader-follower game: leader maximizes a payoff,
     follower minimizes a cost, integer objective tables, product beliefs.
     Sizes are chosen so exhaustive solves stay fast."""
+    return _lf_games(rng, None)[0]
+
+
+def random_lf_pair(rng: random.Random, refined: str) -> tuple[WGame, WGame]:
+    """A game like :func:`random_lf_game`, built twice with the same factors,
+    tables and beliefs: player ``refined`` (``"L"`` or ``"F"``) does not see
+    ``n0`` in the first game and sees it in the second, so her information
+    there is finer.  The other player's information is drawn once, for
+    both."""
+    return tuple(_lf_games(rng, refined))
+
+
+def _lf_games(rng: random.Random, refined: str | None) -> list[WGame]:
+    """The games of :func:`random_lf_game` (``refined`` ``None``) and of
+    :func:`random_lf_pair`, from one sequence of draws."""
     nature = [small_factor("n0", rng.randint(1, 3))]
     leader, follower = AgentId("L"), AgentId("F")
     ul = small_factor("ul", rng.randint(2, 3), "action")
-    leader_sees = tuple(f.id for f in nature if rng.random() < 0.5)
+    sees = {"L": [f.id for f in nature if rng.random() < 0.5]}
     # Sometimes the follower moves blind to the leader's action; with a
     # full-support belief every information atom is then reached, so
     # singleton best-response sets actually occur.
-    follower_sees = ["ul"] if rng.random() < 0.6 else []
-    follower_sees += [f.id for f in nature if rng.random() < 0.5]
-    follower_atoms = max(1, ul.size ** ("ul" in follower_sees)) * (
-        nature[0].size if len([s for s in follower_sees if s != "ul"]) else 1
-    )
+    sees["F"] = ["ul"] if rng.random() < 0.6 else []
+    sees["F"] += [f.id for f in nature if rng.random() < 0.5]
+    infos = [sees]
+    if refined is not None:
+        coarse = [v for v in sees[refined] if v != "n0"]
+        infos = [{**sees, refined: coarse}, {**sees, refined: coarse + ["n0"]}]
+    # The follower's action count is drawn for her finest information.
+    follower_sees = infos[-1]["F"]
+    follower_atoms = (ul.size if "ul" in follower_sees else 1) * (nature[0].size if "n0" in follower_sees else 1)
     uf = small_factor("uf", 2 if follower_atoms > 4 else rng.randint(2, 3), "action")
-    model = build_wmodel(
-        nature,
-        [leader, follower],
-        {leader: ul, follower: uf},
-        {leader: leader_sees, follower: tuple(follower_sees)},
-    )
-    size = model.configuration.size
+    models = [
+        build_wmodel(nature, [leader, follower], {leader: ul, follower: uf}, {leader: info["L"], follower: info["F"]})
+        for info in infos
+    ]
+    size = models[0].configuration.size
 
     def table():
         return tuple(float(rng.randint(-5, 5)) for _ in range(size))
 
-    belief_l = Belief.product(model.nature_space, [random_mass_vector(rng, nature[0].size)])
-    belief_f = Belief.product(model.nature_space, [random_mass_vector(rng, nature[0].size)])
+    nature_space = models[0].nature_space
+    belief_l = Belief.product(nature_space, [random_mass_vector(rng, nature[0].size)])
+    belief_f = Belief.product(nature_space, [random_mass_vector(rng, nature[0].size)])
     players = PlayerPartition(("L", "F"), {leader: "L", follower: "F"})
     data = {
         "L": PlayerData(Objective("L", Sense.PAYOFF, table()), RiskMeasure.expectation(belief_l)),
         "F": PlayerData(Objective("F", Sense.COST, table()), RiskMeasure.expectation(belief_f)),
     }
-    return make_wgame(model, players, data, leaders=("L",))
+    return [make_wgame(model, players, data, leaders=("L",)) for model in models]
 
 
 def rescale_player(game: WGame, player: str, a: float, b: float) -> WGame:

@@ -59,6 +59,8 @@ from infogames.model import (
     check_sequential,
     dependents,
     deviation_table,
+    digit_parts,
+    digits_of,
     fixed_point_outcomes,
     outcome_indices,
 )
@@ -1326,6 +1328,77 @@ def test_player_table_generator_covers_the_cases():
             if moved - set(agents):
                 seen.add("another agent reads theirs")
     assert seen == {"branching", "not branching", "another agent reads theirs"}
+
+
+def _layout_game(rng: random.Random):
+    """A game of :func:`random_multi_agent_game`, or on a model of
+    :func:`random_information_parts`, sequential or not, whose agents are
+    dealt to 1-3 players."""
+    if rng.random() < 0.5:
+        return random_multi_agent_game(rng)
+    nature, agents, actions, specs, _ = random_information_parts(rng, sequential=rng.random() < 0.5)
+    model = build_wmodel(nature, agents, actions, specs)
+    names = [f"P{i}" for i in range(1, rng.randint(1, len(agents)) + 1)]
+    dealt = rng.sample(agents, len(agents))
+    assignment = {a: names[i] if i < len(names) else rng.choice(names) for i, a in enumerate(dealt)}
+    return _random_players_data(rng, model, names, assignment)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_every_layer_reads_one_digit_layout(seed):
+    """``digit_parts`` is the one layout of a group's digits: the mask table
+    has one digit per (agent, atom) of every agent in it, each with one mask
+    per action; each player's contexts and deviation plan place her agents'
+    tables by it; and ``digits_of`` concatenates strategies by it."""
+    rng = random.Random(seed)
+    game = _layout_game(rng)
+    model = game.model
+    every = digit_parts(model, model.agents)
+    masks = model._masks[0]
+    assert len(masks) == every[-1][1].stop
+    points = range(model.configuration.size)
+    for a, part in every:
+        atom_of, stride, count = model.columns[a]
+        assert part.stop - part.start == model.info[a].atom_count
+        for atom, d in enumerate(range(part.start, part.stop)):
+            # Mask j keeps every point but those of the atom where he does
+            # not play j.
+            keeps = [[atom_of[i] != atom or i // stride % count == j for i in points] for j in range(count)]
+            assert masks[d] == [sum(1 << i for i in points if keep[i]) for keep in keeps]
+    profile = random_profile(model, rng)
+    full = digits_of(profile.strategies)
+    ev = Evaluator(game)
+    for p in game.players.players:
+        agents = game.agents_of(p)
+        parts = digit_parts(model, agents)
+        ctx = ev._context(p, profile.strategies)
+        assert ctx.parts == parts
+        if model.sequential_order is not None:
+            levels = model._plans[agents][2]
+            starts = {a: part.start for a, part in parts}
+            assert [level[1] for level in levels] == [starts[a] for a in model.sequential_order if a in agents]
+        slots = ev._slots[p]
+        mine = tuple(profile.strategies[slot] for slot in slots)
+        assert digits_of(mine) == tuple(j for slot in slots for j in full[every[slot][1]])
+        d = tuple(rng.randrange(k) for k in ctx.radix)
+        assert digits_of(ctx.strategies([d])[0]) == d
+
+
+def test_layout_generator_covers_the_cases():
+    seen = set()
+    for seed in range(100):
+        game = _layout_game(random.Random(seed))
+        model = game.model
+        seen.add("sequential" if model.sequential_order is not None else "not sequential")
+        for p in game.players.players:
+            agents = game.agents_of(p)
+            seen.add("one agent" if len(agents) == 1 else "several agents")
+            if len(agents) > 1 and model.sequential_order is not None:
+                order = [a for a in model.sequential_order if a in agents]
+                if order != list(agents):
+                    seen.add("her agents act out of model order")
+    assert seen == {"sequential", "not sequential", "one agent", "several agents", "her agents act out of model order"}
 
 
 def _compare_solvers(ref, game, rng):
